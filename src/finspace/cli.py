@@ -85,12 +85,6 @@ def _emit(args, payload: dict, text_lines):
 
 
 def _load_space(args) -> FiniteSpace:
-    picked = [
-        args.circle is not None,
-        getattr(args, "interval", None) is not None,
-        args.file is not None,
-        bool(getattr(args, "square", False)) and args.circle is not None,
-    ]
     if args.circle is not None:
         X = khalimsky_circle(args.circle).space
         if getattr(args, "square", False):
@@ -133,9 +127,6 @@ def _space_sources(p, square_ok=False):
 def _common(p):
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--budget", type=int, default=None, help="search budget")
-    p.add_argument(
-        "--threads", type=int, default=1, help="accepted for interface parity; runs sequentially"
-    )
 
 
 def build_parser() -> _Parser:
@@ -158,7 +149,7 @@ def build_parser() -> _Parser:
     p.add_argument("g", help="circlemap line or file")
     p.add_argument(
         "--strategy",
-        choices=["auto", "fence-bfs", "core-degree", "exhaustive-components"],
+        choices=["auto", "fence-bfs", "exhaustive-components"],
         default="auto",
     )
     _common(p)
@@ -174,7 +165,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cat", help="LS-category")
     _space_sources(p, square_ok=True)
-    p.add_argument("--exact", action="store_true", default=True)
     p.add_argument("--limit", type=int)
     p.add_argument("--witness", help="cover file giving an upper bound")
     p.add_argument("--force", action="store_true")
@@ -182,7 +172,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tc", help="topological complexity of a digital circle")
     p.add_argument("--circle", type=int, required=True)
-    p.add_argument("--exact", action="store_true", default=True)
     p.add_argument(
         "--via-colorings",
         action="store_true",
@@ -201,7 +190,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-witness", help="check the explicit two-piece witness")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--report", choices=["text", "json"], default=None)
     _common(p)
 
     p = sub.add_parser("export-complex", help="order complex as an .asc file")
@@ -401,7 +389,6 @@ def _cmd_colorings(args):
 
 def _cmd_verify_witness(args):
     rep = verify_bundle(args.k, _budget_of(args))
-    fmt = args.report or args.format
     payload = {
         "command": "verify-witness",
         "k": rep.k,
@@ -413,10 +400,7 @@ def _cmd_verify_witness(args):
         ],
         "notes": rep.notes,
     }
-    if fmt == "json":
-        print(json.dumps({"schema": 1, **payload}, sort_keys=True))
-    else:
-        print(rep.render())
+    _emit(args, payload, [rep.render()])
     return EXIT_OK if rep.passed else EXIT_BOUNDS
 
 
@@ -500,8 +484,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise _Usage("--threads must be positive")
         if hasattr(args, "budget"):
             _budget_of(args)
         return _DISPATCH[args.command](args)

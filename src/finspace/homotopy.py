@@ -16,7 +16,6 @@ from .space import (
     FiniteSpace,
     OrderMap,
     bits,
-    identity_map,
     popcount,
 )
 
@@ -375,12 +374,60 @@ def _constants_fence(X: FiniteSpace, Y: FiniteSpace, a: int, b: int):
     return None
 
 
-def _core_degree(f: OrderMap, g: OrderMap):
-    """Decide f ~ g by restricting to the domain core and classifying
-    circle maps; returns None when the strategy does not apply."""
+def _lift_core_fence(f: OrderMap, g: OrderMap, cd: CoreData, core_fence):
+    """A fence on the full domain from f to g through a fence on core(X).
+
+    f o s along the collapse, then h o r for each core-fence map h (r the
+    retraction), then g o s back along the collapse; consecutive repeats
+    are dropped.
+    """
+    r = cd.retraction.table
+    tables = [tuple(f.table[v] for v in s) for s in cd.fence]
+    tables += [tuple(h[v] for v in r) for h in core_fence]
+    tables += [tuple(g.table[v] for v in s) for s in reversed(cd.fence)]
+    fence = [tables[0]]
+    for t in tables[1:]:
+        if t != fence[-1]:
+            fence.append(t)
+    return fence
+
+
+def _circle_verdict(ft, gt, C: FiniteSpace, CY: FiniteSpace, old_ids):
+    """Degree classification of core tables C -> CY when both cores are
+    circles; None when it does not apply."""
     from .circles import circle_map_from_order_map, classify_homotopic
     from .circles import recognize_circle
 
+    rec_dom = recognize_circle(C)
+    rec_tgt = recognize_circle(CY)
+    if rec_dom is None or rec_tgt is None:
+        return None
+    cm_f = circle_map_from_order_map(ft, rec_dom, rec_tgt)
+    cm_g = circle_map_from_order_map(gt, rec_dom, rec_tgt)
+    if cm_f is None or cm_g is None:
+        return None
+    if classify_homotopic(cm_f, cm_g):
+        return HomotopyVerdict(
+            "homotopic", [],
+            C, CY,
+            reason=(
+                f"circle classification: both maps have degree "
+                f"{cm_f.degree()} with |d| < {rec_dom[0]}/{rec_tgt[0]}"
+            ),
+            core_old_ids=old_ids,
+        )
+    return HomotopyVerdict(
+        "not_homotopic",
+        reason=(
+            f"circle classification: degrees {cm_f.degree()} vs "
+            f"{cm_g.degree()}, rigidity bound {rec_dom[0]}/{rec_tgt[0]}"
+        ),
+    )
+
+
+def _decide_on_core(f: OrderMap, g: OrderMap, budget: int):
+    """Decide f ~ g on the domain core (Stong: f ~ g iff the restrictions
+    to core(X) are homotopic)."""
     X, Y = f.source, f.target
     cd = core(X)
     ft = tuple(f.table[p] for p in cd.old_ids)
@@ -388,9 +435,8 @@ def _core_degree(f: OrderMap, g: OrderMap):
     C = cd.space
     if ft == gt:
         return HomotopyVerdict(
-            "homotopic", [ft], C, Y,
+            "homotopic", _lift_core_fence(f, g, cd, [ft]), X, Y,
             reason="maps agree on the domain core",
-            core_old_ids=cd.old_ids,
         )
     # retract the target onto its core as well
     cdY = core(Y)
@@ -410,31 +456,17 @@ def _core_degree(f: OrderMap, g: OrderMap):
             reason="domain core is a point; constants joined by order path",
             core_old_ids=cd.old_ids,
         )
-    rec_dom = recognize_circle(C)
-    rec_tgt = recognize_circle(CY)
-    if rec_dom is None or rec_tgt is None:
-        return None
-    cm_f = circle_map_from_order_map(ft2, rec_dom, rec_tgt)
-    cm_g = circle_map_from_order_map(gt2, rec_dom, rec_tgt)
-    if cm_f is None or cm_g is None:
-        return None
-    if classify_homotopic(cm_f, cm_g):
+    v = _circle_verdict(ft2, gt2, C, CY, cd.old_ids)
+    if v is not None:
+        return v
+    v = fence_bfs(OrderMap(C, Y, ft), OrderMap(C, Y, gt), budget)
+    where = f" on the domain core ({C.n} of {X.n} points)"
+    if v.status == "homotopic":
         return HomotopyVerdict(
-            "homotopic", [],
-            C, CY,
-            reason=(
-                f"circle classification: both maps have degree "
-                f"{cm_f.degree()} with |d| < {rec_dom[0]}/{rec_tgt[0]}"
-            ),
-            core_old_ids=cd.old_ids,
+            "homotopic", _lift_core_fence(f, g, cd, v.fence), X, Y,
+            reason=v.reason + where,
         )
-    return HomotopyVerdict(
-        "not_homotopic",
-        reason=(
-            f"circle classification: degrees {cm_f.degree()} vs "
-            f"{cm_g.degree()}, rigidity bound {rec_dom[0]}/{rec_tgt[0]}"
-        ),
-    )
+    return HomotopyVerdict(v.status, reason=v.reason + where)
 
 
 def homotopic(
@@ -445,8 +477,12 @@ def homotopic(
 ) -> HomotopyVerdict:
     """Decide whether f ~ g.
 
-    Strategies: 'fence-bfs', 'core-degree', 'exhaustive-components', or
-    'auto' (core-degree, falling back to fence-bfs).
+    'auto' decides on the domain core, in stages: equal tables; maps that
+    agree on core(X); a point core (constants joined by an order path in
+    core(Y)); circle cores on both sides (degree classification); else
+    fence BFS from f|core(X) to g|core(X), whose fence is lifted back to a
+    fence on X from f to g.  'fence-bfs' and 'exhaustive-components' work
+    on the full domain and serve as brute-force references.
     """
     if f.source != g.source or f.target != g.target:
         raise MismatchedSpaces("maps must share source and target")
@@ -454,15 +490,10 @@ def homotopic(
         return HomotopyVerdict(
             "homotopic", [f.table], f.source, f.target, reason="maps equal"
         )
+    if strategy == "auto":
+        return _decide_on_core(f, g, budget)
     if strategy == "fence-bfs":
         return fence_bfs(f, g, budget)
-    if strategy == "core-degree":
-        v = _core_degree(f, g)
-        if v is None:
-            return HomotopyVerdict(
-                "unknown", reason="core-degree not applicable"
-            )
-        return v
     if strategy == "exhaustive-components":
         try:
             comps = hom_components(f.source, f.target, budget)
@@ -481,11 +512,6 @@ def homotopic(
                     "not_homotopic", reason="different hom-set components"
                 )
         raise AssertionError("f not found among enumerated maps")
-    if strategy == "auto":
-        v = _core_degree(f, g)
-        if v is not None:
-            return v
-        return fence_bfs(f, g, budget)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -1,12 +1,13 @@
 """LS-category, topological complexity, and the square-grid colorings.
 
-Covers are certified piece by piece.  For products of digital circles the
-certifier is a staged pipeline: winding obstructions on the comparability
-graph, core collapse, exact circle-map classification, a depth-limited
-rigid-loop scan, then fence BFS as a last resort.  Exact search runs over
+Covers are certified piece by piece.  For products of digital circles a
+winding obstruction on the comparability graph refutes a piece outright;
+every other piece is decided by ``homotopic`` on the projections
+restricted to it, which works on the piece's core.  Exact search runs over
 partitions of the maximal elements (principal covers suffice, and any
 certified cover shrinks to a certified partition because the projection
-criterion is hereditary under passing to open subsets).
+criterion is hereditary under passing to open subsets); ``cat`` and ``tc``
+share it.
 """
 
 from __future__ import annotations
@@ -24,14 +25,11 @@ from .errors import (
 from .homotopy import (
     DEFAULT_BUDGET,
     HomotopyVerdict,
-    core,
-    fence_bfs,
     homotopic,
     nullhomotopic_in,
 )
 from .circles import (
     circle_map_from_order_map,
-    classify_homotopic,
     degree,
     recognize_circle,
 )
@@ -42,7 +40,6 @@ from .space import (
     OrderMap,
     bits,
     khalimsky_circle,
-    popcount,
     product,
     projections,
 )
@@ -182,6 +179,7 @@ class TorusChecker:
                     return (p, q, wx, wy)
         return None
 
+    # Unused now that homotopic decides on cores; the benchmark tracer wraps it.
     def rigid_loop(self, mask: int, max_deg: int = 2):
         """Shortest alternating closed walk with equal nonzero windings
         (d, d) through an off-diagonal point, if it is short enough to be
@@ -233,69 +231,19 @@ class TorusChecker:
                         queue.append(st)
         return None
 
-    def _core_pipeline(self, mask: int, mode: str, budget: int):
-        """Steps shared by both certifications once winding passed."""
+    def _projections_verdict(self, mask: int, mode: str, budget: int):
+        """Decide on the subspace U = ``mask`` once winding passed: mode
+        'sc' asks pi1|U ~ pi2|U, mode 'cat' asks each pi_i|U ~ const."""
         sub, old_ids = self.P.subspace(mask)
-        cd = core(sub)
-        C = cd.space
-        if C.n == 1:
-            return HomotopyVerdict(
-                "homotopic", reason="piece collapses to a point"
-            )
-        rec = recognize_circle(C)
-        if rec is not None:
-            t1 = [self.coords(old_ids[cd.old_ids[p]])[0] for p in range(C.n)]
-            t2 = [self.coords(old_ids[cd.old_ids[p]])[1] for p in range(C.n)]
-            cm1 = circle_map_from_order_map(t1, rec, self.rec_target)
-            cm2 = circle_map_from_order_map(t2, rec, self.rec_target)
-            assert cm1 is not None and cm2 is not None
-            if mode == "sc":
-                ok = classify_homotopic(cm1, cm2)
-                reason = (
-                    f"core is a circle of half-size {rec[0]}; projection "
-                    f"degrees {degree(cm1)}, {degree(cm2)}, bound "
-                    f"{rec[0]}/{self.n}"
-                )
-                return HomotopyVerdict(
-                    "homotopic" if ok else "not_homotopic", reason=reason
-                )
-            ok = True
-            for cm in (cm1, cm2):
-                d = degree(cm)
-                if d != 0:
-                    ok = False
-            reason = (
-                f"core is a circle; projection degrees "
-                f"{degree(cm1)}, {degree(cm2)}"
-            )
-            return HomotopyVerdict(
-                "homotopic" if ok else "not_homotopic", reason=reason
-            )
+        f1, f2 = self.pi1.restrict(sub, old_ids), self.pi2.restrict(sub, old_ids)
         if mode == "sc":
-            hit = self.rigid_loop(mask)
-            if hit is not None:
-                d, j = hit
-                return HomotopyVerdict(
-                    "not_homotopic",
-                    reason=(
-                        f"rigid off-diagonal loop: winding ({d},{d}) with "
-                        f"half-size {j} <= {abs(d)}*{self.n}"
-                    ),
-                )
-        # last resort: fence BFS between the restricted maps
-        incl = OrderMap(sub, self.P, old_ids)
-        f = self.pi1.compose(incl)
-        if mode == "sc":
-            g = self.pi2.compose(incl)
-        else:
-            g = OrderMap(sub, self.X, [f.table[0]] * sub.n)
-            v1 = homotopic(f, g, "auto", budget)
-            if not v1.is_homotopic:
-                return v1
-            f2 = self.pi2.compose(incl)
-            g2 = OrderMap(sub, self.X, [f2.table[0]] * sub.n)
-            return homotopic(f2, g2, "auto", budget)
-        return fence_bfs(f, g, budget)
+            return homotopic(f1, f2, "auto", budget)
+        for f in (f1, f2):
+            const = OrderMap(sub, self.X, [f.table[0]] * sub.n)
+            v = homotopic(f, const, "auto", budget)
+            if not v.is_homotopic:
+                break
+        return v
 
     def is_section_categorical(self, mask: int, budget: int = DEFAULT_BUDGET):
         """Decide pi1|U ~ pi2|U for the open set U given by ``mask``."""
@@ -311,7 +259,7 @@ class TorusChecker:
                 reason=f"cycle with distinct windings ({wx},{wy})",
             )
         else:
-            v = self._core_pipeline(mask, "sc", budget)
+            v = self._projections_verdict(mask, "sc", budget)
         self._memo_sc[mask] = v
         return v
 
@@ -329,7 +277,7 @@ class TorusChecker:
                 reason=f"cycle with nonzero winding ({wx},{wy})",
             )
         else:
-            v = self._core_pipeline(mask, "cat", budget)
+            v = self._projections_verdict(mask, "cat", budget)
         self._memo_cat[mask] = v
         return v
 
@@ -379,9 +327,9 @@ class _PartitionSearch:
     (sound by heredity: open subsets of certified pieces stay certified).
     """
 
-    def __init__(self, space, maximals, check_piece):
+    def __init__(self, space, check_piece):
         self.space = space
-        self.maximals = maximals
+        self.maximals = list(bits(space.maximal_elements()))
         self.check = check_piece
         self.undecided = 0
 
@@ -431,21 +379,29 @@ class _PartitionSearch:
         self.undecided = 0
         return dfs(0)
 
+    def cover(self, c: int):
+        """A cover by at most c certified pieces, with its certificates,
+        else None."""
+        got = self.search(c)
+        if got is None:
+            return None
+        pieces = [DownSet(self.space, self.piece_mask(b)) for b in got]
+        return Cover(self.space, pieces, [self.check(p.members) for p in pieces])
 
-def _exact_invariant(name, space, check_piece, limit, force):
-    maxs = list(bits(space.maximal_elements()))
-    if len(maxs) > MAX_EXACT_MAXIMALS and not force:
+
+def _exact_invariant(name, space, check_piece, limit, force, start=1, notes=()):
+    """Least c - 1 over certified c-piece covers, trying c = start, start+1..."""
+    searcher = _PartitionSearch(space, check_piece)
+    nmax = len(searcher.maximals)
+    if nmax > MAX_EXACT_MAXIMALS and not force:
         raise BoundsOnly(
-            0, None, f"{len(maxs)} maximal elements; pass force for exact mode"
+            start - 1, None, f"{nmax} maximal elements; pass force for exact mode"
         )
-    searcher = _PartitionSearch(space, maxs, check_piece)
-    notes = []
-    cmax = limit if limit is not None else len(maxs)
-    for c in range(1, cmax + 1):
-        got = searcher.search(c)
-        if got is not None:
-            pieces = [DownSet(space, searcher.piece_mask(b)) for b in got]
-            cover = Cover(space, pieces, [check_piece(p.members) for p in pieces])
+    notes = list(notes)
+    cmax = limit if limit is not None else nmax
+    for c in range(start, cmax + 1):
+        cover = searcher.cover(c)
+        if cover is not None:
             notes.append(f"certified {c}-piece cover found")
             return InvariantResult(name, c - 1, c - 1, c - 1, True, cover, notes)
         if searcher.undecided:
@@ -455,6 +411,20 @@ def _exact_invariant(name, space, check_piece, limit, force):
             )
         notes.append(f"no certified cover with {c} pieces (exhaustive)")
     raise BoundsOnly(cmax, None, f"no cover found up to {cmax} pieces")
+
+
+def _witness_invariant(name, lower, check_piece, witness):
+    """Upper bound from a witness cover; exact when it meets ``lower``."""
+    if witness is None:
+        raise InvalidParameter("witness mode needs a cover")
+    verdicts = [check_piece(p.members) for p in witness.pieces]
+    ok = all(v.is_homotopic for v in verdicts)
+    upper = len(witness.pieces) - 1 if ok else None
+    exact = upper == lower
+    return InvariantResult(
+        name, upper if exact else None, lower, upper, exact, witness,
+        [f"piece {i}: {v.status} ({v.reason})" for i, v in enumerate(verdicts)],
+    )
 
 
 def cat(
@@ -477,20 +447,10 @@ def cat(
         space = X
 
         def check(mask):
-            if mask == 0:
-                return HomotopyVerdict("homotopic", reason="empty")
-            return nullhomotopic_in(DownSet(space, mask), space, budget)
+            return is_categorical(DownSet(space, mask), space, budget)
 
     if mode == "witness":
-        if witness is None:
-            raise InvalidParameter("witness mode needs a cover")
-        verdicts = [check(p.members) for p in witness.pieces]
-        ok = all(v.is_homotopic for v in verdicts)
-        upper = len(witness.pieces) - 1 if ok else None
-        return InvariantResult(
-            "cat", None, 0, upper, False, witness,
-            [f"piece {i}: {v.status} ({v.reason})" for i, v in enumerate(verdicts)],
-        )
+        return _witness_invariant("cat", 0, check, witness)
     return _exact_invariant("cat", space, check, limit, force)
 
 
@@ -514,39 +474,11 @@ def tc(
         return checker.is_section_categorical(mask, budget)
 
     if mode == "witness":
-        if witness is None:
-            raise InvalidParameter("witness mode needs a cover")
-        verdicts = [check(p.members) for p in witness.pieces]
-        ok = all(v.is_homotopic for v in verdicts)
-        upper = len(witness.pieces) - 1 if ok else None
-        res = InvariantResult(
-            "tc", None, 1, upper, False, witness,
-            [f"piece {i}: {v.status} ({v.reason})" for i, v in enumerate(verdicts)],
-        )
-        if ok and upper == 1:
-            # matches the hard-coded lower bound tc(S^1) = 1
-            res.value = 1
-            res.exact = True
-        return res
-    maxs = list(bits(checker.P.maximal_elements()))
-    if len(maxs) > MAX_EXACT_MAXIMALS and not force:
-        raise BoundsOnly(1, None, f"{len(maxs)} maximal elements; use witness mode")
-    searcher = _PartitionSearch(checker.P, maxs, check)
-    notes = ["lower bound 1 from the topological circle"]
-    cmax = limit if limit is not None else len(maxs)
-    for c in range(2, cmax + 1):
-        got = searcher.search(c)
-        if got is not None:
-            pieces = [DownSet(checker.P, searcher.piece_mask(b)) for b in got]
-            cover = Cover(checker.P, pieces, [check(p.members) for p in pieces])
-            notes.append(f"certified {c}-piece cover found")
-            return InvariantResult("tc", c - 1, c - 1, c - 1, True, cover, notes)
-        if searcher.undecided:
-            raise BoundsOnly(
-                c, None, f"{searcher.undecided} partitions undecided at {c} pieces"
-            )
-        notes.append(f"no certified cover with {c} pieces (exhaustive)")
-    raise BoundsOnly(cmax, None, f"no cover found up to {cmax} pieces")
+        return _witness_invariant("tc", 1, check, witness)
+    return _exact_invariant(
+        "tc", checker.P, check, limit, force,
+        start=2, notes=["lower bound 1 from the topological circle"],
+    )
 
 
 # -- the square grid and colorings ------------------------------------
@@ -870,12 +802,8 @@ def tc_via_colorings(
     def check(mask):
         return checker.is_section_categorical(mask, budget)
 
-    maxs = list(bits(checker.P.maximal_elements()))
-    searcher = _PartitionSearch(checker.P, maxs, check)
-    got = searcher.search(3)
-    if got is None:
+    cover = _PartitionSearch(checker.P, check).cover(3)
+    if cover is None:
         raise BoundsOnly(2, None, "no certified 3-piece cover found")
-    pieces = [DownSet(checker.P, searcher.piece_mask(b)) for b in got]
-    cover = Cover(checker.P, pieces, [check(p.members) for p in pieces])
     notes.append("certified 3-piece cover found")
     return InvariantResult("tc", 2, 2, 2, True, cover, notes)

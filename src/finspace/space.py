@@ -140,7 +140,6 @@ class FiniteSpace:
 
         Exponential; only meant for cross-checks on tiny spaces.
         """
-        maxs = list(bits(self.maximal_elements()))
         # every down-set is determined by an antichain, but plain subset
         # enumeration over all points is fine at these sizes
         seen = set()
@@ -150,7 +149,6 @@ class FiniteSpace:
                 for x in sub:
                     m |= self.down[x]
                 seen.add(m)
-        del maxs
         return sorted(seen)
 
     def connected_components(self):
@@ -424,7 +422,7 @@ class OrderMap:
         )
 
     def __hash__(self):
-        return hash((id(self.source), id(self.target), self.table))
+        return hash((self.source, self.target, self.table))
 
     def __repr__(self):
         return f"OrderMap({list(self.table)})"

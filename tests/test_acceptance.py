@@ -89,6 +89,25 @@ def test_tc_of_half_size_four_circle_via_colorings():
     clk.check()
 
 
+def test_exact_search_at_half_size_four_matches_colorings():
+    clk = Clock(60)
+    K = khalimsky_circle(4)
+    res = tc(K)
+    assert res.exact and res.value == 2
+    assert "no certified cover with 2 pieces (exhaustive)" in res.notes
+    assert tc_via_colorings(K).value == res.value
+    clk.check()
+
+
+def test_exact_search_at_half_size_five_finds_two_piece_cover():
+    clk = Clock(60)
+    res = tc(khalimsky_circle(5))
+    assert res.exact and res.value == 1
+    assert len(res.cover.pieces) == 2
+    assert all(v.is_homotopic for v in res.cover.certificates)
+    clk.check()
+
+
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_tc_is_one_for_large_circles_in_witness_mode(k):
     clk = Clock(30)

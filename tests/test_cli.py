@@ -12,7 +12,7 @@ def run(capsys, *argv):
 
 
 def test_tc_circle_3(capsys):
-    code, out, _ = run(capsys, "tc", "--circle", "3", "--exact")
+    code, out, _ = run(capsys, "tc", "--circle", "3")
     assert code == 0
     assert out.splitlines()[0] == "2"
 
@@ -97,10 +97,26 @@ def test_verify_witness(capsys):
 
 
 def test_verify_witness_json(capsys):
-    code, out, _ = run(capsys, "verify-witness", "--k", "5", "--report", "json")
+    code, out, _ = run(capsys, "verify-witness", "--k", "5", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and doc["n_C"] == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tc", "--circle", "3", "--exact"],
+        ["cat", "--circle", "2", "--exact"],
+        ["degree", "circlemap 2 2 0 1 2 3", "--threads", "2"],
+        ["verify-witness", "--k", "5", "--report", "json"],
+        ["homotopic", "circlemap 2 2 0 1 2 3", "circlemap 2 2 0 1 2 3",
+         "--strategy", "core-degree"],
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == 1
 
 
 def test_export_complex_cycle(capsys):

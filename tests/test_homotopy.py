@@ -1,18 +1,22 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import finspace.homotopy as homotopy_module
 from finspace.errors import NotMinimal
 from finspace.homotopy import (
     beat_points,
     comparable,
     core,
+    enumerate_maps,
     fence_bfs,
     hom_components,
     homotopic,
     is_contractible,
     minimal_iso_check,
     nullhomotopic_in,
+    table_cmp,
 )
 from finspace.space import (
     DownSet,
@@ -108,7 +112,7 @@ def test_identity_not_nullhomotopic_on_circle():
     X = khalimsky_circle(3).space
     f = identity_map(X)
     g = constant_map(X, X, 0)
-    for strategy in ("auto", "core-degree", "exhaustive-components"):
+    for strategy in ("auto", "exhaustive-components"):
         v = homotopic(f, g, strategy)
         assert v.status == "not_homotopic"
 
@@ -159,3 +163,58 @@ def test_comparable_detects_order():
     assert comparable(f, g) == "leq"
     assert comparable(g, f) == "geq"
     assert comparable(f, f) == "equal"
+
+
+@st.composite
+def poset_map_pairs(draw):
+    """Random posets X, Y of 3-7 points and two maps X -> Y, distinct when
+    possible."""
+
+    def poset(name):
+        n = draw(st.integers(3, 7))
+        pairs = [
+            (i, j)
+            for j in range(n)
+            for i in range(j)
+            if draw(st.booleans())
+        ]
+        return build_space([f"{name}{i}" for i in range(n)], pairs)
+
+    X, Y = poset("x"), poset("y")
+    tables = enumerate_maps(X, Y)
+    assume(len(tables) <= 800)  # keeps the hom_components oracle quick
+    i = draw(st.integers(0, len(tables) - 1))
+    j = draw(st.integers(0, len(tables) - 1).filter(lambda j: j != i or len(tables) == 1))
+    return OrderMap(X, Y, tables[i]), OrderMap(X, Y, tables[j])
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(poset_map_pairs())
+def test_auto_agrees_with_components_and_lifts_fences(pair):
+    f, g = pair
+    X, Y = f.source, f.target
+    bfs_domains = []
+
+    def spy(a, b, budget=homotopy_module.DEFAULT_BUDGET):
+        bfs_domains.append(a.source.n)
+        return fence_bfs(a, b, budget)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(homotopy_module, "fence_bfs", spy)
+        v = homotopic(f, g, "auto")
+    assert all(n == core(X).space.n for n in bfs_domains)
+    same = any(f.table in c and g.table in c for c in hom_components(X, Y))
+    assert v.status == ("homotopic" if same else "not_homotopic"), v.reason
+    if v.is_homotopic and v.core_old_ids is None:
+        assert v.fence_space == X and v.target == Y
+        assert v.fence[0] == f.table and v.fence[-1] == g.table
+        for t in v.fence:
+            OrderMap(X, Y, t)  # raises unless continuous
+        for s, t in zip(v.fence, v.fence[1:]):
+            assert table_cmp(Y, s, t) is not None

@@ -73,8 +73,8 @@ def test_whole_product_not_section_categorical():
 
 
 def test_diagonal_band_core_is_too_short():
-    # the 3-cell diagonal band retracts to the diagonal circle, whose
-    # half-size equals n; the strict degree bound then refuses it
+    # the 3-cell diagonal band has a 50-point core, not a circle; fence BFS
+    # on that core exhausts the component of pi1 without reaching pi2
     K = khalimsky_circle(5)
     ch = TorusChecker(K)
     n = K.n
@@ -84,7 +84,8 @@ def test_diagonal_band_core_is_too_short():
             mask |= ch.P.down[ch.pair(K.b(i), K.b(j % n))]
     v = ch.is_section_categorical(mask)
     assert v.status == "not_homotopic"
-    assert "half-size 5" in v.reason
+    assert v.reason.startswith("comparability component of f exhausted")
+    assert "on the domain core (50 of 80 points)" in v.reason
 
 
 def test_categorical_arc_and_whole_space():

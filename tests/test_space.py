@@ -104,6 +104,14 @@ def test_order_map_validation():
     constant_map(X, X, 0)
 
 
+def test_equal_maps_on_distinct_equal_spaces_hash_alike():
+    X, X2 = khalimsky_circle(2).space, khalimsky_circle(2).space
+    assert X is not X2
+    f, g = identity_map(X), identity_map(X2)
+    assert f == g
+    assert len({f, g}) == 1
+
+
 def test_check_continuous_witness():
     X = khalimsky_circle(2).space
     ok, witness = check_continuous(X, X, [0, 1, 2, 3])
