@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .errors import BudgetExceeded, MismatchedSpaces, NotMinimal, NotOpen
 from .space import (
@@ -16,6 +17,7 @@ from .space import (
     FiniteSpace,
     OrderMap,
     bits,
+    check_continuous,
     popcount,
 )
 
@@ -77,13 +79,27 @@ class HomotopyVerdict:
     def is_homotopic(self):
         return self.status == "homotopic"
 
-    def replay(self) -> bool:
-        """Re-check the certificate: continuity and comparability of steps."""
+    def replay(self, f: OrderMap | None = None, g: OrderMap | None = None) -> bool:
+        """Re-check the certificate: a non-empty fence of continuous maps,
+        consecutive ones comparable.  Given f and g, a fence on their own
+        domain (``core_old_ids`` is None) must also start at f and end at g.
+        """
         if self.status != "homotopic" or not self.fence:
-            return self.status == "homotopic"
+            return False
+        if f is not None and g is not None and self.core_old_ids is None:
+            if (
+                f.source != self.fence_space
+                or f.target != self.target
+                or self.fence[0] != f.table
+                or self.fence[-1] != g.table
+            ):
+                return False
         maps = [
-            OrderMap(self.fence_space, self.target, t) for t in self.fence
+            check_continuous(self.fence_space, self.target, t)[0]
+            for t in self.fence
         ]
+        if None in maps:
+            return False
         for a, b in zip(maps, maps[1:]):
             if comparable(a, b) is None:
                 return False
@@ -118,19 +134,19 @@ def beat_points(X: FiniteSpace):
     return out
 
 
-def _beat_in_mask(X: FiniteSpace, mask: int):
-    """Lowest-id beat point of the subspace ``mask``, or None."""
-    for x in bits(mask):
-        up = X.up[x] & mask & ~(1 << x)
-        if up:
-            for y in bits(up):
-                if not (up & ~(X.up[y] & mask)):
-                    return (x, "up", y)
-        down = X.down[x] & mask & ~(1 << x)
-        if down:
-            for y in bits(down):
-                if not (down & ~(X.down[y] & mask)):
-                    return (x, "down", y)
+def _beat_status(X: FiniteSpace, mask: int, x: int):
+    """(kind, witness) when x is a beat point of the subspace ``mask``,
+    else None; an up beat point is reported before a down one."""
+    up = X.up[x] & mask & ~(1 << x)
+    if up:
+        for y in bits(up):
+            if not (up & ~X.up[y]):
+                return ("up", y)
+    down = X.down[x] & mask & ~(1 << x)
+    if down:
+        for y in bits(down):
+            if not (down & ~X.down[y]):
+                return ("down", y)
     return None
 
 
@@ -148,33 +164,53 @@ class CoreData:
     retraction: OrderMap  # X -> core
     inclusion: OrderMap  # core -> X
     sequence: CollapseSequence
-    fence: list  # value tables X -> X from identity to the full retraction
 
     @property
     def mask(self) -> int:
         return self.sequence.end_mask
+
+    @property
+    def fence(self) -> list:
+        """Value tables X -> X from the identity to the full retraction,
+        one per removal; rebuilt from the removals on every read."""
+        send = list(range(self.sequence.start.n))
+        out = [tuple(send)]
+        for x, _, w in self.sequence.removals:
+            send = [w if v == x else v for v in send]
+            out.append(tuple(send))
+        return out
 
 
 def core(X: FiniteSpace) -> CoreData:
     """Strong-collapse X to a beat-point-free deformation retract.
 
     Removal is deterministic (lowest point id first); by Stong the result
-    is independent of the order up to homeomorphism.
+    is independent of the order up to homeomorphism.  The beat status
+    (kind, witness) of every point is computed once and kept in a
+    worklist; removing x recomputes it only for the points comparable to
+    x, the only ones whose up- or down-set in the subspace changes.  The
+    retraction is read off the removals backwards, and the per-removal
+    fence tables are rebuilt on demand by ``CoreData.fence``.
     """
     mask = X.full
+    status = [_beat_status(X, mask, x) for x in range(X.n)]
+    heap = [x for x in range(X.n) if status[x] is not None]
     removals = []
-    send = list(range(X.n))  # running retraction X -> X
-    fence = [tuple(send)]
-    while True:
-        hit = _beat_in_mask(X, mask)
-        if hit is None:
-            break
-        x, kind, w = hit
-        removals.append(hit)
+    while heap:
+        x = heappop(heap)
+        if not (mask >> x) & 1 or status[x] is None:
+            continue  # stale: removed, or no longer a beat point
+        kind, w = status[x]
+        removals.append((x, kind, w))
         mask &= ~(1 << x)
-        step = [w if v == x else v for v in send]
-        send = step
-        fence.append(tuple(send))
+        for y in bits((X.up[x] | X.down[x]) & mask):
+            was = status[y]
+            status[y] = _beat_status(X, mask, y)
+            if was is None and status[y] is not None:
+                heappush(heap, y)
+    send = list(range(X.n))
+    for x, _, w in reversed(removals):
+        send[x] = send[w]
     sub, old_ids = X.subspace(mask)
     index = {p: i for i, p in enumerate(old_ids)}
     retraction = OrderMap(X, sub, [index[v] for v in send])
@@ -185,7 +221,6 @@ def core(X: FiniteSpace) -> CoreData:
         retraction,
         inclusion,
         CollapseSequence(X, removals, mask),
-        fence,
     )
 
 
@@ -382,9 +417,10 @@ def _lift_core_fence(f: OrderMap, g: OrderMap, cd: CoreData, core_fence):
     are dropped.
     """
     r = cd.retraction.table
-    tables = [tuple(f.table[v] for v in s) for s in cd.fence]
+    collapse = cd.fence
+    tables = [tuple(f.table[v] for v in s) for s in collapse]
     tables += [tuple(h[v] for v in r) for h in core_fence]
-    tables += [tuple(g.table[v] for v in s) for s in reversed(cd.fence)]
+    tables += [tuple(g.table[v] for v in s) for s in reversed(collapse)]
     fence = [tables[0]]
     for t in tables[1:]:
         if t != fence[-1]:

@@ -38,7 +38,7 @@ class FiniteSpace:
     bitmasks; they are precomputed at construction and never change.
     """
 
-    __slots__ = ("n", "labels", "down", "up", "covers", "full", "_hash")
+    __slots__ = ("n", "labels", "down", "up", "_covers", "full", "_hash")
 
     def __init__(self, labels, down, covers=None):
         n = len(down)
@@ -46,25 +46,30 @@ class FiniteSpace:
         self.labels = tuple(str(l) for l in labels)
         if len(self.labels) != n:
             raise InvalidParameter("labels/down length mismatch")
-        self.down = tuple(down)
+        self.down = down = tuple(down)
         self.full = (1 << n) - 1
+        for x in range(n):
+            if not (down[x] >> x) & 1:
+                raise InvalidParameter("down-set must be reflexive")
         up = [0] * n
         for x in range(n):
             d = down[x]
-            if not (d >> x) & 1:
-                raise InvalidParameter("down-set must be reflexive")
+            bx = 1 << x
+            # transitivity: down[y] subset of down[x] whenever y <= x
             for y in bits(d):
-                up[y] |= 1 << x
-        self.up = tuple(up)
-        # transitivity: down[y] subset of down[x] whenever y <= x
-        for x in range(n):
-            for y in bits(self.down[x]):
-                if self.down[y] & ~self.down[x]:
+                if down[y] & ~d:
                     raise InvalidParameter("down-sets are not transitive")
-        if covers is None:
-            covers = self._compute_covers()
-        self.covers = tuple(sorted(covers))
+                up[y] |= bx
+        self.up = tuple(up)
+        self._covers = None if covers is None else tuple(sorted(covers))
         self._hash = hash((self.labels, self.down))
+
+    @property
+    def covers(self):
+        """The covering pairs (lo, hi), sorted; computed on first read."""
+        if self._covers is None:
+            self._covers = tuple(sorted(self._compute_covers()))
+        return self._covers
 
     def _compute_covers(self):
         out = []
@@ -189,7 +194,7 @@ class FiniteSpace:
         return FiniteSpace(labels, down), old
 
     def relabel(self, labels):
-        return FiniteSpace(labels, self.down, self.covers)
+        return FiniteSpace(labels, self.down, self._covers)
 
     # -- dunder --------------------------------------------------------
 
@@ -402,10 +407,12 @@ class OrderMap:
         for v in table:
             if not (0 <= v < target.n):
                 raise InvalidParameter(f"value {v} outside the target")
+        tdown = target.down
         for x in range(source.n):
+            fx = table[x]
             for x2 in bits(source.up[x]):
-                if not target.leq(table[x], table[x2]):
-                    raise NotOrderPreserving(x, x2, table[x], table[x2])
+                if not (tdown[table[x2]] >> fx) & 1:
+                    raise NotOrderPreserving(x, x2, fx, table[x2])
         self.source = source
         self.target = target
         self.table = table

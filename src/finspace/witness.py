@@ -19,7 +19,15 @@ from .errors import InvalidParameter, NotContinuous, NotOpen, NotOrderPreserving
 from .homotopy import core, table_cmp
 from .circles import circle_map_from_order_map, classify_homotopic, degree, recognize_circle
 from .invariants import TorusChecker
-from .space import DownSet, KhalimskyCircle, OrderMap, bits, khalimsky_circle, popcount
+from .space import (
+    DownSet,
+    KhalimskyCircle,
+    OrderMap,
+    bits,
+    khalimsky_circle,
+    popcount,
+    product,
+)
 
 
 @dataclass
@@ -102,29 +110,38 @@ def build_U(k: int) -> DownSet:
     if k < 5:
         raise InvalidParameter("the witness construction needs k >= 5")
     co, m, A0, A1, A2, A3, A4 = _blocks(k)
-    circle = khalimsky_circle(k)
-    checker = TorusChecker(circle)
+    X = khalimsky_circle(k).space
+    P = product(X, X)
     mask = co.mask(A0 | A1 | A2 | A3 | A4)
-    if not checker.P.is_open(mask):
+    if not P.is_open(mask):
         raise NotOpen("the block union is not open; transcription bug")
-    return DownSet(checker.P, mask)
+    return DownSet(P, mask)
 
 
-def build_V(k: int) -> DownSet:
-    """Smallest open neighbourhood of the complement of U."""
-    U = build_U(k)
+def _complement_hull(U: DownSet) -> DownSet:
     P = U.space
-    comp = P.full & ~U.members
     hull = 0
-    for p in bits(comp):
+    for p in bits(P.full & ~U.members):
         hull |= P.down[p]
     return DownSet(P, hull)
 
 
-def _stage(name, P, domain_mask, rule, co) -> Stage:
-    """Materialize a residue-pair rule as an OrderMap on the subspace."""
+def build_V(k: int) -> DownSet:
+    """Smallest open neighbourhood of the complement of U."""
+    return _complement_hull(build_U(k))
+
+
+def _family(P, domain_mask):
+    """The subspace that every stage of one family lives on, with its
+    point ids in P and their inverse."""
     sub, old_ids = P.subspace(domain_mask)
-    index = {p: i for i, p in enumerate(old_ids)}
+    return domain_mask, sub, old_ids, {p: i for i, p in enumerate(old_ids)}
+
+
+def _stage(name, family, rule, co) -> Stage:
+    """Materialize a residue-pair rule as an OrderMap on the family's
+    subspace."""
+    domain_mask, sub, old_ids, index = family
     table = []
     for p in old_ids:
         x, y = co.res(p)
@@ -157,10 +174,11 @@ def build_chain(k: int) -> WitnessBundle:
     U = DownSet(P, co.mask(A0 | A1 | A2 | A3 | A4))
     if not P.is_open(U.members):
         raise NotOpen("U is not open")
-    V = DownSet(P, build_V(k).members)
+    V = _complement_hull(U)
     notes = []
     stages = []
 
+    family = _family(P, U.members)
     # the horizontal squeeze f_i, i = 0 .. 2k-m-3; the left target is
     # clamped at column 3 so the final shape is exactly the three columns
     # of A3' (for odd k the unclamped index would overshoot and tear the
@@ -176,7 +194,7 @@ def build_chain(k: int) -> WitnessBundle:
                 return (li, y)
             return (x, y)
 
-        stages.append(_stage(f"f{i}", P, U.members, f_rule, co))
+        stages.append(_stage(f"f{i}", family, f_rule, co))
     C1 = _image_mask(stages[-1])
 
     A0p = co.block(co.crange(1, m + 2), [1, 2, 3])
@@ -187,6 +205,7 @@ def build_chain(k: int) -> WitnessBundle:
         notes.append("named C1 blocks exceed the computed image")
 
     # the vertical squeeze g_i on C1, i = 0 .. 2k-8
+    family = _family(P, C1)
     for i in range(0, 2 * k - 7):
         top = 5 + i
 
@@ -195,7 +214,7 @@ def build_chain(k: int) -> WitnessBundle:
                 return (x, top)
             return (x, y)
 
-        stages.append(_stage(f"g{i}", P, C1, g_rule, co))
+        stages.append(_stage(f"g{i}", family, g_rule, co))
     C2 = _image_mask(stages[-1])
 
     A3pp = co.block([1, 2, 3], co.crange(2 * k - 3, 2 * k - 1))
@@ -238,7 +257,7 @@ def build_chain(k: int) -> WitnessBundle:
             return (co.norm(x + 1), co.norm(y - 1))
         return (x, y)
 
-    stages.append(_stage("h0", P, C2, h0_rule, co))
+    stages.append(_stage("h0", _family(P, C2), h0_rule, co))
     C3 = _image_mask(stages[-1])
 
     # the corner folds h1 on C3
@@ -257,7 +276,7 @@ def build_chain(k: int) -> WitnessBundle:
     def h1_rule(x, y):
         return fold.get((x, y), (x, y))
 
-    stages.append(_stage("h1", P, C3, h1_rule, co))
+    stages.append(_stage("h1", _family(P, C3), h1_rule, co))
     C = _image_mask(stages[-1])
 
     return WitnessBundle(
@@ -303,16 +322,20 @@ class WitnessReport:
 
 def verify_bundle(k: int, budget: int = 10**6) -> WitnessReport:
     """Recheck every claim in the staged retraction and certify V too."""
-    bundle = build_chain(k)
+    # (1) every stage is validated as a continuous map while it is built;
+    # a stage that is not continuous fails the report with its witness
+    try:
+        bundle = build_chain(k)
+    except NotContinuous as e:
+        return WitnessReport(
+            k, _m_of(k), None,
+            [("stages continuous", False, f"stage {e.stage} fails at {e.witness}")],
+            [],
+        )
     checker = bundle.checker
     P = checker.P
-    checks = []
+    checks = [("stages continuous", True, f"{len(bundle.stages)} stages built")]
     notes = list(bundle.notes)
-
-    # (1) continuity holds by construction; record the stage count
-    checks.append(
-        ("stages continuous", True, f"{len(bundle.stages)} stages built")
-    )
 
     # (2) consecutive stages within each family are fence-comparable
     bad = []
@@ -368,8 +391,8 @@ def verify_bundle(k: int, budget: int = 10**6) -> WitnessReport:
 
     # (4) the generic core of U is the same circle as (the core of) C;
     # for k = 5, 6 the staged image is already beat-point free
-    subU, _ = P.subspace(bundle.U.members)
-    cd = core(subU)
+    # the f-stages live on the subspace U
+    cd = core(bundle.stages[0].map.source)
     recU = recognize_circle(cd.space)
     subC0, oldC0 = P.subspace(bundle.C)
     cdC = core(subC0)

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import finspace.homotopy as homotopy_module
 from finspace.errors import NotMinimal
 from finspace.homotopy import (
+    HomotopyVerdict,
     beat_points,
     comparable,
     core,
@@ -29,6 +30,7 @@ from finspace.space import (
     khalimsky_interval,
     popcount,
 )
+from finspace.witness import build_chain
 
 
 def random_poset(rng, n):
@@ -105,7 +107,7 @@ def test_fence_bfs_constants_homotopic():
     g = constant_map(X, X, 2)
     v = fence_bfs(f, g, 10**5)
     assert v.is_homotopic
-    v.replay()
+    assert v.replay(f, g)
 
 
 def test_identity_not_nullhomotopic_on_circle():
@@ -145,8 +147,8 @@ def test_fence_replay_validates_each_step():
     g = constant_map(X, X, 1)
     v = homotopic(f, g, "fence-bfs")
     assert v.is_homotopic
-    steps = v.replay()
-    assert steps >= 1
+    assert v.replay(f, g)
+    assert not v.replay(g, f)  # the fence runs from f to g
 
 
 def test_nullhomotopic_in_arc():
@@ -214,7 +216,114 @@ def test_auto_agrees_with_components_and_lifts_fences(pair):
     if v.is_homotopic and v.core_old_ids is None:
         assert v.fence_space == X and v.target == Y
         assert v.fence[0] == f.table and v.fence[-1] == g.table
+        assert v.replay(f, g)
         for t in v.fence:
             OrderMap(X, Y, t)  # raises unless continuous
         for s, t in zip(v.fence, v.fence[1:]):
             assert table_cmp(Y, s, t) is not None
+
+
+def naive_core(X):
+    """Reference collapse: rescan the subspace from point 0 after every
+    removal and remove the lowest-id beat point, up before down.
+
+    Returns (removals, mask, retraction table X -> X)."""
+    mask = X.full
+    removals = []
+    send = list(range(X.n))
+    while True:
+        hit = None
+        for x in bits(mask):
+            for kind, rel in (("up", X.up), ("down", X.down)):
+                near = rel[x] & mask & ~(1 << x)
+                for y in bits(near):
+                    if not near & ~rel[y]:
+                        hit = (x, kind, y)
+                        break
+                if hit:
+                    break
+            if hit:
+                break
+        if hit is None:
+            return removals, mask, send
+        x, _, w = hit
+        removals.append(hit)
+        mask &= ~(1 << x)
+        send = [w if v == x else v for v in send]
+
+
+def assert_core_matches_reference(X):
+    removals, mask, send = naive_core(X)
+    cd = core(X)
+    assert cd.sequence.removals == removals
+    assert cd.mask == mask
+    assert cd.old_ids == list(bits(mask))
+    assert [cd.old_ids[v] for v in cd.retraction.table] == send
+    fence = cd.fence
+    assert len(fence) == len(removals) + 1
+    assert fence[0] == tuple(range(X.n))
+    assert fence[-1] == cd.inclusion.compose(cd.retraction).table
+    for t in fence:
+        OrderMap(X, X, t)  # raises unless continuous
+    for s, t in zip(fence, fence[1:]):
+        assert table_cmp(X, s, t) is not None
+
+
+@st.composite
+def posets(draw):
+    n = draw(st.integers(1, 14))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    rnd = draw(st.randoms(use_true_random=False))
+    pairs = [(i, j) for j in range(n) for i in range(j) if rnd.random() < density]
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    return build_space(
+        [str(i) for i in range(n)], [(perm[i], perm[j]) for i, j in pairs]
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(posets())
+def test_core_matches_rescan_reference(X):
+    assert_core_matches_reference(X)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_core_matches_rescan_reference_on_witness_pieces(k):
+    b = build_chain(k)
+    P = b.checker.P
+    for mask in (b.U.members, b.V.members, b.C):
+        assert_core_matches_reference(P.subspace(mask)[0])
+
+
+def test_core_recomputes_beat_status_only_near_removals(monkeypatch):
+    # a worklist bound, not a clock: n initial statuses plus one per point
+    # comparable to each removed point
+    b = build_chain(12)
+    X = b.stages[0].map.source  # the subspace U
+    calls = []
+
+    def counted(X, mask, x):
+        calls.append(x)
+        return beat_status(X, mask, x)
+
+    beat_status = homotopy_module._beat_status
+    monkeypatch.setattr(homotopy_module, "_beat_status", counted)
+    cd = core(X)
+    bound = X.n + sum(popcount(X.up[x] | X.down[x]) for x, _, _ in cd.sequence.removals)
+    assert cd.sequence.removals
+    assert len(calls) <= bound
+
+
+def test_replay_rejects_empty_and_unanchored_fences():
+    S3, S2 = khalimsky_circle(3).space, khalimsky_circle(2).space
+    const = constant_map(S3, S2, 0)
+    # degree 0: wraps half way round and comes back
+    folded = OrderMap(S3, S2, [0, 1, 2, 1, 0, 0])
+    v = homotopic(const, folded)
+    assert v.is_homotopic and v.reason.startswith("circle classification")
+    assert v.fence == [] and not v.replay()
+    f, g = identity_map(S3), constant_map(S3, S3, 0)
+    assert not HomotopyVerdict("homotopic", [f.table], S3, S3).replay(f, g)
+    assert HomotopyVerdict("homotopic", [f.table], S3, S3).replay(f, f)
+

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from finspace.errors import (
@@ -8,6 +11,7 @@ from finspace.errors import (
 )
 from finspace.space import (
     DownSet,
+    FiniteSpace,
     OrderMap,
     bits,
     build_space,
@@ -159,3 +163,63 @@ def test_connected_components():
     assert sorted(popcount(c) for c in comps) == [2, 2]
     K = khalimsky_circle(5).space
     assert len(K.connected_components()) == 1
+
+
+def test_covers_computed_on_first_read_match_the_covering_relation():
+    X = khalimsky_circle(4).space
+    P = product(X, X)
+    sub, _ = P.subspace(P.down[P.n - 1] | P.down[5])
+    again = read_space(write_space(P, "T"))
+    for Z in (sub, P, again):
+        assert Z.covers == tuple(sorted(Z._compute_covers()))
+
+
+def test_relabel_forwards_known_covers(monkeypatch):
+    X = khalimsky_circle(3).space
+    known = X.covers
+
+    def fail(self):
+        raise AssertionError("covers recomputed")
+
+    monkeypatch.setattr(FiniteSpace, "_compute_covers", fail)
+    Y = X.relabel([f"p{i}" for i in range(X.n)])
+    assert Y.covers == known
+
+
+def test_write_space_of_square_is_unchanged():
+    # sha256 of the text written for S1_4 x S1_4 when covers were still
+    # computed eagerly in FiniteSpace.__init__
+    X = khalimsky_circle(4).space
+    text = write_space(product(X, X), "T")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "dc52d62e30b7f8756fe568188c9de2e6edf6e67db446f292dec381467e63556c"
+    )
+
+
+def _first_violation(source, target, table):
+    """Reference order check: the first (x, x2) in source order with
+    x <= x2 but table[x] !<= table[x2]."""
+    for x in range(source.n):
+        for x2 in bits(source.up[x]):
+            if not target.leq(table[x], table[x2]):
+                return (x, x2, table[x], table[x2])
+    return None
+
+
+def test_order_map_witness_matches_reference_check():
+    rng = random.Random(4)
+    for _ in range(400):
+        spaces = []
+        for _ in range(2):
+            n = rng.randint(1, 8)
+            pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.35]
+            spaces.append(build_space([str(i) for i in range(n)], pairs))
+        X, Y = spaces
+        table = [rng.randrange(Y.n) for _ in range(X.n)]
+        want = _first_violation(X, Y, table)
+        if want is None:
+            assert OrderMap(X, Y, table).table == tuple(table)
+        else:
+            with pytest.raises(NotOrderPreserving) as exc:
+                OrderMap(X, Y, table)
+            assert exc.value.witness == want

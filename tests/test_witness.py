@@ -1,7 +1,8 @@
 import pytest
 
-from finspace.errors import InvalidParameter
-from finspace.space import popcount
+import finspace.witness as witness_module
+from finspace.errors import InvalidParameter, NotContinuous
+from finspace.space import FiniteSpace, popcount
 from finspace.witness import (
     build_chain,
     build_U,
@@ -64,3 +65,39 @@ def test_render_mentions_all_checks():
     text = rep.render()
     assert "stages continuous" in text
     assert "V certified" in text
+
+
+def test_verify_bundle_reports_a_discontinuous_stage(monkeypatch):
+    real = witness_module._stage
+
+    def broken(name, family, rule, co):
+        if name == "g1":
+            raise NotContinuous(name, ((3, 5), (3, 7)))
+        return real(name, family, rule, co)
+
+    monkeypatch.setattr(witness_module, "_stage", broken)
+    rep = verify_bundle(5)
+    assert not rep.passed
+    name, ok, detail = rep.checks[0]
+    assert name == "stages continuous" and not ok
+    assert "g1" in detail and "((3, 5), (3, 7))" in detail
+
+
+def test_one_subspace_per_stage_family(monkeypatch):
+    # a call-count bound, not a clock: the 16 stages of k = 8 share four
+    # subspaces (U, C1, C2, C3); verify_bundle adds C and the piece V
+    real = FiniteSpace.subspace
+    on_product = []
+
+    def counted(self, mask):
+        if self.n == 4 * 8 * 8:
+            on_product.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(FiniteSpace, "subspace", counted)
+    b = build_chain(8)
+    assert len(b.stages) == 16
+    assert len(on_product) <= 4
+    on_product.clear()
+    assert verify_bundle(8).passed
+    assert len(on_product) <= 6
