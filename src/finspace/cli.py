@@ -355,7 +355,9 @@ def _cmd_tc(args):
         checker = TorusChecker(circle)
         with open(args.witness) as fh:
             cov = parse_cover(checker.P, fh.read())
-        res = tc(circle, mode="witness", witness=cov, budget=budget)
+        res = tc(
+            circle, mode="witness", witness=cov, budget=budget, checker=checker
+        )
     elif args.via_colorings:
         res = tc_via_colorings(circle, budget)
     else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations, product as iproduct
+from itertools import permutations
 
 from .errors import (
     BoundsOnly,
@@ -113,8 +113,7 @@ class TorusChecker:
         self.P = product(self.X, self.X)
         self.pi1, self.pi2 = projections(self.X, self.X, self.P)
         self.rec_target = recognize_circle(self.X)
-        self._memo_sc = {}
-        self._memo_cat = {}
+        self._memo = {}  # (mode, mask) -> (verdict, budget it was decided at)
 
     def coords(self, p: int):
         return divmod(p, self.X.n)
@@ -245,41 +244,36 @@ class TorusChecker:
                 break
         return v
 
-    def is_section_categorical(self, mask: int, budget: int = DEFAULT_BUDGET):
-        """Decide pi1|U ~ pi2|U for the open set U given by ``mask``."""
-        if mask in self._memo_sc:
-            return self._memo_sc[mask]
+    def _decide(self, mask: int, mode: str, budget: int):
+        """Winding obstruction, else ``_projections_verdict``, memoized per
+        mode and mask.  A decided verdict is reused at any budget; an
+        "unknown" only for a budget no larger than the one that gave it."""
+        known = self._memo.get((mode, mask))
+        if known is not None:
+            v, spent = known
+            if v.status != "unknown" or budget <= spent:
+                return v
         if not self.P.is_open(mask):
             raise NotOpen("piece is not open in the product")
-        hit = self.winding_obstruction(mask, "sc")
+        hit = self.winding_obstruction(mask, mode)
         if hit is not None:
             p, q, wx, wy = hit
+            what = "distinct windings" if mode == "sc" else "nonzero winding"
             v = HomotopyVerdict(
-                "not_homotopic",
-                reason=f"cycle with distinct windings ({wx},{wy})",
+                "not_homotopic", reason=f"cycle with {what} ({wx},{wy})"
             )
         else:
-            v = self._projections_verdict(mask, "sc", budget)
-        self._memo_sc[mask] = v
+            v = self._projections_verdict(mask, mode, budget)
+        self._memo[(mode, mask)] = (v, budget)
         return v
+
+    def is_section_categorical(self, mask: int, budget: int = DEFAULT_BUDGET):
+        """Decide pi1|U ~ pi2|U for the open set U given by ``mask``."""
+        return self._decide(mask, "sc", budget)
 
     def is_categorical(self, mask: int, budget: int = DEFAULT_BUDGET):
         """Decide whether U -> S x S is nullhomotopic (componentwise)."""
-        if mask in self._memo_cat:
-            return self._memo_cat[mask]
-        if not self.P.is_open(mask):
-            raise NotOpen("piece is not open in the product")
-        hit = self.winding_obstruction(mask, "cat")
-        if hit is not None:
-            p, q, wx, wy = hit
-            v = HomotopyVerdict(
-                "not_homotopic",
-                reason=f"cycle with nonzero winding ({wx},{wy})",
-            )
-        else:
-            v = self._projections_verdict(mask, "cat", budget)
-        self._memo_cat[mask] = v
-        return v
+        return self._decide(mask, "cat", budget)
 
 
 def is_section_categorical(
@@ -353,12 +347,8 @@ class _PartitionSearch:
                     self.undecided += 1
                 return None
             x = 1 << elems[i]
-            seen = set()
             for bi in range(len(blocks)):
                 nb = blocks[bi] | x
-                if nb in seen:
-                    continue
-                seen.add(nb)
                 if self.check(self.piece_mask(nb)).status == "not_homotopic":
                     continue
                 old = blocks[bi]
@@ -461,14 +451,19 @@ def tc(
     budget: int = DEFAULT_BUDGET,
     force: bool = False,
     witness: Cover | None = None,
+    checker: TorusChecker | None = None,
 ) -> InvariantResult:
     """Topological complexity of a digital circle, over partitions of the
     maximal elements of S x S.
 
     The realization bound tc >= 1 (the topological circle) seeds the
-    search, so piece counts start at 2.
+    search, so piece counts start at 2.  A given ``checker`` (with its memo)
+    is used in place of a new one; it must be built on ``circle``.
     """
-    checker = TorusChecker(circle)
+    if checker is None:
+        checker = TorusChecker(circle)
+    elif checker.X != circle.space:
+        raise MismatchedSpaces("checker built on a different circle")
 
     def check(mask):
         return checker.is_section_categorical(mask, budget)
@@ -689,9 +684,18 @@ def canonical_coloring(grid: SquareGrid, coloring: Coloring, symmetries=None):
 
 
 def enumerate_simple_colorings(grid: SquareGrid, colors: int, symmetry: bool = True):
-    """Canonical representatives of the simple colorings.
+    """The simple colorings of the grid with ``colors`` colors.
 
-    With symmetry off, every simple coloring is returned.
+    A depth-first search assigns the cells in index order i*n + j, tries
+    the colors in increasing order, and cuts a branch as soon as the class
+    that just grew contains a full point line.  That is sound because
+    containing a line is monotone: adding cells to a class never undoes
+    it.  So the colorings come out in the lexicographic order of their
+    assignments.
+
+    With ``symmetry`` off, every simple coloring is returned in that order.
+    With it on, the sorted canonical representatives under
+    ``cell_symmetries`` and color permutations are returned.
     """
     if colors < 1:
         raise InvalidParameter("colors >= 1")
@@ -699,21 +703,27 @@ def enumerate_simple_colorings(grid: SquareGrid, colors: int, symmetry: bool = T
     cells = n * n
     lines = grid.line_masks()
     cell_masks = [grid.cell_mask(i, j) for i in range(n) for j in range(n)]
+    # a class can only come to contain a line that its new cell meets
+    cell_lines = [[line for line in lines if line & m] for m in cell_masks]
+    assignment = [0] * cells
+    masks = [0] * colors
     found = []
-    for combo in iproduct(range(colors), repeat=cells):
-        masks = [0] * colors
-        for idx, c in enumerate(combo):
-            masks[c] |= cell_masks[idx]
-        ok = True
-        for m in masks:
-            for line in lines:
-                if line & ~m == 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(Coloring(n, colors, tuple(combo)))
+
+    def dfs(idx):
+        if idx == cells:
+            found.append(Coloring(n, colors, tuple(assignment)))
+            return
+        for c in range(colors):
+            old = masks[c]
+            grown = old | cell_masks[idx]
+            if any(line & ~grown == 0 for line in cell_lines[idx]):
+                continue
+            masks[c] = grown
+            assignment[idx] = c
+            dfs(idx + 1)
+            masks[c] = old
+
+    dfs(0)
     if not symmetry:
         return found
     syms = cell_symmetries(grid)
@@ -756,34 +766,35 @@ def line_lemma(grid: SquareGrid):
 def two_color_refutation(grid: SquareGrid, budget: int = DEFAULT_BUDGET):
     """No 2-piece principal cover of S x S is section-categorical.
 
-    Non-simple colorings die by the line lemma; the simple classes (with
-    symmetry factored out) are checked piece by piece.  Returns
-    (refuted, classes, notes).
+    Non-simple colorings die by the line lemma; every simple 2-coloring,
+    with no symmetry factored out, is checked piece by piece (the
+    checker's memo absorbs pieces shared between colorings).  Returns
+    (refuted, colorings, notes).
     """
     notes = []
     degs = line_lemma(grid)
     notes.append(
         f"line lemma: {len(degs)} lines, projection degrees all distinct"
     )
-    classes = enumerate_simple_colorings(grid, 2)
-    notes.append(f"{len(classes)} simple 2-coloring classes up to symmetry")
+    colorings = enumerate_simple_colorings(grid, 2, symmetry=False)
+    notes.append(f"{len(colorings)} simple 2-colorings")
     refuted = True
-    for idx, cl in enumerate(classes):
-        cov = cover_from_coloring(grid, cl)
+    for idx, col in enumerate(colorings):
+        cov = cover_from_coloring(grid, col)
         verdicts = [
             grid.checker.is_section_categorical(p.members, budget)
             for p in cov.pieces
         ]
         bad = [v for v in verdicts if v.status == "not_homotopic"]
         if bad:
-            notes.append(f"class {idx}: fails ({bad[0].reason})")
+            notes.append(f"coloring {idx}: fails ({bad[0].reason})")
         else:
             refuted = False
             notes.append(
-                f"class {idx}: not refuted "
+                f"coloring {idx}: not refuted "
                 f"({'; '.join(v.status for v in verdicts)})"
             )
-    return refuted, classes, notes
+    return refuted, colorings, notes
 
 
 def tc_via_colorings(
@@ -796,7 +807,7 @@ def tc_via_colorings(
     refuted, _, notes = two_color_refutation(grid, budget)
     notes = ["lower bound 1 from the topological circle"] + notes
     if not refuted:
-        raise BoundsOnly(1, None, "a simple 2-coloring class was not refuted")
+        raise BoundsOnly(1, None, "a simple 2-coloring was not refuted")
     notes.append("no certified cover with 2 pieces (colorings + line lemma)")
 
     def check(mask):

@@ -83,7 +83,8 @@ def test_tc_of_half_size_four_circle_via_colorings():
     clk = Clock(600)
     res = tc_via_colorings(khalimsky_circle(4))
     assert res.exact and res.value == 2
-    assert any("2 simple 2-coloring classes" in n for n in res.notes)
+    assert "24 simple 2-colorings" in res.notes
+    assert sum(n.startswith("coloring ") and ": fails (" in n for n in res.notes) == 24
     assert any("line lemma: 16 lines" in n for n in res.notes)
     assert any("certified 3-piece cover" in n for n in res.notes)
     clk.check()

@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+import finspace.cli as cli_module
+import finspace.invariants as invariants_module
 from finspace.cli import main
+from finspace.invariants import Cover, format_cover
+from finspace.space import DownSet
+from finspace.witness import build_U, build_V
 
 
 def run(capsys, *argv):
@@ -156,3 +161,23 @@ def test_space_file_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "space", "--file", str(path))
     assert code == 0
     assert "space on 4 points" in out
+
+
+def test_tc_witness_builds_one_product(capsys, monkeypatch, tmp_path):
+    U, V = build_U(5), build_V(5)
+    path = tmp_path / "w5.cover"
+    path.write_text(
+        format_cover(Cover(U.space, [U, DownSet(U.space, V.members)]))
+    )
+    calls = []
+    real = invariants_module.product
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants_module, "product", counted)
+    monkeypatch.setattr(cli_module, "product", counted)
+    code, out, _ = run(capsys, "tc", "--circle", "5", "--witness", str(path))
+    assert code == 0 and out.splitlines()[0] == "1"
+    assert len(calls) == 1

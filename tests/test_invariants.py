@@ -1,7 +1,11 @@
+from itertools import product as iproduct
+
 import pytest
 
-from finspace.errors import InvalidParameter, NotOpen
+import finspace.invariants as invariants_module
+from finspace.errors import InvalidParameter, MismatchedSpaces, NotOpen
 from finspace.invariants import (
+    Coloring,
     Cover,
     TorusChecker,
     canonical_coloring,
@@ -21,6 +25,7 @@ from finspace.invariants import (
     principalize,
     square_grid,
     tc,
+    tc_via_colorings,
     two_color_refutation,
 )
 from finspace.space import DownSet, bits, khalimsky_circle
@@ -173,11 +178,78 @@ def test_canonical_form_is_orbit_invariant():
     assert canonical_coloring(g, flipped, syms).assignment == canon.assignment
 
 
+def brute_force_simple_colorings(grid, colors):
+    """Reference: every assignment in lexicographic order, kept if simple."""
+    n = grid.n
+    return [
+        Coloring(n, colors, combo)
+        for combo in iproduct(range(colors), repeat=n * n)
+        if is_simple(grid, Coloring(n, colors, combo))
+    ]
+
+
+@pytest.mark.parametrize("n,colors", [(2, 2), (3, 2), (3, 3), (4, 2)])
+def test_simple_colorings_match_brute_force(n, colors):
+    g = square_grid(n)
+    got = enumerate_simple_colorings(g, colors, symmetry=False)
+    assert got == brute_force_simple_colorings(g, colors)
+
+
+def test_simple_coloring_classes_match_brute_force():
+    g = square_grid(4)
+    syms = cell_symmetries(g)
+    want = {
+        canonical_coloring(g, c, syms).assignment
+        for c in brute_force_simple_colorings(g, 2)
+    }
+    got = enumerate_simple_colorings(g, 2)
+    assert [c.assignment for c in got] == sorted(want)
+
+
 def test_two_color_refutation_for_n4():
     g = square_grid(4)
-    refuted, classes, notes = two_color_refutation(g)
+    refuted, colorings, notes = two_color_refutation(g)
     assert refuted
-    assert len(classes) == 2
+    assert len(colorings) == 24
+    assert colorings == enumerate_simple_colorings(g, 2, symmetry=False)
+    for col in colorings:
+        statuses = [
+            g.checker.is_section_categorical(p.members).status
+            for p in cover_from_coloring(g, col).pieces
+        ]
+        assert "not_homotopic" in statuses
+    assert "24 simple 2-colorings" in notes
+
+
+def test_tc_via_colorings_uses_no_symmetry_reduction(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symmetry reduction on the refutation path")
+
+    monkeypatch.setattr(invariants_module, "cell_symmetries", forbidden)
+    monkeypatch.setattr(invariants_module, "canonical_coloring", forbidden)
+    res = tc_via_colorings(khalimsky_circle(4))
+    assert res.exact and res.value == 2
+
+
+@pytest.mark.parametrize("method", ["is_section_categorical", "is_categorical"])
+def test_memo_reuses_unknown_only_up_to_its_budget(method):
+    K = khalimsky_circle(4)
+    ch = TorusChecker(K)
+    mask = ch.P.down[ch.pair(1, 1)] | ch.P.down[ch.pair(1, 5)]
+    decide = getattr(ch, method)
+    small = decide(mask, 1)
+    assert small.status == "unknown"
+    assert decide(mask, 1) is small
+    big = decide(mask, 10**6)
+    assert big.status == "homotopic"
+    assert big.status == getattr(TorusChecker(K), method)(mask).status
+    # a decided verdict is reused at any budget, a smaller one included
+    assert decide(mask, 1) is big
+
+
+def test_tc_rejects_checker_of_another_circle():
+    with pytest.raises(MismatchedSpaces):
+        tc(khalimsky_circle(3), checker=TorusChecker(khalimsky_circle(4)))
 
 
 def test_module_level_wrappers():
