@@ -26,7 +26,7 @@ from .space import (
     write_space,
 )
 from .homotopy import DEFAULT_BUDGET, core, homotopic
-from .circles import CircleMap, classify_homotopic, degree, lift, parse_circle_map, recognize_circle
+from .circles import CircleMap, classify_homotopic, degree, parse_circle_map, recognize_circle
 from .complexes import (
     cycle_complex,
     export_complex,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .errors import (
     BoundsOnly,
@@ -667,7 +666,11 @@ def cell_symmetries(grid: SquareGrid):
 
 
 def canonical_coloring(grid: SquareGrid, coloring: Coloring, symmetries=None):
-    """Least assignment over grid symmetries and color permutations."""
+    """Least assignment over grid symmetries and color permutations.
+
+    For one moved assignment the least recoloring numbers the colors in
+    order of first appearance, so no color permutation is enumerated.
+    """
     if symmetries is None:
         symmetries = cell_symmetries(grid)
     n = grid.n
@@ -676,10 +679,10 @@ def canonical_coloring(grid: SquareGrid, coloring: Coloring, symmetries=None):
         moved = [0] * (n * n)
         for cell in range(n * n):
             moved[perm[cell]] = coloring.assignment[cell]
-        for cperm in permutations(range(coloring.colors)):
-            cand = tuple(cperm[v] for v in moved)
-            if best is None or cand < best:
-                best = cand
+        first = {}
+        cand = tuple(first.setdefault(v, len(first)) for v in moved)
+        if best is None or cand < best:
+            best = cand
     return Coloring(n, coloring.colors, best)
 
 

@@ -114,7 +114,8 @@ def test_tc_is_one_for_large_circles_in_witness_mode(k):
     clk = Clock(30)
     K = khalimsky_circle(k)
     ch = TorusChecker(K)
-    U, V = build_U(k), build_V(k)
+    U = build_U(k)
+    V = build_V(k, U)
     cov = Cover(ch.P, [U, V])
     res = tc(K, mode="witness", witness=cov)
     assert res.exact and res.value == 1
@@ -150,6 +151,8 @@ def test_homotopy_classes_match_degree_classification(m, n, total):
     assert len(tables) == total
     comp_of = {t: i for i, comp in enumerate(comps) for t in comp}
     cms = {t: circle_map_from_order_map(list(t), rec_x, rec_y) for t in tables}
+    for cm in cms.values():
+        assert degree(cm) == lift(cm, 0, 2 * m, cm(0)).degree
     for comp in comps:
         ds = {degree(cms[t]) for t in comp}
         assert len(ds) == 1

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import finspace.circles as circles_module
 from finspace.circles import (
     CircleMap,
     IntervalMap,
@@ -22,7 +24,8 @@ from finspace.circles import (
     staircase_fence,
 )
 from finspace.errors import BaseMismatch, InvalidParameter, MismatchedSizes, PreconditionViolated
-from finspace.space import khalimsky_circle, khalimsky_interval, product
+from finspace.homotopy import homotopic
+from finspace.space import OrderMap, khalimsky_circle, khalimsky_interval, product
 
 
 def random_circle_map(rng, m, n):
@@ -84,6 +87,98 @@ def test_lift_base_mismatch():
     f = identity_circle_map(2)
     with pytest.raises(BaseMismatch):
         lift(f, 0, 4, 1)
+
+
+def lift_moves(z, v):
+    """Lift values at z + 1 that a continuous map can take after v at z:
+    it moves by one only where the parities of z and v agree."""
+    return (v - 1, v, v + 1) if (v - z) % 2 == 0 else (v,)
+
+
+def reachable(m, end):
+    """reach[z]: the lift values at z from which L(2m) = end is reachable."""
+    reach = [set() for _ in range(2 * m + 1)]
+    reach[2 * m] = {end}
+    for z in range(2 * m - 1, -1, -1):
+        reach[z] = {
+            v
+            for v in range(end - 2 * m - 1, end + 2 * m + 2)
+            if any(w in reach[z + 1] for w in lift_moves(z, v))
+        }
+    return reach
+
+
+@st.composite
+def circle_maps_with_degree(draw):
+    """A valid map S1_m -> S1_n (m <= 12, n <= 6) and its degree d, drawn as
+    a lift L on [0, 2m] with L(2m) = L(0) + 2nd; every degree some
+    continuous lift from L(0) reaches can be drawn."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 6))
+    start = draw(st.integers(0, 2 * n - 1))
+    reach_of = {}
+    for d in range(-(m // n), m // n + 1):
+        reach = reachable(m, start + 2 * n * d)
+        if start in reach[0]:
+            reach_of[d] = reach
+    d = draw(st.sampled_from(sorted(reach_of)))
+    lifted = [start]
+    for z in range(2 * m - 1):
+        moves = [w for w in lift_moves(z, lifted[-1]) if w in reach_of[d][z + 1]]
+        lifted.append(draw(st.sampled_from(moves)))
+    return CircleMap(m, n, tuple(v % (2 * n) for v in lifted)), d
+
+
+def reference_degree(f):
+    """Up steps minus down steps around the loop, over 2n."""
+    size = 2 * f.n
+    ups = downs = 0
+    for z in range(2 * f.m):
+        a, b = f(z), f(z + 1)  # f reads z mod 2m, so z + 1 = 2m is f(0)
+        if b == (a + 1) % size:
+            ups += 1
+        elif b == (a - 1) % size:
+            downs += 1
+        else:
+            assert a == b
+    assert (ups - downs) % size == 0
+    return (ups - downs) // size
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(circle_maps_with_degree())
+def test_degree_matches_lift_and_step_count(drawn):
+    f, d = drawn
+    assert abs(d) * f.n <= f.m
+    assert degree(f) == d
+    assert lift(f, 0, 2 * f.m, f(0)).degree == d
+    assert reference_degree(f) == d
+    assert f.degree() == d
+
+
+def test_degree_rejects_a_jump():
+    f = identity_circle_map(3)
+    object.__setattr__(f, "table", (0, 2, 2, 3, 4, 5))  # bypasses validation
+    with pytest.raises(InvalidParameter, match="jumps at 0"):
+        degree(f)
+    with pytest.raises(InvalidParameter, match="jumps at 0"):
+        lift(f, 0, 6, 0)
+
+
+def test_degree_and_classification_never_lift(monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("degree went through lift")
+
+    monkeypatch.setattr(circles_module, "lift", no_lift)
+    f = CircleMap(4, 2, (0, 1, 2, 3, 0, 0, 0, 0))
+    g = rotate_circle_map(f, 2)
+    const = constant_circle_map(4, 2, 0)
+    assert degree(f) == f.degree() == 1
+    assert classify_homotopic(f, g)  # distinct tables of degree 1 < 4/2
+    assert not classify_homotopic(f, const)
+    X, Y = khalimsky_circle(4).space, khalimsky_circle(2).space
+    v = homotopic(OrderMap(X, Y, f.table), OrderMap(X, Y, const.table), "auto")
+    assert v.status == "not_homotopic" and "circle classification" in v.reason
 
 
 def test_degree_additive_under_rotation():
