@@ -10,6 +10,7 @@ lift), with a rigidity threshold |deg| < m/n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     BaseMismatch,
@@ -180,6 +181,26 @@ class LiftRecord:
         return (self.values[-1] - self.values[0]) // (2 * self.base.n)
 
 
+def _steps(f: CircleMap, k: int, l: int):
+    """The lift steps f(z+1) - f(z) mod 2n for z in k..l-1, each -1, 0 or
+    +1; any other difference is a jump and raises."""
+    size = 2 * f.n
+    t = f.table
+    a = f(k)
+    for z in range(k, l):
+        b = t[(z + 1) % len(t)]
+        d = (b - a) % size
+        if d == 0:
+            yield 0
+        elif d == 1:
+            yield 1
+        elif d == size - 1:
+            yield -1
+        else:
+            raise InvalidParameter(f"base map jumps at {z}")
+        a = b
+
+
 def lift(f: CircleMap, k: int, l: int, a: int) -> LiftRecord:
     """The unique lift with value a at k, by the step-tracking rule."""
     if f.n < 2:
@@ -187,18 +208,7 @@ def lift(f: CircleMap, k: int, l: int, a: int) -> LiftRecord:
     size = 2 * f.n
     if a % size != f(k):
         raise BaseMismatch(f"q({a}) = {a % size} != f({k}) = {f(k)}")
-    values = [a]
-    for z in range(k, l):
-        d = (f(z + 1) - f(z)) % size
-        if d == 0:
-            step = 0
-        elif d == 1:
-            step = 1
-        elif d == size - 1:
-            step = -1
-        else:
-            raise InvalidParameter(f"base map jumps at {z}")
-        values.append(values[-1] + step)
+    values = list(accumulate(_steps(f, k, l), initial=a))
     # the lift is continuous on the digital line; IntervalMap checks it
     IntervalMap(k, tuple(values))
     for z in range(k, l + 1):
@@ -207,25 +217,13 @@ def lift(f: CircleMap, k: int, l: int, a: int) -> LiftRecord:
 
 
 def degree(f: CircleMap) -> int:
-    """The winding degree: the steps f(z+1) - f(z) mod 2n, each -1, 0 or
-    +1, summed over z = 0..2m-1 with wrap-around, divided by 2n.
+    """The winding degree: the lift steps around the loop, z = 0..2m-1
+    with wrap-around, summed and divided by 2n.
 
-    This is ``lift(f, 0, 2m, f(0)).degree`` without building the lift: a
-    CircleMap is continuous by construction, so the lift's interval and
-    commutation checks cannot fail for it.
+    This is ``lift(f, 0, 2m, f(0)).degree`` without building the lift's
+    values, its IntervalMap or its commutation check.
     """
-    size = 2 * f.n
-    t = f.table
-    total = 0
-    for z, (a, b) in enumerate(zip(t, t[1:] + t[:1])):
-        d = (b - a) % size
-        if d == 1:
-            total += 1
-        elif d == size - 1:
-            total -= 1
-        elif d:
-            raise InvalidParameter(f"base map jumps at {z}")
-    return total // size
+    return sum(_steps(f, 0, 2 * f.m)) // (2 * f.n)
 
 
 def classify_homotopic(f: CircleMap, g: CircleMap) -> bool:

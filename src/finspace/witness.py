@@ -126,14 +126,9 @@ def _complement_hull(U: DownSet) -> DownSet:
     return DownSet(P, hull)
 
 
-def build_V(k: int, U: DownSet | None = None) -> DownSet:
-    """Smallest open neighbourhood of the complement of U, in U's product.
-
-    U is built when none is given; pass ``build_U(k)`` to reuse its product.
-    """
-    if U is None:
-        U = build_U(k)
-    return _complement_hull(U)
+def build_V(k: int) -> DownSet:
+    """Smallest open neighbourhood of the complement of U."""
+    return _complement_hull(build_U(k))
 
 
 def _family(P, domain_mask):

@@ -114,8 +114,7 @@ def test_tc_is_one_for_large_circles_in_witness_mode(k):
     clk = Clock(30)
     K = khalimsky_circle(k)
     ch = TorusChecker(K)
-    U = build_U(k)
-    V = build_V(k, U)
+    U, V = build_U(k), build_V(k)
     cov = Cover(ch.P, [U, V])
     res = tc(K, mode="witness", witness=cov)
     assert res.exact and res.value == 1

@@ -6,6 +6,7 @@ import finspace.cli as cli_module
 import finspace.invariants as invariants_module
 from finspace.cli import main
 from finspace.invariants import Cover, format_cover
+from finspace.space import DownSet
 from finspace.witness import build_U, build_V
 
 
@@ -163,10 +164,11 @@ def test_space_file_round_trip(capsys, tmp_path):
 
 
 def test_tc_witness_builds_one_product(capsys, monkeypatch, tmp_path):
-    U = build_U(5)
-    V = build_V(5, U)
+    U, V = build_U(5), build_V(5)
     path = tmp_path / "w5.cover"
-    path.write_text(format_cover(Cover(U.space, [U, V])))
+    path.write_text(
+        format_cover(Cover(U.space, [U, DownSet(U.space, V.members)]))
+    )
     calls = []
     real = invariants_module.product
 

@@ -1,4 +1,4 @@
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -176,6 +176,36 @@ def test_canonical_form_is_orbit_invariant():
     canon = canonical_coloring(g, col, syms)
     flipped = coloring_from_rows(["0110", "1100", "1001", "0011"], 2)
     assert canonical_coloring(g, flipped, syms).assignment == canon.assignment
+
+
+def reference_canonical_assignment(grid, coloring, symmetries):
+    """Reference: the least assignment over every cell symmetry and every
+    color permutation, each permutation tried."""
+    n = grid.n
+    best = None
+    for perm in symmetries:
+        moved = [0] * (n * n)
+        for cell in range(n * n):
+            moved[perm[cell]] = coloring.assignment[cell]
+        cand = min(
+            tuple(p[v] for v in moved)
+            for p in permutations(range(coloring.colors))
+        )
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+@pytest.mark.parametrize("n,colors", [(3, 3), (4, 2)])
+def test_canonical_coloring_matches_permutation_reference(n, colors):
+    g = square_grid(n)
+    syms = cell_symmetries(g)
+    raw = enumerate_simple_colorings(g, colors, symmetry=False)
+    assert raw
+    for col in raw:
+        assert canonical_coloring(g, col, syms).assignment == (
+            reference_canonical_assignment(g, col, syms)
+        )
 
 
 def brute_force_simple_colorings(grid, colors):

