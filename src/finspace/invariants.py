@@ -1,19 +1,28 @@
 """LS-category, topological complexity, and the square-grid colorings.
 
 Covers are certified piece by piece.  For products of digital circles a
-winding obstruction on the comparability graph refutes a piece outright;
-every other piece is decided by ``homotopic`` on the projections
-restricted to it, which works on the piece's core.  Exact search runs over
-partitions of the maximal elements (principal covers suffice, and any
-certified cover shrinks to a certified partition because the projection
-criterion is hereditary under passing to open subsets); ``cat`` and ``tc``
-share it.
+winding obstruction on the comparability graph refutes a piece outright.
+A categorical piece that passes it is certified by its lift: the
+spanning-forest potentials lift both projections to the digital line, the
+lift lands in a finite interval, and clamping it step by step gives a
+fence from the inclusion to a constant.  A section-categorical piece that
+passes it is decided by ``homotopic`` on the projections restricted to
+it, which works on the piece's core.
+
+Exact search runs over partitions of the maximal elements (principal
+covers suffice, and any certified cover shrinks to a certified partition
+because both criteria are hereditary under passing to open subsets);
+``cat`` and ``tc`` share it.  It prunes a block as soon as its piece is
+refuted, and decides each piece once per orbit of a group that preserves
+the verdict: Aut(S)^2 with the factor swap (order 8n^2) for cat, phi x phi
+with the swap (order 4n) for tc.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from sys import byteorder
 
 from .errors import (
     BoundsOnly,
@@ -36,7 +45,6 @@ from .space import (
     DownSet,
     FiniteSpace,
     KhalimskyCircle,
-    OrderMap,
     bits,
     khalimsky_circle,
     product,
@@ -113,12 +121,58 @@ class TorusChecker:
         self.pi1, self.pi2 = projections(self.X, self.X, self.P)
         self.rec_target = recognize_circle(self.X)
         self._memo = {}  # (mode, mask) -> (verdict, budget it was decided at)
+        # per circle point x: (z, lifted displacement) for each z >= x
+        self._ups = [
+            [(z, self._delta(x, z)) for z in bits(self.X.up[x])]
+            for x in range(self.size)
+        ]
 
     def coords(self, p: int):
         return divmod(p, self.X.n)
 
     def pair(self, x: int, y: int) -> int:
         return x * self.X.n + y
+
+    def symmetries(self, mode: str):
+        """The group that preserves ``mode`` verdicts, as permutations of
+        the maximal elements of S x S (dicts from each maximal to its
+        image), without repeats.
+
+        The circle automorphisms are the rotations p -> p + r and the
+        reflections p -> r - p for even r, 2n in all.  Mode 'cat' gets
+        Aut(S)^2 with the factor swap, of order 8n^2: a homeomorphism of
+        S x S maps categorical pieces to categorical pieces.  Mode 'sc'
+        gets only phi x phi with the swap, of order 4n: pi_i o (phi x phi)
+        = phi o pi_i, and the swap exchanges pi1 and pi2.  phi x psi with
+        phi != psi is excluded there, since it turns pi1 ~ pi2 into
+        phi o pi1 ~ psi o pi2, and a rotation of S is not homotopic to the
+        identity.
+        """
+        size = self.size
+        circle = []
+        for r in range(0, size, 2):
+            circle.append([(p + r) % size for p in range(size)])
+            circle.append([(r - p) % size for p in range(size)])
+        for s in circle:
+            if any(
+                self.X.leq(s[p], s[q]) != self.X.leq(p, q)
+                for p in range(size)
+                for q in range(size)
+            ):
+                raise AssertionError("not a circle automorphism")
+        if mode == "cat":
+            pairs = [(s, t) for s in circle for t in circle]
+        else:
+            pairs = [(s, s) for s in circle]
+        maxs = [self.coords(m) for m in bits(self.P.maximal_elements())]
+        group = {}
+        for s, t in pairs:
+            for perm in (
+                {self.pair(x, y): self.pair(s[x], t[y]) for x, y in maxs},
+                {self.pair(x, y): self.pair(t[y], s[x]) for x, y in maxs},
+            ):
+                group.setdefault(tuple(sorted(perm.items())), perm)
+        return list(group.values())
 
     def _delta(self, a: int, b: int) -> int:
         """Lifted displacement between comparable circle residues."""
@@ -131,12 +185,43 @@ class TorusChecker:
             return -1
         raise AssertionError("comparable points must be adjacent residues")
 
-    def _edges(self, mask: int):
-        P = self.P
-        for p in bits(mask):
-            strict_up = P.up[p] & mask & ~(1 << p)
-            for q in bits(strict_up):
-                yield p, q
+    def potentials(self, mask: int):
+        """Spanning-forest potentials of the piece ``mask`` and its
+        comparable pairs.
+
+        ``phi[p]`` sums the lifted displacements along a BFS tree from the
+        root of p's component, starting at the root's own coordinates.  A
+        pair (p, q, w) with displacement w is balanced when phi[p] + w =
+        phi[q]; when every pair is, phi is a lift of both projections to
+        the digital line.
+        """
+        size, ups = self.size, self._ups
+        phi = {}
+        edges = []
+        adj = {p: [] for p in bits(mask)}
+        for p, out in adj.items():
+            xp, yp = divmod(p, size)
+            for xq, dx in ups[xp]:
+                for yq, dy in ups[yp]:
+                    q = xq * size + yq
+                    if q != p and mask >> q & 1:
+                        w = (dx, dy)
+                        edges.append((p, q, w))
+                        out.append((q, w))
+                        adj[q].append((p, (-dx, -dy)))
+        for root in adj:
+            if root in phi:
+                continue
+            phi[root] = self.coords(root)
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                pu0, pu1 = phi[u]
+                for v, w in adj[u]:
+                    if v not in phi:
+                        phi[v] = (pu0 + w[0], pu1 + w[1])
+                        queue.append(v)
+        return phi, edges
 
     def winding_obstruction(self, mask: int, mode: str):
         """A cycle with forbidden winding, found via spanning-forest
@@ -145,27 +230,7 @@ class TorusChecker:
         mode 'sc': forbidden when the two coordinate windings differ;
         mode 'cat': forbidden when either winding is nonzero.
         """
-        phi = {}
-        edges = []
-        adj = {p: [] for p in bits(mask)}
-        for p, q in self._edges(mask):
-            xp, yp = self.coords(p)
-            xq, yq = self.coords(q)
-            w = (self._delta(xp, xq), self._delta(yp, yq))
-            edges.append((p, q, w))
-            adj[p].append((q, w))
-            adj[q].append((p, (-w[0], -w[1])))
-        for root in adj:
-            if root in phi:
-                continue
-            phi[root] = (0, 0)
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v, w in adj[u]:
-                    if v not in phi:
-                        phi[v] = (phi[u][0] + w[0], phi[u][1] + w[1])
-                        queue.append(v)
+        phi, edges = self.potentials(mask)
         for p, q, w in edges:
             wx = phi[p][0] + w[0] - phi[q][0]
             wy = phi[p][1] + w[1] - phi[q][1]
@@ -176,6 +241,30 @@ class TorusChecker:
                 if wx or wy:
                     return (p, q, wx, wy)
         return None
+
+    def lift_fence(self, old_ids, lifts):
+        """Value tables from q o L to a constant, for integer lifts
+        ``lifts[p] = (L1, L2)`` of the points ``old_ids`` of a piece.
+
+        Clamping a lift from above, z -> min(z, c), is continuous on the
+        digital line, and the clamps at c and c - 1 differ by one step in
+        the same direction wherever they differ.  So lowering c from the
+        top of L1 to its bottom contracts the first coordinate, and then
+        the same for the second; q reduces modulo 2n.
+        """
+        size = self.size
+        L1 = [lifts[p][0] for p in old_ids]
+        L2 = [lifts[p][1] for p in old_ids]
+        fence = [
+            tuple(self.pair(min(a, c) % size, b % size) for a, b in zip(L1, L2))
+            for c in range(max(L1), min(L1) - 1, -1)
+        ]
+        x = min(L1) % size
+        fence += [
+            tuple(self.pair(x, min(b, c) % size) for b in L2)
+            for c in range(max(L2) - 1, min(L2) - 1, -1)
+        ]
+        return fence
 
     # Unused now that homotopic decides on cores; the benchmark tracer wraps it.
     def rigid_loop(self, mask: int, max_deg: int = 2):
@@ -230,18 +319,24 @@ class TorusChecker:
         return None
 
     def _projections_verdict(self, mask: int, mode: str, budget: int):
-        """Decide on the subspace U = ``mask`` once winding passed: mode
-        'sc' asks pi1|U ~ pi2|U, mode 'cat' asks each pi_i|U ~ const."""
+        """Decide on the subspace U = ``mask`` once winding passed.
+
+        Mode 'sc' asks pi1|U ~ pi2|U through ``homotopic``.  Mode 'cat' is
+        decided outright: with no winding, the potentials lift both
+        projections to the digital line, whose image is a finite interval,
+        so ``lift_fence`` contracts the inclusion U -> S x S to a constant.
+        """
         sub, old_ids = self.P.subspace(mask)
-        f1, f2 = self.pi1.restrict(sub, old_ids), self.pi2.restrict(sub, old_ids)
         if mode == "sc":
+            f1 = self.pi1.restrict(sub, old_ids)
+            f2 = self.pi2.restrict(sub, old_ids)
             return homotopic(f1, f2, "auto", budget)
-        for f in (f1, f2):
-            const = OrderMap(sub, self.X, [f.table[0]] * sub.n)
-            v = homotopic(f, const, "auto", budget)
-            if not v.is_homotopic:
-                break
-        return v
+        fence = self.lift_fence(old_ids, self.potentials(mask)[0])
+        return HomotopyVerdict(
+            "homotopic", fence, sub, self.P,
+            reason=f"projections lift to the digital line; "
+            f"fence of {len(fence)} maps to a constant",
+        )
 
     def _decide(self, mask: int, mode: str, budget: int):
         """Winding obstruction, else ``_projections_verdict``, memoized per
@@ -318,37 +413,94 @@ class _PartitionSearch:
 
     A block is pruned as soon as its piece is definitely not certified
     (sound by heredity: open subsets of certified pieces stay certified).
+    Blocks are bitmasks over positions in ``maximals``.
+
+    Piece statuses are memoized per block.  On a miss the block's least
+    image under ``group`` (permutations of the maximals that map certified
+    pieces to certified pieces and the others to the others) keys a second
+    memo, so each piece is decided once per orbit.  Only decided statuses
+    are shared across an orbit; an "unknown" stays with its own block.
+    The DFS order does not depend on the group.
     """
 
-    def __init__(self, space, check_piece):
+    def __init__(self, space, check_piece, group=()):
         self.space = space
         self.maximals = list(bits(space.maximal_elements()))
         self.check = check_piece
-        self.undecided = 0
+        self._down = [space.down[x] for x in self.maximals]
+        pos = {x: i for i, x in enumerate(self.maximals)}
+        # bit-sliced images: slot j of _images[i] holds the image of bit i
+        # under the j-th group element, so OR-ing the _images of a block's
+        # bits gives all its images at once
+        m = len(self.maximals)
+        self._width = 8 if m <= 64 else (m + 7) // 8  # bytes per slot
+        self._images = [0] * m if group else []
+        for j, g in enumerate(group):
+            for i, x in enumerate(self.maximals):
+                self._images[i] |= 1 << (pos[g[x]] + 8 * self._width * j)
+        self._count = len(group)
+        self._status = {}  # block -> status
+        self._orbit = {}  # least image -> decided status
+        self.nodes = 0  # DFS calls
+        self.decided = 0  # pieces sent to check_piece
+        self.orbit_hits = 0  # statuses read off another block of the orbit
+        self.undecided = 0  # leaves of the last search with no refutation
 
     def piece_mask(self, block: int) -> int:
         m = 0
-        for x in bits(block):
-            m |= self.space.down[x]
+        for i in bits(block):
+            m |= self._down[i]
         return m
 
+    def least_image(self, block: int) -> int:
+        """The least bitmask in the orbit of ``block``."""
+        images = 0
+        for i in bits(block):
+            images |= self._images[i]
+        w = self._width
+        raw = images.to_bytes(w * self._count, byteorder)
+        if w == 8:
+            return min(memoryview(raw).cast("Q"))
+        return min(
+            int.from_bytes(raw[k : k + w], byteorder)
+            for k in range(0, len(raw), w)
+        )
+
+    def status(self, block: int) -> str:
+        s = self._status.get(block)
+        if s is None:
+            key = self.least_image(block) if self._images else None
+            s = self._orbit.get(key)
+            if s is None:
+                s = self.check(self.piece_mask(block)).status
+                self.decided += 1
+                if key is not None and s != "unknown":
+                    self._orbit[key] = s
+            else:
+                self.orbit_hits += 1
+            self._status[block] = s
+        return s
+
     def search(self, c: int):
-        """First partition with every piece certified, else None."""
-        elems = self.maximals
+        """First partition (as blocks) with every piece certified, else
+        None."""
+        m = len(self.maximals)
+        status = self.status
         blocks = []
 
         def dfs(i):
-            if i == len(elems):
-                statuses = [self.check(self.piece_mask(b)).status for b in blocks]
+            self.nodes += 1
+            if i == m:
+                statuses = [status(b) for b in blocks]
                 if all(s == "homotopic" for s in statuses):
                     return list(blocks)
                 if "not_homotopic" not in statuses:
                     self.undecided += 1
                 return None
-            x = 1 << elems[i]
+            x = 1 << i
             for bi in range(len(blocks)):
                 nb = blocks[bi] | x
-                if self.check(self.piece_mask(nb)).status == "not_homotopic":
+                if status(nb) == "not_homotopic":
                     continue
                 old = blocks[bi]
                 blocks[bi] = nb
@@ -357,7 +509,7 @@ class _PartitionSearch:
                     return got
                 blocks[bi] = old
             if len(blocks) < c:
-                if self.check(self.piece_mask(x)).status != "not_homotopic":
+                if status(x) != "not_homotopic":
                     blocks.append(x)
                     got = dfs(i + 1)
                     if got is not None:
@@ -369,18 +521,27 @@ class _PartitionSearch:
         return dfs(0)
 
     def cover(self, c: int):
-        """A cover by at most c certified pieces, with its certificates,
-        else None."""
+        """A cover by at most c certified pieces, with its certificates
+        computed on the pieces themselves, else None."""
         got = self.search(c)
         if got is None:
             return None
         pieces = [DownSet(self.space, self.piece_mask(b)) for b in got]
         return Cover(self.space, pieces, [self.check(p.members) for p in pieces])
 
+    def counts(self) -> str:
+        return (
+            f"search: {self.nodes} DFS nodes, {self.decided} pieces decided, "
+            f"{self.orbit_hits} orbit-memo hits, "
+            f"{self.undecided} undecided partitions"
+        )
 
-def _exact_invariant(name, space, check_piece, limit, force, start=1, notes=()):
+
+def _exact_invariant(
+    name, space, check_piece, limit, force, start=1, notes=(), group=()
+):
     """Least c - 1 over certified c-piece covers, trying c = start, start+1..."""
-    searcher = _PartitionSearch(space, check_piece)
+    searcher = _PartitionSearch(space, check_piece, group)
     nmax = len(searcher.maximals)
     if nmax > MAX_EXACT_MAXIMALS and not force:
         raise BoundsOnly(
@@ -392,6 +553,7 @@ def _exact_invariant(name, space, check_piece, limit, force, start=1, notes=()):
         cover = searcher.cover(c)
         if cover is not None:
             notes.append(f"certified {c}-piece cover found")
+            notes.append(searcher.counts())
             return InvariantResult(name, c - 1, c - 1, c - 1, True, cover, notes)
         if searcher.undecided:
             raise BoundsOnly(
@@ -402,10 +564,13 @@ def _exact_invariant(name, space, check_piece, limit, force, start=1, notes=()):
     raise BoundsOnly(cmax, None, f"no cover found up to {cmax} pieces")
 
 
-def _witness_invariant(name, lower, check_piece, witness):
-    """Upper bound from a witness cover; exact when it meets ``lower``."""
+def _witness_invariant(name, lower, space, check_piece, witness):
+    """Upper bound from a witness cover of ``space``; exact when it meets
+    ``lower``."""
     if witness is None:
         raise InvalidParameter("witness mode needs a cover")
+    if witness.space != space:
+        raise MismatchedSpaces("witness cover of a different space")
     verdicts = [check_piece(p.members) for p in witness.pieces]
     ok = all(v.is_homotopic for v in verdicts)
     upper = len(witness.pieces) - 1 if ok else None
@@ -425,7 +590,16 @@ def cat(
     witness: Cover | None = None,
     checker: TorusChecker | None = None,
 ) -> InvariantResult:
-    """LS-category: least m with an (m+1)-piece categorical open cover."""
+    """LS-category: least m with an (m+1)-piece categorical open cover.
+
+    With a ``checker`` the space is S x S and a piece is categorical
+    exactly when it has no cycle of nonzero winding; its certificate is
+    the lift fence from the inclusion to a constant.  The exact search then
+    decides one piece per orbit of Aut(S)^2 with the factor swap (order
+    8n^2), since a homeomorphism maps categorical pieces to categorical
+    pieces.  Without one, pieces of X go through ``nullhomotopic_in`` and
+    the search uses no symmetry.
+    """
     if checker is not None:
 
         def check(mask):
@@ -439,8 +613,9 @@ def cat(
             return is_categorical(DownSet(space, mask), space, budget)
 
     if mode == "witness":
-        return _witness_invariant("cat", 0, check, witness)
-    return _exact_invariant("cat", space, check, limit, force)
+        return _witness_invariant("cat", 0, space, check, witness)
+    group = checker.symmetries("cat") if checker is not None else ()
+    return _exact_invariant("cat", space, check, limit, force, group=group)
 
 
 def tc(
@@ -456,8 +631,12 @@ def tc(
     maximal elements of S x S.
 
     The realization bound tc >= 1 (the topological circle) seeds the
-    search, so piece counts start at 2.  A given ``checker`` (with its memo)
-    is used in place of a new one; it must be built on ``circle``.
+    search, so piece counts start at 2.  The search decides one piece per
+    orbit of phi x phi (phi in Aut(S)) with the factor swap, order 4n,
+    which preserves pi1|U ~ pi2|U.  phi x psi with phi != psi does not: a
+    rotation of S is not homotopic to the identity.  A given ``checker``
+    (with its memo) is used in place of a new one; it must be built on
+    ``circle``.
     """
     if checker is None:
         checker = TorusChecker(circle)
@@ -468,10 +647,11 @@ def tc(
         return checker.is_section_categorical(mask, budget)
 
     if mode == "witness":
-        return _witness_invariant("tc", 1, check, witness)
+        return _witness_invariant("tc", 1, checker.P, check, witness)
     return _exact_invariant(
         "tc", checker.P, check, limit, force,
         start=2, notes=["lower bound 1 from the topological circle"],
+        group=checker.symmetries("sc"),
     )
 
 
@@ -616,51 +796,22 @@ def is_simple(grid: SquareGrid, coloring: Coloring) -> bool:
 def cell_symmetries(grid: SquareGrid):
     """The automorphisms of the product poset, as permutations of cells.
 
-    Generated from circle symmetries (rotations by a full cell, the flip)
-    applied per factor, plus the coordinate swap; each candidate is
-    verified to be a poset automorphism before use.
+    ``TorusChecker.symmetries('cat')``, the circle symmetries (rotations
+    by a full cell, the reflections) per factor plus the coordinate swap,
+    restricted to the maximal elements: cell (i,j) is (b_i, b_j).
     """
     n = grid.n
     circ = grid.circle
-    X = circ.space
-    size = X.n
-
-    def circle_maps():
-        out = []
-        for r in range(0, size, 2):
-            out.append([(p + r) % size for p in range(size)])
-            out.append([(r - p) % size for p in range(size)])
-        return out
-
-    P = grid.checker.P
-    perms = set()
-    for s1 in circle_maps():
-        for s2 in circle_maps():
-            for swap in (False, True):
-                table = [0] * P.n
-                for x in range(size):
-                    for y in range(size):
-                        nx, ny = s1[x], s2[y]
-                        if swap:
-                            nx, ny = s2[y], s1[x]
-                        table[grid.checker.pair(x, y)] = grid.checker.pair(nx, ny)
-                ok = all(
-                    P.leq(table[p], table[q]) == P.leq(p, q)
-                    for p in range(P.n)
-                    for q in bits(P.up[p])
-                )
-                if ok:
-                    perms.add(tuple(table))
-    # restrict to the action on cells
-    cell_of_max = {}
-    for i in range(n):
-        for j in range(n):
-            cell_of_max[grid.checker.pair(circ.b(i), circ.b(j))] = i * n + j
+    cell_of_max = {
+        grid.checker.pair(circ.b(i), circ.b(j)): i * n + j
+        for i in range(n)
+        for j in range(n)
+    }
     out = set()
-    for t in perms:
+    for g in grid.checker.symmetries("cat"):
         perm = [0] * (n * n)
         for m, cell in cell_of_max.items():
-            perm[cell] = cell_of_max[t[m]]
+            perm[cell] = cell_of_max[g[m]]
         out.add(tuple(perm))
     return sorted(out)
 
@@ -816,8 +967,10 @@ def tc_via_colorings(
     def check(mask):
         return checker.is_section_categorical(mask, budget)
 
-    cover = _PartitionSearch(checker.P, check).cover(3)
+    searcher = _PartitionSearch(checker.P, check, checker.symmetries("sc"))
+    cover = searcher.cover(3)
     if cover is None:
         raise BoundsOnly(2, None, "no certified 3-piece cover found")
     notes.append("certified 3-piece cover found")
+    notes.append(searcher.counts())
     return InvariantResult("tc", 2, 2, 2, True, cover, notes)

@@ -46,6 +46,7 @@ from finspace.invariants import (
     tc_via_colorings,
 )
 from finspace.space import (
+    OrderMap,
     build_space,
     khalimsky_circle,
     khalimsky_interval,
@@ -239,6 +240,21 @@ def test_category_of_circles_and_their_squares():
     assert res2.exact and res2.value == 3
     res3 = cat(None, checker=TorusChecker(khalimsky_circle(3)))
     assert res3.exact and res3.value == 2
+    clk.check()
+
+
+def test_category_of_the_half_size_four_torus_is_two():
+    clk = Clock(60)
+    ch = TorusChecker(khalimsky_circle(4))
+    res = cat(None, checker=ch)
+    assert res.exact and res.value == 2
+    assert "no certified cover with 2 pieces (exhaustive)" in res.notes
+    assert len(res.cover.pieces) == 3
+    for piece, v in zip(res.cover.pieces, res.cover.certificates):
+        sub, old_ids = ch.P.subspace(piece.members)
+        inclusion = OrderMap(sub, ch.P, old_ids)
+        constant = OrderMap(sub, ch.P, [v.fence[-1][0]] * sub.n)
+        assert v.replay(inclusion, constant)
     clk.check()
 
 

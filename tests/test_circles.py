@@ -145,7 +145,7 @@ def reference_degree(f):
     return (ups - downs) // size
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(circle_maps_with_degree())
 def test_degree_matches_lift_and_step_count(drawn):
     f, d = drawn

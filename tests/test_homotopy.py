@@ -190,13 +190,7 @@ def poset_map_pairs(draw):
     return OrderMap(X, Y, tables[i]), OrderMap(X, Y, tables[j])
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    deadline=None,
-    max_examples=150,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(poset_map_pairs())
 def test_auto_agrees_with_components_and_lifts_fences(pair):
     f, g = pair
@@ -282,7 +276,7 @@ def posets(draw):
     )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(posets())
 def test_core_matches_rescan_reference(X):
     assert_core_matches_reference(X)

@@ -1,6 +1,8 @@
-from itertools import permutations, product as iproduct
+import random
+from itertools import combinations, permutations, product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finspace.invariants as invariants_module
 from finspace.errors import InvalidParameter, MismatchedSpaces, NotOpen
@@ -28,7 +30,8 @@ from finspace.invariants import (
     tc_via_colorings,
     two_color_refutation,
 )
-from finspace.space import DownSet, bits, khalimsky_circle
+from finspace.homotopy import HomotopyVerdict, homotopic
+from finspace.space import DownSet, OrderMap, bits, khalimsky_circle
 
 
 def arcs_cover(X, blocks):
@@ -268,6 +271,11 @@ def test_memo_reuses_unknown_only_up_to_its_budget(method):
     mask = ch.P.down[ch.pair(1, 1)] | ch.P.down[ch.pair(1, 5)]
     decide = getattr(ch, method)
     small = decide(mask, 1)
+    if method == "is_categorical":
+        # the lift decides a categorical piece at any budget
+        assert small.status == "homotopic"
+        assert decide(mask, 10**6) is small
+        return
     assert small.status == "unknown"
     assert decide(mask, 1) is small
     big = decide(mask, 10**6)
@@ -287,3 +295,217 @@ def test_module_level_wrappers():
     ch = TorusChecker(K)
     U = DownSet(ch.P, ch.P.down[ch.pair(1, 1)])
     assert is_section_categorical(U, K).is_homotopic
+
+
+def test_witness_cover_of_another_space_is_rejected():
+    K3, K4 = khalimsky_circle(3), khalimsky_circle(4)
+    other = TorusChecker(K4).P
+    cov = Cover(other, [DownSet(other, other.full)])
+    with pytest.raises(MismatchedSpaces):
+        tc(K3, mode="witness", witness=cov)
+    with pytest.raises(MismatchedSpaces):
+        cat(None, mode="witness", witness=cov, checker=TorusChecker(K3))
+    with pytest.raises(MismatchedSpaces):
+        cat(K3.space, mode="witness", witness=cov)
+
+
+# -- symmetry groups of the exact search -------------------------------
+
+
+def blocks_of_maximals(P, most=None):
+    maxs = list(bits(P.maximal_elements()))
+    sizes = range(1, (most or len(maxs)) + 1)
+    return [frozenset(b) for k in sizes for b in combinations(maxs, k)]
+
+
+def block_statuses(P, blocks, decide):
+    out = {}
+    for b in blocks:
+        mask = 0
+        for x in b:
+            mask |= P.down[x]
+        out[b] = decide(mask).status
+    return out
+
+
+def orbit_mismatches(statuses, group):
+    return [
+        (b, g)
+        for b, s in statuses.items()
+        for g in group
+        if statuses[frozenset(g[x] for x in b)] != s
+    ]
+
+
+def diagonal_orbit(ch):
+    """The orbit of the diagonal cells under the cat group: the smallest
+    blocks of S1_4^2 on which the two groups differ."""
+    diag = [ch.pair(ch.circle.b(i), ch.circle.b(i)) for i in range(ch.n)]
+    return {frozenset(g[x] for x in diag) for g in ch.symmetries("cat")}
+
+
+def group_test_blocks(ch):
+    """Every block of S1_3^2; the blocks of <= 3 maximals of S1_4^2 (all
+    of them certified in both modes) and the diagonal orbit."""
+    if ch.n == 3:
+        return blocks_of_maximals(ch.P)
+    return blocks_of_maximals(ch.P, 3) + sorted(diagonal_orbit(ch), key=sorted)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("mode", ["cat", "sc"])
+def test_symmetry_groups_preserve_piece_statuses(n, mode):
+    ch = TorusChecker(khalimsky_circle(n))
+    group = ch.symmetries(mode)
+    assert len(group) == (8 * n * n if mode == "cat" else 4 * n)
+    decide = ch.is_categorical if mode == "cat" else ch.is_section_categorical
+    statuses = block_statuses(ch.P, group_test_blocks(ch), decide)
+    assert set(statuses.values()) == {"homotopic", "not_homotopic"}
+    assert orbit_mismatches(statuses, group) == []
+
+
+def test_full_group_does_not_preserve_tc_statuses():
+    # phi x psi with phi != psi is left out of the tc group: it maps the
+    # diagonal, over which pi1 ~ pi2, to the antidiagonal, over which not
+    ch = TorusChecker(khalimsky_circle(4))
+    blocks = group_test_blocks(ch)
+    statuses = block_statuses(ch.P, blocks, ch.is_section_categorical)
+    assert orbit_mismatches(statuses, ch.symmetries("cat"))
+
+
+@pytest.mark.parametrize(
+    "mode,n", [("sc", 2), ("sc", 3), ("sc", 4), ("cat", 2), ("cat", 3), ("cat", 4)]
+)
+def test_orbit_memo_matches_unreduced_search(mode, n):
+    ch = TorusChecker(khalimsky_circle(n))
+    decide = ch.is_section_categorical if mode == "sc" else ch.is_categorical
+    reduced = invariants_module._PartitionSearch(ch.P, decide, ch.symmetries(mode))
+    plain = invariants_module._PartitionSearch(ch.P, decide)
+    for c in range(1, 5):
+        got, want = reduced.cover(c), plain.cover(c)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert format_cover(got) == format_cover(want)
+            break
+    # the same DFS, with fewer pieces decided
+    assert reduced.nodes == plain.nodes
+    assert reduced.decided < plain.decided
+    # every status read off an orbit is the piece's own
+    for block, status in reduced._status.items():
+        assert decide(reduced.piece_mask(block)).status == status
+
+
+def test_orbit_memo_shares_only_decided_statuses():
+    ch = TorusChecker(khalimsky_circle(3))
+    asked = []
+
+    def check(mask):
+        asked.append(mask)
+        return HomotopyVerdict("unknown" if len(asked) == 1 else "homotopic")
+
+    search = invariants_module._PartitionSearch(ch.P, check, ch.symmetries("cat"))
+    # single maximals form one orbit: cells are moved around transitively
+    assert search.status(1 << 0) == "unknown"
+    assert search.status(1 << 1) == "homotopic"  # the unknown was not shared
+    assert search.status(1 << 0) == "unknown"  # its own block keeps it
+    assert search.status(1 << 2) == "homotopic"
+    assert len(asked) == 2 and search.orbit_hits == 1
+
+
+@pytest.mark.parametrize("n,mode", [(3, "cat"), (4, "sc"), (9, "sc")])
+def test_least_image_matches_loop_reference(n, mode):
+    # n = 9 has 81 maximals, past the 64-bit slots
+    ch = TorusChecker(khalimsky_circle(n))
+    group = ch.symmetries(mode)
+    search = invariants_module._PartitionSearch(ch.P, None, group)
+    pos = {x: i for i, x in enumerate(search.maximals)}
+    rng = random.Random(n)
+    for _ in range(100):
+        block = rng.getrandbits(len(pos)) or 1
+        images = [
+            sum(1 << pos[g[search.maximals[i]]] for i in bits(block))
+            for g in group
+        ]
+        assert search.least_image(block) == min(images)
+
+
+def test_search_counts_note():
+    # the orbit-memo hits pin the group each invariant searches with
+    res = cat(None, checker=TorusChecker(khalimsky_circle(3)))
+    assert res.notes == [
+        "no certified cover with 1 pieces (exhaustive)",
+        "no certified cover with 2 pieces (exhaustive)",
+        "certified 3-piece cover found",
+        "search: 44 DFS nodes, 12 pieces decided, 55 orbit-memo hits, "
+        "0 undecided partitions",
+    ]
+    res = tc(khalimsky_circle(3))
+    assert res.notes[-1] == (
+        "search: 41 DFS nodes, 31 pieces decided, 36 orbit-memo hits, "
+        "0 undecided partitions"
+    )
+
+
+# -- the lift certificate of categorical pieces ------------------------
+
+
+_checkers = {}  # one TorusChecker per n, shared by the drawn examples
+
+
+@st.composite
+def principal_pieces(draw):
+    n = draw(st.integers(2, 5))
+    if n not in _checkers:
+        _checkers[n] = TorusChecker(khalimsky_circle(n))
+    ch = _checkers[n]
+    maxs = list(bits(ch.P.maximal_elements()))
+    chosen = draw(st.integers(1, (1 << len(maxs)) - 1))
+    mask = 0
+    for i, x in enumerate(maxs):
+        if chosen >> i & 1:
+            mask |= ch.P.down[x]
+    return ch, mask
+
+
+def inclusion_and_constant(ch, mask, fence):
+    sub, old_ids = ch.P.subspace(mask)
+    incl = OrderMap(sub, ch.P, old_ids)
+    return incl, OrderMap(sub, ch.P, [fence[-1][0]] * sub.n)
+
+
+@settings(max_examples=120)
+@given(principal_pieces())
+def test_lift_certifies_every_winding_free_piece(drawn):
+    ch, mask = drawn
+    hit = ch.winding_obstruction(mask, "cat")
+    v = TorusChecker(ch.circle).is_categorical(mask, budget=1)
+    sub, old_ids = ch.P.subspace(mask)
+    restricted = [f.restrict(sub, old_ids) for f in (ch.pi1, ch.pi2)]
+    general = [
+        homotopic(f, OrderMap(sub, ch.X, [f.table[0]] * sub.n), "auto", 2000)
+        for f in restricted
+    ]
+    if hit is not None:
+        _, _, wx, wy = hit
+        assert v.status == "not_homotopic"
+        for w, h in zip((wx, wy), general):
+            if w:
+                assert h.status != "homotopic"
+        return
+    assert v.status == "homotopic"
+    incl, const = inclusion_and_constant(ch, mask, v.fence)
+    assert v.replay(incl, const)
+    assert all(h.status != "not_homotopic" for h in general)
+    # dropping one nonzero delta of the lift breaks the certificate
+    lifts, edges = ch.potentials(mask)
+    for p, q, w in edges:
+        for i in (0, 1):
+            if w[i]:
+                bad = dict(lifts)
+                wrong = list(bad[q])
+                wrong[i] = bad[p][i]
+                bad[q] = tuple(wrong)
+                fence = ch.lift_fence(old_ids, bad)
+                broken = HomotopyVerdict("homotopic", fence, sub, ch.P)
+                assert not broken.replay(*inclusion_and_constant(ch, mask, fence))
+                return
