@@ -19,7 +19,7 @@ from .errors import (
     NotApplicable,
     PreconditionViolated,
 )
-from .space import FiniteSpace, bits
+from .space import FiniteSpace
 
 
 def ht(z: int) -> int:
@@ -375,16 +375,15 @@ def recognize_circle(X: FiniteSpace):
     if size < 4 or size % 2:
         return None
     nbrs = []
-    for x in range(size):
-        strict = (X.up[x] | X.down[x]) & ~(1 << x)
-        ns = list(bits(strict))
-        if len(ns) != 2:
+    for x, (ups, downs) in enumerate(zip(X.up_ids, X.down_ids)):
+        # both tuples hold x itself, so x has 2 neighbours iff they hold 4
+        if len(ups) + len(downs) != 4:
             return None
-        mixed = X.up[x] != 1 << x and X.down[x] != 1 << x
-        if (X.up[x] | X.down[x]) != strict | (1 << x) or mixed:
-            # every point must be purely minimal or purely maximal
-            if mixed:
-                return None
+        # every point must be purely minimal or purely maximal
+        mixed = len(ups) > 1 and len(downs) > 1
+        if mixed:
+            return None
+        ns = [y for y in (ups if len(ups) > 1 else downs) if y != x]
         nbrs.append(ns)
     # walk the cycle
     start = 0

@@ -16,7 +16,6 @@ from .space import (
     DownSet,
     FiniteSpace,
     OrderMap,
-    bits,
     check_continuous,
     popcount,
 )
@@ -118,17 +117,13 @@ def beat_points(X: FiniteSpace):
     out = []
     for x in range(X.n):
         up = X.up[x] & ~(1 << x)
-        if up:
-            for y in bits(up):
-                if up & ~X.up[y]:
-                    continue
+        for y in X.up_ids[x]:
+            if y != x and X.up[y] & up == up:
                 out.append((x, "up", y))
                 break
         down = X.down[x] & ~(1 << x)
-        if down:
-            for y in bits(down):
-                if down & ~X.down[y]:
-                    continue
+        for y in X.down_ids[x]:
+            if y != x and X.down[y] & down == down:
                 out.append((x, "down", y))
                 break
     return out
@@ -136,16 +131,23 @@ def beat_points(X: FiniteSpace):
 
 def _beat_status(X: FiniteSpace, mask: int, x: int):
     """(kind, witness) when x is a beat point of the subspace ``mask``,
-    else None; an up beat point is reported before a down one."""
+    else None; an up beat point is reported before a down one.
+
+    The witness is the minimum (maximum) of the strict up- (down-) set of
+    x within ``mask``.  Candidates are read off x's id tuple in X, so x
+    itself and removed points are skipped; the subset test goes first, as
+    it rejects most candidates."""
     up = X.up[x] & mask & ~(1 << x)
     if up:
-        for y in bits(up):
-            if not (up & ~X.up[y]):
+        ups = X.up
+        for y in X.up_ids[x]:
+            if ups[y] & up == up and y != x and (mask >> y) & 1:
                 return ("up", y)
     down = X.down[x] & mask & ~(1 << x)
     if down:
-        for y in bits(down):
-            if not (down & ~X.down[y]):
+        downs = X.down
+        for y in X.down_ids[x]:
+            if downs[y] & down == down and y != x and (mask >> y) & 1:
                 return ("down", y)
     return None
 
@@ -203,7 +205,9 @@ def core(X: FiniteSpace) -> CoreData:
         kind, w = status[x]
         removals.append((x, kind, w))
         mask &= ~(1 << x)
-        for y in bits((X.up[x] | X.down[x]) & mask):
+        for y in sorted(X.up_ids[x] + X.down_ids[x]):
+            if not (mask >> y) & 1:
+                continue
             was = status[y]
             status[y] = _beat_status(X, mask, y)
             if was is None and status[y] is not None:
@@ -248,33 +252,42 @@ def _enumerate_tables(X: FiniteSpace, Y: FiniteSpace, cand, budget: _Budget):
 
     ``cand`` is a per-point bitmask of allowed target values.  Constraint
     propagation restricts every comparable pair as soon as one side is
-    assigned.
+    assigned: ``later[i]`` lists the points j > i comparable to i, each
+    with whether it lies above i, read once from ``X.up_ids`` /
+    ``X.down_ids`` before the search starts.  The order of that list does
+    not change the tables yielded or the budget spent: every restriction
+    is undone before the next value is tried, and an emptied candidate set
+    rejects the value whichever pair empties it first.
     """
     n = X.n
     cand = list(cand)
     table = [0] * n
+    Yup, Ydown = Y.up, Y.down
+    later = [
+        [(j, True) for j in ups if j > i] + [(j, False) for j in downs if j > i]
+        for i, (ups, downs) in enumerate(zip(X.up_ids, X.down_ids))
+    ]
 
     def assign(i):
         if i == n:
             yield tuple(table)
             return
         m = cand[i]
+        nbrs = later[i]
         while m:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
             budget.spend()
             table[i] = v
+            above, below = Yup[v], Ydown[v]
             saved = []
             ok = True
-            for j in bits((X.up[i] | X.down[i]) & ~((1 << (i + 1)) - 1)):
-                new = cand[j]
-                if X.leq(i, j):
-                    new &= Y.up[v]
-                if X.leq(j, i):
-                    new &= Y.down[v]
-                if new != cand[j]:
-                    saved.append((j, cand[j]))
+            for j, up in nbrs:
+                old = cand[j]
+                new = old & (above if up else below)
+                if new != old:
+                    saved.append((j, old))
                     cand[j] = new
                     if not new:
                         ok = False
@@ -402,7 +415,7 @@ def _constants_fence(X: FiniteSpace, Y: FiniteSpace, a: int, b: int):
                 path.append(parent[path[-1]])
             path.reverse()
             return [tuple([v] * X.n) for v in path]
-        for nxt in bits(Y.up[cur] | Y.down[cur]):
+        for nxt in sorted(Y.up_ids[cur] + Y.down_ids[cur]):
             if nxt not in parent:
                 parent[nxt] = cur
                 queue.append(nxt)

@@ -123,7 +123,7 @@ class TorusChecker:
         self._memo = {}  # (mode, mask) -> (verdict, budget it was decided at)
         # per circle point x: (z, lifted displacement) for each z >= x
         self._ups = [
-            [(z, self._delta(x, z)) for z in bits(self.X.up[x])]
+            [(z, self._delta(x, z)) for z in self.X.up_ids[x]]
             for x in range(self.size)
         ]
 

@@ -31,14 +31,34 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def _decode_all(masks):
+    """``tuple(bits(m))`` for every mask, as a tuple of tuples."""
+    out = []
+    for m in masks:
+        ids = []
+        while m:
+            low = m & -m
+            ids.append(low.bit_length() - 1)
+            m ^= low
+        out.append(tuple(ids))
+    return tuple(out)
+
+
 class FiniteSpace:
     """An immutable finite poset carrying the Alexandroff T0-topology.
 
     ``down[x]`` / ``up[x]`` are the reflexive down- and up-sets of ``x`` as
     bitmasks; they are precomputed at construction and never change.
+    ``down_ids[x]`` / ``up_ids[x]`` are the same sets as increasing tuples
+    of point ids, for loops that visit a point's neighbours.  Like
+    ``covers`` they are built on first read and then kept, so a space that
+    only ever answers mask queries never pays for them.
     """
 
-    __slots__ = ("n", "labels", "down", "up", "_covers", "full", "_hash")
+    __slots__ = (
+        "n", "labels", "down", "up", "_covers", "full", "_hash",
+        "_down_ids", "_up_ids",
+    )
 
     def __init__(self, labels, down, covers=None):
         n = len(down)
@@ -53,15 +73,21 @@ class FiniteSpace:
                 raise InvalidParameter("down-set must be reflexive")
         up = [0] * n
         for x in range(n):
-            d = down[x]
+            d = m = reach = down[x]
             bx = 1 << x
-            # transitivity: down[y] subset of down[x] whenever y <= x
-            for y in bits(d):
-                if down[y] & ~d:
-                    raise InvalidParameter("down-sets are not transitive")
+            while m:
+                low = m & -m
+                y = low.bit_length() - 1
+                m ^= low
+                reach |= down[y]
                 up[y] |= bx
+            # transitivity: down[y] subset of down[x] whenever y <= x
+            if reach != d:
+                raise InvalidParameter("down-sets are not transitive")
         self.up = tuple(up)
         self._covers = None if covers is None else tuple(sorted(covers))
+        self._down_ids = None
+        self._up_ids = None
         self._hash = hash((self.labels, self.down))
 
     @property
@@ -70,6 +96,22 @@ class FiniteSpace:
         if self._covers is None:
             self._covers = tuple(sorted(self._compute_covers()))
         return self._covers
+
+    @property
+    def down_ids(self):
+        """``down_ids[x]`` = the ids of ``down[x]``, increasing; built on
+        first read."""
+        if self._down_ids is None:
+            self._down_ids = _decode_all(self.down)
+        return self._down_ids
+
+    @property
+    def up_ids(self):
+        """``up_ids[x]`` = the ids of ``up[x]``, increasing; built on first
+        read."""
+        if self._up_ids is None:
+            self._up_ids = _decode_all(self.up)
+        return self._up_ids
 
     def _compute_covers(self):
         out = []
@@ -184,17 +226,23 @@ class FiniteSpace:
         """
         old = list(bits(mask))
         index = {p: i for i, p in enumerate(old)}
+        get = index.get
+        down_ids = self.down_ids
         down = []
         for p in old:
             m = 0
-            for q in bits(self.down[p] & mask):
-                m |= 1 << index[q]
+            for q in down_ids[p]:
+                i = get(q)
+                if i is not None:
+                    m |= 1 << i
             down.append(m)
         labels = [self.labels[p] for p in old]
         return FiniteSpace(labels, down), old
 
     def relabel(self, labels):
-        return FiniteSpace(labels, self.down, self._covers)
+        Z = FiniteSpace(labels, self.down, self._covers)
+        Z._down_ids, Z._up_ids = self._down_ids, self._up_ids
+        return Z
 
     # -- dunder --------------------------------------------------------
 
@@ -214,7 +262,7 @@ class FiniteSpace:
     def describe(self) -> str:
         lines = [f"space on {self.n} points"]
         for x in range(self.n):
-            dn = ",".join(self.labels[y] for y in bits(self.down[x]))
+            dn = ",".join(self.labels[y] for y in self.down_ids[x])
             lines.append(f"  {self.labels[x]}: down {{{dn}}}")
         return "\n".join(lines)
 
@@ -373,14 +421,14 @@ def product(X: FiniteSpace, Y: FiniteSpace) -> FiniteSpace:
     nY = Y.n
     down = []
     labels = []
-    for x in range(X.n):
-        for y in range(Y.n):
-            m = 0
-            for u in bits(X.down[x]):
-                block = Y.down[y]
-                m |= block << (u * nY)
-            down.append(m)
-            labels.append(f"({X.labels[x]},{Y.labels[y]})")
+    for x, ids in enumerate(X.down_ids):
+        # one bit at the start of each row u <= x; multiplying it by a
+        # down-set of Y (< 2**nY) copies that down-set into every such row
+        rows = 0
+        for u in ids:
+            rows |= 1 << (u * nY)
+        down += [rows * block for block in Y.down]
+        labels += [f"({X.labels[x]},{l})" for l in Y.labels]
     return FiniteSpace(labels, down)
 
 
@@ -408,9 +456,9 @@ class OrderMap:
             if not (0 <= v < target.n):
                 raise InvalidParameter(f"value {v} outside the target")
         tdown = target.down
-        for x in range(source.n):
+        for x, ids in enumerate(source.up_ids):
             fx = table[x]
-            for x2 in bits(source.up[x]):
+            for x2 in ids:
                 if not (tdown[table[x2]] >> fx) & 1:
                     raise NotOrderPreserving(x, x2, fx, table[x2])
         self.source = source

@@ -1,4 +1,5 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -264,8 +265,8 @@ def assert_core_matches_reference(X):
 
 
 @st.composite
-def posets(draw):
-    n = draw(st.integers(1, 14))
+def posets(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
     density = draw(st.sampled_from([0.15, 0.3, 0.5]))
     rnd = draw(st.randoms(use_true_random=False))
     pairs = [(i, j) for j in range(n) for i in range(j) if rnd.random() < density]
@@ -321,3 +322,27 @@ def test_replay_rejects_empty_and_unanchored_fences():
     assert not HomotopyVerdict("homotopic", [f.table], S3, S3).replay(f, g)
     assert HomotopyVerdict("homotopic", [f.table], S3, S3).replay(f, f)
 
+
+
+@settings(max_examples=200)
+@given(posets(max_n=5), posets(max_n=4))
+def test_enumerate_maps_matches_brute_force(X, Y):
+    # every table, in lexicographic order, kept when order-preserving
+    want = [
+        t
+        for t in iproduct(range(Y.n), repeat=X.n)
+        if all(Y.leq(t[x], t[z]) for x in range(X.n) for z in bits(X.up[x]))
+    ]
+    assert enumerate_maps(X, Y) == want
+
+
+def test_enumerate_tables_decodes_no_mask_per_assignment(bits_calls):
+    X = random_poset(random.Random(3), 8)
+    Y = khalimsky_circle(3).space
+    budget = homotopy_module._Budget(10**6)
+    bits_calls.clear()
+    tables = list(
+        homotopy_module._enumerate_tables(X, Y, [Y.full] * X.n, budget)
+    )
+    assert tables and 10**6 - budget.left > 100  # assignments tried
+    assert bits_calls == []

@@ -509,3 +509,18 @@ def test_lift_certifies_every_winding_free_piece(drawn):
                 broken = HomotopyVerdict("homotopic", fence, sub, ch.P)
                 assert not broken.replay(*inclusion_and_constant(ch, mask, fence))
                 return
+
+
+def test_exact_cat_memo_keeps_no_id_tuples():
+    # the id tuples are lazy, so a memoized cat verdict's subspace, which
+    # only answers mask queries, must not carry them
+    K = khalimsky_circle(3)
+    ch = TorusChecker(K)
+    assert cat(ch.P, checker=ch).value == 2
+    spaces = [
+        v.fence_space
+        for (mode, _), (v, _) in ch._memo.items()
+        if mode == "cat" and v.fence_space is not None
+    ]
+    assert spaces
+    assert all(Z._down_ids is None and Z._up_ids is None for Z in spaces)

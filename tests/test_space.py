@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finspace.errors import (
     CycleDetected,
@@ -223,3 +224,73 @@ def test_order_map_witness_matches_reference_check():
             with pytest.raises(NotOrderPreserving) as exc:
                 OrderMap(X, Y, table)
             assert exc.value.witness == want
+
+
+def test_order_map_witness_on_a_large_product_subspace():
+    # rows 0..16 of S1_12 x S1_12 (an open set, 16 is minimal): 408 points
+    X = khalimsky_circle(12).space
+    P = product(X, X)
+    sub, old = P.subspace(sum(1 << p for p in range(P.n) if p // X.n <= 16))
+    assert sub.n == 408
+    rng = random.Random(7)
+    for target, table in ((X, [p // X.n for p in old]), (sub, list(range(sub.n)))):
+        for _ in range(25):
+            bad = list(table)
+            for _ in range(rng.randint(1, 3)):
+                bad[rng.randrange(sub.n)] = rng.randrange(target.n)
+            want = _first_violation(sub, target, bad)
+            if want is None:
+                assert OrderMap(sub, target, bad).table == tuple(bad)
+            else:
+                with pytest.raises(NotOrderPreserving) as exc:
+                    OrderMap(sub, target, bad)
+                assert exc.value.witness == want
+
+
+@st.composite
+def posets(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    pairs = [(i, j) for j in range(n) for i in range(j) if rnd.random() < density]
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    return build_space(
+        [str(i) for i in range(n)], [(perm[i], perm[j]) for i, j in pairs]
+    )
+
+
+def assert_id_tuples_lazy_and_exact(Z):
+    assert Z._down_ids is None and Z._up_ids is None
+    assert Z.down_ids == tuple(tuple(bits(m)) for m in Z.down)
+    assert Z.up_ids == tuple(tuple(bits(m)) for m in Z.up)
+    assert Z.down_ids is Z._down_ids and Z.up_ids is Z._up_ids
+
+
+@settings(max_examples=150)
+@given(posets(), posets(max_n=5), st.randoms(use_true_random=False))
+def test_id_tuples_are_built_on_first_read_and_equal_the_masks(X, Y, rnd):
+    fresh = X.relabel([f"p{i}" for i in range(X.n)])
+    assert_id_tuples_lazy_and_exact(X)
+    assert_id_tuples_lazy_and_exact(fresh)
+    # relabel forwards the tuples already built, and builds none itself
+    again = X.relabel([f"q{i}" for i in range(X.n)])
+    assert again._down_ids is X._down_ids and again._up_ids is X._up_ids
+    sub, _ = X.subspace(rnd.getrandbits(X.n))
+    assert_id_tuples_lazy_and_exact(sub)
+    assert_id_tuples_lazy_and_exact(product(X, Y))
+    assert_id_tuples_lazy_and_exact(read_space(write_space(X, "X")))
+
+
+def test_order_map_on_a_space_with_built_tuples_decodes_no_mask(bits_calls):
+    X = khalimsky_circle(6).space
+    P = product(X, X)
+    sub, old = P.subspace(P.down[P.n - 1] | P.down[13] | P.down[77])
+    for Z in (X, P, sub):
+        Z.up_ids
+    bits_calls.clear()
+    OrderMap(P, X, [p // X.n for p in range(P.n)])
+    OrderMap(sub, P, old)
+    with pytest.raises(NotOrderPreserving):
+        OrderMap(sub, P, [old[-1]] * (sub.n - 1) + [old[0]])
+    assert bits_calls == []
