@@ -247,26 +247,31 @@ class _Budget:
         self.left -= 1
 
 
-def _enumerate_tables(X: FiniteSpace, Y: FiniteSpace, cand, budget: _Budget):
-    """Backtracking over order-preserving tables.
-
-    ``cand`` is a per-point bitmask of allowed target values.  Constraint
-    propagation restricts every comparable pair as soon as one side is
-    assigned: ``later[i]`` lists the points j > i comparable to i, each
-    with whether it lies above i, read once from ``X.up_ids`` /
-    ``X.down_ids`` before the search starts.  The order of that list does
-    not change the tables yielded or the budget spent: every restriction
-    is undone before the next value is tried, and an emptied candidate set
-    rejects the value whichever pair empties it first.
-    """
-    n = X.n
-    cand = list(cand)
-    table = [0] * n
-    Yup, Ydown = Y.up, Y.down
-    later = [
+def _later_comparable(X: FiniteSpace):
+    """``later[i]``: the points j > i comparable to i, each with whether it
+    lies above i, read off ``X.up_ids`` / ``X.down_ids``.  Built once per
+    search and shared by all its calls of ``_enumerate_tables``."""
+    return [
         [(j, True) for j in ups if j > i] + [(j, False) for j in downs if j > i]
         for i, (ups, downs) in enumerate(zip(X.up_ids, X.down_ids))
     ]
+
+
+def _enumerate_tables(later, Y: FiniteSpace, cand, budget: _Budget):
+    """Backtracking over order-preserving tables X -> Y, where ``later`` is
+    ``_later_comparable(X)``.
+
+    ``cand`` is a per-point bitmask of allowed target values.  Constraint
+    propagation restricts every comparable pair, as listed in ``later``,
+    as soon as one side is assigned.  The order of ``later[i]`` does not
+    change the tables yielded or the budget spent: every restriction is
+    undone before the next value is tried, and an emptied candidate set
+    rejects the value whichever pair empties it first.
+    """
+    n = len(later)
+    cand = list(cand)
+    table = [0] * n
+    Yup, Ydown = Y.up, Y.down
 
     def assign(i):
         if i == n:
@@ -304,16 +309,16 @@ def enumerate_maps(X: FiniteSpace, Y: FiniteSpace, budget=DEFAULT_BUDGET):
     """All continuous maps X -> Y as value tables."""
     b = _Budget(budget)
     full = Y.full
-    return list(_enumerate_tables(X, Y, [full] * X.n, b))
+    return list(_enumerate_tables(_later_comparable(X), Y, [full] * X.n, b))
 
 
-def _neighbor_tables(X, Y, table, direction, budget: _Budget):
+def _neighbor_tables(later, Y, table, direction, budget: _Budget):
     """Continuous tables pointwise above ('up') or below ('down') table."""
     if direction == "up":
         cand = [Y.up[v] for v in table]
     else:
         cand = [Y.down[v] for v in table]
-    return _enumerate_tables(X, Y, cand, budget)
+    return _enumerate_tables(later, Y, cand, budget)
 
 
 def fence_bfs(f: OrderMap, g: OrderMap, budget=DEFAULT_BUDGET):
@@ -331,13 +336,14 @@ def fence_bfs(f: OrderMap, g: OrderMap, budget=DEFAULT_BUDGET):
             "homotopic", [start], X, Y, reason="maps equal"
         )
     b = _Budget(budget)
+    later = _later_comparable(X)
     parent = {start: None}
     queue = deque([start])
     try:
         while queue:
             cur = queue.popleft()
             for direction in ("up", "down"):
-                for nxt in _neighbor_tables(X, Y, cur, direction, b):
+                for nxt in _neighbor_tables(later, Y, cur, direction, b):
                     if nxt in parent:
                         continue
                     parent[nxt] = cur
@@ -388,9 +394,10 @@ def hom_components(X: FiniteSpace, Y: FiniteSpace, budget=DEFAULT_BUDGET):
     # linking via comparability: it suffices to link each map with its
     # pointwise-upward neighbours
     b = _Budget(budget * 4)
+    later = _later_comparable(X)
     for t in tables:
         i = index[t]
-        for nxt in _neighbor_tables(X, Y, t, "up", b):
+        for nxt in _neighbor_tables(later, Y, t, "up", b):
             if nxt != t:
                 union(i, index[nxt])
     groups = {}

@@ -339,10 +339,11 @@ def test_enumerate_maps_matches_brute_force(X, Y):
 def test_enumerate_tables_decodes_no_mask_per_assignment(bits_calls):
     X = random_poset(random.Random(3), 8)
     Y = khalimsky_circle(3).space
+    later = homotopy_module._later_comparable(X)
     budget = homotopy_module._Budget(10**6)
     bits_calls.clear()
     tables = list(
-        homotopy_module._enumerate_tables(X, Y, [Y.full] * X.n, budget)
+        homotopy_module._enumerate_tables(later, Y, [Y.full] * X.n, budget)
     )
     assert tables and 10**6 - budget.left > 100  # assignments tried
     assert bits_calls == []
