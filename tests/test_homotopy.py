@@ -323,7 +323,6 @@ def test_replay_rejects_empty_and_unanchored_fences():
     assert HomotopyVerdict("homotopic", [f.table], S3, S3).replay(f, f)
 
 
-
 @settings(max_examples=200)
 @given(posets(max_n=5), posets(max_n=4))
 def test_enumerate_maps_matches_brute_force(X, Y):
