@@ -259,7 +259,7 @@ def _later_comparable(X: FiniteSpace):
 
 def _enumerate_tables(later, Y: FiniteSpace, cand, budget: _Budget):
     """Backtracking over order-preserving tables X -> Y, where ``later`` is
-    ``_later_comparable(X)``.
+    ``_later_comparable(X)``; tables come in lexicographic order.
 
     ``cand`` is a per-point bitmask of allowed target values.  Constraint
     propagation restricts every comparable pair, as listed in ``later``,
@@ -267,42 +267,60 @@ def _enumerate_tables(later, Y: FiniteSpace, cand, budget: _Budget):
     change the tables yielded or the budget spent: every restriction is
     undone before the next value is tried, and an emptied candidate set
     rejects the value whichever pair empties it first.
+
+    The search is one loop over an explicit stack, so it has no depth
+    limit: at depth i, ``untried[i]`` is the mask of values of point i not
+    yet tried and ``saved[i]`` the restrictions (j, old cand[j]) made by
+    the value it holds now, undone when depth i + 1 runs out of values.
+    Every value tried spends one unit of ``budget``.
     """
     n = len(later)
+    if n == 0:
+        yield ()
+        return
     cand = list(cand)
     table = [0] * n
+    untried = [0] * n
+    saved = [None] * n
     Yup, Ydown = Y.up, Y.down
-
-    def assign(i):
-        if i == n:
-            yield tuple(table)
-            return
-        m = cand[i]
-        nbrs = later[i]
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            budget.spend()
-            table[i] = v
-            above, below = Yup[v], Ydown[v]
-            saved = []
-            ok = True
-            for j, up in nbrs:
-                old = cand[j]
-                new = old & (above if up else below)
-                if new != old:
-                    saved.append((j, old))
-                    cand[j] = new
-                    if not new:
-                        ok = False
-                        break
-            if ok:
-                yield from assign(i + 1)
-            for j, old in saved:
+    spend = budget.spend
+    last = n - 1
+    i = 0
+    untried[0] = cand[0]
+    while True:
+        m = untried[i]
+        if not m:
+            if i == 0:
+                return
+            i -= 1
+            for j, old in saved[i]:
                 cand[j] = old
-
-    yield from assign(0)
+            continue
+        low = m & -m
+        untried[i] = m ^ low
+        v = low.bit_length() - 1
+        spend()
+        table[i] = v
+        above, below = Yup[v], Ydown[v]
+        undo = []
+        for j, up in later[i]:
+            old = cand[j]
+            new = old & (above if up else below)
+            if new != old:
+                undo.append((j, old))
+                cand[j] = new
+                if not new:
+                    break
+        else:
+            if i == last:
+                yield tuple(table)
+                continue  # later[last] is empty: nothing to undo
+            saved[i] = undo
+            i += 1
+            untried[i] = cand[i]
+            continue
+        for j, old in undo:
+            cand[j] = old
 
 
 def enumerate_maps(X: FiniteSpace, Y: FiniteSpace, budget=DEFAULT_BUDGET):
@@ -325,7 +343,9 @@ def fence_bfs(f: OrderMap, g: OrderMap, budget=DEFAULT_BUDGET):
     """BFS over the comparability graph of continuous maps from f to g.
 
     Returns a HomotopyVerdict; 'not_homotopic' is only reported when the
-    whole component of f was exhausted within the budget.
+    whole component of f was exhausted within the budget.  The reason
+    counts the maps reached, f included, and the budget spent; an
+    exhausted budget gives 'unknown'.
     """
     if f.source != g.source or f.target != g.target:
         raise MismatchedSpaces("maps must share source and target")
@@ -356,17 +376,21 @@ def fence_bfs(f: OrderMap, g: OrderMap, budget=DEFAULT_BUDGET):
                             fence.append(prev)
                         fence.reverse()
                         return HomotopyVerdict(
-                            "homotopic", fence, X, Y, reason="fence-bfs"
+                            "homotopic", fence, X, Y,
+                            reason=f"fence-bfs reached g among {len(parent)} "
+                            f"maps (budget {budget - b.left} of {budget} spent)",
                         )
                     queue.append(nxt)
     except BudgetExceeded:
         return HomotopyVerdict(
-            "unknown", reason=f"fence-bfs budget {budget} exhausted"
+            "unknown",
+            reason=f"fence-bfs budget {budget} exhausted "
+            f"after reaching {len(parent)} maps",
         )
     return HomotopyVerdict(
         "not_homotopic",
-        reason=f"comparability component of f exhausted "
-        f"({len(parent)} maps) without reaching g",
+        reason=f"comparability component of f exhausted ({len(parent)} maps, "
+        f"budget {budget - b.left} of {budget} spent) without reaching g",
     )
 
 
@@ -592,7 +616,7 @@ def nullhomotopic_in(
 def minimal_iso_check(X: FiniteSpace, Y: FiniteSpace):
     """Order-isomorphism between minimal spaces, or None.
 
-    Candidates are partitioned by (|down|, |up|, #covers) signatures before
+    Candidates are partitioned by (|down|, |up|) signatures before
     backtracking.
     """
     if beat_points(X):

@@ -1,11 +1,12 @@
 import random
-from itertools import product as iproduct
+import re
+from itertools import islice, product as iproduct
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import finspace.homotopy as homotopy_module
-from finspace.errors import NotMinimal
+from finspace.errors import BudgetExceeded, NotMinimal
 from finspace.homotopy import (
     HomotopyVerdict,
     beat_points,
@@ -22,6 +23,7 @@ from finspace.homotopy import (
 )
 from finspace.space import (
     DownSet,
+    FiniteSpace,
     OrderMap,
     bits,
     build_space,
@@ -30,6 +32,8 @@ from finspace.space import (
     khalimsky_circle,
     khalimsky_interval,
     popcount,
+    product,
+    projections,
 )
 from finspace.witness import build_chain
 
@@ -346,3 +350,169 @@ def test_enumerate_tables_decodes_no_mask_per_assignment(bits_calls):
     )
     assert tables and 10**6 - budget.left > 100  # assignments tried
     assert bits_calls == []
+
+
+def reference_enumerate_tables(later, Y, cand, budget):
+    """The recursive enumerator that the explicit-stack one replaced: one
+    generator frame per domain point.  Kept as the reference for the
+    order of the tables and the budget spent."""
+    n = len(later)
+    cand = list(cand)
+    table = [0] * n
+
+    def assign(i):
+        if i == n:
+            yield tuple(table)
+            return
+        m = cand[i]
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            budget.spend()
+            table[i] = v
+            saved = []
+            ok = True
+            for j, up in later[i]:
+                old = cand[j]
+                new = old & (Y.up[v] if up else Y.down[v])
+                if new != old:
+                    saved.append((j, old))
+                    cand[j] = new
+                    if not new:
+                        ok = False
+                        break
+            if ok:
+                yield from assign(i + 1)
+            for j, old in saved:
+                cand[j] = old
+
+    yield from assign(0)
+
+
+def run_enumerator(enumerate_tables, later, Y, cand, budget):
+    """(tables yielded, budget left, whether the budget ran out)."""
+    b = homotopy_module._Budget(budget)
+    tables = []
+    try:
+        for t in enumerate_tables(later, Y, cand, b):
+            tables.append(t)
+    except BudgetExceeded:
+        return tables, b.left, True
+    return tables, b.left, False
+
+
+def assert_enumerators_agree(X, Y, cands):
+    later = homotopy_module._later_comparable(X)
+    for cand in cands:
+        for budget in (1, 3, 17, 10**6):
+            got = run_enumerator(
+                homotopy_module._enumerate_tables, later, Y, cand, budget
+            )
+            want = run_enumerator(reference_enumerate_tables, later, Y, cand, budget)
+            assert got == want, (cand, budget)
+
+
+@settings(max_examples=200)
+@given(posets(max_n=6), posets(max_n=4), st.randoms(use_true_random=False))
+def test_enumerate_tables_matches_recursive_reference(X, Y, rnd):
+    # full candidate sets, the up- and down-neighbours of a table, and
+    # random (possibly empty) candidate masks
+    t = tuple(rnd.randrange(Y.n) for _ in range(X.n))
+    cands = [
+        [Y.full] * X.n,
+        [Y.up[v] for v in t],
+        [Y.down[v] for v in t],
+        [rnd.randrange(Y.full + 1) for _ in range(X.n)],
+    ]
+    assert_enumerators_agree(X, Y, cands)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(homotopy_module, "_enumerate_tables", reference_enumerate_tables)
+        want = hom_components(X, Y)
+    assert hom_components(X, Y) == want
+
+
+def test_enumerate_tables_empty_domain():
+    E = build_space([], [])
+    Y = khalimsky_circle(2).space
+    assert_enumerators_agree(E, Y, [[]])
+    # the empty table, without spending budget
+    assert run_enumerator(homotopy_module._enumerate_tables, [], Y, [], 1) == (
+        [()], 1, False
+    )
+    assert enumerate_maps(E, Y) == [()]
+
+
+SIERPINSKI = build_space(["open", "closed"], [(0, 1)])
+
+
+@pytest.fixture(scope="module")
+def chain_1200():
+    """The chain 0 < 1 < ... < 1199, built from its down-sets."""
+    return FiniteSpace([str(i) for i in range(1200)], [(2 << i) - 1 for i in range(1200)])
+
+
+def test_fence_bfs_on_a_core_deeper_than_the_recursion_limit():
+    # S1_16 x S1_16 is its own core, so "auto" runs fence BFS on all 1024
+    # points; pi1 is rigid, so its component is pi1 alone
+    C = khalimsky_circle(16).space
+    P = product(C, C)
+    pi1, pi2 = projections(C, C, P)
+    v = homotopic(pi1, pi2)
+    assert v.status == "not_homotopic"
+    assert v.reason.startswith("comparability component of f exhausted (1 maps,")
+    assert "on the domain core (1024 of 1024 points)" in v.reason
+
+
+def test_fence_bfs_on_a_long_chain(chain_1200):
+    # from the constant at the closed point, the first table below it is
+    # the constant at the open point: the BFS descends all 1200 points
+    X = chain_1200
+    f, g = constant_map(X, SIERPINSKI, 1), constant_map(X, SIERPINSKI, 0)
+    v = homotopic(f, g, "fence-bfs")
+    assert v.is_homotopic and v.replay(f, g)
+    assert v.fence == [f.table, g.table]
+
+
+def test_enumerate_maps_on_long_domains(chain_1200):
+    # a Khalimsky circle of 1200 points is connected: into two discrete
+    # points only the constants are continuous
+    X = khalimsky_circle(600).space
+    D = build_space(["a", "b"], [])
+    assert enumerate_maps(X, D) == [(0,) * 1200, (1,) * 1200]
+    # the monotone maps of a 1200-chain into the Sierpinski space, in
+    # lexicographic order, are 0^(1200-k) 1^k; the first few come from
+    # descending all 1200 points
+    later = homotopy_module._later_comparable(chain_1200)
+    b = homotopy_module._Budget(10**6)
+    head = list(
+        islice(
+            homotopy_module._enumerate_tables(later, SIERPINSKI, [3] * 1200, b), 4
+        )
+    )
+    assert head == [(0,) * (1200 - k) + (1,) * k for k in range(4)]
+
+
+def test_fence_bfs_reasons_count_maps_and_budget():
+    X = khalimsky_circle(3).space
+    f, g = constant_map(X, X, 0), constant_map(X, X, 2)
+    v = fence_bfs(f, g, 10**5)
+    m = re.fullmatch(
+        r"fence-bfs reached g among (\d+) maps \(budget (\d+) of 100000 spent\)",
+        v.reason,
+    )
+    assert v.is_homotopic and m, v.reason
+    reached, spent = int(m[1]), int(m[2])
+    assert len(v.fence) <= reached and 0 < spent <= 10**5
+    # the identity of a circle is rigid: its component is one map
+    v = fence_bfs(identity_map(X), f, 10**5)
+    m = re.fullmatch(
+        r"comparability component of f exhausted \(1 maps, budget (\d+) of "
+        r"100000 spent\) without reaching g",
+        v.reason,
+    )
+    assert v.status == "not_homotopic" and m, v.reason
+    # an exhausted budget stays unknown
+    v = fence_bfs(f, g, 3)
+    assert v.status == "unknown" and not v.fence
+    assert re.fullmatch(r"fence-bfs budget 3 exhausted after reaching \d+ maps", v.reason)
