@@ -138,11 +138,6 @@ def parse_circle_map(text: str) -> CircleMap:
     return CircleMap(m, n, tuple(int(v) for v in parts[3:]))
 
 
-def quotient_map(m: int):
-    """q : Z -> Z/2m."""
-    return lambda z: z % (2 * m)
-
-
 def identity_circle_map(m: int) -> CircleMap:
     return CircleMap(m, m, tuple(range(2 * m)))
 

@@ -124,9 +124,10 @@ def _space_sources(p, square_ok=False):
         )
 
 
-def _common(p):
+def _common(p, budget=False):
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--budget", type=int, default=None, help="search budget")
+    if budget:
+        p.add_argument("--budget", type=int, default=None, help="search budget")
 
 
 def build_parser() -> _Parser:
@@ -152,7 +153,7 @@ def build_parser() -> _Parser:
         choices=["auto", "fence-bfs", "exhaustive-components"],
         default="auto",
     )
-    _common(p)
+    _common(p, budget=True)
 
     p = sub.add_parser("degree", help="winding degree of a circle map")
     p.add_argument("f", help="circlemap line or file")
@@ -168,7 +169,7 @@ def build_parser() -> _Parser:
     p.add_argument("--limit", type=int)
     p.add_argument("--witness", help="cover file giving an upper bound")
     p.add_argument("--force", action="store_true")
-    _common(p)
+    _common(p, budget=True)
 
     p = sub.add_parser("tc", help="topological complexity of a digital circle")
     p.add_argument("--circle", type=int, required=True)
@@ -180,7 +181,7 @@ def build_parser() -> _Parser:
     p.add_argument("--limit", type=int)
     p.add_argument("--witness", help="cover file giving an upper bound")
     p.add_argument("--force", action="store_true")
-    _common(p)
+    _common(p, budget=True)
 
     p = sub.add_parser("colorings", help="simple colorings of the square grid")
     p.add_argument("--n", type=int, required=True)
@@ -190,7 +191,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-witness", help="check the explicit two-piece witness")
     p.add_argument("--k", type=int, required=True)
-    _common(p)
+    _common(p, budget=True)
 
     p = sub.add_parser("export-complex", help="order complex as an .asc file")
     _space_sources(p, square_ok=True)
@@ -201,7 +202,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "reproduce", help="recompute the headline values and compare"
     )
-    _common(p)
+    _common(p, budget=True)
 
     return top
 

@@ -50,13 +50,6 @@ def table_cmp(Y: FiniteSpace, t1, t2):
     return "leq" if leq else "geq"
 
 
-@dataclass(frozen=True)
-class FenceStep:
-    frm: OrderMap
-    to: OrderMap
-    direction: str  # 'leq' | 'geq' | 'equal'
-
-
 @dataclass
 class HomotopyVerdict:
     """Outcome of a homotopy decision.
@@ -667,12 +660,3 @@ def minimal_iso_check(X: FiniteSpace, Y: FiniteSpace):
     if bt(0):
         return list(assign)
     return None
-
-
-def homeomorphic_cores(X: FiniteSpace, Y: FiniteSpace) -> bool:
-    """Homotopy equivalence test via Stong: homeomorphic cores."""
-    cx = core(X).space
-    cy = core(Y).space
-    if cx.n != cy.n:
-        return False
-    return minimal_iso_check(cx, cy) is not None

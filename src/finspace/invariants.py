@@ -120,7 +120,6 @@ class TorusChecker:
         self.P = product(self.X, self.X)
         self.pi1, self.pi2 = projections(self.X, self.X, self.P)
         self.rec_target = recognize_circle(self.X)
-        self._memo = {}  # (mode, mask) -> (verdict, budget it was decided at)
         # per circle point x: (z, lifted displacement) for each z >= x
         self._ups = [
             [(z, self._delta(x, z)) for z in self.X.up_ids[x]]
@@ -339,27 +338,17 @@ class TorusChecker:
         )
 
     def _decide(self, mask: int, mode: str, budget: int):
-        """Winding obstruction, else ``_projections_verdict``, memoized per
-        mode and mask.  A decided verdict is reused at any budget; an
-        "unknown" only for a budget no larger than the one that gave it."""
-        known = self._memo.get((mode, mask))
-        if known is not None:
-            v, spent = known
-            if v.status != "unknown" or budget <= spent:
-                return v
+        """Winding obstruction, else ``_projections_verdict``."""
         if not self.P.is_open(mask):
             raise NotOpen("piece is not open in the product")
         hit = self.winding_obstruction(mask, mode)
         if hit is not None:
-            p, q, wx, wy = hit
+            _, _, wx, wy = hit
             what = "distinct windings" if mode == "sc" else "nonzero winding"
-            v = HomotopyVerdict(
+            return HomotopyVerdict(
                 "not_homotopic", reason=f"cycle with {what} ({wx},{wy})"
             )
-        else:
-            v = self._projections_verdict(mask, mode, budget)
-        self._memo[(mode, mask)] = (v, budget)
-        return v
+        return self._projections_verdict(mask, mode, budget)
 
     def is_section_categorical(self, mask: int, budget: int = DEFAULT_BUDGET):
         """Decide pi1|U ~ pi2|U for the open set U given by ``mask``."""
@@ -635,8 +624,7 @@ def tc(
     orbit of phi x phi (phi in Aut(S)) with the factor swap, order 4n,
     which preserves pi1|U ~ pi2|U.  phi x psi with phi != psi does not: a
     rotation of S is not homotopic to the identity.  A given ``checker``
-    (with its memo) is used in place of a new one; it must be built on
-    ``circle``.
+    is used in place of a new one; it must be built on ``circle``.
     """
     if checker is None:
         checker = TorusChecker(circle)
@@ -674,9 +662,6 @@ class SquareGrid:
         bi = self.circle.b(i % self.n)
         bj = self.circle.b(j % self.n)
         return P.down[self.checker.pair(bi, bj)]
-
-    def cell_index(self, i: int, j: int) -> int:
-        return (i % self.n) * self.n + (j % self.n)
 
     def all_cells(self):
         return [
@@ -921,9 +906,9 @@ def two_color_refutation(grid: SquareGrid, budget: int = DEFAULT_BUDGET):
     """No 2-piece principal cover of S x S is section-categorical.
 
     Non-simple colorings die by the line lemma; every simple 2-coloring,
-    with no symmetry factored out, is checked piece by piece (the
-    checker's memo absorbs pieces shared between colorings).  Returns
-    (refuted, colorings, notes).
+    with no symmetry factored out, is checked piece by piece; a piece
+    shared between colorings is decided once.  Returns (refuted,
+    colorings, notes).
     """
     notes = []
     degs = line_lemma(grid)
@@ -933,12 +918,16 @@ def two_color_refutation(grid: SquareGrid, budget: int = DEFAULT_BUDGET):
     colorings = enumerate_simple_colorings(grid, 2, symmetry=False)
     notes.append(f"{len(colorings)} simple 2-colorings")
     refuted = True
+    verdict_of = {}  # piece mask -> verdict
     for idx, col in enumerate(colorings):
         cov = cover_from_coloring(grid, col)
-        verdicts = [
-            grid.checker.is_section_categorical(p.members, budget)
-            for p in cov.pieces
-        ]
+        verdicts = []
+        for p in cov.pieces:
+            if p.members not in verdict_of:
+                verdict_of[p.members] = grid.checker.is_section_categorical(
+                    p.members, budget
+                )
+            verdicts.append(verdict_of[p.members])
         bad = [v for v in verdicts if v.status == "not_homotopic"]
         if bad:
             notes.append(f"coloring {idx}: fails ({bad[0].reason})")

@@ -117,6 +117,14 @@ def test_verify_witness_json(capsys):
         ["verify-witness", "--k", "5", "--report", "json"],
         ["homotopic", "circlemap 2 2 0 1 2 3", "circlemap 2 2 0 1 2 3",
          "--strategy", "core-degree"],
+        # --budget only on the commands that search
+        ["space", "--circle", "2", "--budget", "5"],
+        ["core", "--circle", "2", "--budget", "5"],
+        ["degree", "circlemap 2 2 0 1 2 3", "--budget", "5"],
+        ["classify", "circlemap 2 2 0 1 2 3", "circlemap 2 2 0 1 2 3",
+         "--budget", "5"],
+        ["colorings", "--n", "3", "--colors", "2", "--budget", "5"],
+        ["export-complex", "--cycle", "4", "--budget", "5"],
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
@@ -141,13 +149,16 @@ def test_export_complex_to_file(capsys, tmp_path):
 
 def test_budget_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("FINSPACE_BUDGET", "nope")
-    code, _, err = run(capsys, "degree", "circlemap 2 2 0 1 2 3")
+    code, _, err = run(
+        capsys, "homotopic", "circlemap 2 2 0 1 2 3", "circlemap 2 2 0 1 2 3"
+    )
     assert code == 1
 
 
 def test_bad_budget_flag(capsys):
     code, _, err = run(
-        capsys, "degree", "circlemap 2 2 0 1 2 3", "--budget", "-5"
+        capsys, "homotopic", "circlemap 2 2 0 1 2 3", "circlemap 2 2 0 1 2 3",
+        "--budget", "-5",
     )
     assert code == 1
 

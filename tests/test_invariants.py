@@ -254,6 +254,34 @@ def test_two_color_refutation_for_n4():
     assert "24 simple 2-colorings" in notes
 
 
+def test_two_color_refutation_decides_each_piece_once(monkeypatch):
+    g = square_grid(4)
+    asked = []
+    decide = g.checker.is_section_categorical
+
+    def counted(mask, budget):
+        asked.append(mask)
+        return decide(mask, budget)
+
+    monkeypatch.setattr(g.checker, "is_section_categorical", counted)
+    refuted, colorings, notes = two_color_refutation(g)
+    pieces = [
+        p.members for col in colorings for p in cover_from_coloring(g, col).pieces
+    ]
+    assert len(pieces) == 48 and len(asked) == 24
+    assert sorted(asked) == sorted(set(pieces))
+    # the notes are those of deciding every piece of every coloring afresh
+    fresh = TorusChecker(g.circle)
+    for idx, col in enumerate(colorings):
+        verdicts = [
+            fresh.is_section_categorical(p.members)
+            for p in cover_from_coloring(g, col).pieces
+        ]
+        bad = [v for v in verdicts if v.status == "not_homotopic"]
+        assert notes[2 + idx] == f"coloring {idx}: fails ({bad[0].reason})"
+    assert refuted and len(notes) == 2 + len(colorings)
+
+
 def test_tc_via_colorings_uses_no_symmetry_reduction(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("symmetry reduction on the refutation path")
@@ -265,24 +293,17 @@ def test_tc_via_colorings_uses_no_symmetry_reduction(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["is_section_categorical", "is_categorical"])
-def test_memo_reuses_unknown_only_up_to_its_budget(method):
-    K = khalimsky_circle(4)
-    ch = TorusChecker(K)
+def test_checker_verdict_depends_only_on_budget(method):
+    # no verdict outlives its call: a small budget after a large one gives
+    # the small budget's answer again
+    ch = TorusChecker(khalimsky_circle(4))
     mask = ch.P.down[ch.pair(1, 1)] | ch.P.down[ch.pair(1, 5)]
     decide = getattr(ch, method)
-    small = decide(mask, 1)
-    if method == "is_categorical":
-        # the lift decides a categorical piece at any budget
-        assert small.status == "homotopic"
-        assert decide(mask, 10**6) is small
-        return
-    assert small.status == "unknown"
-    assert decide(mask, 1) is small
-    big = decide(mask, 10**6)
-    assert big.status == "homotopic"
-    assert big.status == getattr(TorusChecker(K), method)(mask).status
-    # a decided verdict is reused at any budget, a smaller one included
-    assert decide(mask, 1) is big
+    # the lift decides a categorical piece at any budget
+    small = "homotopic" if method == "is_categorical" else "unknown"
+    assert decide(mask, 1).status == small
+    assert decide(mask, 10**6).status == "homotopic"
+    assert decide(mask, 1).status == small
 
 
 def test_tc_rejects_checker_of_another_circle():
@@ -511,16 +532,15 @@ def test_lift_certifies_every_winding_free_piece(drawn):
                 return
 
 
-def test_exact_cat_memo_keeps_no_id_tuples():
-    # the id tuples are lazy, so a memoized cat verdict's subspace, which
-    # only answers mask queries, must not carry them
-    K = khalimsky_circle(3)
-    ch = TorusChecker(K)
+def test_checker_keeps_no_state_across_searches():
+    # a checker keeps what it was built with, and no container it holds
+    # grows: the partition search keeps the only piece memo
+    ch = TorusChecker(khalimsky_circle(4))
+    before = dict(vars(ch))
+    sizes = {k: len(v) for k, v in before.items() if isinstance(v, (dict, list))}
     assert cat(ch.P, checker=ch).value == 2
-    spaces = [
-        v.fence_space
-        for (mode, _), (v, _) in ch._memo.items()
-        if mode == "cat" and v.fence_space is not None
-    ]
-    assert spaces
-    assert all(Z._down_ids is None and Z._up_ids is None for Z in spaces)
+    assert tc(ch.circle, checker=ch).value == 2
+    after = vars(ch)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+    assert sizes == {k: len(after[k]) for k in sizes}
