@@ -19,7 +19,7 @@ from .errors import (
     NotApplicable,
     PreconditionViolated,
 )
-from .space import FiniteSpace
+from .space import FiniteSpace, parse_ints
 
 
 def ht(z: int) -> int:
@@ -132,10 +132,10 @@ class CircleMap:
 
 def parse_circle_map(text: str) -> CircleMap:
     parts = text.split()
-    if not parts or parts[0] != "circlemap":
+    if len(parts) < 3 or parts[0] != "circlemap":
         raise InvalidParameter(f"bad circlemap line: {text!r}")
-    m, n = int(parts[1]), int(parts[2])
-    return CircleMap(m, n, tuple(int(v) for v in parts[3:]))
+    m, n, *table = parse_ints(parts[1:], text)
+    return CircleMap(m, n, tuple(table))
 
 
 def identity_circle_map(m: int) -> CircleMap:

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import BoundsOnly, FinspaceError, InvalidParameter, MismatchedSpaces
+from .errors import FinspaceError, InvalidParameter, MismatchedSpaces
 from .space import (
     DownSet,
     FiniteSpace,
@@ -499,9 +499,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except BoundsOnly as e:
-        print(f"bounds only: {e}", file=sys.stderr)
-        return EXIT_BOUNDS
     except (AssertionError, FinspaceError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

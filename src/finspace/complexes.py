@@ -128,8 +128,3 @@ def format_hasse_dot(X: FiniteSpace, name: str = "space") -> str:
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_hasse_dot(X: FiniteSpace, path, name: str = "space") -> None:
-    with open(path, "w") as fh:
-        fh.write(format_hasse_dot(X, name))

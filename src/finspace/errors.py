@@ -63,11 +63,3 @@ class PreconditionViolated(FinspaceError):
         self.clause = clause
         super().__init__(f"precondition failed: {clause}")
 
-
-class BoundsOnly(FinspaceError):
-    """An exact search could not settle the value; carries (lower, upper)."""
-
-    def __init__(self, lower, upper, detail=""):
-        self.lower = lower
-        self.upper = upper
-        super().__init__(f"bounds only: {lower} <= value <= {upper} {detail}".rstrip())

@@ -24,12 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from sys import byteorder
 
-from .errors import (
-    BoundsOnly,
-    InvalidParameter,
-    MismatchedSpaces,
-    NotOpen,
-)
+from .errors import InvalidParameter, MismatchedSpaces, NotOpen
 from .homotopy import (
     DEFAULT_BUDGET,
     HomotopyVerdict,
@@ -47,6 +42,8 @@ from .space import (
     KhalimskyCircle,
     bits,
     khalimsky_circle,
+    parse_downset,
+    parse_ints,
     product,
     projections,
 )
@@ -93,17 +90,11 @@ def format_cover(cover: Cover, name: str = "X") -> str:
 
 def parse_cover(space: FiniteSpace, text: str) -> Cover:
     lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if head[0] != "cover":
+    head = lines[0].split() if lines else []
+    if len(head) < 3 or head[0] != "cover":
         raise InvalidParameter("missing cover header")
-    c = int(head[2])
-    pieces = []
-    for line in lines[1 : 1 + c]:
-        m = 0
-        for tok in line.split():
-            m |= 1 << int(tok)
-        pieces.append(DownSet(space, m))
-    return Cover(space, pieces)
+    (c,) = parse_ints(head[2:3], lines[0])
+    return Cover(space, [parse_downset(space, l) for l in lines[1 : 1 + c]])
 
 
 # -- the torus certifier -----------------------------------------------
@@ -529,14 +520,24 @@ class _PartitionSearch:
 def _exact_invariant(
     name, space, check_piece, limit, force, start=1, notes=(), group=()
 ):
-    """Least c - 1 over certified c-piece covers, trying c = start, start+1..."""
+    """Least c - 1 over certified c-piece covers, trying c = start, start+1...
+
+    Covers with fewer than ``start`` pieces must be excluded by the caller.
+    The search stops at the first certified cover (exact), at the first c
+    with undecided partitions, or past ``limit`` pieces; a stopped search,
+    or one not run past ``MAX_EXACT_MAXIMALS`` without ``force``, returns
+    bounds: lower is the largest refuted piece count, at least start - 1.
+    """
     searcher = _PartitionSearch(space, check_piece, group)
     nmax = len(searcher.maximals)
-    if nmax > MAX_EXACT_MAXIMALS and not force:
-        raise BoundsOnly(
-            start - 1, None, f"{nmax} maximal elements; pass force for exact mode"
-        )
     notes = list(notes)
+    lower = start - 1
+    if nmax > MAX_EXACT_MAXIMALS and not force:
+        notes.append(
+            f"{nmax} maximal elements > {MAX_EXACT_MAXIMALS}: "
+            f"pass force (--force) for exact search"
+        )
+        return InvariantResult(name, None, lower, None, False, None, notes)
     cmax = limit if limit is not None else nmax
     for c in range(start, cmax + 1):
         cover = searcher.cover(c)
@@ -545,12 +546,14 @@ def _exact_invariant(
             notes.append(searcher.counts())
             return InvariantResult(name, c - 1, c - 1, c - 1, True, cover, notes)
         if searcher.undecided:
-            raise BoundsOnly(
-                c, None,
-                f"{searcher.undecided} partitions undecided at {c} pieces",
-            )
+            notes.append(f"{searcher.undecided} partitions undecided at {c} pieces")
+            break
         notes.append(f"no certified cover with {c} pieces (exhaustive)")
-    raise BoundsOnly(cmax, None, f"no cover found up to {cmax} pieces")
+        lower = c
+    else:
+        notes.append(f"search stopped at the limit of {cmax} pieces")
+    notes.append(searcher.counts())
+    return InvariantResult(name, None, lower, None, False, None, notes)
 
 
 def _witness_invariant(name, lower, space, check_piece, witness):
@@ -944,22 +947,21 @@ def tc_via_colorings(
     circle: KhalimskyCircle, budget: int = DEFAULT_BUDGET
 ) -> InvariantResult:
     """tc of a digital circle with the 2-piece impossibility argued through
-    simple colorings, then a first certified 3-piece cover."""
+    simple colorings, then the exact search from 3 pieces on."""
     checker = TorusChecker(circle)
     grid = SquareGrid(circle, checker)
     refuted, _, notes = two_color_refutation(grid, budget)
     notes = ["lower bound 1 from the topological circle"] + notes
     if not refuted:
-        raise BoundsOnly(1, None, "a simple 2-coloring was not refuted")
+        notes.append("a simple 2-coloring was not refuted")
+        return InvariantResult("tc", None, 1, None, False, None, notes)
     notes.append("no certified cover with 2 pieces (colorings + line lemma)")
 
     def check(mask):
         return checker.is_section_categorical(mask, budget)
 
-    searcher = _PartitionSearch(checker.P, check, checker.symmetries("sc"))
-    cover = searcher.cover(3)
-    if cover is None:
-        raise BoundsOnly(2, None, "no certified 3-piece cover found")
-    notes.append("certified 3-piece cover found")
-    notes.append(searcher.counts())
-    return InvariantResult("tc", 2, 2, 2, True, cover, notes)
+    # no maximals gate: the colorings, the costly part, are already paid for
+    return _exact_invariant(
+        "tc", checker.P, check, None, True,
+        start=3, notes=notes, group=checker.symmetries("sc"),
+    )

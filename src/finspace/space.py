@@ -129,23 +129,9 @@ class FiniteSpace:
     def leq(self, x: int, y: int) -> bool:
         return bool((self.down[y] >> x) & 1)
 
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self.leq(x, y)
-
-    def comparable_points(self, x: int, y: int) -> bool:
-        return self.leq(x, y) or self.leq(y, x)
-
     def min_open(self, x: int) -> "DownSet":
         """Smallest open set containing x (its reflexive down-set)."""
         return DownSet(self, self.down[x])
-
-    def interval_down(self, b: int) -> "DownSet":
-        """[-,b]: all x <= b (reflexive)."""
-        return DownSet(self, self.down[b])
-
-    def interval_up(self, a: int) -> int:
-        """[a,-] as a bitmask: all x >= a (reflexive)."""
-        return self.up[a]
 
     def interval(self, a: int, b: int) -> int:
         """[a,b] as a bitmask: all x with a <= x <= b."""
@@ -172,16 +158,6 @@ class FiniteSpace:
         for x in bits(mask):
             down |= self.down[x]
         return down == mask
-
-    def open_hull(self, mask: int) -> "DownSet":
-        """Smallest open superset: union of min_open over the set."""
-        out = 0
-        for x in bits(mask):
-            out |= self.down[x]
-        return DownSet(self, out)
-
-    def downset(self, mask: int) -> "DownSet":
-        return DownSet(self, mask)
 
     def all_open_sets(self):
         """Every open set, by enumeration of down-closed subsets.
@@ -350,8 +326,7 @@ class KhalimskyCircle:
     """The 2n-point digital circle.
 
     Point ids are residues 0..2n-1; a_i has id 2i (minimal, open) and b_i
-    has id 2i+1 (maximal, closed).  Display labels use the customary
-    residues 1..2n, so label(id) = id+1.
+    has id 2i+1 (maximal, closed), with display labels "a{i}" and "b{i}".
     """
 
     n: int
@@ -362,13 +337,6 @@ class KhalimskyCircle:
 
     def b(self, i: int) -> int:
         return (2 * i + 1) % (2 * self.n)
-
-    def residue_to_id(self, r: int) -> int:
-        """Map a residue in 1..2n (mod 2n) to a point id."""
-        return (r - 1) % (2 * self.n)
-
-    def id_to_residue(self, p: int) -> int:
-        return p + 1
 
 
 def khalimsky_circle(n: int) -> KhalimskyCircle:
@@ -395,12 +363,6 @@ class KhalimskyInterval:
     k: int
     l: int
     space: FiniteSpace
-
-    def id_of(self, z: int) -> int:
-        return z - self.k
-
-    def int_of(self, p: int) -> int:
-        return p + self.k
 
 
 def khalimsky_interval(k: int, l: int) -> KhalimskyInterval:
@@ -431,14 +393,6 @@ def product(X: FiniteSpace, Y: FiniteSpace) -> FiniteSpace:
         down += [rows * block for block in Y.down]
         labels += [f"({X.labels[x]},{l})" for l in Y.labels]
     return FiniteSpace(labels, down)
-
-
-def pair_id(X: FiniteSpace, Y: FiniteSpace, x: int, y: int) -> int:
-    return x * Y.n + y
-
-
-def unpair_id(X: FiniteSpace, Y: FiniteSpace, p: int):
-    return divmod(p, Y.n)
 
 
 # -- continuous maps ---------------------------------------------------
@@ -541,6 +495,14 @@ def write_space(X: FiniteSpace, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_ints(tokens, line: str) -> list:
+    """``tokens``, read from the text ``line``, as integers."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise InvalidParameter(f"not an integer in {line!r}") from None
+
+
 def read_space(text: str) -> FiniteSpace:
     labels = {}
     covers = []
@@ -549,12 +511,13 @@ def read_space(text: str) -> FiniteSpace:
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
-        if parts[0] == "space":
-            n = int(parts[2])
-        elif parts[0] == "point":
-            labels[int(parts[1])] = parts[2] if len(parts) > 2 else parts[1]
-        elif parts[0] == "cover":
-            covers.append((int(parts[1]), int(parts[2])))
+        if parts[0] == "space" and len(parts) >= 3:
+            (n,) = parse_ints(parts[2:3], line)
+        elif parts[0] == "point" and len(parts) >= 2:
+            (p,) = parse_ints(parts[1:2], line)
+            labels[p] = parts[2] if len(parts) > 2 else parts[1]
+        elif parts[0] == "cover" and len(parts) >= 3:
+            covers.append(tuple(parse_ints(parts[1:3], line)))
         else:
             raise InvalidParameter(f"bad space line: {line!r}")
     if n is None:
@@ -564,6 +527,8 @@ def read_space(text: str) -> FiniteSpace:
 
 def parse_downset(space: FiniteSpace, text: str) -> DownSet:
     m = 0
-    for tok in text.split():
-        m |= 1 << int(tok)
+    for p in parse_ints(text.split(), text):
+        if not 0 <= p < space.n:
+            raise InvalidParameter(f"point {p} outside the space")
+        m |= 1 << p
     return DownSet(space, m)

@@ -5,6 +5,7 @@ enforces a wall-clock budget, so regressions in either correctness or
 performance show up as a single failing line in the report.
 """
 
+import json
 import random
 import time
 
@@ -18,6 +19,7 @@ from finspace.circles import (
     lift,
     recognize_circle,
 )
+from finspace.cli import main
 from finspace.complexes import (
     barycentric_facet_count,
     cycle_complex,
@@ -51,6 +53,7 @@ from finspace.space import (
     khalimsky_circle,
     khalimsky_interval,
     popcount,
+    write_space,
 )
 from finspace.witness import build_U, build_V, build_chain, displayed_core, verify_bundle
 
@@ -309,3 +312,63 @@ def test_order_complex_and_face_poset_structures():
         )
         bary = order_complex(face_poset(K))
         assert len(bary.facets) == barycentric_facet_count(K)
+
+
+# -- bounds print as results --------------------------------------------
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    got = capsys.readouterr()
+    assert "bounds only" not in got.out + got.err
+    return code, got.out, got.err
+
+
+def test_gated_search_prints_its_bounds_with_notes(capsys):
+    # S1_6 x S1_6 has 36 maximals, past the exact-search gate
+    clk = Clock(5)
+    code, out, err = run_cli(capsys, "tc", "--circle", "6")
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "tc in [1, ?]"
+    assert any("36 maximal" in l and "--force" in l for l in lines[1:])
+    code, out, _ = run_cli(capsys, "tc", "--circle", "6", "--format", "json")
+    assert code == 2
+    doc = json.loads(out)
+    assert (doc["exact"], doc["lower"], doc["upper"]) == (False, 1, None)
+    assert any("36 maximal" in n and "--force" in n for n in doc["notes"])
+    clk.check()
+
+
+def test_coloring_route_settles_the_smallest_circle(capsys):
+    clk = Clock(10)
+    code, out, _ = run_cli(capsys, "tc", "--circle", "2", "--via-colorings")
+    assert code == 0 and out.splitlines()[0] == "3"
+    clk.check()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tc", "--circle", "3", "--limit", "0"],
+        ["cat", "--circle", "2", "--square", "--limit", "1"],
+        ["cat", "--file", "{path}", "--budget", "40"],
+    ],
+)
+def test_bounds_print_as_results_in_text_and_json(capsys, tmp_path, argv):
+    # the file holds a 10-point poset whose 2-piece search stays undecided
+    # under the small budget
+    pairs = [
+        (0, 8), (1, 6), (1, 9), (2, 8), (2, 9), (3, 5), (3, 6), (3, 9),
+        (4, 8), (4, 9), (5, 6), (7, 8), (7, 9),
+    ]
+    path = tmp_path / "x.space"
+    path.write_text(write_space(build_space(list(range(10)), pairs), "X"))
+    argv = [a.format(path=path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and err == ""
+    assert out.splitlines()[0] == f"{argv[0]} in [1, ?]"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 2 and doc["exact"] is False and doc["lower"] == 1
+    assert doc["notes"][-1].startswith("search: ")

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import finspace
 import finspace.cli as cli_module
 import finspace.invariants as invariants_module
 from finspace.cli import main
-from finspace.invariants import Cover, format_cover
-from finspace.space import DownSet
+from finspace.circles import parse_circle_map
+from finspace.errors import InvalidParameter
+from finspace.invariants import Cover, format_cover, parse_cover
+from finspace.space import DownSet, khalimsky_circle, read_space
 from finspace.witness import build_U, build_V
 
 
@@ -192,3 +198,57 @@ def test_tc_witness_builds_one_product(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "tc", "--circle", "5", "--witness", str(path))
     assert code == 0 and out.splitlines()[0] == "1"
     assert len(calls) == 1
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a
+    traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(finspace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "finspace.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["tc", "--circle", "3", "--witness", "{path}"], ""),
+        (["tc", "--circle", "3", "--witness", "{path}"], "cover X 1\n0 1 x\n"),
+        (["degree", "circlemap 2"], None),
+        (["space", "--file", "{path}"], "cover X 1\n0 1 2 3 4 5\n"),
+    ],
+    ids=["empty-cover", "cover-token", "short-circlemap", "cover-as-space"],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, argv, text):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    got = run_process(*(a.format(path=path) for a in argv))
+    assert got.returncode == 1
+    assert got.stderr.startswith("error:")
+    assert "Traceback" not in got.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "space X\n", "space X 2\npoint\n", "space X 2\ncover 0\n", "space X two\n"],
+)
+def test_read_space_rejects_malformed_text(text):
+    with pytest.raises(InvalidParameter):
+        read_space(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "cover X\n", "cover X 1\n0 -1\n", "cover X 1\n0 1 2 3 99\n"]
+)
+def test_parse_cover_rejects_malformed_text(text):
+    with pytest.raises(InvalidParameter):
+        parse_cover(khalimsky_circle(2).space, text)
+
+
+@pytest.mark.parametrize("text", ["", "circlemap", "circlemap 2 x", "circlemap 2 2 0 1 2 z"])
+def test_parse_circle_map_rejects_malformed_text(text):
+    with pytest.raises(InvalidParameter):
+        parse_circle_map(text)

@@ -31,7 +31,7 @@ from finspace.invariants import (
     two_color_refutation,
 )
 from finspace.homotopy import HomotopyVerdict, homotopic
-from finspace.space import DownSet, OrderMap, bits, khalimsky_circle
+from finspace.space import DownSet, OrderMap, bits, build_space, khalimsky_circle
 
 
 def arcs_cover(X, blocks):
@@ -544,3 +544,75 @@ def test_checker_keeps_no_state_across_searches():
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
     assert sizes == {k: len(after[k]) for k in sizes}
+
+
+# -- bounds ------------------------------------------------------------
+
+
+def test_undecided_partitions_bound_by_the_refuted_piece_count():
+    # at 2 pieces one partition stays undecided under the small budget, so
+    # only 1 piece is refuted: cat >= 1, and the true value is 1
+    pairs = [
+        (0, 8), (1, 6), (1, 9), (2, 8), (2, 9), (3, 5), (3, 6), (3, 9),
+        (4, 8), (4, 9), (5, 6), (7, 8), (7, 9),
+    ]
+    X = build_space([str(i) for i in range(10)], pairs)
+    res = cat(X, budget=40)
+    assert not res.exact and (res.lower, res.upper) == (1, None)
+    assert "1 partitions undecided at 2 pieces" in res.notes
+    assert res.notes[-1].endswith("1 undecided partitions")
+    assert cat(X).value == 1
+
+
+def test_limit_below_the_seed_keeps_the_seeded_bound():
+    res = tc(khalimsky_circle(3), limit=0)
+    assert not res.exact and (res.value, res.lower, res.upper) == (None, 1, None)
+    assert res.cover is None
+    assert res.notes[:2] == [
+        "lower bound 1 from the topological circle",
+        "search stopped at the limit of 0 pieces",
+    ]
+
+
+def test_limit_bounds_by_the_refuted_piece_counts():
+    res = tc(khalimsky_circle(2), limit=3)
+    assert not res.exact and res.lower == 3
+    assert "no certified cover with 3 pieces (exhaustive)" in res.notes
+    assert str(res) == "tc in [3, ?]"
+
+
+@pytest.mark.parametrize("start", [1, 2, 3])
+def test_unknown_pieces_bound_below_the_start(start):
+    X = khalimsky_circle(3).space
+    res = invariants_module._exact_invariant(
+        "cat", X, lambda mask: HomotopyVerdict("unknown"), None, False,
+        start=start, notes=["seed"],
+    )
+    assert not res.exact
+    assert (res.value, res.lower, res.upper) == (None, start - 1, None)
+    # 3 maximals: 1, 4 and 5 partitions into at most 1, 2 and 3 blocks
+    undecided = {1: 1, 2: 4, 3: 5}[start]
+    assert res.notes[:2] == ["seed", f"{undecided} partitions undecided at {start} pieces"]
+
+
+def test_maximals_gate_returns_the_seed_without_searching():
+    asked = []
+    ch = TorusChecker(khalimsky_circle(6))
+    res = invariants_module._exact_invariant(
+        "tc", ch.P, asked.append, None, False, start=2, notes=["seed"],
+    )
+    assert asked == []
+    assert not res.exact and (res.lower, res.upper) == (1, None)
+    assert res.notes == [
+        "seed", "36 maximal elements > 30: pass force (--force) for exact search"
+    ]
+
+
+def test_coloring_route_continues_past_three_pieces():
+    res = tc_via_colorings(khalimsky_circle(2))
+    assert res.exact and res.value == 3 and len(res.cover.pieces) == 4
+    assert all(v.is_homotopic for v in res.cover.certificates)
+    assert res.notes[-3:-1] == [
+        "no certified cover with 3 pieces (exhaustive)",
+        "certified 4-piece cover found",
+    ]
