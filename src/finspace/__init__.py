@@ -1,4 +1,10 @@
-"""Exact homotopy invariants of finite T0-spaces and Khalimsky circles."""
+"""Exact homotopy invariants of finite T0-spaces and Khalimsky circles.
+
+``__all__`` is the public API, with ``format_cover`` to write the cover
+files that ``finspace cat/tc --witness`` read.  The invariants, the
+colorings and the witness live in ``finspace.invariants`` and
+``finspace.witness``.
+"""
 
 from .space import (
     DownSet,
@@ -17,14 +23,11 @@ from .space import (
 )
 from .homotopy import (
     HomotopyVerdict,
-    beat_points,
     comparable,
     core,
     fence_bfs,
     hom_components,
     homotopic,
-    is_contractible,
-    minimal_iso_check,
     nullhomotopic_in,
 )
 from .circles import (
@@ -33,15 +36,18 @@ from .circles import (
     LiftRecord,
     classify_homotopic,
     degree,
+    epsilon,
+    fence_to_constant,
     lift,
     monotone_normalize,
     recognize_circle,
+    staircase_fence,
 )
 from .complexes import (
     SimplicialComplex,
-    face_poset,
     order_complex,
 )
+from .invariants import format_cover
 
 __version__ = "0.1.0"
 
@@ -60,24 +66,24 @@ __all__ = [
     "product",
     "projections",
     "HomotopyVerdict",
-    "beat_points",
     "comparable",
     "core",
     "fence_bfs",
     "hom_components",
     "homotopic",
-    "is_contractible",
-    "minimal_iso_check",
     "nullhomotopic_in",
     "CircleMap",
     "IntervalMap",
     "LiftRecord",
     "classify_homotopic",
     "degree",
+    "epsilon",
+    "fence_to_constant",
     "lift",
     "monotone_normalize",
     "recognize_circle",
+    "staircase_fence",
     "SimplicialComplex",
-    "face_poset",
     "order_complex",
+    "format_cover",
 ]

@@ -138,20 +138,6 @@ def parse_circle_map(text: str) -> CircleMap:
     return CircleMap(m, n, tuple(table))
 
 
-def identity_circle_map(m: int) -> CircleMap:
-    return CircleMap(m, m, tuple(range(2 * m)))
-
-
-def constant_circle_map(m: int, n: int, v: int) -> CircleMap:
-    return CircleMap(m, n, tuple([v] * (2 * m)))
-
-
-def rotate_circle_map(f: CircleMap, r: int) -> CircleMap:
-    """Postcompose with rotation by r residues (r even keeps continuity)."""
-    size = 2 * f.n
-    return CircleMap(f.m, f.n, tuple((v + r) % size for v in f.table))
-
-
 # -- lifts and degree --------------------------------------------------
 
 

@@ -15,7 +15,6 @@ import sys
 from . import __version__
 from .errors import FinspaceError, InvalidParameter, MismatchedSpaces
 from .space import (
-    DownSet,
     FiniteSpace,
     OrderMap,
     bits,
@@ -42,7 +41,6 @@ from .invariants import (
     tc,
     tc_via_colorings,
     enumerate_simple_colorings,
-    format_cover,
 )
 from .witness import verify_bundle
 
@@ -324,7 +322,16 @@ def _result_payload(res):
     return out
 
 
+def _exact_search_only(args, route):
+    """``--limit`` and ``--force`` tune exact search; ``route`` is the flag
+    that chose another route instead, or None."""
+    given = [f for f, on in (("--limit", args.limit is not None), ("--force", args.force)) if on]
+    if route and given:
+        raise _Usage(f"only exact search takes {' and '.join(given)}; {route} does not")
+
+
 def _cmd_cat(args):
+    _exact_search_only(args, "--witness" if args.witness else None)
     budget = _budget_of(args)
     if getattr(args, "square", False) and args.circle is not None:
         checker = TorusChecker(khalimsky_circle(args.circle))
@@ -350,6 +357,12 @@ def _cmd_cat(args):
 
 
 def _cmd_tc(args):
+    if args.witness and args.via_colorings:
+        raise _Usage("--witness and --via-colorings exclude each other")
+    _exact_search_only(
+        args,
+        "--witness" if args.witness else "--via-colorings" if args.via_colorings else None,
+    )
     budget = _budget_of(args)
     circle = khalimsky_circle(args.circle)
     if args.witness:

@@ -1,11 +1,11 @@
-"""Order complexes, face posets, and exports for simplicial tools."""
+"""Order complexes and exports for simplicial tools."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
-from .space import FiniteSpace, bits, build_space
+from .space import FiniteSpace, bits
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,6 @@ class SimplicialComplex:
         covered = set().union(*self.facets) if self.facets else set()
         if covered != set(range(len(self.vertices))):
             raise InvalidParameter("every vertex must appear in some facet")
-
-    def simplices(self):
-        """All simplices, smallest first."""
-        out = set()
-        for f in self.facets:
-            elems = sorted(f)
-            for mask in range(1, 1 << len(elems)):
-                out.add(frozenset(elems[i] for i in bits(mask)))
-        return sorted(out, key=lambda s: (len(s), sorted(s)))
 
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
@@ -76,28 +67,6 @@ def order_complex(X: FiniteSpace) -> SimplicialComplex:
     for x in bits(X.minimal_elements()):
         extend([x], x)
     return make_complex(list(X.labels), facets)
-
-
-def face_poset(K: SimplicialComplex) -> FiniteSpace:
-    """All simplices of K ordered by inclusion."""
-    simp = K.simplices()
-    index = {s: i for i, s in enumerate(simp)}
-    covers = []
-    for s in simp:
-        if len(s) == 1:
-            continue
-        for v in s:
-            covers.append((index[s - {v}], index[s]))
-    labels = ["|".join(str(K.vertices[v]) for v in sorted(s)) for s in simp]
-    return build_space(labels, covers)
-
-
-def barycentric_facet_count(K: SimplicialComplex) -> int:
-    """Expected facet count of the barycentric subdivision: each facet of
-    dimension d contributes (d+1)! maximal chains."""
-    from math import factorial
-
-    return sum(factorial(len(f)) for f in K.facets)
 
 
 # -- exports -----------------------------------------------------------

@@ -35,10 +35,6 @@ class NotOpen(FinspaceError):
     pass
 
 
-class NotMinimal(FinspaceError):
-    pass
-
-
 class NotContinuous(FinspaceError):
     def __init__(self, stage, witness):
         self.stage = stage

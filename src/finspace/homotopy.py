@@ -1,8 +1,14 @@
 """Homotopy of maps between finite spaces via Stong fences and cores.
 
-The machinery here is exact: every "homotopic" answer carries a replayable
-fence certificate, every "not homotopic" answer an obstruction, and budget
-exhaustion surfaces as an explicit Unknown, never as a guess.
+The machinery here is exact: every "not homotopic" answer rests on an
+obstruction or an exhausted search, and budget exhaustion surfaces as an
+explicit Unknown, never as a guess.  A "homotopic" answer carries a fence
+that ``HomotopyVerdict.replay`` re-checks when equal maps, agreement on
+the domain core or fence BFS decided it (a fence on the domain from f to
+g), or a point core did (a fence between constants on the cores, with the
+core's inclusion in ``core_old_ids``).  Circle classification and the
+'exhaustive-components' strategy carry no fence, so ``replay()`` is False
+on their verdicts.
 """
 
 from __future__ import annotations
@@ -11,13 +17,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .errors import BudgetExceeded, MismatchedSpaces, NotMinimal, NotOpen
+from .errors import BudgetExceeded, MismatchedSpaces, NotOpen
 from .space import (
     DownSet,
     FiniteSpace,
     OrderMap,
     check_continuous,
-    popcount,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -55,9 +60,18 @@ class HomotopyVerdict:
     """Outcome of a homotopy decision.
 
     status is 'homotopic', 'not_homotopic' or 'unknown'.  A homotopic
-    verdict carries a fence (list of value tables on ``fence_space``); the
-    fence may live on a core of the original domain, in which case
-    ``core_old_ids`` records the inclusion used.
+    verdict may carry a fence, a list of value tables ``fence_space`` ->
+    ``target``.  Which ones do:
+
+    - equal maps, agreement on the domain core and fence BFS: a fence on
+      the domain, from f to g;
+    - a point core: a fence between constants on core(X) -> core(Y), with
+      the core's point ids in the domain in ``core_old_ids``;
+    - circle classification and 'exhaustive-components': none
+      (``fence == []``), so ``replay()`` is False on them.
+
+    Outside ``homotopic``, a categorical piece of S x S carries its lift
+    fence from the inclusion to a constant, and an empty piece none.
     """
 
     status: str
@@ -99,27 +113,6 @@ class HomotopyVerdict:
 
 
 # -- beat points and cores --------------------------------------------
-
-
-def beat_points(X: FiniteSpace):
-    """All beat points as (point, kind, witness).
-
-    kind 'up' means the strict up-set has a minimum (the witness); 'down'
-    dually.
-    """
-    out = []
-    for x in range(X.n):
-        up = X.up[x] & ~(1 << x)
-        for y in X.up_ids[x]:
-            if y != x and X.up[y] & up == up:
-                out.append((x, "up", y))
-                break
-        down = X.down[x] & ~(1 << x)
-        for y in X.down_ids[x]:
-            if y != x and X.down[y] & down == down:
-                out.append((x, "down", y))
-                break
-    return out
 
 
 def _beat_status(X: FiniteSpace, mask: int, x: int):
@@ -219,10 +212,6 @@ def core(X: FiniteSpace) -> CoreData:
         inclusion,
         CollapseSequence(X, removals, mask),
     )
-
-
-def is_contractible(X: FiniteSpace) -> bool:
-    return core(X).space.n == 1
 
 
 # -- enumeration of continuous maps -----------------------------------
@@ -601,62 +590,3 @@ def nullhomotopic_in(
     base = old_ids[0]
     const = OrderMap(sub, X, [base] * sub.n)
     return homotopic(incl, const, "auto", budget)
-
-
-# -- homeomorphism of minimal spaces ----------------------------------
-
-
-def minimal_iso_check(X: FiniteSpace, Y: FiniteSpace):
-    """Order-isomorphism between minimal spaces, or None.
-
-    Candidates are partitioned by (|down|, |up|) signatures before
-    backtracking.
-    """
-    if beat_points(X):
-        raise NotMinimal("X has beat points")
-    if beat_points(Y):
-        raise NotMinimal("Y has beat points")
-    if X.n != Y.n:
-        return None
-
-    def sig(Z, x):
-        return (
-            popcount(Z.down[x]),
-            popcount(Z.up[x]),
-        )
-
-    sx = [sig(X, x) for x in range(X.n)]
-    sy = [sig(Y, y) for y in range(Y.n)]
-    if sorted(sx) != sorted(sy):
-        return None
-    cands = [
-        [y for y in range(Y.n) if sy[y] == sx[x]] for x in range(X.n)
-    ]
-    assign = [-1] * X.n
-    used = [False] * Y.n
-
-    def bt(i):
-        if i == X.n:
-            return True
-        for y in cands[i]:
-            if used[y]:
-                continue
-            ok = True
-            for j in range(i):
-                if X.leq(i, j) != Y.leq(y, assign[j]) or X.leq(
-                    j, i
-                ) != Y.leq(assign[j], y):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = y
-                used[y] = True
-                if bt(i + 1):
-                    return True
-                used[y] = False
-                assign[i] = -1
-        return False
-
-    if bt(0):
-        return list(assign)
-    return None

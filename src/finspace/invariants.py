@@ -68,19 +68,6 @@ class Cover:
             raise InvalidParameter("pieces do not cover the space")
 
 
-def principalize(cover: Cover) -> Cover:
-    """Shrink each piece to the union of down-sets of its maximal elements."""
-    X = cover.space
-    maxs = X.maximal_elements()
-    pieces = []
-    for p in cover.pieces:
-        m = 0
-        for x in bits(p.members & maxs):
-            m |= X.down[x]
-        pieces.append(DownSet(X, m))
-    return Cover(X, pieces)
-
-
 def format_cover(cover: Cover, name: str = "X") -> str:
     lines = [f"cover {name} {len(cover.pieces)}"]
     for p in cover.pieces:
@@ -122,6 +109,19 @@ class TorusChecker:
 
     def pair(self, x: int, y: int) -> int:
         return x * self.X.n + y
+
+    def projections_on_circle(self, old_ids, rec):
+        """pi1 and pi2 restricted to a circle in S x S, as CircleMaps.
+
+        ``old_ids[p]`` is the product point of point p of the circle, and
+        ``rec`` its ``recognize_circle`` numbering; either map is None if
+        it is not a circle map.
+        """
+        t1, t2 = zip(*map(self.coords, old_ids))
+        return (
+            circle_map_from_order_map(t1, rec, self.rec_target),
+            circle_map_from_order_map(t2, rec, self.rec_target),
+        )
 
     def symmetries(self, mode: str):
         """The group that preserves ``mode`` verdicts, as permutations of
@@ -350,12 +350,6 @@ class TorusChecker:
         return self._decide(mask, "cat", budget)
 
 
-def is_section_categorical(
-    U: DownSet, circle: KhalimskyCircle, budget: int = DEFAULT_BUDGET
-) -> HomotopyVerdict:
-    return TorusChecker(circle).is_section_categorical(U.members, budget)
-
-
 def is_categorical(
     U: DownSet, X: FiniteSpace, budget: int = DEFAULT_BUDGET
 ) -> HomotopyVerdict:
@@ -556,11 +550,17 @@ def _exact_invariant(
     return InvariantResult(name, None, lower, None, False, None, notes)
 
 
+def _check_mode(mode, witness):
+    """A witness cover is given exactly in witness mode."""
+    if mode == "witness" and witness is None:
+        raise InvalidParameter("witness mode needs a cover")
+    if mode != "witness" and witness is not None:
+        raise InvalidParameter(f"a witness cover needs mode='witness', not {mode!r}")
+
+
 def _witness_invariant(name, lower, space, check_piece, witness):
     """Upper bound from a witness cover of ``space``; exact when it meets
     ``lower``."""
-    if witness is None:
-        raise InvalidParameter("witness mode needs a cover")
     if witness.space != space:
         raise MismatchedSpaces("witness cover of a different space")
     verdicts = [check_piece(p.members) for p in witness.pieces]
@@ -590,8 +590,10 @@ def cat(
     decides one piece per orbit of Aut(S)^2 with the factor swap (order
     8n^2), since a homeomorphism maps categorical pieces to categorical
     pieces.  Without one, pieces of X go through ``nullhomotopic_in`` and
-    the search uses no symmetry.
+    the search uses no symmetry.  A ``witness`` is read only in witness
+    mode, which needs one.
     """
+    _check_mode(mode, witness)
     if checker is not None:
 
         def check(mask):
@@ -627,8 +629,10 @@ def tc(
     orbit of phi x phi (phi in Aut(S)) with the factor swap, order 4n,
     which preserves pi1|U ~ pi2|U.  phi x psi with phi != psi does not: a
     rotation of S is not homotopic to the identity.  A given ``checker``
-    is used in place of a new one; it must be built on ``circle``.
+    is used in place of a new one; it must be built on ``circle``.  A
+    ``witness`` is read only in witness mode, which needs one.
     """
+    _check_mode(mode, witness)
     if checker is None:
         checker = TorusChecker(circle)
     elif checker.X != circle.space:
@@ -665,13 +669,6 @@ class SquareGrid:
         bi = self.circle.b(i % self.n)
         bj = self.circle.b(j % self.n)
         return P.down[self.checker.pair(bi, bj)]
-
-    def all_cells(self):
-        return [
-            (i, j, self.cell_mask(i, j))
-            for i in range(self.n)
-            for j in range(self.n)
-        ]
 
     def line_masks(self):
         """Point masks of every full horizontal and vertical line."""
@@ -715,28 +712,6 @@ class Coloring:
         return f"coloring {self.n} {self.colors}\n" + "\n".join(self.rows()) + "\n"
 
 
-def parse_coloring(text: str) -> Coloring:
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if head[0] != "coloring":
-        raise InvalidParameter("missing coloring header")
-    n, colors = int(head[1]), int(head[2])
-    assignment = [0] * (n * n)
-    for r, row in enumerate(lines[1 : 1 + n]):
-        for c, ch in enumerate(row):
-            assignment[c * n + r] = int(ch)
-    return Coloring(n, colors, tuple(assignment))
-
-
-def coloring_from_rows(rows, colors: int) -> Coloring:
-    n = len(rows)
-    assignment = [0] * (n * n)
-    for r, row in enumerate(rows):
-        for c, ch in enumerate(str(row)):
-            assignment[c * n + r] = int(ch)
-    return Coloring(n, colors, tuple(assignment))
-
-
 def cover_from_coloring(grid: SquareGrid, coloring: Coloring) -> Cover:
     """Piece i = union of the cells colored i."""
     n = grid.n
@@ -747,38 +722,6 @@ def cover_from_coloring(grid: SquareGrid, coloring: Coloring) -> Cover:
     P = grid.checker.P
     pieces = [DownSet(P, m) for m in masks if m]
     return Cover(P, pieces)
-
-
-def coloring_from_cover(grid: SquareGrid, cover: Cover) -> Coloring:
-    """Read colors back off a cover whose pieces are unions of cells."""
-    n = grid.n
-    assignment = [None] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            cm = grid.cell_mask(i, j)
-            for ci, p in enumerate(cover.pieces):
-                if cm & ~p.members == 0:
-                    assignment[i * n + j] = ci
-                    break
-        # a cover from a coloring always has each cell inside its piece
-    if any(a is None for a in assignment):
-        raise InvalidParameter("cover pieces are not unions of cells")
-    return Coloring(n, len(cover.pieces), tuple(assignment))
-
-
-def is_simple(grid: SquareGrid, coloring: Coloring) -> bool:
-    """No color class contains a full horizontal or vertical point line."""
-    lines = grid.line_masks()
-    n = grid.n
-    masks = [0] * coloring.colors
-    for i in range(n):
-        for j in range(n):
-            masks[coloring.color(i, j)] |= grid.cell_mask(i, j)
-    for m in masks:
-        for line in lines:
-            if line & ~m == 0:
-                return False
-    return True
 
 
 def cell_symmetries(grid: SquareGrid):
@@ -887,17 +830,13 @@ def line_lemma(grid: SquareGrid):
     fence between the projections would restrict to the line and force
     equal degrees.  Returns the (d1, d2) pairs, one per line.
     """
-    rec_t = grid.checker.rec_target
     out = []
     for mask in grid.line_masks():
         sub, old_ids = grid.checker.P.subspace(mask)
         rec = recognize_circle(sub)
         if rec is None:
             raise AssertionError("a full line must be a circle")
-        t1 = [grid.checker.coords(old_ids[p])[0] for p in range(sub.n)]
-        t2 = [grid.checker.coords(old_ids[p])[1] for p in range(sub.n)]
-        cm1 = circle_map_from_order_map(t1, rec, rec_t)
-        cm2 = circle_map_from_order_map(t2, rec, rec_t)
+        cm1, cm2 = grid.checker.projections_on_circle(old_ids, rec)
         d1, d2 = degree(cm1), degree(cm2)
         if d1 == d2:
             raise AssertionError("projections agree on a line")

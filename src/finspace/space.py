@@ -9,12 +9,10 @@ reduces to bit arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     CycleDetected,
     InvalidParameter,
-    MismatchedSpaces,
     NotOrderPreserving,
 )
 
@@ -159,40 +157,6 @@ class FiniteSpace:
             down |= self.down[x]
         return down == mask
 
-    def all_open_sets(self):
-        """Every open set, by enumeration of down-closed subsets.
-
-        Exponential; only meant for cross-checks on tiny spaces.
-        """
-        # every down-set is determined by an antichain, but plain subset
-        # enumeration over all points is fine at these sizes
-        seen = set()
-        for r in range(self.n + 1):
-            for sub in combinations(range(self.n), r):
-                m = 0
-                for x in sub:
-                    m |= self.down[x]
-                seen.add(m)
-        return sorted(seen)
-
-    def connected_components(self):
-        """Components of the comparability graph, as bitmasks."""
-        left = self.full
-        out = []
-        while left:
-            seed = left & -left
-            comp = seed
-            frontier = seed
-            while frontier:
-                new = 0
-                for x in bits(frontier):
-                    new |= self.down[x] | self.up[x]
-                frontier = new & ~comp
-                comp |= new
-            out.append(comp)
-            left &= ~comp
-        return out
-
     # -- constructions -------------------------------------------------
 
     def subspace(self, mask: int):
@@ -215,11 +179,6 @@ class FiniteSpace:
             down.append(m)
         labels = [self.labels[p] for p in old]
         return FiniteSpace(labels, down), old
-
-    def relabel(self, labels):
-        Z = FiniteSpace(labels, self.down, self._covers)
-        Z._down_ids, Z._up_ids = self._down_ids, self._up_ids
-        return Z
 
     # -- dunder --------------------------------------------------------
 
@@ -262,12 +221,6 @@ class DownSet:
 
     def points(self):
         return list(bits(self.members))
-
-    def size(self) -> int:
-        return popcount(self.members)
-
-    def union(self, other: "DownSet") -> "DownSet":
-        return DownSet(self.space, self.members | other.members)
 
     def serialize(self) -> str:
         return " ".join(str(p) for p in self.points())
@@ -436,20 +389,6 @@ class OrderMap:
 
     def __repr__(self):
         return f"OrderMap({list(self.table)})"
-
-    def compose(self, inner: "OrderMap") -> "OrderMap":
-        """self o inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise MismatchedSpaces("composition spaces do not match")
-        return OrderMap(
-            inner.source, self.target, [self.table[v] for v in inner.table]
-        )
-
-    def image(self) -> int:
-        m = 0
-        for v in self.table:
-            m |= 1 << v
-        return m
 
     def restrict(self, sub: FiniteSpace, old_ids) -> "OrderMap":
         """Restriction along a subspace inclusion given by old_ids."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidParameter, NotContinuous, NotOpen, NotOrderPreserving
 from .homotopy import core, table_cmp
-from .circles import circle_map_from_order_map, classify_homotopic, degree, recognize_circle
+from .circles import classify_homotopic, degree, recognize_circle
 from .invariants import TorusChecker
 from .space import (
     DownSet,
@@ -424,10 +424,7 @@ def verify_bundle(k: int, budget: int = 10**6) -> WitnessReport:
     ok5 = False
     detail5 = "circle recognition failed"
     if recC is not None:
-        t1 = [checker.coords(oldC[p])[0] for p in range(subC.n)]
-        t2 = [checker.coords(oldC[p])[1] for p in range(subC.n)]
-        cm1 = circle_map_from_order_map(t1, recC, checker.rec_target)
-        cm2 = circle_map_from_order_map(t2, recC, checker.rec_target)
+        cm1, cm2 = checker.projections_on_circle(oldC, recC)
         d1, d2 = degree(cm1), degree(cm2)
         ok5 = (
             abs(d1) == 1

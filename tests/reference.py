@@ -1,0 +1,184 @@
+"""Brute-force reference checks that tests compare the library against.
+
+Nothing in ``src/`` uses these: each one recomputes, the slow and obvious
+way, something the program computes differently (or only feeds to a
+check).  Import them in a test module with ``from reference import ...``.
+"""
+
+from itertools import combinations
+from math import factorial
+
+from finspace.circles import CircleMap
+from finspace.complexes import SimplicialComplex
+from finspace.errors import FinspaceError
+from finspace.invariants import Coloring, SquareGrid
+from finspace.space import FiniteSpace, build_space, popcount
+
+
+class NotMinimal(FinspaceError):
+    """``minimal_iso_check`` was given a space with beat points."""
+
+
+# -- spaces ------------------------------------------------------------
+
+
+def all_open_sets(X: FiniteSpace):
+    """Every open set of X, by enumeration of down-closed subsets.
+
+    Exponential; only meant for cross-checks on tiny spaces.
+    """
+    seen = set()
+    for r in range(X.n + 1):
+        for sub in combinations(range(X.n), r):
+            m = 0
+            for x in sub:
+                m |= X.down[x]
+            seen.add(m)
+    return sorted(seen)
+
+
+def beat_points(X: FiniteSpace):
+    """All beat points as (point, kind, witness).
+
+    kind 'up' means the strict up-set has a minimum (the witness); 'down'
+    dually.
+    """
+    out = []
+    for x in range(X.n):
+        up = X.up[x] & ~(1 << x)
+        for y in X.up_ids[x]:
+            if y != x and X.up[y] & up == up:
+                out.append((x, "up", y))
+                break
+        down = X.down[x] & ~(1 << x)
+        for y in X.down_ids[x]:
+            if y != x and X.down[y] & down == down:
+                out.append((x, "down", y))
+                break
+    return out
+
+
+def minimal_iso_check(X: FiniteSpace, Y: FiniteSpace):
+    """Order-isomorphism between minimal spaces, or None.
+
+    Candidates are partitioned by (|down|, |up|) signatures before
+    backtracking.
+    """
+    if beat_points(X):
+        raise NotMinimal("X has beat points")
+    if beat_points(Y):
+        raise NotMinimal("Y has beat points")
+    if X.n != Y.n:
+        return None
+
+    def sig(Z, x):
+        return (popcount(Z.down[x]), popcount(Z.up[x]))
+
+    sx = [sig(X, x) for x in range(X.n)]
+    sy = [sig(Y, y) for y in range(Y.n)]
+    if sorted(sx) != sorted(sy):
+        return None
+    cands = [[y for y in range(Y.n) if sy[y] == sx[x]] for x in range(X.n)]
+    assign = [-1] * X.n
+    used = [False] * Y.n
+
+    def bt(i):
+        if i == X.n:
+            return True
+        for y in cands[i]:
+            if used[y]:
+                continue
+            if all(
+                X.leq(i, j) == Y.leq(y, assign[j])
+                and X.leq(j, i) == Y.leq(assign[j], y)
+                for j in range(i)
+            ):
+                assign[i] = y
+                used[y] = True
+                if bt(i + 1):
+                    return True
+                used[y] = False
+                assign[i] = -1
+        return False
+
+    if bt(0):
+        return list(assign)
+    return None
+
+
+# -- circle maps -------------------------------------------------------
+
+
+def identity_circle_map(m: int) -> CircleMap:
+    return CircleMap(m, m, tuple(range(2 * m)))
+
+
+def constant_circle_map(m: int, n: int, v: int) -> CircleMap:
+    return CircleMap(m, n, tuple([v] * (2 * m)))
+
+
+def rotate_circle_map(f: CircleMap, r: int) -> CircleMap:
+    """Postcompose with rotation by r residues (r even keeps continuity)."""
+    size = 2 * f.n
+    return CircleMap(f.m, f.n, tuple((v + r) % size for v in f.table))
+
+
+# -- complexes ---------------------------------------------------------
+
+
+def simplices(K: SimplicialComplex):
+    """All simplices of K, smallest first."""
+    out = set()
+    for f in K.facets:
+        elems = sorted(f)
+        for r in range(1, len(elems) + 1):
+            out.update(frozenset(c) for c in combinations(elems, r))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def face_poset(K: SimplicialComplex) -> FiniteSpace:
+    """All simplices of K ordered by inclusion."""
+    simp = simplices(K)
+    index = {s: i for i, s in enumerate(simp)}
+    covers = []
+    for s in simp:
+        if len(s) == 1:
+            continue
+        for v in s:
+            covers.append((index[s - {v}], index[s]))
+    labels = ["|".join(str(K.vertices[v]) for v in sorted(s)) for s in simp]
+    return build_space(labels, covers)
+
+
+def barycentric_facet_count(K: SimplicialComplex) -> int:
+    """Expected facet count of the barycentric subdivision: each facet of
+    dimension d contributes (d+1)! maximal chains."""
+    return sum(factorial(len(f)) for f in K.facets)
+
+
+# -- grid colorings ----------------------------------------------------
+
+
+def coloring_from_rows(rows, colors: int) -> Coloring:
+    """The coloring whose display rows (``Coloring.rows``) are ``rows``."""
+    n = len(rows)
+    assignment = [0] * (n * n)
+    for r, row in enumerate(rows):
+        for c, ch in enumerate(str(row)):
+            assignment[c * n + r] = int(ch)
+    return Coloring(n, colors, tuple(assignment))
+
+
+def is_simple(grid: SquareGrid, coloring: Coloring) -> bool:
+    """No color class contains a full horizontal or vertical point line."""
+    lines = grid.line_masks()
+    n = grid.n
+    masks = [0] * coloring.colors
+    for i in range(n):
+        for j in range(n):
+            masks[coloring.color(i, j)] |= grid.cell_mask(i, j)
+    for m in masks:
+        for line in lines:
+            if line & ~m == 0:
+                return False
+    return True

@@ -20,28 +20,15 @@ from finspace.circles import (
     recognize_circle,
 )
 from finspace.cli import main
-from finspace.complexes import (
-    barycentric_facet_count,
-    cycle_complex,
-    face_poset,
-    make_complex,
-    order_complex,
-)
+from finspace.complexes import cycle_complex, make_complex, order_complex
 from finspace.errors import InvalidParameter
-from finspace.homotopy import (
-    beat_points,
-    core,
-    hom_components,
-    is_contractible,
-    minimal_iso_check,
-)
+from finspace.homotopy import core, hom_components
 from finspace.invariants import (
     Cover,
     TorusChecker,
     canonical_coloring,
     cat,
     cell_symmetries,
-    coloring_from_rows,
     enumerate_simple_colorings,
     square_grid,
     tc,
@@ -56,6 +43,13 @@ from finspace.space import (
     write_space,
 )
 from finspace.witness import build_U, build_V, build_chain, displayed_core, verify_bundle
+from reference import (
+    barycentric_facet_count,
+    beat_points,
+    coloring_from_rows,
+    face_poset,
+    minimal_iso_check,
+)
 
 
 class Clock:
@@ -208,7 +202,7 @@ def test_core_machinery_is_sound():
     for n in range(2, 9):
         assert beat_points(khalimsky_circle(n).space) == []
     for t in range(0, 13):
-        assert is_contractible(khalimsky_interval(0, t).space)
+        assert core(khalimsky_interval(0, t).space).space.n == 1
     rng = random.Random(41)
     for _ in range(200):
         npts = rng.randint(2, 9)

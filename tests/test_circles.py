@@ -9,23 +9,21 @@ from finspace.circles import (
     IntervalMap,
     circle_map_from_order_map,
     classify_homotopic,
-    constant_circle_map,
     degree,
     epsilon,
     fence_to_constant,
     fence_to_monotone,
-    identity_circle_map,
     interval_cmp,
     lift,
     monotone_normalize,
     parse_circle_map,
     recognize_circle,
-    rotate_circle_map,
     staircase_fence,
 )
 from finspace.errors import BaseMismatch, InvalidParameter, MismatchedSizes, PreconditionViolated
 from finspace.homotopy import homotopic
 from finspace.space import OrderMap, khalimsky_circle, khalimsky_interval, product
+from reference import constant_circle_map, identity_circle_map, rotate_circle_map
 
 
 def random_circle_map(rng, m, n):

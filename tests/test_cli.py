@@ -11,7 +11,7 @@ import finspace.invariants as invariants_module
 from finspace.cli import main
 from finspace.circles import parse_circle_map
 from finspace.errors import InvalidParameter
-from finspace.invariants import Cover, format_cover, parse_cover
+from finspace.invariants import Cover, TorusChecker, cat, format_cover, parse_cover, tc
 from finspace.space import DownSet, khalimsky_circle, read_space
 from finspace.witness import build_U, build_V
 
@@ -136,6 +136,45 @@ def test_verify_witness_json(capsys):
 def test_removed_flags_are_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 1
+
+
+def write_cover(tmp_path, res):
+    path = tmp_path / "w.cover"
+    path.write_text(format_cover(res.cover))
+    return str(path)
+
+
+def test_via_colorings_rejects_limit(capsys):
+    code, out, err = run(capsys, "tc", "--circle", "2", "--via-colorings", "--limit", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--limit" in err
+    code, _, err = run(capsys, "tc", "--circle", "2", "--via-colorings", "--force")
+    assert code == 1 and "--force" in err
+
+
+def test_tc_witness_rejects_via_colorings_and_search_flags(capsys, tmp_path):
+    path = write_cover(tmp_path, tc(khalimsky_circle(3)))
+    code, out, err = run(
+        capsys, "tc", "--circle", "3", "--witness", path,
+        "--via-colorings", "--limit", "1", "--force",
+    )
+    assert code == 1 and out == "" and err.startswith("error:")
+    code, _, err = run(capsys, "tc", "--circle", "3", "--witness", path, "--via-colorings")
+    assert code == 1 and "--via-colorings" in err
+    code, _, err = run(capsys, "tc", "--circle", "3", "--witness", path, "--limit", "1")
+    assert code == 1 and "--limit" in err
+    code, out, _ = run(capsys, "tc", "--circle", "3", "--witness", path)
+    assert code == 2 and out.splitlines()[0] == "tc in [1, 2]"
+
+
+def test_cat_witness_rejects_search_flags(capsys, tmp_path):
+    path = write_cover(tmp_path, cat(None, checker=TorusChecker(khalimsky_circle(3))))
+    argv = ["cat", "--circle", "3", "--square", "--witness", path]
+    code, out, err = run(capsys, *argv, "--limit", "0", "--force")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--limit and --force" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out.splitlines()[0] == "cat in [0, 2]"
 
 
 def test_export_complex_cycle(capsys):

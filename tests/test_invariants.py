@@ -13,18 +13,12 @@ from finspace.invariants import (
     canonical_coloring,
     cat,
     cell_symmetries,
-    coloring_from_cover,
-    coloring_from_rows,
     cover_from_coloring,
     enumerate_simple_colorings,
     format_cover,
     is_categorical,
-    is_section_categorical,
-    is_simple,
     line_lemma,
-    parse_coloring,
     parse_cover,
-    principalize,
     square_grid,
     tc,
     tc_via_colorings,
@@ -32,6 +26,7 @@ from finspace.invariants import (
 )
 from finspace.homotopy import HomotopyVerdict, homotopic
 from finspace.space import DownSet, OrderMap, bits, build_space, khalimsky_circle
+from reference import coloring_from_rows, is_simple
 
 
 def arcs_cover(X, blocks):
@@ -49,13 +44,6 @@ def test_cover_must_cover():
     X = khalimsky_circle(2).space
     with pytest.raises(InvalidParameter):
         Cover(X, [DownSet(X, X.down[1])])
-
-
-def test_principalize_shrinks_to_maximal_downsets():
-    X = khalimsky_circle(3).space
-    cov = Cover(X, [DownSet(X, X.full)])
-    pr = principalize(cov)
-    assert pr.pieces[0].members == X.full
 
 
 def test_cover_serialization_round_trip():
@@ -127,8 +115,9 @@ def test_tc_witness_mode_round_trip():
 def test_grid_cells_partition_maximals():
     g = square_grid(3)
     seen = 0
-    for i, j, m in g.all_cells():
-        seen |= m
+    for i in range(g.n):
+        for j in range(g.n):
+            seen |= g.cell_mask(i, j)
     assert seen == g.checker.P.full
 
 
@@ -145,17 +134,6 @@ def test_cell_symmetry_group_order():
     syms = cell_symmetries(g)
     # rotations and reflections per factor, plus the swap
     assert len(syms) == 2 * (2 * 4) * (2 * 4)
-
-
-def test_coloring_round_trips():
-    col = coloring_from_rows(["1001", "0011", "0110", "1100"], 2)
-    text = col.serialize()
-    again = parse_coloring(text)
-    assert again.assignment == col.assignment
-    g = square_grid(4)
-    cov = cover_from_coloring(g, col)
-    back = coloring_from_cover(g, cov)
-    assert back.assignment == col.assignment
 
 
 def test_simple_rejects_full_row_class():
@@ -306,16 +284,20 @@ def test_checker_verdict_depends_only_on_budget(method):
     assert decide(mask, 1).status == small
 
 
+def test_module_level_wrappers():
+    # the generic is_categorical (nullhomotopic_in on the piece) agrees with
+    # the torus checker on a cell and on the whole square, and an empty
+    # piece is vacuously categorical
+    ch = TorusChecker(khalimsky_circle(2))
+    for mask in (ch.P.down[ch.pair(1, 1)], ch.P.full):
+        generic = is_categorical(DownSet(ch.P, mask), ch.P)
+        assert generic.status == ch.is_categorical(mask).status
+    assert is_categorical(DownSet(ch.P, 0), ch.P).is_homotopic
+
+
 def test_tc_rejects_checker_of_another_circle():
     with pytest.raises(MismatchedSpaces):
         tc(khalimsky_circle(3), checker=TorusChecker(khalimsky_circle(4)))
-
-
-def test_module_level_wrappers():
-    K = khalimsky_circle(2)
-    ch = TorusChecker(K)
-    U = DownSet(ch.P, ch.P.down[ch.pair(1, 1)])
-    assert is_section_categorical(U, K).is_homotopic
 
 
 def test_witness_cover_of_another_space_is_rejected():
@@ -616,3 +598,17 @@ def test_coloring_route_continues_past_three_pieces():
         "no certified cover with 3 pieces (exhaustive)",
         "certified 4-piece cover found",
     ]
+
+
+def test_witness_cover_needs_witness_mode():
+    K = khalimsky_circle(3)
+    ch = TorusChecker(K)
+    cov = Cover(ch.P, [DownSet(ch.P, ch.P.full)])
+    with pytest.raises(InvalidParameter):
+        tc(K, witness=cov)
+    with pytest.raises(InvalidParameter):
+        cat(None, mode="exact", witness=cov, checker=ch)
+    with pytest.raises(InvalidParameter):
+        cat(K.space, witness=Cover(K.space, [DownSet(K.space, K.space.full)]))
+    with pytest.raises(InvalidParameter):
+        tc(K, mode="witness")
