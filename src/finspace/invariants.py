@@ -550,12 +550,17 @@ def _exact_invariant(
     return InvariantResult(name, None, lower, None, False, None, notes)
 
 
-def _check_mode(mode, witness):
-    """A witness cover is given exactly in witness mode."""
+def _check_mode(mode, witness, limit, force):
+    """``mode`` is "exact" or "witness"; a witness cover is given exactly in
+    witness mode, and ``limit`` and ``force`` tune only exact search."""
+    if mode not in ("exact", "witness"):
+        raise InvalidParameter(f"mode must be 'exact' or 'witness', not {mode!r}")
     if mode == "witness" and witness is None:
         raise InvalidParameter("witness mode needs a cover")
     if mode != "witness" and witness is not None:
         raise InvalidParameter(f"a witness cover needs mode='witness', not {mode!r}")
+    if mode == "witness" and (limit is not None or force):
+        raise InvalidParameter("only exact search takes limit and force")
 
 
 def _witness_invariant(name, lower, space, check_piece, witness):
@@ -591,9 +596,9 @@ def cat(
     8n^2), since a homeomorphism maps categorical pieces to categorical
     pieces.  Without one, pieces of X go through ``nullhomotopic_in`` and
     the search uses no symmetry.  A ``witness`` is read only in witness
-    mode, which needs one.
+    mode, which needs one and takes no ``limit`` or ``force``.
     """
-    _check_mode(mode, witness)
+    _check_mode(mode, witness, limit, force)
     if checker is not None:
 
         def check(mask):
@@ -630,9 +635,10 @@ def tc(
     which preserves pi1|U ~ pi2|U.  phi x psi with phi != psi does not: a
     rotation of S is not homotopic to the identity.  A given ``checker``
     is used in place of a new one; it must be built on ``circle``.  A
-    ``witness`` is read only in witness mode, which needs one.
+    ``witness`` is read only in witness mode, which needs one and takes
+    no ``limit`` or ``force``.
     """
-    _check_mode(mode, witness)
+    _check_mode(mode, witness, limit, force)
     if checker is None:
         checker = TorusChecker(circle)
     elif checker.X != circle.space:

@@ -29,34 +29,19 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
-def _decode_all(masks):
-    """``tuple(bits(m))`` for every mask, as a tuple of tuples.  The loop
-    is inline: through the ``bits`` generator it takes about 25 % longer."""
-    out = []
-    for m in masks:
-        ids = []
-        while m:
-            low = m & -m
-            ids.append(low.bit_length() - 1)
-            m ^= low
-        out.append(tuple(ids))
-    return tuple(out)
-
-
 class FiniteSpace:
     """An immutable finite poset carrying the Alexandroff T0-topology.
 
     ``down[x]`` / ``up[x]`` are the reflexive down- and up-sets of ``x`` as
     bitmasks; they are precomputed at construction and never change.
     ``down_ids[x]`` / ``up_ids[x]`` are the same sets as increasing tuples
-    of point ids, for loops that visit a point's neighbours.  Like
-    ``covers`` they are built on first read and then kept, so a space that
-    only ever answers mask queries never pays for them.
+    of point ids, for loops that visit a point's neighbours.  They are
+    built at construction, by the loop that checks transitivity.
     """
 
     __slots__ = (
-        "n", "labels", "down", "up", "_covers", "full", "_hash",
-        "_down_ids", "_up_ids",
+        "n", "labels", "down", "up", "down_ids", "up_ids", "_covers", "full",
+        "_hash",
     )
 
     def __init__(self, labels, down, covers=None):
@@ -71,22 +56,28 @@ class FiniteSpace:
             if not (down[x] >> x) & 1:
                 raise InvalidParameter("down-set must be reflexive")
         up = [0] * n
+        down_ids = []
+        up_ids = [[] for _ in range(n)]
         for x in range(n):
             d = m = reach = down[x]
             bx = 1 << x
+            ids = []
             while m:
                 low = m & -m
                 y = low.bit_length() - 1
                 m ^= low
                 reach |= down[y]
                 up[y] |= bx
+                ids.append(y)
+                up_ids[y].append(x)
             # transitivity: down[y] subset of down[x] whenever y <= x
             if reach != d:
                 raise InvalidParameter("down-sets are not transitive")
+            down_ids.append(tuple(ids))
         self.up = tuple(up)
+        self.down_ids = tuple(down_ids)
+        self.up_ids = tuple(map(tuple, up_ids))
         self._covers = None if covers is None else tuple(sorted(covers))
-        self._down_ids = None
-        self._up_ids = None
         self._hash = hash((self.labels, self.down))
 
     @property
@@ -95,22 +86,6 @@ class FiniteSpace:
         if self._covers is None:
             self._covers = tuple(sorted(self._compute_covers()))
         return self._covers
-
-    @property
-    def down_ids(self):
-        """``down_ids[x]`` = the ids of ``down[x]``, increasing; built on
-        first read."""
-        if self._down_ids is None:
-            self._down_ids = _decode_all(self.down)
-        return self._down_ids
-
-    @property
-    def up_ids(self):
-        """``up_ids[x]`` = the ids of ``up[x]``, increasing; built on first
-        read."""
-        if self._up_ids is None:
-            self._up_ids = _decode_all(self.up)
-        return self._up_ids
 
     def _compute_covers(self):
         out = []

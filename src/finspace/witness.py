@@ -131,25 +131,30 @@ def build_V(k: int) -> DownSet:
     return _complement_hull(build_U(k))
 
 
-def _family(P, domain_mask):
-    """The subspace that every stage of one family lives on, with its
-    point ids in P and their inverse."""
+def _family(P, domain_mask, co):
+    """The subspace that every stage of one family lives on, its point ids
+    in P, and each point's residue pair with the inverse of that list."""
     sub, old_ids = P.subspace(domain_mask)
-    return domain_mask, sub, old_ids, {p: i for i, p in enumerate(old_ids)}
+    pairs = [co.res(p) for p in old_ids]
+    return domain_mask, sub, old_ids, pairs, {xy: i for i, xy in enumerate(pairs)}
 
 
 def _stage(name, family, rule, co) -> Stage:
     """Materialize a residue-pair rule as an OrderMap on the family's
     subspace."""
-    domain_mask, sub, old_ids, index = family
+    domain_mask, sub, old_ids, pairs, index = family
+    get = index.get
     table = []
-    for p in old_ids:
-        x, y = co.res(p)
-        tx, ty = rule(x, y)
-        q = co.pid(tx, ty)
-        if q not in index:
-            raise NotContinuous(name, ((x, y), (tx, ty)))
-        table.append(index[q])
+    for xy in pairs:
+        t = rule(*xy)
+        i = get(t)
+        if i is None:
+            # a rule may leave its residues unreduced
+            tx, ty = t
+            i = get((co.norm(tx), co.norm(ty)))
+            if i is None:
+                raise NotContinuous(name, (xy, (tx, ty)))
+        table.append(i)
     try:
         return Stage(name, domain_mask, OrderMap(sub, sub, table), old_ids)
     except NotOrderPreserving as e:
@@ -178,7 +183,7 @@ def build_chain(k: int) -> WitnessBundle:
     notes = []
     stages = []
 
-    family = _family(P, U.members)
+    family = _family(P, U.members, co)
     # the horizontal squeeze f_i, i = 0 .. 2k-m-3; the left target is
     # clamped at column 3 so the final shape is exactly the three columns
     # of A3' (for odd k the unclamped index would overshoot and tear the
@@ -205,7 +210,7 @@ def build_chain(k: int) -> WitnessBundle:
         notes.append("named C1 blocks exceed the computed image")
 
     # the vertical squeeze g_i on C1, i = 0 .. 2k-8
-    family = _family(P, C1)
+    family = _family(P, C1, co)
     for i in range(0, 2 * k - 7):
         top = 5 + i
 
@@ -257,7 +262,7 @@ def build_chain(k: int) -> WitnessBundle:
             return (co.norm(x + 1), co.norm(y - 1))
         return (x, y)
 
-    stages.append(_stage("h0", _family(P, C2), h0_rule, co))
+    stages.append(_stage("h0", _family(P, C2, co), h0_rule, co))
     C3 = _image_mask(stages[-1])
 
     # the corner folds h1 on C3
@@ -276,7 +281,7 @@ def build_chain(k: int) -> WitnessBundle:
     def h1_rule(x, y):
         return fold.get((x, y), (x, y))
 
-    stages.append(_stage("h1", _family(P, C3), h1_rule, co))
+    stages.append(_stage("h1", _family(P, C3, co), h1_rule, co))
     C = _image_mask(stages[-1])
 
     return WitnessBundle(

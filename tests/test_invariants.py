@@ -612,3 +612,28 @@ def test_witness_cover_needs_witness_mode():
         cat(K.space, witness=Cover(K.space, [DownSet(K.space, K.space.full)]))
     with pytest.raises(InvalidParameter):
         tc(K, mode="witness")
+
+
+def test_unknown_mode_is_rejected():
+    # a misspelt mode used to run exact search: tc(S1_2) printed 3
+    K = khalimsky_circle(2)
+    for mode in ("witnes", "exactly", "", None):
+        with pytest.raises(InvalidParameter, match="mode must be"):
+            tc(K, mode=mode)
+        with pytest.raises(InvalidParameter, match="mode must be"):
+            cat(K.space, mode=mode)
+    with pytest.raises(InvalidParameter, match="mode must be"):
+        cat(None, mode="exactly", checker=TorusChecker(K))
+
+
+def test_witness_mode_rejects_search_flags():
+    # the library side of the CLI rule: limit and force tune exact search
+    K = khalimsky_circle(3)
+    ch = TorusChecker(K)
+    cov = Cover(ch.P, [DownSet(ch.P, ch.P.full)])
+    for flags in ({"limit": 0}, {"force": True}, {"limit": 1, "force": True}):
+        with pytest.raises(InvalidParameter, match="limit and force"):
+            tc(K, mode="witness", witness=cov, **flags)
+        with pytest.raises(InvalidParameter, match="limit and force"):
+            cat(None, mode="witness", witness=cov, checker=ch, **flags)
+    assert tc(K, mode="witness", witness=cov, limit=None, force=False).upper is None

@@ -234,21 +234,19 @@ def posets(draw, max_n=10):
     )
 
 
-def assert_id_tuples_lazy_and_exact(Z):
-    assert Z._down_ids is None and Z._up_ids is None
+def assert_id_tuples_exact(Z):
     assert Z.down_ids == tuple(tuple(bits(m)) for m in Z.down)
     assert Z.up_ids == tuple(tuple(bits(m)) for m in Z.up)
-    assert Z.down_ids is Z._down_ids and Z.up_ids is Z._up_ids
 
 
 @settings(max_examples=150)
 @given(posets(), posets(max_n=5), st.randoms(use_true_random=False))
-def test_id_tuples_are_built_on_first_read_and_equal_the_masks(X, Y, rnd):
-    assert_id_tuples_lazy_and_exact(X)
+def test_id_tuples_are_built_at_construction_and_equal_the_masks(X, Y, rnd):
+    assert_id_tuples_exact(X)
     sub, _ = X.subspace(rnd.getrandbits(X.n))
-    assert_id_tuples_lazy_and_exact(sub)
-    assert_id_tuples_lazy_and_exact(product(X, Y))
-    assert_id_tuples_lazy_and_exact(read_space(write_space(X, "X")))
+    assert_id_tuples_exact(sub)
+    assert_id_tuples_exact(product(X, Y))
+    assert_id_tuples_exact(read_space(write_space(X, "X")))
 
 
 def test_order_map_on_a_space_with_built_tuples_decodes_no_mask(bits_calls):

@@ -101,3 +101,78 @@ def test_one_subspace_per_stage_family(monkeypatch):
     on_product.clear()
     assert verify_bundle(8).passed
     assert len(on_product) <= 6
+
+
+def test_residues_are_computed_once_per_family_point(monkeypatch):
+    # a call-count bound: the residue pair of a point is computed when its
+    # family is built, not again for each stage on it
+    real_res, real_family = witness_module._Coords.res, witness_module._family
+    res_calls, family_sizes = [], []
+
+    def counted_res(self, p):
+        res_calls.append(p)
+        return real_res(self, p)
+
+    def counted_family(P, mask, *rest):
+        family_sizes.append(popcount(mask))
+        return real_family(P, mask, *rest)
+
+    monkeypatch.setattr(witness_module._Coords, "res", counted_res)
+    monkeypatch.setattr(witness_module, "_family", counted_family)
+    b = build_chain(8)
+    assert len(b.stages) == 16 and len(family_sizes) == 4
+    # inferred_A5 reads the residues of the few points of C1 off the blocks
+    assert len(res_calls) <= sum(family_sizes) + len(b.inferred_A5)
+
+
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def _rewire(monkeypatch, stage_name, make_rule):
+    """Run ``stage_name`` with the rule ``make_rule(rule)`` in place of its
+    own."""
+    real = witness_module._stage
+
+    def patched(name, family, rule, co):
+        return real(name, family, make_rule(rule) if name == stage_name else rule, co)
+
+    monkeypatch.setattr(witness_module, "_stage", patched)
+
+
+def test_a_rule_that_leaves_its_family_names_the_stage_and_point(monkeypatch):
+    k = 8
+    b = build_chain(k)
+    co = witness_module._Coords(k)
+    # a point of C1, on which the g stages live, and a point of U off C1
+    x, y = co.res(_lowest(b.C1))
+    ox, oy = co.res(_lowest(b.U.members & ~b.C1))
+    off = (ox + 2 * k, oy - 2 * k)  # unreduced, and reported as given
+
+    _rewire(
+        monkeypatch, "g1",
+        lambda rule: lambda x0, y0: off if (x0, y0) == (x, y) else rule(x0, y0),
+    )
+    with pytest.raises(NotContinuous) as exc:
+        build_chain(k)
+    assert exc.value.stage == "g1"
+    assert exc.value.witness == ((x, y), off)
+    name, ok, detail = verify_bundle(k).checks[0]
+    assert name == "stages continuous" and not ok
+    assert detail == f"stage g1 fails at {((x, y), off)}"
+
+
+def test_unreduced_residues_give_the_same_stage(monkeypatch):
+    k = 8
+    want = {st.name: st.map.table for st in build_chain(k).stages}
+
+    def unreduced(rule):
+        def shifted(x0, y0):
+            tx, ty = rule(x0, y0)
+            return tx + 2 * k, ty - 4 * k
+
+        return shifted
+
+    _rewire(monkeypatch, "h0", unreduced)
+    got = {st.name: st.map.table for st in build_chain(k).stages}
+    assert got == want
