@@ -70,8 +70,10 @@ class HomotopyVerdict:
     - circle classification and 'exhaustive-components': none
       (``fence == []``), so ``replay()`` is False on them.
 
-    Outside ``homotopic``, a categorical piece of S x S carries its lift
-    fence from the inclusion to a constant, and an empty piece none.
+    Outside ``homotopic``, a piece of S x S with no winding carries a lift
+    fence on the piece: a categorical one from the inclusion to a
+    constant, a section-categorical one from pi1|U to pi2|U.  An empty
+    piece carries none.
     """
 
     status: str

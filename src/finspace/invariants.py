@@ -2,12 +2,14 @@
 
 Covers are certified piece by piece.  For products of digital circles a
 winding obstruction on the comparability graph refutes a piece outright.
-A categorical piece that passes it is certified by its lift: the
-spanning-forest potentials lift both projections to the digital line, the
-lift lands in a finite interval, and clamping it step by step gives a
-fence from the inclusion to a constant.  A section-categorical piece that
-passes it is decided by ``homotopic`` on the projections restricted to
-it, which works on the piece's core.
+A piece whose cycles all have winding (0, 0) is certified by its lift:
+the spanning-forest potentials lift both projections to the digital line,
+the lift lands in a finite interval, and clamping it step by step gives a
+fence.  For a categorical piece it runs from the inclusion to a constant;
+for a section-categorical one from pi1|U through constants to pi2|U.  Only
+a section-categorical piece with a cycle of winding (d, d), d != 0, is
+decided by ``homotopic`` on the projections restricted to it, which works
+on the piece's core.
 
 Exact search runs over partitions of the maximal elements (principal
 covers suffice, and any certified cover shrinks to a certified partition
@@ -28,6 +30,7 @@ from .errors import InvalidParameter, MismatchedSpaces, NotOpen
 from .homotopy import (
     DEFAULT_BUDGET,
     HomotopyVerdict,
+    _constants_fence,
     homotopic,
     nullhomotopic_in,
 )
@@ -213,14 +216,15 @@ class TorusChecker:
                         queue.append(v)
         return phi, edges
 
-    def winding_obstruction(self, mask: int, mode: str):
+    def winding_obstruction(self, mask: int, mode: str, lifted=None):
         """A cycle with forbidden winding, found via spanning-forest
         potentials, or None.
 
         mode 'sc': forbidden when the two coordinate windings differ;
-        mode 'cat': forbidden when either winding is nonzero.
+        mode 'cat': forbidden when either winding is nonzero.  ``lifted``
+        is ``self.potentials(mask)`` when the caller has it already.
         """
-        phi, edges = self.potentials(mask)
+        phi, edges = self.potentials(mask) if lifted is None else lifted
         for p, q, w in edges:
             wx = phi[p][0] + w[0] - phi[q][0]
             wy = phi[p][1] + w[1] - phi[q][1]
@@ -232,29 +236,37 @@ class TorusChecker:
                     return (p, q, wx, wy)
         return None
 
-    def lift_fence(self, old_ids, lifts):
-        """Value tables from q o L to a constant, for integer lifts
-        ``lifts[p] = (L1, L2)`` of the points ``old_ids`` of a piece.
+    def _clamps(self, L):
+        """Residue tables of z -> min(z, c) on the integer lift ``L``, for c
+        from max(L) down to min(L): from q o L to a constant.
 
-        Clamping a lift from above, z -> min(z, c), is continuous on the
-        digital line, and the clamps at c and c - 1 differ by one step in
-        the same direction wherever they differ.  So lowering c from the
-        top of L1 to its bottom contracts the first coordinate, and then
-        the same for the second; q reduces modulo 2n.
+        Clamping from above is continuous on the digital line, and the
+        clamps at c and c - 1 differ by one step in the same direction
+        wherever they differ, so consecutive tables are comparable; q
+        reduces modulo 2n.  Each table is looked up through a list of the
+        clamped residues of lo..hi, which is short, so the per-point work
+        runs in ``map``.
         """
         size = self.size
-        L1 = [lifts[p][0] for p in old_ids]
-        L2 = [lifts[p][1] for p in old_ids]
-        fence = [
-            tuple(self.pair(min(a, c) % size, b % size) for a, b in zip(L1, L2))
-            for c in range(max(L1), min(L1) - 1, -1)
+        lo, hi = min(L), max(L)
+        at = [z - lo for z in L]
+        tables = []
+        for c in range(hi, lo - 1, -1):
+            value = [min(z, c) % size for z in range(lo, hi + 1)]
+            tables.append(tuple(map(value.__getitem__, at)))
+        return tables
+
+    def lift_fence(self, old_ids, lifts):
+        """Value tables from the inclusion q o L to a constant, for integer
+        lifts ``lifts[p] = (L1, L2)`` of the points ``old_ids`` of a piece:
+        the clamps of the first coordinate, then those of the second."""
+        n = self.X.n
+        first = self._clamps([lifts[p][0] for p in old_ids])
+        second = self._clamps([lifts[p][1] for p in old_ids])
+        x = first[-1][0] * n
+        return [tuple(a * n + b for a, b in zip(t, second[0])) for t in first] + [
+            tuple(x + b for b in t) for t in second[1:]
         ]
-        x = min(L1) % size
-        fence += [
-            tuple(self.pair(x, min(b, c) % size) for b in L2)
-            for c in range(max(L2) - 1, min(L2) - 1, -1)
-        ]
-        return fence
 
     # Unused now that homotopic decides on cores; the benchmark tracer wraps it.
     def rigid_loop(self, mask: int, max_deg: int = 2):
@@ -308,41 +320,63 @@ class TorusChecker:
                         queue.append(st)
         return None
 
-    def _projections_verdict(self, mask: int, mode: str, budget: int):
-        """Decide on the subspace U = ``mask`` once winding passed.
-
-        Mode 'sc' asks pi1|U ~ pi2|U through ``homotopic``.  Mode 'cat' is
-        decided outright: with no winding, the potentials lift both
-        projections to the digital line, whose image is a finite interval,
-        so ``lift_fence`` contracts the inclusion U -> S x S to a constant.
-        """
-        sub, old_ids = self.P.subspace(mask)
-        if mode == "sc":
-            f1 = self.pi1.restrict(sub, old_ids)
-            f2 = self.pi2.restrict(sub, old_ids)
-            return homotopic(f1, f2, "auto", budget)
-        fence = self.lift_fence(old_ids, self.potentials(mask)[0])
-        return HomotopyVerdict(
-            "homotopic", fence, sub, self.P,
-            reason=f"projections lift to the digital line; "
-            f"fence of {len(fence)} maps to a constant",
-        )
-
     def _decide(self, mask: int, mode: str, budget: int):
-        """Winding obstruction, else ``_projections_verdict``."""
+        """Decide the open piece U = ``mask``.
+
+        Both modes start from the piece's potentials: a cycle with
+        forbidden winding refutes U.  Otherwise, when every cycle has
+        winding (0, 0), the potentials lift both projections to the
+        digital line, and the lift decides U without ``homotopic``.  Mode
+        'cat' contracts the inclusion U -> S x S to a constant by
+        ``lift_fence``.  Mode 'sc' clamps L1 down to a constant, follows
+        an order path in S to the bottom constant of L2, and unclamps L2
+        back up: a fence on U from pi1|U to pi2|U.  Only 'sc' pieces with
+        winding (d, d), d != 0, go to ``homotopic`` on the projections
+        restricted to U, which works on the piece's core.
+        """
         if not self.P.is_open(mask):
             raise NotOpen("piece is not open in the product")
-        hit = self.winding_obstruction(mask, mode)
+        if not mask:
+            return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
+        lifted = self.potentials(mask)
+        hit = self.winding_obstruction(mask, mode, lifted)
         if hit is not None:
             _, _, wx, wy = hit
             what = "distinct windings" if mode == "sc" else "nonzero winding"
             return HomotopyVerdict(
                 "not_homotopic", reason=f"cycle with {what} ({wx},{wy})"
             )
-        return self._projections_verdict(mask, mode, budget)
+        phi, edges = lifted
+        sub, old_ids = self.P.subspace(mask)
+        if mode == "cat":
+            fence = self.lift_fence(old_ids, phi)
+            return HomotopyVerdict(
+                "homotopic", fence, sub, self.P,
+                reason=f"projections lift to the digital line; "
+                f"fence of {len(fence)} maps to a constant",
+            )
+        # windings are (d, d) here, so the first coordinate tells d != 0
+        if any(phi[p][0] + w[0] != phi[q][0] for p, q, w in edges):
+            f1 = self.pi1.restrict(sub, old_ids)
+            f2 = self.pi2.restrict(sub, old_ids)
+            return homotopic(f1, f2, "auto", budget)
+        down = self._clamps([phi[p][0] for p in old_ids])
+        up = self._clamps([phi[p][1] for p in old_ids])
+        path = _constants_fence(sub, self.X, down[-1][0], up[-1][0])
+        fence = down[:-1] + path + up[-2::-1]
+        return HomotopyVerdict(
+            "homotopic", fence, sub, self.X,
+            reason=f"projections lift to the digital line; "
+            f"fence of {len(fence)} maps through constants",
+        )
 
     def is_section_categorical(self, mask: int, budget: int = DEFAULT_BUDGET):
-        """Decide pi1|U ~ pi2|U for the open set U given by ``mask``."""
+        """Decide pi1|U ~ pi2|U for the open set U given by ``mask``.
+
+        With no winding the lift decides at any budget, and its fence runs
+        on U from pi1|U to pi2|U; with winding (d, d), d != 0, ``homotopic``
+        decides under ``budget``.
+        """
         return self._decide(mask, "sc", budget)
 
     def is_categorical(self, mask: int, budget: int = DEFAULT_BUDGET):

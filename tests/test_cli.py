@@ -38,6 +38,20 @@ def test_tc_json_schema(capsys):
     assert all(c["status"] == "homotopic" for c in doc["certificates"])
 
 
+def test_tc_json_names_the_lift_certificates(capsys):
+    # every piece of the tc(S1_3) cover has no winding, so its lift decides it
+    code, out, _ = run(capsys, "tc", "--circle", "3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certificates"] == [
+        {
+            "status": "homotopic",
+            "reason": "projections lift to the digital line; "
+            "fence of 9 maps through constants",
+        }
+    ] * 3
+
+
 def test_cat_square(capsys):
     code, out, _ = run(capsys, "cat", "--circle", "2", "--square")
     assert code == 0

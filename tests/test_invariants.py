@@ -275,13 +275,31 @@ def test_checker_verdict_depends_only_on_budget(method):
     # no verdict outlives its call: a small budget after a large one gives
     # the small budget's answer again
     ch = TorusChecker(khalimsky_circle(4))
-    mask = ch.P.down[ch.pair(1, 1)] | ch.P.down[ch.pair(1, 5)]
     decide = getattr(ch, method)
-    # the lift decides a categorical piece at any budget
-    small = "homotopic" if method == "is_categorical" else "unknown"
+    lifted = ch.P.down[ch.pair(1, 1)] | ch.P.down[ch.pair(1, 5)]
+    # the lift decides a piece with no winding at any budget
+    assert decide(lifted, 1).status == "homotopic"
+    if method == "is_categorical":
+        mask, small, large = lifted, "homotopic", "homotopic"
+    else:
+        # a diagonal band of the n = 4 refutation: it reaches fence BFS
+        mask = 0
+        for x, y in ((1, 1), (1, 3), (3, 3), (3, 5), (5, 5), (5, 7), (7, 7), (7, 1)):
+            mask |= ch.P.down[ch.pair(x, y)]
+        small, large = "unknown", "not_homotopic"
     assert decide(mask, 1).status == small
-    assert decide(mask, 10**6).status == "homotopic"
+    v = decide(mask, 10**6)
+    assert v.status == large
+    if method == "is_section_categorical":
+        assert v.reason.startswith("comparability component of f exhausted")
     assert decide(mask, 1).status == small
+
+
+def test_empty_piece_is_vacuous_in_both_modes():
+    ch = TorusChecker(khalimsky_circle(3))
+    for v in (ch.is_categorical(0), ch.is_section_categorical(0)):
+        assert v.status == "homotopic" and v.reason == "empty piece (vacuous)"
+        assert v.fence == []
 
 
 def test_module_level_wrappers():
@@ -512,6 +530,90 @@ def test_lift_certifies_every_winding_free_piece(drawn):
                 broken = HomotopyVerdict("homotopic", fence, sub, ch.P)
                 assert not broken.replay(*inclusion_and_constant(ch, mask, fence))
                 return
+
+
+def projections_on(ch, mask):
+    sub, old_ids = ch.P.subspace(mask)
+    return ch.pi1.restrict(sub, old_ids), ch.pi2.restrict(sub, old_ids)
+
+
+def replays_anchored(v, f, g):
+    """A fence on the piece itself from f to g, re-checked by ``replay``."""
+    return v.core_old_ids is None and v.replay(f, g)
+
+
+@st.composite
+def few_maximal_pieces(draw):
+    """A union of the down-sets of a few maximals of S1_n^2, n = 2..4, at
+    times with a shifted diagonal of cells, a cycle of winding (1, 1)."""
+    n = draw(st.integers(2, 4))
+    if n not in _checkers:
+        _checkers[n] = TorusChecker(khalimsky_circle(n))
+    ch = _checkers[n]
+    maxs = list(bits(ch.P.maximal_elements()))
+    if draw(st.booleans()):
+        s = draw(st.integers(0, n - 1))
+        b = ch.circle.b
+        chosen = [ch.pair(b(i), b((i + s) % n)) for i in range(n)]
+        chosen += draw(st.lists(st.sampled_from(maxs), max_size=2))
+    else:
+        chosen = draw(st.lists(st.sampled_from(maxs), min_size=1, max_size=len(maxs)))
+    mask = 0
+    for x in chosen:
+        mask |= ch.P.down[x]
+    return ch, mask
+
+
+@settings(max_examples=150)
+@given(few_maximal_pieces())
+def test_lift_stage_agrees_with_homotopic(drawn):
+    # a section-categorical piece with no winding is decided by its lift,
+    # with a fence from pi1|U to pi2|U.  Past the winding test the status
+    # is that of homotopic on the restricted projections, and on a small
+    # piece it is that of the full hom-set
+    ch, mask = drawn
+    v = ch.is_section_categorical(mask)
+    f1, f2 = projections_on(ch, mask)
+    if ch.winding_obstruction(mask, "sc") is None:
+        assert v.status == homotopic(f1, f2, "auto").status
+    if f1.source.n <= 14:
+        brute = homotopic(f1, f2, "exhaustive-components", 20000)
+        assert brute.status in (v.status, "unknown")
+    by_lift = v.reason.startswith("projections lift to the digital line")
+    assert by_lift == (ch.winding_obstruction(mask, "cat") is None)
+    if by_lift:
+        assert replays_anchored(v, f1, f2)
+
+
+def test_tc_covers_replay_anchored_at_the_projections():
+    # point-core verdicts used to carry a fence on the cores only
+    for n, route in ((2, tc), (3, tc), (4, tc_via_colorings)):
+        ch = TorusChecker(khalimsky_circle(n))
+        res = route(ch.circle)
+        assert res.exact and res.cover.space == ch.P
+        for piece, v in zip(res.cover.pieces, res.cover.certificates):
+            f1, f2 = projections_on(ch, piece.members)
+            assert replays_anchored(v, f1, f2)
+
+
+def test_homotopic_sees_only_winding_pieces(monkeypatch):
+    # during exact tc(S1_4), homotopic is asked only about pieces with a
+    # nonzero winding (d, d): the lift decides the rest
+    ch = TorusChecker(khalimsky_circle(4))
+    asked = []
+
+    def recorded(f, g, *args):
+        # pi1|U and pi2|U give the coordinates of U's points
+        mask = 0
+        for x, y in zip(f.table, g.table):
+            mask |= 1 << ch.pair(x, y)
+        asked.append(mask)
+        return homotopic(f, g, *args)
+
+    monkeypatch.setattr(invariants_module, "homotopic", recorded)
+    assert tc(ch.circle, checker=ch).value == 2
+    assert asked
+    assert all(ch.winding_obstruction(m, "cat") is not None for m in asked)
 
 
 def test_checker_keeps_no_state_across_searches():
