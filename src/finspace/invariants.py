@@ -17,7 +17,10 @@ because both criteria are hereditary under passing to open subsets);
 ``cat`` and ``tc`` share it.  It prunes a block as soon as its piece is
 refuted, and decides each piece once per orbit of a group that preserves
 the verdict: Aut(S)^2 with the factor swap (order 8n^2) for cat, phi x phi
-with the swap (order 4n) for tc.
+with the swap (order 4n) for tc.  The search asks only for a piece's
+status, which for a lift-decided piece needs no subspace and no fence;
+the pieces of the cover it prints are decided again in full, with their
+certificates.
 """
 
 from __future__ import annotations
@@ -320,52 +323,81 @@ class TorusChecker:
                         queue.append(st)
         return None
 
-    def _decide(self, mask: int, mode: str, budget: int):
-        """Decide the open piece U = ``mask``.
+    def _triage(self, mask: int, mode: str):
+        """What the winding test says of the open piece U = ``mask``,
+        before any certificate is built, as (status, evidence).
 
         Both modes start from the piece's potentials: a cycle with
-        forbidden winding refutes U.  Otherwise, when every cycle has
-        winding (0, 0), the potentials lift both projections to the
-        digital line, and the lift decides U without ``homotopic``.  Mode
-        'cat' contracts the inclusion U -> S x S to a constant by
-        ``lift_fence``.  Mode 'sc' clamps L1 down to a constant, follows
-        an order path in S to the bottom constant of L2, and unclamps L2
-        back up: a fence on U from pi1|U to pi2|U.  Only 'sc' pieces with
-        winding (d, d), d != 0, go to ``homotopic`` on the projections
-        restricted to U, which works on the piece's core.
+        forbidden winding refutes U, ("not_homotopic", the cycle).
+        Otherwise, when every cycle has winding (0, 0), the potentials
+        lift both projections to the digital line and the lift decides U:
+        ("homotopic", the potentials), or ("homotopic", None) for the
+        empty piece.  In mode 'cat' that is always so past the winding
+        test.  Only 'sc' pieces with winding (d, d), d != 0, are left to
+        ``homotopic`` on the projections restricted to U: (None, None).
         """
         if not self.P.is_open(mask):
             raise NotOpen("piece is not open in the product")
         if not mask:
-            return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
+            return "homotopic", None
         lifted = self.potentials(mask)
         hit = self.winding_obstruction(mask, mode, lifted)
         if hit is not None:
-            _, _, wx, wy = hit
-            what = "distinct windings" if mode == "sc" else "nonzero winding"
-            return HomotopyVerdict(
-                "not_homotopic", reason=f"cycle with {what} ({wx},{wy})"
-            )
+            return "not_homotopic", hit
         phi, edges = lifted
+        # windings are (d, d) here, so the first coordinate tells d != 0
+        if mode == "sc" and any(phi[p][0] + w[0] != phi[q][0] for p, q, w in edges):
+            return None, None
+        return "homotopic", lifted
+
+    def _on_core(self, mask: int, budget: int):
+        """``homotopic`` on pi1|U and pi2|U, which works on U's core."""
+        sub, old_ids = self.P.subspace(mask)
+        f1 = self.pi1.restrict(sub, old_ids)
+        f2 = self.pi2.restrict(sub, old_ids)
+        return homotopic(f1, f2, "auto", budget)
+
+    def piece_status(self, mask: int, mode: str, budget: int = DEFAULT_BUDGET) -> str:
+        """The status of ``_decide(mask, mode, budget)``, without building
+        its certificate: no subspace and no fence unless ``homotopic``
+        must decide."""
+        status, _ = self._triage(mask, mode)
+        return status or self._on_core(mask, budget).status
+
+    def _decide(self, mask: int, mode: str, budget: int):
+        """Decide the open piece U = ``mask``, with its certificate.
+
+        ``_triage`` gives the status.  A piece the lift decides gets a
+        fence built from its potentials.  Mode 'cat' contracts the
+        inclusion U -> S x S to a constant by ``lift_fence``.  Mode 'sc'
+        clamps L1 down to a constant, follows an order path in S to the
+        bottom constant of L2, and unclamps L2 back up: a fence on U from
+        pi1|U to pi2|U.  The rest goes to ``homotopic``.
+        """
+        status, got = self._triage(mask, mode)
+        if status is None:
+            return self._on_core(mask, budget)
+        if status == "not_homotopic":
+            _, _, wx, wy = got
+            what = "distinct windings" if mode == "sc" else "nonzero winding"
+            return HomotopyVerdict(status, reason=f"cycle with {what} ({wx},{wy})")
+        if got is None:
+            return HomotopyVerdict(status, reason="empty piece (vacuous)")
+        phi, _ = got
         sub, old_ids = self.P.subspace(mask)
         if mode == "cat":
             fence = self.lift_fence(old_ids, phi)
             return HomotopyVerdict(
-                "homotopic", fence, sub, self.P,
+                status, fence, sub, self.P,
                 reason=f"projections lift to the digital line; "
                 f"fence of {len(fence)} maps to a constant",
             )
-        # windings are (d, d) here, so the first coordinate tells d != 0
-        if any(phi[p][0] + w[0] != phi[q][0] for p, q, w in edges):
-            f1 = self.pi1.restrict(sub, old_ids)
-            f2 = self.pi2.restrict(sub, old_ids)
-            return homotopic(f1, f2, "auto", budget)
         down = self._clamps([phi[p][0] for p in old_ids])
         up = self._clamps([phi[p][1] for p in old_ids])
         path = _constants_fence(sub, self.X, down[-1][0], up[-1][0])
         fence = down[:-1] + path + up[-2::-1]
         return HomotopyVerdict(
-            "homotopic", fence, sub, self.X,
+            status, fence, sub, self.X,
             reason=f"projections lift to the digital line; "
             f"fence of {len(fence)} maps through constants",
         )
@@ -419,9 +451,13 @@ MAX_EXACT_MAXIMALS = 30
 class _PartitionSearch:
     """DFS over partitions of the maximal elements into <= c blocks.
 
-    A block is pruned as soon as its piece is definitely not certified
-    (sound by heredity: open subsets of certified pieces stay certified).
-    Blocks are bitmasks over positions in ``maximals``.
+    The DFS decides each block's piece by ``status_of(mask)``, a status
+    alone: "homotopic", "not_homotopic" or "unknown".  A block is pruned as
+    soon as its piece is "not_homotopic" (sound by heredity: open subsets
+    of certified pieces stay certified).  Blocks are bitmasks over
+    positions in ``maximals``.  Only ``cover`` calls ``certify(mask)``,
+    the full decision with its certificate, and only on the pieces of the
+    cover it returns.
 
     Piece statuses are memoized per block.  On a miss the block's least
     image under ``group`` (permutations of the maximals that map certified
@@ -431,10 +467,11 @@ class _PartitionSearch:
     The DFS order does not depend on the group.
     """
 
-    def __init__(self, space, check_piece, group=()):
+    def __init__(self, space, status_of, certify, group=()):
         self.space = space
         self.maximals = list(bits(space.maximal_elements()))
-        self.check = check_piece
+        self.status_of = status_of
+        self.certify = certify
         self._down = [space.down[x] for x in self.maximals]
         pos = {x: i for i, x in enumerate(self.maximals)}
         # bit-sliced images: slot j of _images[i] holds the image of bit i
@@ -450,7 +487,7 @@ class _PartitionSearch:
         self._status = {}  # block -> status
         self._orbit = {}  # least image -> decided status
         self.nodes = 0  # DFS calls
-        self.decided = 0  # pieces sent to check_piece
+        self.decided = 0  # pieces sent to status_of
         self.orbit_hits = 0  # statuses read off another block of the orbit
         self.undecided = 0  # leaves of the last search with no refutation
 
@@ -480,7 +517,7 @@ class _PartitionSearch:
             key = self.least_image(block) if self._images else None
             s = self._orbit.get(key)
             if s is None:
-                s = self.check(self.piece_mask(block)).status
+                s = self.status_of(self.piece_mask(block))
                 self.decided += 1
                 if key is not None and s != "unknown":
                     self._orbit[key] = s
@@ -530,12 +567,23 @@ class _PartitionSearch:
 
     def cover(self, c: int):
         """A cover by at most c certified pieces, with its certificates
-        computed on the pieces themselves, else None."""
+        computed on the pieces themselves, else None.
+
+        Raises AssertionError if a certificate is not "homotopic": the
+        status that let the piece into the cover disagrees with it.
+        """
         got = self.search(c)
         if got is None:
             return None
         pieces = [DownSet(self.space, self.piece_mask(b)) for b in got]
-        return Cover(self.space, pieces, [self.check(p.members) for p in pieces])
+        certificates = [self.certify(p.members) for p in pieces]
+        for p, v in zip(pieces, certificates):
+            if v.status != "homotopic":
+                raise AssertionError(
+                    f"cover piece {p.serialize()} is {v.status} on "
+                    f"certification ({v.reason})"
+                )
+        return Cover(self.space, pieces, certificates)
 
     def counts(self) -> str:
         return (
@@ -546,7 +594,7 @@ class _PartitionSearch:
 
 
 def _exact_invariant(
-    name, space, check_piece, limit, force, start=1, notes=(), group=()
+    name, space, status_of, certify, limit, force, start=1, notes=(), group=()
 ):
     """Least c - 1 over certified c-piece covers, trying c = start, start+1...
 
@@ -556,7 +604,7 @@ def _exact_invariant(
     or one not run past ``MAX_EXACT_MAXIMALS`` without ``force``, returns
     bounds: lower is the largest refuted piece count, at least start - 1.
     """
-    searcher = _PartitionSearch(space, check_piece, group)
+    searcher = _PartitionSearch(space, status_of, certify, group)
     nmax = len(searcher.maximals)
     notes = list(notes)
     lower = start - 1
@@ -638,6 +686,9 @@ def cat(
         def check(mask):
             return checker.is_categorical(mask, budget)
 
+        def status_of(mask):
+            return checker.piece_status(mask, "cat", budget)
+
         space = checker.P
     else:
         space = X
@@ -645,10 +696,13 @@ def cat(
         def check(mask):
             return is_categorical(DownSet(space, mask), space, budget)
 
+        def status_of(mask):
+            return check(mask).status
+
     if mode == "witness":
         return _witness_invariant("cat", 0, space, check, witness)
     group = checker.symmetries("cat") if checker is not None else ()
-    return _exact_invariant("cat", space, check, limit, force, group=group)
+    return _exact_invariant("cat", space, status_of, check, limit, force, group=group)
 
 
 def tc(
@@ -681,10 +735,13 @@ def tc(
     def check(mask):
         return checker.is_section_categorical(mask, budget)
 
+    def status_of(mask):
+        return checker.piece_status(mask, "sc", budget)
+
     if mode == "witness":
         return _witness_invariant("tc", 1, checker.P, check, witness)
     return _exact_invariant(
-        "tc", checker.P, check, limit, force,
+        "tc", checker.P, status_of, check, limit, force,
         start=2, notes=["lower bound 1 from the topological circle"],
         group=checker.symmetries("sc"),
     )
@@ -829,7 +886,7 @@ def enumerate_simple_colorings(grid: SquareGrid, colors: int, symmetry: bool = T
     lines = grid.line_masks()
     cell_masks = [grid.cell_mask(i, j) for i in range(n) for j in range(n)]
     # a class can only come to contain a line that its new cell meets
-    cell_lines = [[line for line in lines if line & m] for m in cell_masks]
+    cell_lines = [tuple(line for line in lines if line & m) for m in cell_masks]
     assignment = [0] * cells
     masks = [0] * colors
     found = []
@@ -838,15 +895,19 @@ def enumerate_simple_colorings(grid: SquareGrid, colors: int, symmetry: bool = T
         if idx == cells:
             found.append(Coloring(n, colors, tuple(assignment)))
             return
+        cell = cell_masks[idx]
+        meets = cell_lines[idx]
         for c in range(colors):
             old = masks[c]
-            grown = old | cell_masks[idx]
-            if any(line & ~grown == 0 for line in cell_lines[idx]):
-                continue
-            masks[c] = grown
-            assignment[idx] = c
-            dfs(idx + 1)
-            masks[c] = old
+            grown = old | cell
+            for line in meets:
+                if line & ~grown == 0:
+                    break
+            else:
+                masks[c] = grown
+                assignment[idx] = c
+                dfs(idx + 1)
+                masks[c] = old
 
     dfs(0)
     if not symmetry:
@@ -939,8 +1000,11 @@ def tc_via_colorings(
     def check(mask):
         return checker.is_section_categorical(mask, budget)
 
+    def status_of(mask):
+        return checker.piece_status(mask, "sc", budget)
+
     # no maximals gate: the colorings, the costly part, are already paid for
     return _exact_invariant(
-        "tc", checker.P, check, None, True,
+        "tc", checker.P, status_of, check, None, True,
         start=3, notes=notes, group=checker.symmetries("sc"),
     )

@@ -5,7 +5,7 @@ way, something the program computes differently (or only feeds to a
 check).  Import them in a test module with ``from reference import ...``.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 from finspace.circles import CircleMap
@@ -182,3 +182,13 @@ def is_simple(grid: SquareGrid, coloring: Coloring) -> bool:
             if line & ~m == 0:
                 return False
     return True
+
+
+def brute_force_simple_colorings(grid: SquareGrid, colors: int):
+    """Every assignment in lexicographic order, kept if simple."""
+    n = grid.n
+    return [
+        Coloring(n, colors, combo)
+        for combo in product(range(colors), repeat=n * n)
+        if is_simple(grid, Coloring(n, colors, combo))
+    ]

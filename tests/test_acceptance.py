@@ -107,6 +107,20 @@ def test_exact_search_at_half_size_five_finds_two_piece_cover():
     clk.check()
 
 
+def test_forced_exact_search_at_half_size_six():
+    # 36 maximals, past the gate: the search decides statuses alone and
+    # certifies the two printed pieces
+    clk = Clock(30)
+    res = tc(khalimsky_circle(6), force=True)
+    assert res.exact and res.value == 1
+    assert all(v.is_homotopic for v in res.cover.certificates)
+    assert res.notes[-1] == (
+        "search: 3261 DFS nodes, 6472 pieces decided, 25 orbit-memo hits, "
+        "0 undecided partitions"
+    )
+    clk.check()
+
+
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_tc_is_one_for_large_circles_in_witness_mode(k):
     clk = Clock(30)

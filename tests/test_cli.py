@@ -28,6 +28,21 @@ def test_tc_circle_3(capsys):
     assert out.splitlines()[0] == "2"
 
 
+def test_certificate_that_disagrees_with_the_search_is_an_internal_error(
+    capsys, monkeypatch
+):
+    # the search decides by status alone; the printed pieces are decided
+    # again, and a disagreement is reported, never printed as a cover
+    def uncertified(self, mask, budget):
+        return invariants_module.HomotopyVerdict("unknown", reason="stubbed")
+
+    monkeypatch.setattr(TorusChecker, "is_section_categorical", uncertified)
+    code, out, err = run(capsys, "tc", "--circle", "3")
+    assert code == cli_module.EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error: cover piece ")
+    assert "is unknown on certification (stubbed)" in err
+
+
 def test_tc_json_schema(capsys):
     code, out, _ = run(capsys, "tc", "--circle", "2", "--format", "json")
     assert code == 0

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +24,16 @@ from finspace.invariants import (
     tc_via_colorings,
     two_color_refutation,
 )
-from finspace.homotopy import HomotopyVerdict, homotopic
-from finspace.space import DownSet, OrderMap, bits, build_space, khalimsky_circle
-from reference import coloring_from_rows, is_simple
+from finspace.homotopy import DEFAULT_BUDGET, HomotopyVerdict, homotopic
+from finspace.space import (
+    DownSet,
+    OrderMap,
+    bits,
+    build_space,
+    khalimsky_circle,
+    popcount,
+)
+from reference import brute_force_simple_colorings, coloring_from_rows, is_simple
 
 
 def arcs_cover(X, blocks):
@@ -187,16 +194,6 @@ def test_canonical_coloring_matches_permutation_reference(n, colors):
         assert canonical_coloring(g, col, syms).assignment == (
             reference_canonical_assignment(g, col, syms)
         )
-
-
-def brute_force_simple_colorings(grid, colors):
-    """Reference: every assignment in lexicographic order, kept if simple."""
-    n = grid.n
-    return [
-        Coloring(n, colors, combo)
-        for combo in iproduct(range(colors), repeat=n * n)
-        if is_simple(grid, Coloring(n, colors, combo))
-    ]
 
 
 @pytest.mark.parametrize("n,colors", [(2, 2), (3, 2), (3, 3), (4, 2)])
@@ -400,8 +397,14 @@ def test_full_group_does_not_preserve_tc_statuses():
 def test_orbit_memo_matches_unreduced_search(mode, n):
     ch = TorusChecker(khalimsky_circle(n))
     decide = ch.is_section_categorical if mode == "sc" else ch.is_categorical
-    reduced = invariants_module._PartitionSearch(ch.P, decide, ch.symmetries(mode))
-    plain = invariants_module._PartitionSearch(ch.P, decide)
+
+    def status_of(mask):
+        return ch.piece_status(mask, mode)
+
+    reduced = invariants_module._PartitionSearch(
+        ch.P, status_of, decide, ch.symmetries(mode)
+    )
+    plain = invariants_module._PartitionSearch(ch.P, status_of, decide)
     for c in range(1, 5):
         got, want = reduced.cover(c), plain.cover(c)
         assert (got is None) == (want is None)
@@ -420,11 +423,13 @@ def test_orbit_memo_shares_only_decided_statuses():
     ch = TorusChecker(khalimsky_circle(3))
     asked = []
 
-    def check(mask):
+    def status_of(mask):
         asked.append(mask)
-        return HomotopyVerdict("unknown" if len(asked) == 1 else "homotopic")
+        return "unknown" if len(asked) == 1 else "homotopic"
 
-    search = invariants_module._PartitionSearch(ch.P, check, ch.symmetries("cat"))
+    search = invariants_module._PartitionSearch(
+        ch.P, status_of, None, ch.symmetries("cat")
+    )
     # single maximals form one orbit: cells are moved around transitively
     assert search.status(1 << 0) == "unknown"
     assert search.status(1 << 1) == "homotopic"  # the unknown was not shared
@@ -438,7 +443,7 @@ def test_least_image_matches_loop_reference(n, mode):
     # n = 9 has 81 maximals, past the 64-bit slots
     ch = TorusChecker(khalimsky_circle(n))
     group = ch.symmetries(mode)
-    search = invariants_module._PartitionSearch(ch.P, None, group)
+    search = invariants_module._PartitionSearch(ch.P, None, None, group)
     pos = {x: i for i, x in enumerate(search.maximals)}
     rng = random.Random(n)
     for _ in range(100):
@@ -545,7 +550,8 @@ def replays_anchored(v, f, g):
 @st.composite
 def few_maximal_pieces(draw):
     """A union of the down-sets of a few maximals of S1_n^2, n = 2..4, at
-    times with a shifted diagonal of cells, a cycle of winding (1, 1)."""
+    times with a band of one or two shifted diagonals of cells, a cycle of
+    winding (1, 1)."""
     n = draw(st.integers(2, 4))
     if n not in _checkers:
         _checkers[n] = TorusChecker(khalimsky_circle(n))
@@ -553,8 +559,11 @@ def few_maximal_pieces(draw):
     maxs = list(bits(ch.P.maximal_elements()))
     if draw(st.booleans()):
         s = draw(st.integers(0, n - 1))
+        width = draw(st.integers(1, 2))
         b = ch.circle.b
-        chosen = [ch.pair(b(i), b((i + s) % n)) for i in range(n)]
+        chosen = [
+            ch.pair(b(i), b((i + s + k) % n)) for i in range(n) for k in range(width)
+        ]
         chosen += draw(st.lists(st.sampled_from(maxs), max_size=2))
     else:
         chosen = draw(st.lists(st.sampled_from(maxs), min_size=1, max_size=len(maxs)))
@@ -583,6 +592,65 @@ def test_lift_stage_agrees_with_homotopic(drawn):
     assert by_lift == (ch.winding_obstruction(mask, "cat") is None)
     if by_lift:
         assert replays_anchored(v, f1, f2)
+
+
+@settings(max_examples=150)
+@given(
+    few_maximal_pieces(),
+    st.sampled_from(["sc", "cat"]),
+    st.sampled_from([1, DEFAULT_BUDGET]),
+)
+def test_search_status_is_that_of_the_certified_decision(drawn, mode, budget):
+    # exact search asks for a status alone; it is the status of the full
+    # decision, "unknown" under budget 1 included, and a status the lift
+    # gives stands on a fence that replays
+    ch, mask = drawn
+    v = ch._decide(mask, mode, budget)
+    assert ch.piece_status(mask, mode, budget) == v.status
+    if v.reason.startswith("projections lift to the digital line"):
+        if mode == "sc":
+            assert replays_anchored(v, *projections_on(ch, mask))
+        else:
+            assert v.replay(*inclusion_and_constant(ch, mask, v.fence))
+
+
+def test_search_builds_certificates_only_for_the_cover(monkeypatch):
+    # the pieces the search meets get a status; only the printed ones get
+    # a fence
+    fenced = []
+    lift_fence = TorusChecker.lift_fence
+
+    def recorded_fence(self, old_ids, lifts):
+        fenced.append(sum(1 << p for p in old_ids))
+        return lift_fence(self, old_ids, lifts)
+
+    monkeypatch.setattr(TorusChecker, "lift_fence", recorded_fence)
+    res = cat(None, checker=TorusChecker(khalimsky_circle(3)))
+    assert res.value == 2
+    assert sorted(fenced) == sorted(p.members for p in res.cover.pieces)
+
+    clamped = []
+    clamps = TorusChecker._clamps
+
+    def recorded_clamps(self, lifts):
+        clamped.append(len(lifts))
+        return clamps(self, lifts)
+
+    monkeypatch.setattr(TorusChecker, "_clamps", recorded_clamps)
+    res = tc(khalimsky_circle(3))
+    assert res.value == 2
+    # one clamp table per coordinate of each lift-certified cover piece
+    sizes = [popcount(p.members) for p in res.cover.pieces]
+    assert sorted(clamped) == sorted(sizes * 2)
+
+
+def test_cover_rejects_a_certificate_that_disagrees_with_its_status():
+    X = khalimsky_circle(3).space
+    search = invariants_module._PartitionSearch(
+        X, lambda mask: "homotopic", lambda mask: HomotopyVerdict("unknown")
+    )
+    with pytest.raises(AssertionError, match="is unknown on certification"):
+        search.cover(1)
 
 
 def test_tc_covers_replay_anchored_at_the_projections():
@@ -669,8 +737,8 @@ def test_limit_bounds_by_the_refuted_piece_counts():
 def test_unknown_pieces_bound_below_the_start(start):
     X = khalimsky_circle(3).space
     res = invariants_module._exact_invariant(
-        "cat", X, lambda mask: HomotopyVerdict("unknown"), None, False,
-        start=start, notes=["seed"],
+        "cat", X, lambda mask: "unknown", lambda mask: HomotopyVerdict("unknown"),
+        None, False, start=start, notes=["seed"],
     )
     assert not res.exact
     assert (res.value, res.lower, res.upper) == (None, start - 1, None)
@@ -683,7 +751,7 @@ def test_maximals_gate_returns_the_seed_without_searching():
     asked = []
     ch = TorusChecker(khalimsky_circle(6))
     res = invariants_module._exact_invariant(
-        "tc", ch.P, asked.append, None, False, start=2, notes=["seed"],
+        "tc", ch.P, asked.append, asked.append, None, False, start=2, notes=["seed"],
     )
     assert asked == []
     assert not res.exact and (res.lower, res.upper) == (1, None)
