@@ -2,13 +2,12 @@
 
 The machinery here is exact: every "not homotopic" answer rests on an
 obstruction or an exhausted search, and budget exhaustion surfaces as an
-explicit Unknown, never as a guess.  A "homotopic" answer carries a fence
-that ``HomotopyVerdict.replay`` re-checks when equal maps, agreement on
-the domain core or fence BFS decided it (a fence on the domain from f to
-g), or a point core did (a fence between constants on the cores, with the
-core's inclusion in ``core_old_ids``).  Circle classification and the
-'exhaustive-components' strategy carry no fence, so ``replay()`` is False
-on their verdicts.
+explicit Unknown, never as a guess.  'auto' decides between the cores,
+core(X) -> core(Y), and a "homotopic" answer carries a fence on the domain
+from f to g, which ``HomotopyVerdict.replay`` re-checks anchored at f and
+g: a fence found between the cores is lifted back through the collapses
+of Y and of X.  Circle classification and the 'exhaustive-components'
+strategy carry no fence, so ``replay()`` is False on their verdicts.
 """
 
 from __future__ import annotations
@@ -63,12 +62,12 @@ class HomotopyVerdict:
     verdict may carry a fence, a list of value tables ``fence_space`` ->
     ``target``.  Which ones do:
 
-    - equal maps, agreement on the domain core and fence BFS: a fence on
+    - equal maps, a point core, agreement on the domain core (before or
+      after the target retracts onto its core) and fence BFS: a fence on
       the domain, from f to g;
-    - a point core: a fence between constants on core(X) -> core(Y), with
-      the core's point ids in the domain in ``core_old_ids``;
-    - circle classification and 'exhaustive-components': none
-      (``fence == []``), so ``replay()`` is False on them.
+    - circle classification: none (``fence == []``), with the domain
+      core's point ids in the domain in ``core_old_ids``;
+    - 'exhaustive-components': none, so ``replay()`` is False on it.
 
     Outside ``homotopic``, a piece of S x S with no winding carries a lift
     fence on the piece: a categorical one from the inclusion to a
@@ -89,12 +88,12 @@ class HomotopyVerdict:
 
     def replay(self, f: OrderMap | None = None, g: OrderMap | None = None) -> bool:
         """Re-check the certificate: a non-empty fence of continuous maps,
-        consecutive ones comparable.  Given f and g, a fence on their own
-        domain (``core_old_ids`` is None) must also start at f and end at g.
+        consecutive ones comparable.  Given f and g, it must also be a fence
+        on their domain that starts at f and ends at g.
         """
         if self.status != "homotopic" or not self.fence:
             return False
-        if f is not None and g is not None and self.core_old_ids is None:
+        if f is not None and g is not None:
             if (
                 f.source != self.fence_space
                 or f.target != self.target
@@ -489,9 +488,30 @@ def _circle_verdict(ft, gt, C: FiniteSpace, CY: FiniteSpace, old_ids):
     )
 
 
+def _lift_fence(f, g, cd: CoreData, cdY: CoreData, ft, gt, core_fence):
+    """A fence on X from f to g through a fence core(X) -> core(Y) from
+    r_Y o f|C to r_Y o g|C (``ft``, ``gt``: f|C and g|C as tables into Y).
+
+    s o f|C along the collapse of Y, then i_Y o h for each core-fence map
+    h, then s o g|C back along the collapse, gives a fence C -> Y from
+    f|C to g|C; ``_lift_core_fence`` carries it to X.
+    """
+    collapse = cdY.fence
+    old_ids = cdY.old_ids
+    tables = [tuple(s[v] for v in ft) for s in collapse]
+    tables += [tuple(old_ids[v] for v in h) for h in core_fence]
+    tables += [tuple(s[v] for v in gt) for s in reversed(collapse)]
+    return _lift_core_fence(f, g, cd, tables)
+
+
 def _decide_on_core(f: OrderMap, g: OrderMap, budget: int):
-    """Decide f ~ g on the domain core (Stong: f ~ g iff the restrictions
-    to core(X) are homotopic)."""
+    """Decide f ~ g between the cores (Stong: f ~ g iff r_Y o f|core(X)
+    ~ r_Y o g|core(X) as maps core(X) -> core(Y)).
+
+    Every homotopic verdict but circle classification carries a fence on
+    X from f to g: a fence between the cores is lifted back through the
+    collapse of Y (``_lift_fence``) and then of X (``_lift_core_fence``).
+    """
     X, Y = f.source, f.target
     cd = core(X)
     ft = tuple(f.table[p] for p in cd.old_ids)
@@ -507,6 +527,7 @@ def _decide_on_core(f: OrderMap, g: OrderMap, budget: int):
     ft2 = tuple(cdY.retraction.table[v] for v in ft)
     gt2 = tuple(cdY.retraction.table[v] for v in gt)
     CY = cdY.space
+    target = f"target core ({CY.n} of {Y.n} points)"
     if C.n == 1:
         fence = _constants_fence(C, CY, ft2[0], gt2[0])
         if fence is None:
@@ -514,20 +535,25 @@ def _decide_on_core(f: OrderMap, g: OrderMap, budget: int):
                 "not_homotopic",
                 reason="constant values lie in different components",
             )
-        # certificate on the core domain, into the core target
         return HomotopyVerdict(
-            "homotopic", fence, C, CY,
-            reason="domain core is a point; constants joined by order path",
-            core_old_ids=cd.old_ids,
+            "homotopic", _lift_fence(f, g, cd, cdY, ft, gt, fence), X, Y,
+            reason="domain core is a point; constants joined by order path "
+            f"in the {target}",
+        )
+    if ft2 == gt2:
+        return HomotopyVerdict(
+            "homotopic", _lift_fence(f, g, cd, cdY, ft, gt, [ft2]), X, Y,
+            reason="maps agree on the domain core once the target retracts "
+            f"onto its core ({CY.n} of {Y.n} points)",
         )
     v = _circle_verdict(ft2, gt2, C, CY, cd.old_ids)
     if v is not None:
         return v
-    v = fence_bfs(OrderMap(C, Y, ft), OrderMap(C, Y, gt), budget)
-    where = f" on the domain core ({C.n} of {X.n} points)"
+    v = fence_bfs(OrderMap(C, CY, ft2), OrderMap(C, CY, gt2), budget)
+    where = f" on the domain core ({C.n} of {X.n} points), {target}"
     if v.status == "homotopic":
         return HomotopyVerdict(
-            "homotopic", _lift_core_fence(f, g, cd, v.fence), X, Y,
+            "homotopic", _lift_fence(f, g, cd, cdY, ft, gt, v.fence), X, Y,
             reason=v.reason + where,
         )
     return HomotopyVerdict(v.status, reason=v.reason + where)
@@ -541,12 +567,15 @@ def homotopic(
 ) -> HomotopyVerdict:
     """Decide whether f ~ g.
 
-    'auto' decides on the domain core, in stages: equal tables; maps that
+    'auto' decides between the cores, in stages: equal tables; maps that
     agree on core(X); a point core (constants joined by an order path in
-    core(Y)); circle cores on both sides (degree classification); else
-    fence BFS from f|core(X) to g|core(X), whose fence is lifted back to a
-    fence on X from f to g.  'fence-bfs' and 'exhaustive-components' work
-    on the full domain and serve as brute-force references.
+    core(Y)); maps that agree on core(X) once composed with the retraction
+    r_Y onto core(Y); circle cores on both sides (degree classification);
+    else fence BFS from r_Y o f|core(X) to r_Y o g|core(X) in the maps
+    core(X) -> core(Y).  Each stage but circle classification gives a
+    fence on X from f to g, lifted back through both collapses.
+    'fence-bfs' and 'exhaustive-components' work on the full domain and
+    serve as brute-force references.
     """
     if f.source != g.source or f.target != g.target:
         raise MismatchedSpaces("maps must share source and target")

@@ -193,24 +193,33 @@ def poset_map_pairs(draw):
     return OrderMap(X, Y, tables[i]), OrderMap(X, Y, tables[j])
 
 
+def beat_point_free(S):
+    return core(S).space.n == S.n
+
+
 @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(poset_map_pairs())
 def test_auto_agrees_with_components_and_lifts_fences(pair):
     f, g = pair
     X, Y = f.source, f.target
-    bfs_domains = []
+    bfs_spaces = []
 
     def spy(a, b, budget=homotopy_module.DEFAULT_BUDGET):
-        bfs_domains.append(a.source.n)
+        bfs_spaces.append((a.source, a.target))
         return fence_bfs(a, b, budget)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(homotopy_module, "fence_bfs", spy)
         v = homotopic(f, g, "auto")
-    assert all(n == core(X).space.n for n in bfs_domains)
+    # the BFS runs between the two cores: core(X) -> core(Y)
+    for source, target in bfs_spaces:
+        assert source.n == core(X).space.n and target.n == core(Y).space.n
+        assert beat_point_free(source) and beat_point_free(target)
     same = any(f.table in c and g.table in c for c in hom_components(X, Y))
     assert v.status == ("homotopic" if same else "not_homotopic"), v.reason
-    if v.is_homotopic and v.core_old_ids is None:
+    if v.is_homotopic and not v.reason.startswith("circle classification"):
+        # point cores included: every fence lies on X, from f to g
+        assert v.core_old_ids is None
         assert v.fence_space == X and v.target == Y
         assert v.fence[0] == f.table and v.fence[-1] == g.table
         assert v.replay(f, g)
@@ -218,6 +227,32 @@ def test_auto_agrees_with_components_and_lifts_fences(pair):
             OrderMap(X, Y, t)  # raises unless continuous
         for s, t in zip(v.fence, v.fence[1:]):
             assert table_cmp(Y, s, t) is not None
+
+
+def test_fence_bfs_runs_on_the_target_core():
+    # X: two discrete points.  Y: S1_2 (a0, a1 < b0, b1) with p above b0,
+    # and a chain q < r; p and q are beat points, core(Y) is S1_2 + {r}
+    X = build_space(["u", "v"], [])
+    Y = build_space(
+        ["a0", "a1", "b0", "b1", "p", "q", "r"],
+        [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 4), (2, 4), (5, 6)],
+    )
+    a0, b1, p, q, r = 0, 3, 4, 5, 6
+    comps = hom_components(X, Y)
+    for ft, gt, status in (
+        ((p, q), (b1, r), "homotopic"),  # r_Y o f = (b0, r), r_Y o g = (b1, r)
+        ((p, r), (a0, p), "not_homotopic"),  # v lands in two components
+    ):
+        f, g = OrderMap(X, Y, ft), OrderMap(X, Y, gt)
+        v = homotopic(f, g)
+        assert v.status == status, v.reason
+        assert v.reason.endswith(
+            "on the domain core (2 of 2 points), target core (5 of 7 points)"
+        )
+        same = any(ft in c and gt in c for c in comps)
+        assert same == v.is_homotopic
+        if v.is_homotopic:
+            assert v.fence[0] == ft and v.fence[-1] == gt and v.replay(f, g)
 
 
 def naive_core(X):
