@@ -121,14 +121,6 @@ class CircleMap:
     def __call__(self, z: int) -> int:
         return self.table[z % (2 * self.m)]
 
-    def degree(self) -> int:
-        return degree(self)
-
-    def serialize(self) -> str:
-        return f"circlemap {self.m} {self.n} " + " ".join(
-            str(v) for v in self.table
-        )
-
 
 def parse_circle_map(text: str) -> CircleMap:
     parts = text.split()
@@ -150,9 +142,6 @@ class LiftRecord:
     l: int
     start: int
     values: tuple  # lifted integer per z in k..l
-
-    def value(self, z: int) -> int:
-        return self.values[z - self.k]
 
     @property
     def degree(self) -> int:
@@ -399,20 +388,3 @@ def recognize_circle(X: FiniteSpace):
                 best = t
     return (n, list(best))
 
-
-def circle_map_from_order_map(table, rec_dom, rec_tgt):
-    """Reindex an order-map table through circle numberings.
-
-    ``table`` maps domain point ids to target point ids; the recognitions
-    supply residue numberings on both sides.  Returns a CircleMap or None
-    if the result fails the circle-map conditions.
-    """
-    m, num_dom = rec_dom
-    n, num_tgt = rec_tgt
-    cm = [0] * (2 * m)
-    for p, v in enumerate(table):
-        cm[num_dom[p]] = num_tgt[v]
-    try:
-        return CircleMap(m, n, tuple(cm))
-    except InvalidParameter:
-        return None

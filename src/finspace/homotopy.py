@@ -6,8 +6,12 @@ explicit Unknown, never as a guess.  'auto' decides between the cores,
 core(X) -> core(Y), and a "homotopic" answer carries a fence on the domain
 from f to g, which ``HomotopyVerdict.replay`` re-checks anchored at f and
 g: a fence found between the cores is lifted back through the collapses
-of Y and of X.  Circle classification and the 'exhaustive-components'
-strategy carry no fence, so ``replay()`` is False on their verdicts.
+of Y and of X.  Maps into a circle are classified by the windings of
+their lifts (``potentials``, ``windings``), the one winding test of the
+package, which ``TorusChecker`` runs on pieces of S x S too.  Only the
+rigidity verdict (equal nonzero degree on a circle core) and the
+'exhaustive-components' strategy carry no fence, so ``replay()`` is False
+on their verdicts.
 """
 
 from __future__ import annotations
@@ -16,11 +20,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
+from .circles import recognize_circle
 from .errors import BudgetExceeded, MismatchedSpaces, NotOpen
 from .space import (
     DownSet,
     FiniteSpace,
     OrderMap,
+    bits,
     check_continuous,
 )
 
@@ -63,10 +69,11 @@ class HomotopyVerdict:
     ``target``.  Which ones do:
 
     - equal maps, a point core, agreement on the domain core (before or
-      after the target retracts onto its core) and fence BFS: a fence on
-      the domain, from f to g;
-    - circle classification: none (``fence == []``), with the domain
-      core's point ids in the domain in ``core_old_ids``;
+      after the target retracts onto its core), circle classification
+      with no winding, and fence BFS: a fence on the domain, from f to g;
+    - circle classification by rigidity (equal nonzero degree): none
+      (``fence == []``), with the domain core's point ids in the domain
+      in ``core_old_ids``;
     - 'exhaustive-components': none, so ``replay()`` is False on it.
 
     Outside ``homotopic``, a piece of S x S with no winding carries a lift
@@ -455,36 +462,154 @@ def _lift_core_fence(f: OrderMap, g: OrderMap, cd: CoreData, core_fence):
     return fence
 
 
-def _circle_verdict(ft, gt, C: FiniteSpace, CY: FiniteSpace, old_ids):
-    """Degree classification of core tables C -> CY when both cores are
-    circles; None when it does not apply."""
-    from .circles import circle_map_from_order_map, classify_homotopic
-    from .circles import recognize_circle
+# -- maps into a circle: lifts and windings ---------------------------
 
-    rec_dom = recognize_circle(C)
-    rec_tgt = recognize_circle(CY)
-    if rec_dom is None or rec_tgt is None:
-        return None
-    cm_f = circle_map_from_order_map(ft, rec_dom, rec_tgt)
-    cm_g = circle_map_from_order_map(gt, rec_dom, rec_tgt)
-    if cm_f is None or cm_g is None:
-        return None
-    if classify_homotopic(cm_f, cm_g):
+
+def potentials(X: FiniteSpace, mask: int, t1, t2, num):
+    """Spanning-forest potentials of two tables X -> S on the subspace
+    ``mask`` of X, S a circle with residue numbering ``num`` (as from
+    ``recognize_circle``), and the comparable pairs of that subspace.
+
+    A pair (p, q, w), q above p, holds the lifted displacements w of both
+    tables from p to q, each -1, 0 or +1.  ``phi[p]`` sums them along a
+    BFS tree from the root of p's component, starting at the root's
+    residues.  A pair is balanced when phi[p] + w = phi[q]; when every
+    pair is, phi lifts both tables to the digital line.
+    """
+    size = len(num)
+    r1 = list(map(num.__getitem__, t1))
+    r2 = list(map(num.__getitem__, t2))
+    up_ids = X.up_ids
+    phi = {}
+    edges = []
+    adj = {p: [] for p in bits(mask)}
+    for p, out in adj.items():
+        a1, a2 = r1[p], r2[p]
+        for q in up_ids[p]:
+            if q != p and mask >> q & 1:
+                d1 = (r1[q] - a1 + 1) % size - 1
+                d2 = (r2[q] - a2 + 1) % size - 1
+                w = (d1, d2)
+                edges.append((p, q, w))
+                out.append((q, w))
+                adj[q].append((p, (-d1, -d2)))
+    for root in adj:
+        if root in phi:
+            continue
+        phi[root] = (r1[root], r2[root])
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            pu1, pu2 = phi[u]
+            for v, (d1, d2) in adj[u]:
+                if v not in phi:
+                    phi[v] = (pu1 + d1, pu2 + d2)
+                    queue.append(v)
+    return phi, edges
+
+
+def windings(lifted):
+    """(p, q, w1, w2) for each pair of ``lifted`` (``potentials``) that is
+    not balanced, in pair order: the cycle that the pair closes in the
+    spanning forest winds w1 under the first table and w2 under the
+    second, in lift steps (2n to a turn of a 2n-point circle)."""
+    phi, edges = lifted
+    for p, q, (d1, d2) in edges:
+        a1, a2 = phi[p]
+        b1, b2 = phi[q]
+        w1, w2 = a1 + d1 - b1, a2 + d2 - b2
+        if w1 or w2:
+            yield p, q, w1, w2
+
+
+def degrees(hit, rec, size: int):
+    """The degrees of two tables from a circle numbered by ``rec`` into a
+    ``size``-point one, from the first of their ``windings`` (None: both
+    0).  A circle has one cycle, and the pair (p, q) closes it running
+    from p to q, so the numbering orients it."""
+    if hit is None:
+        return 0, 0
+    p, q, w1, w2 = hit
+    m, num = rec
+    sign = 1 if (num[q] - num[p]) % (2 * m) == 1 else -1
+    return sign * w1 // size, sign * w2 // size
+
+
+def _clamps(L, num):
+    """Tables of z -> min(z, c) on the integer lift ``L``, for c from
+    max(L) down to min(L): from q o L to a constant, q sending z to the
+    point that ``num`` numbers z mod 2n.
+
+    Clamping from above is continuous on the digital line, and the clamps
+    at c and c - 1 differ by one step in the same direction wherever they
+    differ, so consecutive tables are comparable.  Each table is looked up
+    through the short list of the clamped points of lo..hi, in ``map``.
+    """
+    size = len(num)
+    point = sorted(range(size), key=num.__getitem__)
+    lo, hi = min(L), max(L)
+    at = [z - lo for z in L]
+    tables = []
+    for c in range(hi, lo - 1, -1):
+        value = [point[min(z, c) % size] for z in range(lo, hi + 1)]
+        tables.append(tuple(map(value.__getitem__, at)))
+    return tables
+
+
+def through_constants(X: FiniteSpace, S: FiniteSpace, phi, points, num):
+    """A fence on X from q o L1 to q o L2, where ``phi[points[p]]`` =
+    (L1, L2) at p lifts two maps X -> S, S a circle with residue
+    numbering ``num``: L1 clamped down to a constant, an order path in S
+    to the bottom constant of L2, and L2's clamps back up."""
+    down = _clamps([phi[p][0] for p in points], num)
+    up = _clamps([phi[p][1] for p in points], num)
+    path = _constants_fence(X, S, down[-1][0], up[-1][0])
+    return down[:-1] + path + up[-2::-1]
+
+
+def _circle_stage(f, g, cd: CoreData, cdY: CoreData, ft, gt, ft2, gt2, recY):
+    """Classify r_Y o f|C and r_Y o g|C (``ft2``, ``gt2``), maps from the
+    domain core C into the circle core(Y) numbered by ``recY``, by the
+    windings of their lifts; None sends the pair on to fence BFS.
+
+    A cycle with distinct windings refutes f ~ g.  With no winding both
+    maps lift to the digital line, and the fence through constants,
+    lifted to X, proves it.  Equal nonzero windings on a circle C give
+    degree d on both sides, and f ~ g iff |d| n < m (rigidity, no fence).
+    """
+    C, CY = cd.space, cdY.space
+    n, num = recY
+    lifted = potentials(C, C.full, ft2, gt2, num)
+    first = None
+    for hit in windings(lifted):
+        if hit[2] != hit[3]:
+            return HomotopyVerdict(
+                "not_homotopic",
+                reason="circle classification: cycle with distinct windings "
+                f"({hit[2]},{hit[3]})",
+            )
+        first = first or hit
+    if first is None:
+        fence = through_constants(C, CY, lifted[0], range(C.n), num)
         return HomotopyVerdict(
-            "homotopic", [],
-            C, CY,
-            reason=(
-                f"circle classification: both maps have degree "
-                f"{cm_f.degree()} with |d| < {rec_dom[0]}/{rec_tgt[0]}"
-            ),
-            core_old_ids=old_ids,
+            "homotopic", _lift_fence(f, g, cd, cdY, ft, gt, fence), f.source, f.target,
+            reason="circle classification: both maps lift to the digital line; "
+            f"fence of {len(fence)} maps through constants",
+        )
+    rec = recognize_circle(C)
+    if rec is None:
+        return None
+    m, d = rec[0], degrees(first, rec, len(num))[0]
+    if abs(d) * n < m:
+        return HomotopyVerdict(
+            "homotopic", [], C, CY,
+            reason=f"circle classification: both maps have degree {d} "
+            f"with |d| < {m}/{n}",
+            core_old_ids=cd.old_ids,
         )
     return HomotopyVerdict(
         "not_homotopic",
-        reason=(
-            f"circle classification: degrees {cm_f.degree()} vs "
-            f"{cm_g.degree()}, rigidity bound {rec_dom[0]}/{rec_tgt[0]}"
-        ),
+        reason=f"circle classification: degrees {d} vs {d}, rigidity bound {m}/{n}",
     )
 
 
@@ -508,9 +633,9 @@ def _decide_on_core(f: OrderMap, g: OrderMap, budget: int):
     """Decide f ~ g between the cores (Stong: f ~ g iff r_Y o f|core(X)
     ~ r_Y o g|core(X) as maps core(X) -> core(Y)).
 
-    Every homotopic verdict but circle classification carries a fence on
-    X from f to g: a fence between the cores is lifted back through the
-    collapse of Y (``_lift_fence``) and then of X (``_lift_core_fence``).
+    Every homotopic verdict but rigidity carries a fence on X from f to g:
+    a fence between the cores is lifted back through the collapse of Y
+    (``_lift_fence``) and then of X (``_lift_core_fence``).
     """
     X, Y = f.source, f.target
     cd = core(X)
@@ -546,9 +671,11 @@ def _decide_on_core(f: OrderMap, g: OrderMap, budget: int):
             reason="maps agree on the domain core once the target retracts "
             f"onto its core ({CY.n} of {Y.n} points)",
         )
-    v = _circle_verdict(ft2, gt2, C, CY, cd.old_ids)
-    if v is not None:
-        return v
+    recY = recognize_circle(CY)
+    if recY is not None:
+        v = _circle_stage(f, g, cd, cdY, ft, gt, ft2, gt2, recY)
+        if v is not None:
+            return v
     v = fence_bfs(OrderMap(C, CY, ft2), OrderMap(C, CY, gt2), budget)
     where = f" on the domain core ({C.n} of {X.n} points), {target}"
     if v.status == "homotopic":
@@ -570,10 +697,11 @@ def homotopic(
     'auto' decides between the cores, in stages: equal tables; maps that
     agree on core(X); a point core (constants joined by an order path in
     core(Y)); maps that agree on core(X) once composed with the retraction
-    r_Y onto core(Y); circle cores on both sides (degree classification);
-    else fence BFS from r_Y o f|core(X) to r_Y o g|core(X) in the maps
-    core(X) -> core(Y).  Each stage but circle classification gives a
-    fence on X from f to g, lifted back through both collapses.
+    r_Y onto core(Y); a circle core(Y) (classification by the windings of
+    the lifts, ``_circle_stage``); else fence BFS from r_Y o f|core(X) to
+    r_Y o g|core(X) in the maps core(X) -> core(Y).  Each stage but
+    rigidity gives a fence on X from f to g, lifted back through both
+    collapses.
     'fence-bfs' and 'exhaustive-components' work on the full domain and
     serve as brute-force references.
     """

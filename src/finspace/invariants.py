@@ -5,7 +5,8 @@ winding obstruction on the comparability graph refutes a piece outright.
 A piece whose cycles all have winding (0, 0) is certified by its lift:
 the spanning-forest potentials lift both projections to the digital line,
 the lift lands in a finite interval, and clamping it step by step gives a
-fence.  For a categorical piece it runs from the inclusion to a constant;
+fence.  The potentials, windings and clamps are those of ``homotopic``
+(``homotopy.potentials``), run on the piece itself with no subspace.  For a categorical piece it runs from the inclusion to a constant;
 for a section-categorical one from pi1|U through constants to pi2|U.  Only
 a section-categorical piece with a cycle of winding (d, d), d != 0, is
 decided by ``homotopic`` on the projections restricted to it, which works
@@ -33,15 +34,15 @@ from .errors import InvalidParameter, MismatchedSpaces, NotOpen
 from .homotopy import (
     DEFAULT_BUDGET,
     HomotopyVerdict,
-    _constants_fence,
+    _clamps,
+    degrees,
     homotopic,
     nullhomotopic_in,
+    potentials,
+    through_constants,
+    windings,
 )
-from .circles import (
-    circle_map_from_order_map,
-    degree,
-    recognize_circle,
-)
+from .circles import recognize_circle
 from .space import (
     DownSet,
     FiniteSpace,
@@ -103,12 +104,7 @@ class TorusChecker:
         self.X = circle.space
         self.P = product(self.X, self.X)
         self.pi1, self.pi2 = projections(self.X, self.X, self.P)
-        self.rec_target = recognize_circle(self.X)
-        # per circle point x: (z, lifted displacement) for each z >= x
-        self._ups = [
-            [(z, self._delta(x, z)) for z in self.X.up_ids[x]]
-            for x in range(self.size)
-        ]
+        self.num = recognize_circle(self.X)[1]
 
     def coords(self, p: int):
         return divmod(p, self.X.n)
@@ -116,18 +112,13 @@ class TorusChecker:
     def pair(self, x: int, y: int) -> int:
         return x * self.X.n + y
 
-    def projections_on_circle(self, old_ids, rec):
-        """pi1 and pi2 restricted to a circle in S x S, as CircleMaps.
-
-        ``old_ids[p]`` is the product point of point p of the circle, and
-        ``rec`` its ``recognize_circle`` numbering; either map is None if
-        it is not a circle map.
-        """
-        t1, t2 = zip(*map(self.coords, old_ids))
-        return (
-            circle_map_from_order_map(t1, rec, self.rec_target),
-            circle_map_from_order_map(t2, rec, self.rec_target),
-        )
+    def degrees_on_circle(self, sub, old_ids, rec):
+        """The degrees of pi1 and pi2 restricted to a circle ``sub`` in
+        S x S, whose point p is the product point ``old_ids[p]`` and whose
+        ``recognize_circle`` numbering is ``rec``."""
+        t1, t2 = ([pi.table[p] for p in old_ids] for pi in (self.pi1, self.pi2))
+        hit = next(windings(potentials(sub, sub.full, t1, t2, self.num)), None)
+        return degrees(hit, rec, self.size)
 
     def symmetries(self, mode: str):
         """The group that preserves ``mode`` verdicts, as permutations of
@@ -170,102 +161,28 @@ class TorusChecker:
                 group.setdefault(tuple(sorted(perm.items())), perm)
         return list(group.values())
 
-    def _delta(self, a: int, b: int) -> int:
-        """Lifted displacement between comparable circle residues."""
-        d = (b - a) % self.size
-        if d == 0:
-            return 0
-        if d == 1:
-            return 1
-        if d == self.size - 1:
-            return -1
-        raise AssertionError("comparable points must be adjacent residues")
-
-    def potentials(self, mask: int):
-        """Spanning-forest potentials of the piece ``mask`` and its
-        comparable pairs.
-
-        ``phi[p]`` sums the lifted displacements along a BFS tree from the
-        root of p's component, starting at the root's own coordinates.  A
-        pair (p, q, w) with displacement w is balanced when phi[p] + w =
-        phi[q]; when every pair is, phi is a lift of both projections to
-        the digital line.
-        """
-        size, ups = self.size, self._ups
-        phi = {}
-        edges = []
-        adj = {p: [] for p in bits(mask)}
-        for p, out in adj.items():
-            xp, yp = divmod(p, size)
-            for xq, dx in ups[xp]:
-                for yq, dy in ups[yp]:
-                    q = xq * size + yq
-                    if q != p and mask >> q & 1:
-                        w = (dx, dy)
-                        edges.append((p, q, w))
-                        out.append((q, w))
-                        adj[q].append((p, (-dx, -dy)))
-        for root in adj:
-            if root in phi:
-                continue
-            phi[root] = self.coords(root)
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                pu0, pu1 = phi[u]
-                for v, w in adj[u]:
-                    if v not in phi:
-                        phi[v] = (pu0 + w[0], pu1 + w[1])
-                        queue.append(v)
-        return phi, edges
-
     def winding_obstruction(self, mask: int, mode: str, lifted=None):
-        """A cycle with forbidden winding, found via spanning-forest
-        potentials, or None.
+        """A cycle with forbidden winding, as (p, q, wx, wy) from
+        ``windings``, or None.
 
         mode 'sc': forbidden when the two coordinate windings differ;
         mode 'cat': forbidden when either winding is nonzero.  ``lifted``
-        is ``self.potentials(mask)`` when the caller has it already.
+        is the piece's ``potentials`` when the caller has them already.
         """
-        phi, edges = self.potentials(mask) if lifted is None else lifted
-        for p, q, w in edges:
-            wx = phi[p][0] + w[0] - phi[q][0]
-            wy = phi[p][1] + w[1] - phi[q][1]
-            if mode == "sc":
-                if wx != wy:
-                    return (p, q, wx, wy)
-            else:
-                if wx or wy:
-                    return (p, q, wx, wy)
-        return None
-
-    def _clamps(self, L):
-        """Residue tables of z -> min(z, c) on the integer lift ``L``, for c
-        from max(L) down to min(L): from q o L to a constant.
-
-        Clamping from above is continuous on the digital line, and the
-        clamps at c and c - 1 differ by one step in the same direction
-        wherever they differ, so consecutive tables are comparable; q
-        reduces modulo 2n.  Each table is looked up through a list of the
-        clamped residues of lo..hi, which is short, so the per-point work
-        runs in ``map``.
-        """
-        size = self.size
-        lo, hi = min(L), max(L)
-        at = [z - lo for z in L]
-        tables = []
-        for c in range(hi, lo - 1, -1):
-            value = [min(z, c) % size for z in range(lo, hi + 1)]
-            tables.append(tuple(map(value.__getitem__, at)))
-        return tables
+        if lifted is None:
+            lifted = potentials(self.P, mask, self.pi1.table, self.pi2.table, self.num)
+        hits = windings(lifted)
+        if mode == "sc":
+            return next((h for h in hits if h[2] != h[3]), None)
+        return next(hits, None)
 
     def lift_fence(self, old_ids, lifts):
         """Value tables from the inclusion q o L to a constant, for integer
         lifts ``lifts[p] = (L1, L2)`` of the points ``old_ids`` of a piece:
         the clamps of the first coordinate, then those of the second."""
         n = self.X.n
-        first = self._clamps([lifts[p][0] for p in old_ids])
-        second = self._clamps([lifts[p][1] for p in old_ids])
+        first = _clamps([lifts[p][0] for p in old_ids], self.num)
+        second = _clamps([lifts[p][1] for p in old_ids], self.num)
         x = first[-1][0] * n
         return [tuple(a * n + b for a, b in zip(t, second[0])) for t in first] + [
             tuple(x + b for b in t) for t in second[1:]
@@ -301,8 +218,8 @@ class TorusChecker:
                     xp, yp = self.coords(p)
                     for q in bits(nbrs):
                         xq, yq = self.coords(q)
-                        ndx = dx + self._delta(xp, xq)
-                        ndy = dy + self._delta(yp, yq)
+                        ndx = dx + (xq - xp + 1) % size - 1
+                        ndy = dy + (yq - yp + 1) % size - 1
                         if abs(ndx) > size * max_deg or abs(ndy) > size * max_deg:
                             continue
                         st = ((q, ndx, ndy), 1 - ph)
@@ -340,13 +257,12 @@ class TorusChecker:
             raise NotOpen("piece is not open in the product")
         if not mask:
             return "homotopic", None
-        lifted = self.potentials(mask)
+        lifted = potentials(self.P, mask, self.pi1.table, self.pi2.table, self.num)
         hit = self.winding_obstruction(mask, mode, lifted)
         if hit is not None:
             return "not_homotopic", hit
-        phi, edges = lifted
-        # windings are (d, d) here, so the first coordinate tells d != 0
-        if mode == "sc" and any(phi[p][0] + w[0] != phi[q][0] for p, q, w in edges):
+        # windings are (d, d) here; any unbalanced pair has d != 0
+        if mode == "sc" and next(windings(lifted), None) is not None:
             return None, None
         return "homotopic", lifted
 
@@ -369,10 +285,9 @@ class TorusChecker:
 
         ``_triage`` gives the status.  A piece the lift decides gets a
         fence built from its potentials.  Mode 'cat' contracts the
-        inclusion U -> S x S to a constant by ``lift_fence``.  Mode 'sc'
-        clamps L1 down to a constant, follows an order path in S to the
-        bottom constant of L2, and unclamps L2 back up: a fence on U from
-        pi1|U to pi2|U.  The rest goes to ``homotopic``.
+        inclusion U -> S x S to a constant by ``lift_fence``; mode 'sc'
+        builds a fence on U from pi1|U to pi2|U by ``through_constants``.
+        The rest goes to ``homotopic``.
         """
         status, got = self._triage(mask, mode)
         if status is None:
@@ -392,10 +307,7 @@ class TorusChecker:
                 reason=f"projections lift to the digital line; "
                 f"fence of {len(fence)} maps to a constant",
             )
-        down = self._clamps([phi[p][0] for p in old_ids])
-        up = self._clamps([phi[p][1] for p in old_ids])
-        path = _constants_fence(sub, self.X, down[-1][0], up[-1][0])
-        fence = down[:-1] + path + up[-2::-1]
+        fence = through_constants(sub, self.X, phi, old_ids, self.num)
         return HomotopyVerdict(
             status, fence, sub, self.X,
             reason=f"projections lift to the digital line; "
@@ -937,8 +849,7 @@ def line_lemma(grid: SquareGrid):
         rec = recognize_circle(sub)
         if rec is None:
             raise AssertionError("a full line must be a circle")
-        cm1, cm2 = grid.checker.projections_on_circle(old_ids, rec)
-        d1, d2 = degree(cm1), degree(cm2)
+        d1, d2 = grid.checker.degrees_on_circle(sub, old_ids, rec)
         if d1 == d2:
             raise AssertionError("projections agree on a line")
         out.append((d1, d2))

@@ -102,10 +102,6 @@ class FiniteSpace:
     def leq(self, x: int, y: int) -> bool:
         return bool((self.down[y] >> x) & 1)
 
-    def min_open(self, x: int) -> "DownSet":
-        """Smallest open set containing x (its reflexive down-set)."""
-        return DownSet(self, self.down[x])
-
     def interval(self, a: int, b: int) -> int:
         """[a,b] as a bitmask: all x with a <= x <= b."""
         return self.up[a] & self.down[b]
@@ -259,9 +255,6 @@ class KhalimskyCircle:
 
     n: int
     space: FiniteSpace
-
-    def a(self, i: int) -> int:
-        return (2 * i) % (2 * self.n)
 
     def b(self, i: int) -> int:
         return (2 * i + 1) % (2 * self.n)

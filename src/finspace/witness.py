@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidParameter, NotContinuous, NotOpen, NotOrderPreserving
 from .homotopy import core, table_cmp
-from .circles import classify_homotopic, degree, recognize_circle
+from .circles import recognize_circle
 from .invariants import TorusChecker
 from .space import (
     DownSet,
@@ -425,18 +425,13 @@ def verify_bundle(k: int, budget: int = 10**6) -> WitnessReport:
             f"the stated size {claimed} does not match"
         )
 
-    # (5) projection degrees on C and the classification
+    # (5) projection degrees on C, read off the winding of its one cycle;
+    # equal degrees +-1 with |d| k < n_C make the projections homotopic
     ok5 = False
     detail5 = "circle recognition failed"
     if recC is not None:
-        cm1, cm2 = checker.projections_on_circle(oldC, recC)
-        d1, d2 = degree(cm1), degree(cm2)
-        ok5 = (
-            abs(d1) == 1
-            and d1 == d2
-            and n_C > k
-            and classify_homotopic(cm1, cm2)
-        )
+        d1, d2 = checker.degrees_on_circle(subC, oldC, recC)
+        ok5 = abs(d1) == 1 and d1 == d2 and n_C > k
         detail5 = f"degrees ({d1}, {d2}), bound {n_C}/{k}"
     checks.append(("projections on C homotopic", ok5, detail5))
 

@@ -123,6 +123,22 @@ def rotate_circle_map(f: CircleMap, r: int) -> CircleMap:
     return CircleMap(f.m, f.n, tuple((v + r) % size for v in f.table))
 
 
+def circle_map_from_order_map(table, rec_dom, rec_tgt) -> CircleMap:
+    """Reindex an order-map table between two circles through their
+    ``recognize_circle`` numberings (n, residue of each point)."""
+    m, num_dom = rec_dom
+    n, num_tgt = rec_tgt
+    cm = [0] * (2 * m)
+    for p, v in enumerate(table):
+        cm[num_dom[p]] = num_tgt[v]
+    return CircleMap(m, n, tuple(cm))
+
+
+def serialize_circle_map(f: CircleMap) -> str:
+    """The ``circlemap m n v0 v1 ...`` line that ``parse_circle_map`` reads."""
+    return f"circlemap {f.m} {f.n} " + " ".join(str(v) for v in f.table)
+
+
 # -- complexes ---------------------------------------------------------
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from finspace.circles import (
     CircleMap,
-    circle_map_from_order_map,
     classify_homotopic,
     degree,
     lift,
@@ -22,7 +21,7 @@ from finspace.circles import (
 from finspace.cli import main
 from finspace.complexes import cycle_complex, make_complex, order_complex
 from finspace.errors import InvalidParameter
-from finspace.homotopy import core, hom_components
+from finspace.homotopy import core, degrees, hom_components, potentials, windings
 from finspace.invariants import (
     Cover,
     TorusChecker,
@@ -45,6 +44,7 @@ from finspace.space import (
 from finspace.witness import build_U, build_V, build_chain, displayed_core, verify_bundle
 from reference import (
     barycentric_facet_count,
+    circle_map_from_order_map,
     beat_points,
     coloring_from_rows,
     face_poset,
@@ -162,8 +162,11 @@ def test_homotopy_classes_match_degree_classification(m, n, total):
     assert len(tables) == total
     comp_of = {t: i for i, comp in enumerate(comps) for t in comp}
     cms = {t: circle_map_from_order_map(list(t), rec_x, rec_y) for t in tables}
-    for cm in cms.values():
+    for t, cm in cms.items():
         assert degree(cm) == lift(cm, 0, 2 * m, cm(0)).degree
+        # the winding of the one cycle of X gives the same degree
+        hit = next(windings(potentials(X, X.full, t, t, rec_y[1])), None)
+        assert degrees(hit, rec_x, Y.n) == (degree(cm), degree(cm))
     for comp in comps:
         ds = {degree(cms[t]) for t in comp}
         assert len(ds) == 1
@@ -197,16 +200,16 @@ def test_lifts_commute_and_are_unique():
         a = f(0)
         lr = lift(f, 0, 2 * m, a)
         for z in range(2 * m + 1):
-            assert lr.value(z) % size == f(z)
+            assert lr.values[z] % size == f(z)
         # each step of the lift is forced: exactly one integer within
         # distance one of the previous value reduces to f(z)
         for z in range(1, 2 * m + 1):
-            prev = lr.value(z - 1)
+            prev = lr.values[z - 1]
             cands = [
                 c for c in (prev - 1, prev, prev + 1) if c % size == f(z)
             ]
-            assert cands == [lr.value(z)]
-        span = lr.value(2 * m) - lr.value(0)
+            assert cands == [lr.values[z]]
+        span = lr.values[2 * m] - lr.values[0]
         assert span % size == 0
         assert degree(f) == span // size
 

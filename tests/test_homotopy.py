@@ -156,7 +156,7 @@ def test_fence_replay_validates_each_step():
 
 def test_nullhomotopic_in_arc():
     X = khalimsky_circle(4).space
-    arc = X.min_open(1).members | X.min_open(3).members
+    arc = X.down[1] | X.down[3]
     v = nullhomotopic_in(DownSet(X, arc), X)
     assert v.is_homotopic
 
@@ -217,8 +217,9 @@ def test_auto_agrees_with_components_and_lifts_fences(pair):
         assert beat_point_free(source) and beat_point_free(target)
     same = any(f.table in c and g.table in c for c in hom_components(X, Y))
     assert v.status == ("homotopic" if same else "not_homotopic"), v.reason
-    if v.is_homotopic and not v.reason.startswith("circle classification"):
-        # point cores included: every fence lies on X, from f to g
+    if v.is_homotopic and not RIGIDITY.match(v.reason):
+        # point cores and zero windings included: every fence lies on X,
+        # from f to g
         assert v.core_old_ids is None
         assert v.fence_space == X and v.target == Y
         assert v.fence[0] == f.table and v.fence[-1] == g.table
@@ -227,6 +228,37 @@ def test_auto_agrees_with_components_and_lifts_fences(pair):
             OrderMap(X, Y, t)  # raises unless continuous
         for s, t in zip(v.fence, v.fence[1:]):
             assert table_cmp(Y, s, t) is not None
+
+
+# the one homotopic verdict of "auto" without a fence: equal nonzero degree
+RIGIDITY = re.compile(r"circle classification: both maps have degree -?[1-9]")
+
+
+K32 = build_space(list("abcde"), [(i, j) for i in range(3) for j in (3, 4)])
+
+
+@pytest.mark.parametrize(
+    "X,Y,ft,status,reason",
+    [
+        # degree 1 < 3/2 on both sides: rigidity says homotopic, no fence
+        (khalimsky_circle(3).space, khalimsky_circle(2).space, (0, 1, 2, 3, 0, 1),
+         "homotopic", "circle classification: both maps have degree 1 with |d| < 3/2"),
+        # the identity of S1_2 and a rotation: degree 1, rigid
+        (khalimsky_circle(2).space, khalimsky_circle(2).space, (0, 1, 2, 3),
+         "not_homotopic", "circle classification: degrees 1 vs 1, rigidity bound 2/2"),
+        # K(3,2) is no circle: equal windings (4, 4) go on to fence BFS
+        (K32, khalimsky_circle(2).space, (0, 2, 2, 1, 3),
+         "not_homotopic", "comparability component of f exhausted"),
+    ],
+    ids=["rigid-homotopic", "rigid-not-homotopic", "no-circle-fence-bfs"],
+)
+def test_equal_windings_go_to_rigidity_or_fence_bfs(X, Y, ft, status, reason):
+    f = OrderMap(X, Y, ft)
+    g = OrderMap(X, Y, [(v + 2) % Y.n for v in ft])  # turned: same windings
+    v = homotopic(f, g)
+    assert v.status == status and v.reason.startswith(reason), v.reason
+    same = any(f.table in c and g.table in c for c in hom_components(X, Y))
+    assert same == v.is_homotopic
 
 
 def test_fence_bfs_runs_on_the_target_core():
@@ -320,6 +352,49 @@ def test_core_matches_rescan_reference(X):
     assert_core_matches_reference(X)
 
 
+# S1_2, S1_3, and S1_2 with a point w below b0 (an up beat point): the
+# core of each is a circle
+CIRCLE_TARGETS = (
+    khalimsky_circle(2).space,
+    khalimsky_circle(3).space,
+    build_space(["a0", "b0", "a1", "b1", "w"], [(0, 1), (2, 1), (2, 3), (0, 3), (4, 1)]),
+)
+# random posets, with S1_2, S1_3 and K(3,2) (two independent cycles)
+# mixed in, since few posets of at most 5 points have a loop
+DOMAINS = st.one_of(
+    posets(max_n=5),
+    st.sampled_from((
+        khalimsky_circle(2).space,
+        khalimsky_circle(3).space,
+        K32,
+    )),
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(DOMAINS, st.sampled_from(CIRCLE_TARGETS), st.data())
+def test_circle_stage_agrees_with_components(X, Y, data):
+    # into a target whose core is a circle, "auto" classifies by windings:
+    # its status is that of the full hom-set, and every homotopic verdict
+    # but rigidity carries a fence on X from f to g
+    tables = enumerate_maps(X, Y)
+    last = len(tables) - 1
+    i = data.draw(st.integers(0, last))
+    j = data.draw(st.integers(0, last).filter(lambda j: j != i or not last))
+    gt = tables[j]
+    if Y in CIRCLE_TARGETS[:2] and data.draw(st.booleans()):
+        # f turned by a rotation of the Khalimsky circle: equal windings
+        gt = tuple((v + 2) % Y.n for v in tables[i])
+    f, g = OrderMap(X, Y, tables[i]), OrderMap(X, Y, gt)
+    v = homotopic(f, g, "auto")
+    same = any(f.table in c and g.table in c for c in hom_components(X, Y))
+    assert v.status == ("homotopic" if same else "not_homotopic"), v.reason
+    if RIGIDITY.match(v.reason):
+        assert v.fence == [] and v.core_old_ids is not None
+    elif v.is_homotopic:
+        assert v.fence_space == X and v.target == Y and v.replay(f, g)
+
+
 @pytest.mark.parametrize("k", [5, 6, 7, 8])
 def test_core_matches_rescan_reference_on_witness_pieces(k):
     b = build_chain(k)
@@ -349,12 +424,19 @@ def test_core_recomputes_beat_status_only_near_removals(monkeypatch):
 
 def test_replay_rejects_empty_and_unanchored_fences():
     S3, S2 = khalimsky_circle(3).space, khalimsky_circle(2).space
+    # two distinct maps of degree 1 < 3/2: the rigidity verdict has no fence
+    once = OrderMap(S3, S2, [0, 1, 2, 3, 0, 0])
+    turned = OrderMap(S3, S2, [2, 3, 0, 1, 2, 2])
+    v = homotopic(once, turned)
+    assert v.is_homotopic
+    assert v.reason == "circle classification: both maps have degree 1 with |d| < 3/2"
+    assert v.fence == [] and not v.replay() and not v.replay(once, turned)
+    # degree 0: wraps half way round and comes back; the lift gives a fence
     const = constant_map(S3, S2, 0)
-    # degree 0: wraps half way round and comes back
     folded = OrderMap(S3, S2, [0, 1, 2, 1, 0, 0])
     v = homotopic(const, folded)
     assert v.is_homotopic and v.reason.startswith("circle classification")
-    assert v.fence == [] and not v.replay()
+    assert v.replay(const, folded)
     f, g = identity_map(S3), constant_map(S3, S3, 0)
     assert not HomotopyVerdict("homotopic", [f.table], S3, S3).replay(f, g)
     assert HomotopyVerdict("homotopic", [f.table], S3, S3).replay(f, f)
@@ -486,15 +568,19 @@ def chain_1200():
 
 
 def test_fence_bfs_on_a_core_deeper_than_the_recursion_limit():
-    # S1_16 x S1_16 is its own core, so "auto" runs fence BFS on all 1024
-    # points; pi1 is rigid, so its component is pi1 alone
+    # S1_16 x S1_16 is its own core, so fence BFS runs on all 1024 points;
+    # pi1 is rigid, so its component is pi1 alone.  "auto" needs no search:
+    # the windings of a cycle of the first factor tell pi1 from pi2
     C = khalimsky_circle(16).space
     P = product(C, C)
     pi1, pi2 = projections(C, C, P)
-    v = homotopic(pi1, pi2)
+    assert core(P).space.n == 1024
+    v = fence_bfs(pi1, pi2)
     assert v.status == "not_homotopic"
     assert v.reason.startswith("comparability component of f exhausted (1 maps,")
-    assert "on the domain core (1024 of 1024 points)" in v.reason
+    v = homotopic(pi1, pi2, budget=1)
+    assert v.status == "not_homotopic"
+    assert v.reason.startswith("circle classification: cycle with distinct windings")
 
 
 def test_fence_bfs_on_a_long_chain(chain_1200):

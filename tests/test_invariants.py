@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import finspace.homotopy as homotopy_module
 import finspace.invariants as invariants_module
 from finspace.errors import InvalidParameter, MismatchedSpaces, NotOpen
 from finspace.invariants import (
@@ -24,7 +25,7 @@ from finspace.invariants import (
     tc_via_colorings,
     two_color_refutation,
 )
-from finspace.homotopy import DEFAULT_BUDGET, HomotopyVerdict, homotopic
+from finspace.homotopy import DEFAULT_BUDGET, HomotopyVerdict, homotopic, potentials
 from finspace.space import (
     DownSet,
     OrderMap,
@@ -93,7 +94,7 @@ def test_diagonal_band_core_is_too_short():
 
 def test_categorical_arc_and_whole_space():
     X = khalimsky_circle(4).space
-    arc = DownSet(X, X.min_open(1).members | X.min_open(3).members)
+    arc = DownSet(X, X.down[1] | X.down[3])
     assert is_categorical(arc, X).is_homotopic
     assert not is_categorical(DownSet(X, X.full), X).is_homotopic
 
@@ -523,7 +524,7 @@ def test_lift_certifies_every_winding_free_piece(drawn):
     assert v.replay(incl, const)
     assert all(h.status != "not_homotopic" for h in general)
     # dropping one nonzero delta of the lift breaks the certificate
-    lifts, edges = ch.potentials(mask)
+    lifts, edges = potentials(ch.P, mask, ch.pi1.table, ch.pi2.table, ch.num)
     for p, q, w in edges:
         for i in (0, 1):
             if w[i]:
@@ -573,18 +574,27 @@ def few_maximal_pieces(draw):
     return ch, mask
 
 
+def test_homotopic_refutes_a_piece_with_distinct_windings_without_search():
+    # 39 points of S1_4^2 whose 11-point core is no circle: fence BFS spent
+    # its whole default budget here, but a cycle winds once under pi2 only
+    ch = TorusChecker(khalimsky_circle(4))
+    mask = 1978982920583031
+    v = homotopic(*projections_on(ch, mask), "auto", budget=1)
+    assert v.status == "not_homotopic"
+    assert v.reason == "circle classification: cycle with distinct windings (0,8)"
+
+
 @settings(max_examples=150)
 @given(few_maximal_pieces())
 def test_lift_stage_agrees_with_homotopic(drawn):
     # a section-categorical piece with no winding is decided by its lift,
-    # with a fence from pi1|U to pi2|U.  Past the winding test the status
-    # is that of homotopic on the restricted projections, and on a small
-    # piece it is that of the full hom-set
+    # with a fence from pi1|U to pi2|U.  The status is that of homotopic on
+    # the restricted projections, which runs the same winding test on U's
+    # core, and on a small piece it is that of the full hom-set
     ch, mask = drawn
     v = ch.is_section_categorical(mask)
     f1, f2 = projections_on(ch, mask)
-    if ch.winding_obstruction(mask, "sc") is None:
-        assert v.status == homotopic(f1, f2, "auto").status
+    assert v.status == homotopic(f1, f2, "auto").status
     if f1.source.n <= 14:
         brute = homotopic(f1, f2, "exhaustive-components", 20000)
         assert brute.status in (v.status, "unknown")
@@ -629,14 +639,16 @@ def test_search_builds_certificates_only_for_the_cover(monkeypatch):
     assert res.value == 2
     assert sorted(fenced) == sorted(p.members for p in res.cover.pieces)
 
+    # the clamps are shared with homotopic; count them under both names
     clamped = []
-    clamps = TorusChecker._clamps
+    clamps = homotopy_module._clamps
 
-    def recorded_clamps(self, lifts):
+    def recorded_clamps(lifts, num):
         clamped.append(len(lifts))
-        return clamps(self, lifts)
+        return clamps(lifts, num)
 
-    monkeypatch.setattr(TorusChecker, "_clamps", recorded_clamps)
+    monkeypatch.setattr(homotopy_module, "_clamps", recorded_clamps)
+    monkeypatch.setattr(invariants_module, "_clamps", recorded_clamps)
     res = tc(khalimsky_circle(3))
     assert res.value == 2
     # one clamp table per coordinate of each lift-certified cover piece

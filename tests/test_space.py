@@ -56,8 +56,8 @@ def test_khalimsky_circle_structure():
     assert X.n == 6
     # even ids are minimal, odd maximal, each odd above its two neighbours
     assert X.minimal_elements() == sum(1 << i for i in range(0, 6, 2))
-    assert X.min_open(K.b(0)).members == (1 << 0) | (1 << 1) | (1 << 2)
-    assert X.min_open(K.a(1)).members == 1 << 2
+    assert X.down[K.b(0)] == (1 << 0) | (1 << 1) | (1 << 2)
+    assert X.down[2] == 1 << 2  # a_1 is open
 
 
 def test_khalimsky_circle_too_small():
@@ -77,7 +77,7 @@ def test_downset_validation():
     X = khalimsky_circle(2).space
     with pytest.raises(InvalidParameter):
         DownSet(X, 1 << 1)  # the closed point without its boundary
-    U = X.min_open(1)
+    U = DownSet(X, X.down[1])
     assert popcount(U.members) == 3
 
 
@@ -129,7 +129,7 @@ def test_compose_and_restrict():
     X = khalimsky_circle(3).space
     f = identity_map(X)
     g = constant_map(X, X, 0)
-    sub, old = X.subspace(X.min_open(1).members)
+    sub, old = X.subspace(X.down[1])
     r = f.restrict(sub, old)
     assert list(r.table) == list(old)
     inclusion = OrderMap(sub, X, old)
@@ -147,7 +147,7 @@ def test_space_file_round_trip():
 
 def test_downset_serialize_round_trip():
     X = khalimsky_circle(3).space
-    U = DownSet(X, X.min_open(1).members | X.min_open(3).members)
+    U = DownSet(X, X.down[1] | X.down[3])
     again = parse_downset(X, U.serialize())
     assert again.members == U.members
 
