@@ -34,12 +34,12 @@ from .complexes import (
     order_complex,
 )
 from .invariants import (
-    TorusChecker,
     cat,
     parse_cover,
     square_grid,
     tc,
     tc_via_colorings,
+    torus,
     enumerate_simple_colorings,
 )
 from .witness import verify_bundle
@@ -334,7 +334,7 @@ def _cmd_cat(args):
     _exact_search_only(args, "--witness" if args.witness else None)
     budget = _budget_of(args)
     if getattr(args, "square", False) and args.circle is not None:
-        checker = TorusChecker(khalimsky_circle(args.circle))
+        checker = torus(khalimsky_circle(args.circle))
         if args.witness:
             with open(args.witness) as fh:
                 cov = parse_cover(checker.P, fh.read())
@@ -366,12 +366,9 @@ def _cmd_tc(args):
     budget = _budget_of(args)
     circle = khalimsky_circle(args.circle)
     if args.witness:
-        checker = TorusChecker(circle)
         with open(args.witness) as fh:
-            cov = parse_cover(checker.P, fh.read())
-        res = tc(
-            circle, mode="witness", witness=cov, budget=budget, checker=checker
-        )
+            cov = parse_cover(torus(circle).P, fh.read())
+        res = tc(circle, mode="witness", witness=cov, budget=budget)
     elif args.via_colorings:
         res = tc_via_colorings(circle, budget)
     else:
@@ -460,9 +457,9 @@ def _cmd_reproduce(args):
     for n in (2, 3):
         res = cat(khalimsky_circle(n).space, budget=budget)
         rows.append((f"cat, circle half-size {n}", res.value, 1))
-    res = cat(None, checker=TorusChecker(khalimsky_circle(2)), budget=budget)
+    res = cat(None, checker=torus(khalimsky_circle(2)), budget=budget)
     rows.append(("cat, torus half-size 2", res.value, 3))
-    res = cat(None, checker=TorusChecker(khalimsky_circle(3)), budget=budget)
+    res = cat(None, checker=torus(khalimsky_circle(3)), budget=budget)
     rows.append(("cat, torus half-size 3", res.value, 2))
 
     lines = [f"{'quantity':32} {'computed':>8} {'expected':>8}"]

@@ -181,31 +181,33 @@ def core(X: FiniteSpace) -> CoreData:
     """Strong-collapse X to a beat-point-free deformation retract.
 
     Removal is deterministic (lowest point id first); by Stong the result
-    is independent of the order up to homeomorphism.  The beat status
-    (kind, witness) of every point is computed once and kept in a
-    worklist; removing x recomputes it only for the points comparable to
-    x, the only ones whose up- or down-set in the subspace changes.  The
-    retraction is read off the removals backwards, and the per-removal
-    fence tables are rebuilt on demand by ``CoreData.fence``.
+    is independent of the order up to homeomorphism.  A worklist holds
+    the points whose beat status may have changed, every point at first:
+    the least one is popped and its status (kind, witness) computed at
+    the current subspace, and if it is a beat point it is removed and its
+    live comparable points not yet queued are queued again.  A point off
+    the list stays non-beat until a point comparable to it is removed, so
+    the least popped beat point is the least beat point.  The retraction
+    is read off the removals backwards, and the per-removal fence tables
+    are rebuilt on demand by ``CoreData.fence``.
     """
     mask = X.full
-    status = [_beat_status(X, mask, x) for x in range(X.n)]
-    heap = [x for x in range(X.n) if status[x] is not None]
+    heap = list(range(X.n))  # sorted, so already a heap
+    queued = [True] * X.n
     removals = []
     while heap:
         x = heappop(heap)
-        if not (mask >> x) & 1 or status[x] is None:
-            continue  # stale: removed, or no longer a beat point
-        kind, w = status[x]
-        removals.append((x, kind, w))
+        queued[x] = False
+        status = _beat_status(X, mask, x)
+        if status is None:
+            continue
+        removals.append((x, *status))
         mask &= ~(1 << x)
-        for y in sorted(X.up_ids[x] + X.down_ids[x]):
-            if not (mask >> y) & 1:
-                continue
-            was = status[y]
-            status[y] = _beat_status(X, mask, y)
-            if was is None and status[y] is not None:
-                heappush(heap, y)
+        for near in (X.up_ids[x], X.down_ids[x]):
+            for y in near:
+                if not queued[y] and (mask >> y) & 1:
+                    queued[y] = True
+                    heappush(heap, y)
     send = list(range(X.n))
     for x, _, w in reversed(removals):
         send[x] = send[w]

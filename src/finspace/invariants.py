@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from sys import byteorder
 
 from .errors import InvalidParameter, MismatchedSpaces, NotOpen
@@ -326,6 +327,19 @@ class TorusChecker:
     def is_categorical(self, mask: int, budget: int = DEFAULT_BUDGET):
         """Decide whether U -> S x S is nullhomotopic (componentwise)."""
         return self._decide(mask, "cat", budget)
+
+
+@lru_cache(maxsize=1)
+def torus(circle: KhalimskyCircle) -> TorusChecker:
+    """The ``TorusChecker`` of ``circle``: S x S, its two projections and
+    the circle numbering, built once and shared by every caller.
+
+    A checker holds no state after ``__init__``, so sharing it is safe.
+    Only the last circle's torus is kept: ``verify_bundle``, ``build_U``,
+    ``build_V`` and witness-mode ``tc`` on one circle build one product
+    between them, and a sweep over many sizes holds one torus at a time.
+    """
+    return TorusChecker(circle)
 
 
 def is_categorical(
@@ -633,14 +647,16 @@ def tc(
     search, so piece counts start at 2.  The search decides one piece per
     orbit of phi x phi (phi in Aut(S)) with the factor swap, order 4n,
     which preserves pi1|U ~ pi2|U.  phi x psi with phi != psi does not: a
-    rotation of S is not homotopic to the identity.  A given ``checker``
-    is used in place of a new one; it must be built on ``circle``.  A
+    rotation of S is not homotopic to the identity.  Without a
+    ``checker``, S x S comes from ``torus(circle)``, the one shared with
+    ``build_U``, ``build_V`` and ``verify_bundle`` on the same circle (one
+    torus is kept); a given ``checker`` must be built on ``circle``.  A
     ``witness`` is read only in witness mode, which needs one and takes
     no ``limit`` or ``force``.
     """
     _check_mode(mode, witness, limit, force)
     if checker is None:
-        checker = TorusChecker(circle)
+        checker = torus(circle)
     elif checker.X != circle.space:
         raise MismatchedSpaces("checker built on a different circle")
 
@@ -696,7 +712,7 @@ class SquareGrid:
 
 def square_grid(n: int) -> SquareGrid:
     circle = khalimsky_circle(n)
-    return SquareGrid(circle, TorusChecker(circle))
+    return SquareGrid(circle, torus(circle))
 
 
 @dataclass(frozen=True)
@@ -899,7 +915,7 @@ def tc_via_colorings(
 ) -> InvariantResult:
     """tc of a digital circle with the 2-piece impossibility argued through
     simple colorings, then the exact search from 3 pieces on."""
-    checker = TorusChecker(circle)
+    checker = torus(circle)
     grid = SquareGrid(circle, checker)
     refuted, _, notes = two_color_refutation(grid, budget)
     notes = ["lower bound 1 from the topological circle"] + notes

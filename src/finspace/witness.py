@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .errors import InvalidParameter, NotContinuous, NotOpen, NotOrderPreserving
 from .homotopy import core, table_cmp
 from .circles import recognize_circle
-from .invariants import TorusChecker
+from .invariants import TorusChecker, torus
 from .space import (
     DownSet,
     KhalimskyCircle,
@@ -26,7 +26,6 @@ from .space import (
     bits,
     khalimsky_circle,
     popcount,
-    product,
 )
 
 
@@ -106,12 +105,15 @@ def _blocks(k: int):
 
 
 def build_U(k: int) -> DownSet:
-    """The five-block open set in the product, residues 1..2k."""
+    """The five-block open set in the product, residues 1..2k.
+
+    The product is ``torus(khalimsky_circle(k)).P``, shared with
+    ``build_V``, ``build_chain`` and ``tc`` on the same circle; one torus
+    is kept, so calls for one k in a row build it once."""
     if k < 5:
         raise InvalidParameter("the witness construction needs k >= 5")
     co, m, A0, A1, A2, A3, A4 = _blocks(k)
-    X = khalimsky_circle(k).space
-    P = product(X, X)
+    P = torus(khalimsky_circle(k)).P
     mask = co.mask(A0 | A1 | A2 | A3 | A4)
     if not P.is_open(mask):
         raise NotOpen("the block union is not open; transcription bug")
@@ -127,7 +129,8 @@ def _complement_hull(U: DownSet) -> DownSet:
 
 
 def build_V(k: int) -> DownSet:
-    """Smallest open neighbourhood of the complement of U."""
+    """Smallest open neighbourhood of the complement of U, in the same
+    shared product as ``build_U(k)`` (see ``invariants.torus``)."""
     return _complement_hull(build_U(k))
 
 
@@ -174,7 +177,7 @@ def build_chain(k: int) -> WitnessBundle:
         raise InvalidParameter("the witness construction needs k >= 5")
     co, m, A0, A1, A2, A3, A4 = _blocks(k)
     circle = khalimsky_circle(k)
-    checker = TorusChecker(circle)
+    checker = torus(circle)
     P = checker.P
     U = DownSet(P, co.mask(A0 | A1 | A2 | A3 | A4))
     if not P.is_open(U.members):

@@ -5,12 +5,14 @@ way, something the program computes differently (or only feeds to a
 check).  Import them in a test module with ``from reference import ...``.
 """
 
+from heapq import heappop, heappush
 from itertools import combinations, product
 from math import factorial
 
 from finspace.circles import CircleMap
 from finspace.complexes import SimplicialComplex
 from finspace.errors import FinspaceError
+from finspace.homotopy import _beat_status
 from finspace.invariants import Coloring, SquareGrid
 from finspace.space import FiniteSpace, build_space, popcount
 
@@ -208,3 +210,31 @@ def brute_force_simple_colorings(grid: SquareGrid, colors: int):
         for combo in product(range(colors), repeat=n * n)
         if is_simple(grid, Coloring(n, colors, combo))
     ]
+
+
+def eager_core(X: FiniteSpace):
+    """An eager beat-point worklist to compare ``homotopy.core``'s lazy
+    one against: every point's status is kept, and removing x recomputes
+    it for every live point comparable to x, in id order; beat points
+    wait in a heap.
+
+    Returns (removals, end mask), removals as ``core`` lists them."""
+    mask = X.full
+    status = [_beat_status(X, mask, x) for x in range(X.n)]
+    heap = [x for x in range(X.n) if status[x] is not None]
+    removals = []
+    while heap:
+        x = heappop(heap)
+        if not (mask >> x) & 1 or status[x] is None:
+            continue  # stale: removed, or no longer a beat point
+        kind, w = status[x]
+        removals.append((x, kind, w))
+        mask &= ~(1 << x)
+        for y in sorted(X.up_ids[x] + X.down_ids[x]):
+            if not (mask >> y) & 1:
+                continue
+            was = status[y]
+            status[y] = _beat_status(X, mask, y)
+            if was is None and status[y] is not None:
+                heappush(heap, y)
+    return removals, mask

@@ -263,6 +263,8 @@ def test_tc_witness_builds_one_product(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(invariants_module, "product", counted)
     monkeypatch.setattr(cli_module, "product", counted)
+    # as in a fresh process: build_U above left S1_5 x S1_5 in the cache
+    invariants_module.torus.cache_clear()
     code, out, _ = run(capsys, "tc", "--circle", "5", "--witness", str(path))
     assert code == 0 and out.splitlines()[0] == "1"
     assert len(calls) == 1

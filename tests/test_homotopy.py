@@ -33,7 +33,7 @@ from finspace.space import (
     projections,
 )
 from finspace.witness import build_chain
-from reference import NotMinimal, beat_points, minimal_iso_check
+from reference import NotMinimal, beat_points, eager_core, minimal_iso_check
 
 
 def random_poset(rng, n):
@@ -319,6 +319,7 @@ def naive_core(X):
 def assert_core_matches_reference(X):
     removals, mask, send = naive_core(X)
     cd = core(X)
+    assert eager_core(X) == (removals, mask)
     assert cd.sequence.removals == removals
     assert cd.mask == mask
     assert cd.old_ids == list(bits(mask))
@@ -350,6 +351,16 @@ def posets(draw, max_n=14):
 @given(posets())
 def test_core_matches_rescan_reference(X):
     assert_core_matches_reference(X)
+
+
+@settings(max_examples=100)
+@given(posets(max_n=40))
+def test_lazy_core_matches_eager_worklist(X):
+    # larger posets than the rescan reference takes, for long worklists
+    removals, mask = eager_core(X)
+    cd = core(X)
+    assert cd.sequence.removals == removals
+    assert cd.old_ids == list(bits(mask))
 
 
 # S1_2, S1_3, and S1_2 with a point w below b0 (an up beat point): the
@@ -399,7 +410,7 @@ def test_circle_stage_agrees_with_components(X, Y, data):
 def test_core_matches_rescan_reference_on_witness_pieces(k):
     b = build_chain(k)
     P = b.checker.P
-    for mask in (b.U.members, b.V.members, b.C):
+    for mask in (b.U.members, b.V.members, b.C, P.full):
         assert_core_matches_reference(P.subspace(mask)[0])
 
 

@@ -1,8 +1,11 @@
 import pytest
 
+import finspace.invariants as invariants_module
+import finspace.space as space_module
 import finspace.witness as witness_module
 from finspace.errors import InvalidParameter, NotContinuous
-from finspace.space import FiniteSpace, popcount
+from finspace.invariants import Cover, TorusChecker, tc, torus
+from finspace.space import FiniteSpace, khalimsky_circle, popcount
 from finspace.witness import (
     build_chain,
     build_U,
@@ -25,6 +28,43 @@ def test_U_is_open_and_V_completes_cover():
         assert P.is_open(U.members)
         assert P.is_open(V.members)
         assert U.members | V.members == P.full
+
+
+def test_witness_pieces_share_one_torus(monkeypatch):
+    U, V, b = build_U(6), build_V(6), build_chain(6)
+    assert U.space is V.space is b.checker.P
+    deciders = []
+    decide = TorusChecker.is_section_categorical
+
+    def recorded(self, mask, budget):
+        deciders.append(self)
+        return decide(self, mask, budget)
+
+    monkeypatch.setattr(TorusChecker, "is_section_categorical", recorded)
+    res = tc(khalimsky_circle(6), mode="witness", witness=Cover(U.space, [U, V]))
+    assert res.exact and res.value == 1
+    assert len(deciders) == 2 and all(ch.P is U.space for ch in deciders)
+
+
+def test_witness_sweep_builds_one_product_per_k(monkeypatch):
+    # the benchmark's query shape; one torus is kept, so each k misses once
+    sizes = []
+    real = space_module.product
+
+    def counted(X, Y):
+        sizes.append(X.n)
+        return real(X, Y)
+
+    for module in (space_module, invariants_module, witness_module):
+        monkeypatch.setattr(module, "product", counted, raising=False)
+    torus.cache_clear()
+    for k in range(5, 9):
+        assert verify_bundle(k).passed
+        U, V = build_U(k), build_V(k)
+        res = tc(khalimsky_circle(k), mode="witness", witness=Cover(U.space, [U, V]))
+        assert res.exact and res.value == 1
+    assert sizes == [10, 12, 14, 16]
+    assert torus.cache_info().currsize == 1
 
 
 def test_chain_first_stage_is_identity():
