@@ -339,7 +339,10 @@ def recognize_circle(X: FiniteSpace):
     Returns (n, numbering) where numbering[point] is its residue in Z/2n
     (minimal points get even residues), or None.  Among the valid
     numberings (rotations x orientations) the lexicographically least is
-    returned.
+    returned.  It gives point 0 its least residue, so only two are built:
+    residue 0 at a minimal point 0, either way round the cycle; else
+    residue 1 at a maximal point 0, with residue 0 at either of its
+    neighbours, which are minimal.
     """
     size = X.n
     if size < 4 or size % 2:
@@ -374,17 +377,12 @@ def recognize_circle(X: FiniteSpace):
     kinds = [(minimal >> p) & 1 for p in order]
     if any(kinds[i] == kinds[(i + 1) % size] for i in range(size)):
         return None
-    n = size // 2
-    best = None
-    for rot in range(size):
-        if not (minimal >> order[rot]) & 1:
-            continue
-        for step in (1, -1):
-            numbering = [0] * size
-            for j in range(size):
-                numbering[order[(rot + step * j) % size]] = j
-            t = tuple(numbering)
-            if best is None or t < best:
-                best = t
-    return (n, list(best))
-
+    # (rot, step): order[rot] gets residue 0, order[rot + step] residue 1
+    starts = ((0, 1), (0, -1)) if kinds[0] else ((size - 1, 1), (1, -1))
+    numberings = []
+    for rot, step in starts:
+        numbering = [0] * size
+        for i, p in enumerate(order):
+            numbering[p] = (i - rot) * step % size
+        numberings.append(numbering)
+    return (size // 2, min(numberings))

@@ -28,6 +28,7 @@ from .space import (
     OrderMap,
     bits,
     check_continuous,
+    identity_map,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -190,6 +191,10 @@ def core(X: FiniteSpace) -> CoreData:
     the least popped beat point is the least beat point.  The retraction
     is read off the removals backwards, and the per-removal fence tables
     are rebuilt on demand by ``CoreData.fence``.
+
+    A space with no beat point is returned as its own core, with one
+    identity map as both retraction and inclusion: the scan proves it
+    minimal, and no subspace copy is built.
     """
     mask = X.full
     heap = list(range(X.n))  # sorted, so already a heap
@@ -208,6 +213,11 @@ def core(X: FiniteSpace) -> CoreData:
                 if not queued[y] and (mask >> y) & 1:
                     queued[y] = True
                     heappush(heap, y)
+    if not removals:
+        identity = identity_map(X)
+        return CoreData(
+            X, list(range(X.n)), identity, identity, CollapseSequence(X, [], mask)
+        )
     send = list(range(X.n))
     for x, _, w in reversed(removals):
         send[x] = send[w]

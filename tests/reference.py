@@ -141,6 +141,50 @@ def serialize_circle_map(f: CircleMap) -> str:
     return f"circlemap {f.m} {f.n} " + " ".join(str(v) for v in f.table)
 
 
+def all_rotations_circle(X: FiniteSpace):
+    """``recognize_circle`` by brute force: the same cycle checks, then the
+    least of the numberings of every rotation that puts residue 0 at a
+    minimal point, in both orientations.  (n, numbering) or None."""
+    size = X.n
+    if size < 4 or size % 2:
+        return None
+    nbrs = []
+    for x, (ups, downs) in enumerate(zip(X.up_ids, X.down_ids)):
+        if len(ups) + len(downs) != 4:
+            return None
+        if len(ups) > 1 and len(downs) > 1:
+            return None
+        nbrs.append([y for y in (ups if len(ups) > 1 else downs) if y != x])
+    seen = {0}
+    order = [0]
+    cur, prev = nbrs[0][0], 0
+    while cur != 0:
+        if cur in seen:
+            return None
+        seen.add(cur)
+        order.append(cur)
+        a, b = nbrs[cur]
+        cur, prev = (b if a == prev else a), cur
+    if len(order) != size:
+        return None
+    minimal = X.minimal_elements()
+    kinds = [(minimal >> p) & 1 for p in order]
+    if any(kinds[i] == kinds[(i + 1) % size] for i in range(size)):
+        return None
+    best = None
+    for rot in range(size):
+        if not (minimal >> order[rot]) & 1:
+            continue
+        for step in (1, -1):
+            numbering = [0] * size
+            for j in range(size):
+                numbering[order[(rot + step * j) % size]] = j
+            t = tuple(numbering)
+            if best is None or t < best:
+                best = t
+    return (size // 2, list(best))
+
+
 # -- complexes ---------------------------------------------------------
 
 

@@ -21,14 +21,22 @@ from finspace.circles import (
 )
 from finspace.errors import BaseMismatch, InvalidParameter, MismatchedSizes, PreconditionViolated
 from finspace.homotopy import degrees, homotopic, potentials, windings
-from finspace.space import OrderMap, khalimsky_circle, khalimsky_interval, product
+from finspace.space import (
+    OrderMap,
+    build_space,
+    khalimsky_circle,
+    khalimsky_interval,
+    product,
+)
 from reference import (
+    all_rotations_circle,
     circle_map_from_order_map,
     constant_circle_map,
     identity_circle_map,
     rotate_circle_map,
     serialize_circle_map,
 )
+from test_homotopy import posets
 
 
 def random_circle_map(rng, m, n):
@@ -288,6 +296,35 @@ def test_recognize_circle_rejects_non_circles():
     assert recognize_circle(khalimsky_interval(0, 4).space) is None
     X = khalimsky_circle(2).space
     assert recognize_circle(product(X, X)) is None
+
+
+def relabelled(X, perm):
+    """X with point x renamed perm[x]."""
+    labels = [None] * X.n
+    for x, p in enumerate(perm):
+        labels[p] = X.labels[x]
+    pairs = [(perm[x], perm[y]) for y in range(X.n) for x in X.down_ids[y] if x != y]
+    return build_space(labels, pairs)
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 12), st.randoms(use_true_random=False))
+def test_recognize_circle_matches_all_rotations_on_relabelled_circles(n, rnd):
+    # point 0 lands on a maximal point about half the time, where the least
+    # numbering does not start at rotation 0
+    perm = list(range(2 * n))
+    rnd.shuffle(perm)
+    X = relabelled(khalimsky_circle(n).space, perm)
+    want = all_rotations_circle(X)
+    assert want is not None and want[0] == n
+    assert recognize_circle(X) == want
+
+
+@settings(max_examples=300)
+@given(posets(max_n=12))
+def test_recognize_circle_matches_all_rotations_on_posets(X):
+    # almost every draw is not a circle: both sides must give None
+    assert recognize_circle(X) == all_rotations_circle(X)
 
 
 def test_circle_map_from_order_map_identity():

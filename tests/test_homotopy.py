@@ -414,6 +414,58 @@ def test_core_matches_rescan_reference_on_witness_pieces(k):
         assert_core_matches_reference(P.subspace(mask)[0])
 
 
+def assert_own_core(X):
+    cd = core(X)
+    assert cd.space is X
+    assert cd.old_ids == list(range(X.n))
+    assert cd.retraction is cd.inclusion
+    assert cd.retraction.table == tuple(range(X.n))
+    assert cd.sequence.removals == [] and cd.fence == [tuple(range(X.n))]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_circle_and_torus_are_their_own_cores(n):
+    C = khalimsky_circle(n).space
+    assert_own_core(C)
+    assert_own_core(product(C, C))
+
+
+@settings(max_examples=100)
+@given(posets())
+def test_beat_point_free_poset_is_its_own_core(P):
+    X = core(P).space
+    assert beat_points(X) == []
+    assert_own_core(X)
+
+
+def test_homotopic_between_circles_builds_no_subspace(monkeypatch):
+    calls = []
+    subspace = FiniteSpace.subspace
+
+    def counted(self, mask):
+        calls.append(mask)
+        return subspace(self, mask)
+
+    monkeypatch.setattr(FiniteSpace, "subspace", counted)
+    S3, S2 = khalimsky_circle(3).space, khalimsky_circle(2).space
+    once = OrderMap(S3, S2, [0, 1, 2, 3, 0, 0])
+    reasons = [
+        homotopic(once, g).reason
+        for g in (
+            OrderMap(S3, S2, [2, 3, 0, 1, 2, 2]),  # rigidity
+            OrderMap(S3, S2, [0, 3, 2, 1, 0, 0]),  # degree -1
+            OrderMap(S3, S2, [0, 0, 0, 0, 0, 0]),  # degree 0
+        )
+    ]
+    assert reasons[0].startswith("circle classification: both maps have degree 1")
+    assert reasons[1].startswith("circle classification: cycle with distinct")
+    assert reasons[2].startswith("circle classification: cycle with distinct")
+    const = constant_map(S3, S2, 0)
+    folded = OrderMap(S3, S2, [0, 1, 2, 1, 0, 0])
+    assert homotopic(const, folded).replay(const, folded)
+    assert calls == []
+
+
 def test_core_recomputes_beat_status_only_near_removals(monkeypatch):
     # a worklist bound, not a clock: n initial statuses plus one per point
     # comparable to each removed point
