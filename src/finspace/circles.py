@@ -143,13 +143,6 @@ class LiftRecord:
     start: int
     values: tuple  # lifted integer per z in k..l
 
-    @property
-    def degree(self) -> int:
-        span = self.l - self.k
-        if span != 2 * self.base.m:
-            raise InvalidParameter("degree needs a full loop window")
-        return (self.values[-1] - self.values[0]) // (2 * self.base.n)
-
 
 def _steps(f: CircleMap, k: int, l: int):
     """The lift steps f(z+1) - f(z) mod 2n for z in k..l-1, each -1, 0 or
@@ -190,8 +183,9 @@ def degree(f: CircleMap) -> int:
     """The winding degree: the lift steps around the loop, z = 0..2m-1
     with wrap-around, summed and divided by 2n.
 
-    This is ``lift(f, 0, 2m, f(0)).degree`` without building the lift's
-    values, its IntervalMap or its commutation check.
+    This is how far ``lift(f, 0, 2m, f(0))`` climbs over the loop, its
+    last value minus its first, divided by 2n, without building the
+    lift's values, its IntervalMap or its commutation check.
     """
     return sum(_steps(f, 0, 2 * f.m)) // (2 * f.n)
 

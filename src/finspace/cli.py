@@ -85,16 +85,15 @@ def _emit(args, payload: dict, text_lines):
 def _load_space(args) -> FiniteSpace:
     if args.circle is not None:
         X = khalimsky_circle(args.circle).space
-        if getattr(args, "square", False):
-            return product(X, X)
-        return X
-    if getattr(args, "interval", None) is not None:
+    elif args.interval is not None:
         k, l = args.interval
-        return khalimsky_interval(k, l).space
-    if args.file is not None:
+        X = khalimsky_interval(k, l).space
+    elif args.file is not None:
         with open(args.file) as fh:
-            return read_space(fh.read())
-    raise _Usage("give one of --circle, --interval, --file")
+            X = read_space(fh.read())
+    else:
+        raise _Usage("give one of --circle, --interval, --file")
+    return product(X, X) if args.square else X
 
 
 def _read_circle_map(spec_text: str) -> CircleMap:
@@ -110,16 +109,13 @@ def _order_map_of(cm: CircleMap) -> OrderMap:
     return OrderMap(src, tgt, list(cm.table))
 
 
-def _space_sources(p, square_ok=False):
+def _space_sources(p):
     p.add_argument("--circle", type=int, help="digital circle of half-size N")
     p.add_argument(
         "--interval", type=int, nargs=2, metavar=("K", "L"), help="line interval [K, L]"
     )
     p.add_argument("--file", help="space file")
-    if square_ok:
-        p.add_argument(
-            "--square", action="store_true", help="take the product with itself"
-        )
+    p.add_argument("--square", action="store_true", help="take the product with itself")
 
 
 def _common(p, budget=False):
@@ -134,13 +130,13 @@ def build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("space", help="build and describe a space")
-    _space_sources(p, square_ok=True)
+    _space_sources(p)
     p.add_argument("--dot", action="store_true", help="emit the Hasse diagram as DOT")
     p.add_argument("--out", help="write the space file here")
     _common(p)
 
     p = sub.add_parser("core", help="beat-point core of a space")
-    _space_sources(p, square_ok=True)
+    _space_sources(p)
     _common(p)
 
     p = sub.add_parser("homotopic", help="decide homotopy of two circle maps")
@@ -163,7 +159,7 @@ def build_parser() -> _Parser:
     _common(p)
 
     p = sub.add_parser("cat", help="LS-category")
-    _space_sources(p, square_ok=True)
+    _space_sources(p)
     p.add_argument("--limit", type=int)
     p.add_argument("--witness", help="cover file giving an upper bound")
     p.add_argument("--force", action="store_true")
@@ -192,7 +188,7 @@ def build_parser() -> _Parser:
     _common(p, budget=True)
 
     p = sub.add_parser("export-complex", help="order complex as an .asc file")
-    _space_sources(p, square_ok=True)
+    _space_sources(p)
     p.add_argument("--cycle", type=int, help="use the N-cycle graph instead")
     p.add_argument("--out", help="output path (stdout otherwise)")
     _common(p)
@@ -333,24 +329,13 @@ def _exact_search_only(args, route):
 def _cmd_cat(args):
     _exact_search_only(args, "--witness" if args.witness else None)
     budget = _budget_of(args)
-    if getattr(args, "square", False) and args.circle is not None:
-        checker = torus(khalimsky_circle(args.circle))
-        if args.witness:
-            with open(args.witness) as fh:
-                cov = parse_cover(checker.P, fh.read())
-            res = cat(None, mode="witness", witness=cov, budget=budget, checker=checker)
-        else:
-            res = cat(
-                None, checker=checker, limit=args.limit, budget=budget, force=args.force
-            )
+    X = _load_space(args)
+    if args.witness:
+        with open(args.witness) as fh:
+            cov = parse_cover(X, fh.read())
+        res = cat(X, mode="witness", witness=cov, budget=budget)
     else:
-        X = _load_space(args)
-        if args.witness:
-            with open(args.witness) as fh:
-                cov = parse_cover(X, fh.read())
-            res = cat(X, mode="witness", witness=cov, budget=budget)
-        else:
-            res = cat(X, limit=args.limit, budget=budget, force=args.force)
+        res = cat(X, limit=args.limit, budget=budget, force=args.force)
     payload = {"command": "cat", **_result_payload(res)}
     _emit(args, payload, [str(res)] + [f"  {n}" for n in res.notes])
     return EXIT_OK if res.exact else EXIT_BOUNDS
@@ -457,9 +442,9 @@ def _cmd_reproduce(args):
     for n in (2, 3):
         res = cat(khalimsky_circle(n).space, budget=budget)
         rows.append((f"cat, circle half-size {n}", res.value, 1))
-    res = cat(None, checker=torus(khalimsky_circle(2)), budget=budget)
+    res = cat(torus(khalimsky_circle(2)).P, budget=budget)
     rows.append(("cat, torus half-size 2", res.value, 3))
-    res = cat(None, checker=torus(khalimsky_circle(3)), budget=budget)
+    res = cat(torus(khalimsky_circle(3)).P, budget=budget)
     rows.append(("cat, torus half-size 3", res.value, 2))
 
     lines = [f"{'quantity':32} {'computed':>8} {'expected':>8}"]

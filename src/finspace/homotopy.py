@@ -751,11 +751,14 @@ def homotopic(
 def nullhomotopic_in(
     U: DownSet, X: FiniteSpace, budget: int = DEFAULT_BUDGET
 ) -> HomotopyVerdict:
-    """Is the inclusion U -> X homotopic to a constant map?"""
+    """Is the inclusion U -> X homotopic to a constant map?  The empty
+    piece vacuously is."""
     if U.space != X:
         raise MismatchedSpaces("U must be a subset of X")
     if not X.is_open(U.members):
         raise NotOpen("U is not open in X")
+    if not U.members:
+        return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
     sub, old_ids = X.subspace(U.members)
     incl = OrderMap(sub, X, old_ids)
     base = old_ids[0]

@@ -6,8 +6,9 @@ A piece whose cycles all have winding (0, 0) is certified by its lift:
 the spanning-forest potentials lift both projections to the digital line,
 the lift lands in a finite interval, and clamping it step by step gives a
 fence.  The potentials, windings and clamps are those of ``homotopic``
-(``homotopy.potentials``), run on the piece itself with no subspace.  For a categorical piece it runs from the inclusion to a constant;
-for a section-categorical one from pi1|U through constants to pi2|U.  Only
+(``homotopy.potentials``), run on the piece itself with no subspace.
+For a categorical piece it runs from the inclusion to a constant; for a
+section-categorical one from pi1|U through constants to pi2|U.  Only
 a section-categorical piece with a cycle of winding (d, d), d != 0, is
 decided by ``homotopic`` on the projections restricted to it, which works
 on the piece's core.
@@ -29,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 from sys import byteorder
 
 from .errors import InvalidParameter, MismatchedSpaces, NotOpen
@@ -342,13 +344,46 @@ def torus(circle: KhalimskyCircle) -> TorusChecker:
     return TorusChecker(circle)
 
 
-def is_categorical(
-    U: DownSet, X: FiniteSpace, budget: int = DEFAULT_BUDGET
-) -> HomotopyVerdict:
-    """Is U categorical in X (inclusion nullhomotopic)?"""
-    if U.members == 0:
-        return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
-    return nullhomotopic_in(U, X, budget)
+def _torus_of(X: FiniteSpace) -> TorusChecker | None:
+    """``torus(khalimsky_circle(n))`` when X is its square S1_n x S1_n,
+    with the same down-sets and labels, else None."""
+    n = isqrt(X.n // 4)
+    if n < 2 or X.n != 4 * n * n:
+        return None
+    checker = torus(khalimsky_circle(n))
+    return checker if checker.P == X else None
+
+
+def _deciders(X: FiniteSpace, checker: TorusChecker | None, mode: str, budget: int):
+    """How a search decides the pieces of X, as (status_of, certify,
+    group): ``status_of(mask)`` the status alone, ``certify(mask)`` the
+    verdict with its certificate, and ``group()`` the symmetries that
+    exact search may use, built only when it asks (witness mode does not).
+
+    With a ``checker`` (X is its S x S) pieces go through its
+    ``is_categorical`` (mode 'cat') or ``is_section_categorical`` (mode
+    'sc'), and the group is ``checker.symmetries(mode)``.  Without one,
+    X's pieces go through ``nullhomotopic_in`` with no symmetry.
+    """
+    if checker is None:
+
+        def certify(mask):
+            return nullhomotopic_in(DownSet(X, mask), X, budget)
+
+        def status_of(mask):
+            return certify(mask).status
+
+        return status_of, certify, lambda: ()
+
+    decide = checker.is_categorical if mode == "cat" else checker.is_section_categorical
+
+    def certify(mask):
+        return decide(mask, budget)
+
+    def status_of(mask):
+        return checker.piece_status(mask, mode, budget)
+
+    return status_of, certify, lambda: checker.symmetries(mode)
 
 
 # -- exact search over principal partitions ---------------------------
@@ -593,42 +628,25 @@ def cat(
     budget: int = DEFAULT_BUDGET,
     force: bool = False,
     witness: Cover | None = None,
-    checker: TorusChecker | None = None,
 ) -> InvariantResult:
     """LS-category: least m with an (m+1)-piece categorical open cover.
 
-    With a ``checker`` the space is S x S and a piece is categorical
-    exactly when it has no cycle of nonzero winding; its certificate is
-    the lift fence from the inclusion to a constant.  The exact search then
-    decides one piece per orbit of Aut(S)^2 with the factor swap (order
-    8n^2), since a homeomorphism maps categorical pieces to categorical
-    pieces.  Without one, pieces of X go through ``nullhomotopic_in`` and
-    the search uses no symmetry.  A ``witness`` is read only in witness
-    mode, which needs one and takes no ``limit`` or ``force``.
+    When X is S1_n x S1_n itself (the down-sets and labels of
+    ``torus(khalimsky_circle(n)).P``, as a square saved and read back also
+    has), a piece is categorical exactly when it has no cycle of nonzero
+    winding, and its certificate is the lift fence from the inclusion to
+    a constant.  The exact search then decides one piece per orbit of
+    Aut(S)^2 with the factor swap (order 8n^2), since a homeomorphism maps
+    categorical pieces to categorical pieces.  Any other X, a relabelled
+    torus too, has its pieces go through ``nullhomotopic_in``, and the
+    search uses no symmetry.  A ``witness`` is read only in witness mode,
+    which needs one and takes no ``limit`` or ``force``.
     """
     _check_mode(mode, witness, limit, force)
-    if checker is not None:
-
-        def check(mask):
-            return checker.is_categorical(mask, budget)
-
-        def status_of(mask):
-            return checker.piece_status(mask, "cat", budget)
-
-        space = checker.P
-    else:
-        space = X
-
-        def check(mask):
-            return is_categorical(DownSet(space, mask), space, budget)
-
-        def status_of(mask):
-            return check(mask).status
-
+    status_of, certify, group = _deciders(X, _torus_of(X), "cat", budget)
     if mode == "witness":
-        return _witness_invariant("cat", 0, space, check, witness)
-    group = checker.symmetries("cat") if checker is not None else ()
-    return _exact_invariant("cat", space, status_of, check, limit, force, group=group)
+        return _witness_invariant("cat", 0, X, certify, witness)
+    return _exact_invariant("cat", X, status_of, certify, limit, force, group=group())
 
 
 def tc(
@@ -638,40 +656,29 @@ def tc(
     budget: int = DEFAULT_BUDGET,
     force: bool = False,
     witness: Cover | None = None,
-    checker: TorusChecker | None = None,
 ) -> InvariantResult:
     """Topological complexity of a digital circle, over partitions of the
     maximal elements of S x S.
 
-    The realization bound tc >= 1 (the topological circle) seeds the
-    search, so piece counts start at 2.  The search decides one piece per
-    orbit of phi x phi (phi in Aut(S)) with the factor swap, order 4n,
+    S x S comes from ``torus(circle)``, the one shared with ``build_U``,
+    ``build_V`` and ``verify_bundle`` on the same circle (one torus is
+    kept).  The realization bound tc >= 1 (the topological circle) seeds
+    the search, so piece counts start at 2.  The search decides one piece
+    per orbit of phi x phi (phi in Aut(S)) with the factor swap, order 4n,
     which preserves pi1|U ~ pi2|U.  phi x psi with phi != psi does not: a
-    rotation of S is not homotopic to the identity.  Without a
-    ``checker``, S x S comes from ``torus(circle)``, the one shared with
-    ``build_U``, ``build_V`` and ``verify_bundle`` on the same circle (one
-    torus is kept); a given ``checker`` must be built on ``circle``.  A
-    ``witness`` is read only in witness mode, which needs one and takes
-    no ``limit`` or ``force``.
+    rotation of S is not homotopic to the identity.  A ``witness`` is read
+    only in witness mode, which needs one and takes no ``limit`` or
+    ``force``.
     """
     _check_mode(mode, witness, limit, force)
-    if checker is None:
-        checker = torus(circle)
-    elif checker.X != circle.space:
-        raise MismatchedSpaces("checker built on a different circle")
-
-    def check(mask):
-        return checker.is_section_categorical(mask, budget)
-
-    def status_of(mask):
-        return checker.piece_status(mask, "sc", budget)
-
+    checker = torus(circle)
+    status_of, certify, group = _deciders(checker.P, checker, "sc", budget)
     if mode == "witness":
-        return _witness_invariant("tc", 1, checker.P, check, witness)
+        return _witness_invariant("tc", 1, checker.P, certify, witness)
     return _exact_invariant(
-        "tc", checker.P, status_of, check, limit, force,
+        "tc", checker.P, status_of, certify, limit, force,
         start=2, notes=["lower bound 1 from the topological circle"],
-        group=checker.symmetries("sc"),
+        group=group(),
     )
 
 
@@ -923,15 +930,9 @@ def tc_via_colorings(
         notes.append("a simple 2-coloring was not refuted")
         return InvariantResult("tc", None, 1, None, False, None, notes)
     notes.append("no certified cover with 2 pieces (colorings + line lemma)")
-
-    def check(mask):
-        return checker.is_section_categorical(mask, budget)
-
-    def status_of(mask):
-        return checker.piece_status(mask, "sc", budget)
-
+    status_of, certify, group = _deciders(checker.P, checker, "sc", budget)
     # no maximals gate: the colorings, the costly part, are already paid for
     return _exact_invariant(
-        "tc", checker.P, status_of, check, None, True,
-        start=3, notes=notes, group=checker.symmetries("sc"),
+        "tc", checker.P, status_of, certify, None, True,
+        start=3, notes=notes, group=group(),
     )

@@ -179,9 +179,7 @@ def build_chain(k: int) -> WitnessBundle:
     circle = khalimsky_circle(k)
     checker = torus(circle)
     P = checker.P
-    U = DownSet(P, co.mask(A0 | A1 | A2 | A3 | A4))
-    if not P.is_open(U.members):
-        raise NotOpen("U is not open")
+    U = build_U(k)
     V = _complement_hull(U)
     notes = []
     stages = []

@@ -163,7 +163,8 @@ def test_homotopy_classes_match_degree_classification(m, n, total):
     comp_of = {t: i for i, comp in enumerate(comps) for t in comp}
     cms = {t: circle_map_from_order_map(list(t), rec_x, rec_y) for t in tables}
     for t, cm in cms.items():
-        assert degree(cm) == lift(cm, 0, 2 * m, cm(0)).degree
+        values = lift(cm, 0, 2 * m, cm(0)).values
+        assert degree(cm) * 2 * n == values[-1] - values[0]
         # the winding of the one cycle of X gives the same degree
         hit = next(windings(potentials(X, X.full, t, t, rec_y[1])), None)
         assert degrees(hit, rec_x, Y.n) == (degree(cm), degree(cm))
@@ -250,9 +251,9 @@ def test_category_of_circles_and_their_squares():
     for n in range(2, 7):
         res = cat(khalimsky_circle(n).space)
         assert res.exact and res.value == 1
-    res2 = cat(None, checker=TorusChecker(khalimsky_circle(2)))
+    res2 = cat(TorusChecker(khalimsky_circle(2)).P)
     assert res2.exact and res2.value == 3
-    res3 = cat(None, checker=TorusChecker(khalimsky_circle(3)))
+    res3 = cat(TorusChecker(khalimsky_circle(3)).P)
     assert res3.exact and res3.value == 2
     clk.check()
 
@@ -260,7 +261,7 @@ def test_category_of_circles_and_their_squares():
 def test_category_of_the_half_size_four_torus_is_two():
     clk = Clock(60)
     ch = TorusChecker(khalimsky_circle(4))
-    res = cat(None, checker=ch)
+    res = cat(ch.P)
     assert res.exact and res.value == 2
     assert "no certified cover with 2 pieces (exhaustive)" in res.notes
     assert len(res.cover.pieces) == 3

@@ -197,7 +197,7 @@ def test_tc_witness_rejects_via_colorings_and_search_flags(capsys, tmp_path):
 
 
 def test_cat_witness_rejects_search_flags(capsys, tmp_path):
-    path = write_cover(tmp_path, cat(None, checker=TorusChecker(khalimsky_circle(3))))
+    path = write_cover(tmp_path, cat(TorusChecker(khalimsky_circle(3)).P))
     argv = ["cat", "--circle", "3", "--square", "--witness", path]
     code, out, err = run(capsys, *argv, "--limit", "0", "--force")
     assert code == 1 and out == ""
@@ -246,6 +246,19 @@ def test_space_file_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "space", "--file", str(path))
     assert code == 0
     assert "space on 4 points" in out
+
+
+def test_square_works_with_every_source(capsys):
+    code, out, _ = run(capsys, "space", "--interval", "0", "2", "--square", "--format", "json")
+    assert code == 0 and json.loads(out)["points"] == 9
+
+
+def test_cat_of_a_saved_circle_squared_takes_the_torus_path(capsys, tmp_path):
+    path = tmp_path / "c3.space"
+    assert run(capsys, "space", "--circle", "3", "--out", str(path))[0] == 0
+    want = run(capsys, "cat", "--circle", "3", "--square", "--format", "json")
+    got = run(capsys, "cat", "--file", str(path), "--square", "--format", "json")
+    assert want[0] == 0 and got == want
 
 
 def test_tc_witness_builds_one_product(capsys, monkeypatch, tmp_path):

@@ -161,6 +161,13 @@ def test_nullhomotopic_in_arc():
     assert v.is_homotopic
 
 
+def test_nullhomotopic_in_empty_piece_is_vacuous():
+    X = khalimsky_circle(3).space
+    v = nullhomotopic_in(DownSet(X, 0), X)
+    assert v.status == "homotopic" and v.reason == "empty piece (vacuous)"
+    assert v.fence == []
+
+
 def test_comparable_detects_order():
     X = khalimsky_circle(2).space
     f = constant_map(X, X, 0)

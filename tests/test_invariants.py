@@ -17,15 +17,21 @@ from finspace.invariants import (
     cover_from_coloring,
     enumerate_simple_colorings,
     format_cover,
-    is_categorical,
     line_lemma,
     parse_cover,
     square_grid,
     tc,
     tc_via_colorings,
+    torus,
     two_color_refutation,
 )
-from finspace.homotopy import DEFAULT_BUDGET, HomotopyVerdict, homotopic, potentials
+from finspace.homotopy import (
+    DEFAULT_BUDGET,
+    HomotopyVerdict,
+    homotopic,
+    nullhomotopic_in,
+    potentials,
+)
 from finspace.space import (
     DownSet,
     OrderMap,
@@ -33,8 +39,11 @@ from finspace.space import (
     build_space,
     khalimsky_circle,
     popcount,
+    read_space,
+    write_space,
 )
 from reference import brute_force_simple_colorings, coloring_from_rows, is_simple
+from test_circles import relabelled
 
 
 def arcs_cover(X, blocks):
@@ -95,8 +104,8 @@ def test_diagonal_band_core_is_too_short():
 def test_categorical_arc_and_whole_space():
     X = khalimsky_circle(4).space
     arc = DownSet(X, X.down[1] | X.down[3])
-    assert is_categorical(arc, X).is_homotopic
-    assert not is_categorical(DownSet(X, X.full), X).is_homotopic
+    assert nullhomotopic_in(arc, X).is_homotopic
+    assert not nullhomotopic_in(DownSet(X, X.full), X).is_homotopic
 
 
 def test_cat_of_circles_is_one():
@@ -301,19 +310,14 @@ def test_empty_piece_is_vacuous_in_both_modes():
 
 
 def test_module_level_wrappers():
-    # the generic is_categorical (nullhomotopic_in on the piece) agrees with
-    # the torus checker on a cell and on the whole square, and an empty
-    # piece is vacuously categorical
+    # the generic path (nullhomotopic_in on the piece) agrees with the
+    # torus checker on a cell and on the whole square, and an empty piece
+    # is vacuously categorical
     ch = TorusChecker(khalimsky_circle(2))
     for mask in (ch.P.down[ch.pair(1, 1)], ch.P.full):
-        generic = is_categorical(DownSet(ch.P, mask), ch.P)
+        generic = nullhomotopic_in(DownSet(ch.P, mask), ch.P)
         assert generic.status == ch.is_categorical(mask).status
-    assert is_categorical(DownSet(ch.P, 0), ch.P).is_homotopic
-
-
-def test_tc_rejects_checker_of_another_circle():
-    with pytest.raises(MismatchedSpaces):
-        tc(khalimsky_circle(3), checker=TorusChecker(khalimsky_circle(4)))
+    assert nullhomotopic_in(DownSet(ch.P, 0), ch.P).is_homotopic
 
 
 def test_witness_cover_of_another_space_is_rejected():
@@ -323,7 +327,7 @@ def test_witness_cover_of_another_space_is_rejected():
     with pytest.raises(MismatchedSpaces):
         tc(K3, mode="witness", witness=cov)
     with pytest.raises(MismatchedSpaces):
-        cat(None, mode="witness", witness=cov, checker=TorusChecker(K3))
+        cat(TorusChecker(K3).P, mode="witness", witness=cov)
     with pytest.raises(MismatchedSpaces):
         cat(K3.space, mode="witness", witness=cov)
 
@@ -458,7 +462,7 @@ def test_least_image_matches_loop_reference(n, mode):
 
 def test_search_counts_note():
     # the orbit-memo hits pin the group each invariant searches with
-    res = cat(None, checker=TorusChecker(khalimsky_circle(3)))
+    res = cat(TorusChecker(khalimsky_circle(3)).P)
     assert res.notes == [
         "no certified cover with 1 pieces (exhaustive)",
         "no certified cover with 2 pieces (exhaustive)",
@@ -635,7 +639,7 @@ def test_search_builds_certificates_only_for_the_cover(monkeypatch):
         return lift_fence(self, old_ids, lifts)
 
     monkeypatch.setattr(TorusChecker, "lift_fence", recorded_fence)
-    res = cat(None, checker=TorusChecker(khalimsky_circle(3)))
+    res = cat(TorusChecker(khalimsky_circle(3)).P)
     assert res.value == 2
     assert sorted(fenced) == sorted(p.members for p in res.cover.pieces)
 
@@ -691,23 +695,54 @@ def test_homotopic_sees_only_winding_pieces(monkeypatch):
         return homotopic(f, g, *args)
 
     monkeypatch.setattr(invariants_module, "homotopic", recorded)
-    assert tc(ch.circle, checker=ch).value == 2
+    assert tc(ch.circle).value == 2
     assert asked
     assert all(ch.winding_obstruction(m, "cat") is not None for m in asked)
 
 
 def test_checker_keeps_no_state_across_searches():
     # a checker keeps what it was built with, and no container it holds
-    # grows: the partition search keeps the only piece memo
-    ch = TorusChecker(khalimsky_circle(4))
+    # grows: the partition search keeps the only piece memo.  cat and tc
+    # both search on the one shared torus.
+    ch = torus(khalimsky_circle(4))
     before = dict(vars(ch))
     sizes = {k: len(v) for k, v in before.items() if isinstance(v, (dict, list))}
-    assert cat(ch.P, checker=ch).value == 2
-    assert tc(ch.circle, checker=ch).value == 2
+    assert cat(ch.P).value == 2
+    assert tc(ch.circle).value == 2
+    assert torus(khalimsky_circle(4)) is ch
     after = vars(ch)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
     assert sizes == {k: len(after[k]) for k in sizes}
+
+
+@pytest.mark.parametrize("n, value", [(2, 3), (3, 2)])
+def test_cat_of_a_relabelled_torus_agrees_with_the_torus_path(n, value):
+    # a torus with its points permuted is not recognised, so its pieces go
+    # through nullhomotopic_in with no symmetry: a reference for the
+    # value the torus path finds
+    P = torus(khalimsky_circle(n)).P
+    perm = list(range(P.n))
+    random.Random(n).shuffle(perm)
+    X = relabelled(P, perm)
+    res = cat(X)
+    assert res.exact and res.value == value
+    assert " 0 orbit-memo hits" in res.notes[-1]
+    fast = cat(P)
+    assert fast.value == value and " 0 orbit-memo hits" not in fast.notes[-1]
+
+
+def test_cat_recognises_a_torus_read_back_from_its_file():
+    P = torus(khalimsky_circle(3)).P
+    X = read_space(write_space(P, "T"))
+    assert X is not P
+    res, fast = cat(X), cat(P)
+    assert res.value == fast.value == 2
+    assert res.notes == fast.notes
+    assert " 0 orbit-memo hits" not in res.notes[-1]  # the torus group ran
+    assert [v.reason for v in res.cover.certificates] == [
+        v.reason for v in fast.cover.certificates
+    ]
 
 
 # -- bounds ------------------------------------------------------------
@@ -789,7 +824,7 @@ def test_witness_cover_needs_witness_mode():
     with pytest.raises(InvalidParameter):
         tc(K, witness=cov)
     with pytest.raises(InvalidParameter):
-        cat(None, mode="exact", witness=cov, checker=ch)
+        cat(ch.P, mode="exact", witness=cov)
     with pytest.raises(InvalidParameter):
         cat(K.space, witness=Cover(K.space, [DownSet(K.space, K.space.full)]))
     with pytest.raises(InvalidParameter):
@@ -805,7 +840,7 @@ def test_unknown_mode_is_rejected():
         with pytest.raises(InvalidParameter, match="mode must be"):
             cat(K.space, mode=mode)
     with pytest.raises(InvalidParameter, match="mode must be"):
-        cat(None, mode="exactly", checker=TorusChecker(K))
+        cat(TorusChecker(K).P, mode="exactly")
 
 
 def test_witness_mode_rejects_search_flags():
@@ -817,5 +852,5 @@ def test_witness_mode_rejects_search_flags():
         with pytest.raises(InvalidParameter, match="limit and force"):
             tc(K, mode="witness", witness=cov, **flags)
         with pytest.raises(InvalidParameter, match="limit and force"):
-            cat(None, mode="witness", witness=cov, checker=ch, **flags)
+            cat(ch.P, mode="witness", witness=cov, **flags)
     assert tc(K, mode="witness", witness=cov, limit=None, force=False).upper is None

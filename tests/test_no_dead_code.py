@@ -11,7 +11,9 @@ dead: a brute-force check the tests compare against belongs in
 A method counts as used when some attribute access in a Python file under
 ``src/`` or ``bench/`` names it (``x.name``, read off the syntax tree, so
 comments, strings and tests do not count), or when ``bench/tracing.py``'s
-``LAYERS`` wraps it by its dotted path.  A function nested in another
+``LAYERS`` wraps it by its dotted path.  A module function read through
+the benchmark's namespace of modules, ``fs.<module>.name``, is no use of
+a method called ``name``.  A function nested in another
 counts as used when the program names it outside its ``def``.  Dunder
 methods are exempt: the interpreter calls them.  So is a method that
 overrides one of a base class, which the base calls, and the methods in
@@ -78,12 +80,23 @@ def words_in(paths):
     return words
 
 
+def module_function(node):
+    """Is ``node`` a read like ``fs.<finspace module>.name``?"""
+    owner = node.value
+    return (
+        isinstance(owner, ast.Attribute)
+        and isinstance(owner.value, ast.Name)
+        and owner.value.id == "fs"
+        and (PACKAGE / f"{owner.attr}.py").exists()
+    )
+
+
 def names_in(paths):
     """Attribute names and plain names read or called in ``paths``."""
     attrs, names = Counter(), Counter()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute) and not module_function(node):
                 attrs[node.attr] += 1
             elif isinstance(node, ast.Name):
                 names[node.id] += 1
