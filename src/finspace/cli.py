@@ -240,12 +240,12 @@ def _cmd_core(args):
         "command": "core",
         "points": X.n,
         "core_points": cd.space.n,
-        "removed": len(cd.sequence.removals),
+        "removed": len(cd.removals),
         "circle_half_size": rec[0] if rec else None,
     }
     lines = [
         f"core: {cd.space.n} of {X.n} points",
-        f"removed beat points: {len(cd.sequence.removals)}",
+        f"removed beat points: {len(cd.removals)}",
     ]
     if rec:
         lines.append(f"core is a digital circle of half-size {rec[0]}")

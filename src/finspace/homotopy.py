@@ -148,31 +148,19 @@ def _beat_status(X: FiniteSpace, mask: int, x: int):
 
 
 @dataclass
-class CollapseSequence:
-    start: FiniteSpace
-    removals: list  # (point, kind, witness) in removal order
-    end_mask: int
-
-
-@dataclass
 class CoreData:
     space: FiniteSpace  # the core as a standalone space
     old_ids: list  # core point id -> id in the original space
     retraction: OrderMap  # X -> core
-    inclusion: OrderMap  # core -> X
-    sequence: CollapseSequence
-
-    @property
-    def mask(self) -> int:
-        return self.sequence.end_mask
+    removals: list  # (point, kind, witness) in removal order
 
     @property
     def fence(self) -> list:
         """Value tables X -> X from the identity to the full retraction,
         one per removal; rebuilt from the removals on every read."""
-        send = list(range(self.sequence.start.n))
+        send = list(range(self.retraction.source.n))
         out = [tuple(send)]
-        for x, _, w in self.sequence.removals:
+        for x, _, w in self.removals:
             send = [w if v == x else v for v in send]
             out.append(tuple(send))
         return out
@@ -192,9 +180,9 @@ def core(X: FiniteSpace) -> CoreData:
     is read off the removals backwards, and the per-removal fence tables
     are rebuilt on demand by ``CoreData.fence``.
 
-    A space with no beat point is returned as its own core, with one
-    identity map as both retraction and inclusion: the scan proves it
-    minimal, and no subspace copy is built.
+    A space with no beat point is returned as its own core, with the
+    identity as retraction: the scan proves it minimal, and no subspace
+    copy is built.
     """
     mask = X.full
     heap = list(range(X.n))  # sorted, so already a heap
@@ -214,23 +202,14 @@ def core(X: FiniteSpace) -> CoreData:
                     queued[y] = True
                     heappush(heap, y)
     if not removals:
-        identity = identity_map(X)
-        return CoreData(
-            X, list(range(X.n)), identity, identity, CollapseSequence(X, [], mask)
-        )
+        return CoreData(X, list(range(X.n)), identity_map(X), [])
     send = list(range(X.n))
     for x, _, w in reversed(removals):
         send[x] = send[w]
     sub, old_ids = X.subspace(mask)
     index = {p: i for i, p in enumerate(old_ids)}
-    retraction = OrderMap(X, sub, [index[v] for v in send])
-    inclusion = OrderMap(sub, X, old_ids)
     return CoreData(
-        sub,
-        old_ids,
-        retraction,
-        inclusion,
-        CollapseSequence(X, removals, mask),
+        sub, old_ids, OrderMap(X, sub, [index[v] for v in send]), removals
     )
 
 
@@ -579,17 +558,17 @@ def through_constants(X: FiniteSpace, S: FiniteSpace, phi, points, num):
     return down[:-1] + path + up[-2::-1]
 
 
-def _circle_stage(f, g, cd: CoreData, cdY: CoreData, ft, gt, ft2, gt2, recY):
-    """Classify r_Y o f|C and r_Y o g|C (``ft2``, ``gt2``), maps from the
-    domain core C into the circle core(Y) numbered by ``recY``, by the
-    windings of their lifts; None sends the pair on to fence BFS.
+def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
+    """Classify ``ft2`` and ``gt2``, maps from the domain core C into the
+    circle core ``CY`` numbered by ``recY``, by the windings of their
+    lifts; None sends the pair on to fence BFS.
 
     A cycle with distinct windings refutes f ~ g.  With no winding both
-    maps lift to the digital line, and the fence through constants,
-    lifted to X, proves it.  Equal nonzero windings on a circle C give
-    degree d on both sides, and f ~ g iff |d| n < m (rigidity, no fence).
+    maps lift to the digital line, and a fence C -> CY through constants
+    proves it.  Equal nonzero windings on a circle C give degree d on
+    both sides, and f ~ g iff |d| n < m (rigidity, no fence; the points
+    of C in the domain are ``core_old_ids``).
     """
-    C, CY = cd.space, cdY.space
     n, num = recY
     lifted = potentials(C, C.full, ft2, gt2, num)
     first = None
@@ -604,7 +583,7 @@ def _circle_stage(f, g, cd: CoreData, cdY: CoreData, ft, gt, ft2, gt2, recY):
     if first is None:
         fence = through_constants(C, CY, lifted[0], range(C.n), num)
         return HomotopyVerdict(
-            "homotopic", _lift_fence(f, g, cd, cdY, ft, gt, fence), f.source, f.target,
+            "homotopic", fence, C, CY,
             reason="circle classification: both maps lift to the digital line; "
             f"fence of {len(fence)} maps through constants",
         )
@@ -617,7 +596,7 @@ def _circle_stage(f, g, cd: CoreData, cdY: CoreData, ft, gt, ft2, gt2, recY):
             "homotopic", [], C, CY,
             reason=f"circle classification: both maps have degree {d} "
             f"with |d| < {m}/{n}",
-            core_old_ids=cd.old_ids,
+            core_old_ids=core_old_ids,
         )
     return HomotopyVerdict(
         "not_homotopic",
@@ -645,9 +624,11 @@ def _decide_on_core(f: OrderMap, g: OrderMap, budget: int):
     """Decide f ~ g between the cores (Stong: f ~ g iff r_Y o f|core(X)
     ~ r_Y o g|core(X) as maps core(X) -> core(Y)).
 
-    Every homotopic verdict but rigidity carries a fence on X from f to g:
-    a fence between the cores is lifted back through the collapse of Y
-    (``_lift_fence``) and then of X (``_lift_core_fence``).
+    Maps that agree on core(X) get a fence through the collapse of X
+    (``_lift_core_fence``).  Every other stage gives a verdict between
+    the cores, and a homotopic one with a fence core(X) -> core(Y) is
+    lifted once, back through the collapse of Y and then of X
+    (``_lift_fence``); only rigidity carries no fence.
     """
     X, Y = f.source, f.target
     cd = core(X)
@@ -672,30 +653,29 @@ def _decide_on_core(f: OrderMap, g: OrderMap, budget: int):
                 "not_homotopic",
                 reason="constant values lie in different components",
             )
-        return HomotopyVerdict(
-            "homotopic", _lift_fence(f, g, cd, cdY, ft, gt, fence), X, Y,
+        v = HomotopyVerdict(
+            "homotopic", fence, C, CY,
             reason="domain core is a point; constants joined by order path "
             f"in the {target}",
         )
-    if ft2 == gt2:
-        return HomotopyVerdict(
-            "homotopic", _lift_fence(f, g, cd, cdY, ft, gt, [ft2]), X, Y,
+    elif ft2 == gt2:
+        v = HomotopyVerdict(
+            "homotopic", [ft2], C, CY,
             reason="maps agree on the domain core once the target retracts "
             f"onto its core ({CY.n} of {Y.n} points)",
         )
-    recY = recognize_circle(CY)
-    if recY is not None:
-        v = _circle_stage(f, g, cd, cdY, ft, gt, ft2, gt2, recY)
-        if v is not None:
-            return v
-    v = fence_bfs(OrderMap(C, CY, ft2), OrderMap(C, CY, gt2), budget)
-    where = f" on the domain core ({C.n} of {X.n} points), {target}"
-    if v.status == "homotopic":
+    else:
+        recY = recognize_circle(CY)
+        v = None if recY is None else _circle_stage(C, CY, ft2, gt2, recY, cd.old_ids)
+    if v is None:
+        v = fence_bfs(OrderMap(C, CY, ft2), OrderMap(C, CY, gt2), budget)
+        v.reason += f" on the domain core ({C.n} of {X.n} points), {target}"
+    if v.fence:
         return HomotopyVerdict(
             "homotopic", _lift_fence(f, g, cd, cdY, ft, gt, v.fence), X, Y,
-            reason=v.reason + where,
+            reason=v.reason,
         )
-    return HomotopyVerdict(v.status, reason=v.reason + where)
+    return v
 
 
 def homotopic(

@@ -779,14 +779,13 @@ def cell_symmetries(grid: SquareGrid):
     return sorted(out)
 
 
-def canonical_coloring(grid: SquareGrid, coloring: Coloring, symmetries=None):
-    """Least assignment over grid symmetries and color permutations.
+def canonical_coloring(grid: SquareGrid, coloring: Coloring, symmetries):
+    """Least assignment over the grid symmetries ``symmetries`` (as from
+    ``cell_symmetries``) and color permutations.
 
     For one moved assignment the least recoloring numbers the colors in
     order of first appearance, so no color permutation is enumerated.
     """
-    if symmetries is None:
-        symmetries = cell_symmetries(grid)
     n = grid.n
     best = None
     for perm in symmetries:
@@ -884,8 +883,9 @@ def two_color_refutation(grid: SquareGrid, budget: int = DEFAULT_BUDGET):
 
     Non-simple colorings die by the line lemma; every simple 2-coloring,
     with no symmetry factored out, is checked piece by piece; a piece
-    shared between colorings is decided once.  Returns (refuted,
-    colorings, notes).
+    shared between colorings is decided once.  The check stops at the
+    first coloring that is not refuted, since one is enough to leave the
+    claim unproven.  Returns (refuted, colorings, notes).
     """
     notes = []
     degs = line_lemma(grid)
@@ -894,7 +894,6 @@ def two_color_refutation(grid: SquareGrid, budget: int = DEFAULT_BUDGET):
     )
     colorings = enumerate_simple_colorings(grid, 2, symmetry=False)
     notes.append(f"{len(colorings)} simple 2-colorings")
-    refuted = True
     verdict_of = {}  # piece mask -> verdict
     for idx, col in enumerate(colorings):
         cov = cover_from_coloring(grid, col)
@@ -909,12 +908,12 @@ def two_color_refutation(grid: SquareGrid, budget: int = DEFAULT_BUDGET):
         if bad:
             notes.append(f"coloring {idx}: fails ({bad[0].reason})")
         else:
-            refuted = False
             notes.append(
                 f"coloring {idx}: not refuted "
                 f"({'; '.join(v.status for v in verdicts)})"
             )
-    return refuted, colorings, notes
+            return False, colorings, notes
+    return True, colorings, notes
 
 
 def tc_via_colorings(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameter, NotContinuous, NotOpen, NotOrderPreserving
-from .homotopy import core, table_cmp
+from .homotopy import DEFAULT_BUDGET, core, table_cmp
 from .circles import recognize_circle
 from .invariants import TorusChecker, torus
 from .space import (
@@ -326,7 +326,7 @@ class WitnessReport:
         return "\n".join(lines)
 
 
-def verify_bundle(k: int, budget: int = 10**6) -> WitnessReport:
+def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
     """Recheck every claim in the staged retraction and certify V too."""
     # (1) every stage is validated as a continuous map while it is built;
     # a stage that is not continuous fails the report with its witness

@@ -88,6 +88,15 @@ def test_tc_of_half_size_four_circle_via_colorings():
     clk.check()
 
 
+def test_coloring_route_at_half_size_five_stops_at_first_unrefuted_coloring():
+    clk = Clock(10)
+    res = tc_via_colorings(khalimsky_circle(5))
+    assert not res.exact and (res.lower, res.upper) == (1, None)
+    assert res.notes[-2].startswith("coloring 13: not refuted (")
+    assert res.notes[-1] == "a simple 2-coloring was not refuted"
+    clk.check()
+
+
 def test_exact_search_at_half_size_four_matches_colorings():
     clk = Clock(60)
     K = khalimsky_circle(4)

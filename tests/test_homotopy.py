@@ -71,9 +71,23 @@ def test_core_retraction_composes_to_identity_on_core():
     cd = core(X)
     assert cd.space.n == 1
     rt = cd.retraction
-    inc = cd.inclusion
-    comp = tuple(rt.table[v] for v in inc.table)
+    comp = tuple(rt.table[v] for v in cd.old_ids)
     assert list(comp) == list(range(cd.space.n))
+
+
+def test_core_builds_one_map_the_retraction(monkeypatch):
+    X = khalimsky_interval(0, 6).space
+    built = []
+    init = OrderMap.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(OrderMap, "__init__", counted)
+    cd = core(X)
+    assert len(built) == 1 and built[0] is cd.retraction
+    assert cd.removals
 
 
 def test_core_order_independent(seed=7):
@@ -327,14 +341,13 @@ def assert_core_matches_reference(X):
     removals, mask, send = naive_core(X)
     cd = core(X)
     assert eager_core(X) == (removals, mask)
-    assert cd.sequence.removals == removals
-    assert cd.mask == mask
+    assert cd.removals == removals
     assert cd.old_ids == list(bits(mask))
     assert [cd.old_ids[v] for v in cd.retraction.table] == send
     fence = cd.fence
     assert len(fence) == len(removals) + 1
     assert fence[0] == tuple(range(X.n))
-    assert fence[-1] == tuple(cd.inclusion.table[v] for v in cd.retraction.table)
+    assert fence[-1] == tuple(cd.old_ids[v] for v in cd.retraction.table)
     for t in fence:
         OrderMap(X, X, t)  # raises unless continuous
     for s, t in zip(fence, fence[1:]):
@@ -366,7 +379,7 @@ def test_lazy_core_matches_eager_worklist(X):
     # larger posets than the rescan reference takes, for long worklists
     removals, mask = eager_core(X)
     cd = core(X)
-    assert cd.sequence.removals == removals
+    assert cd.removals == removals
     assert cd.old_ids == list(bits(mask))
 
 
@@ -425,9 +438,8 @@ def assert_own_core(X):
     cd = core(X)
     assert cd.space is X
     assert cd.old_ids == list(range(X.n))
-    assert cd.retraction is cd.inclusion
     assert cd.retraction.table == tuple(range(X.n))
-    assert cd.sequence.removals == [] and cd.fence == [tuple(range(X.n))]
+    assert cd.removals == [] and cd.fence == [tuple(range(X.n))]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -487,8 +499,8 @@ def test_core_recomputes_beat_status_only_near_removals(monkeypatch):
     beat_status = homotopy_module._beat_status
     monkeypatch.setattr(homotopy_module, "_beat_status", counted)
     cd = core(X)
-    bound = X.n + sum(popcount(X.up[x] | X.down[x]) for x, _, _ in cd.sequence.removals)
-    assert cd.sequence.removals
+    bound = X.n + sum(popcount(X.up[x] | X.down[x]) for x, _, _ in cd.removals)
+    assert cd.removals
     assert len(calls) <= bound
 
 
