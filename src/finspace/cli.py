@@ -84,6 +84,9 @@ def _emit(args, payload: dict, text_lines):
 
 def _load_space(args) -> FiniteSpace:
     if args.circle is not None:
+        if args.square:
+            # the shared torus, which cat then finds without a second build
+            return torus(khalimsky_circle(args.circle)).P
         X = khalimsky_circle(args.circle).space
     elif args.interval is not None:
         k, l = args.interval

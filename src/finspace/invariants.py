@@ -27,7 +27,7 @@ certificates.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
@@ -54,6 +54,7 @@ from .space import (
     khalimsky_circle,
     parse_downset,
     parse_ints,
+    popcount,
     product,
     projections,
 )
@@ -98,7 +99,15 @@ def parse_cover(space: FiniteSpace, text: str) -> Cover:
 
 
 class TorusChecker:
-    """Certifier for open pieces of a digital-circle square S x S."""
+    """Certifier for open pieces of a digital-circle square S x S.
+
+    It remembers every verdict with a certificate that it gives
+    (``is_section_categorical``, ``is_categorical``), keyed by the piece,
+    the mode and the budget: a piece asked for again at the same budget is
+    not decided again.  An "unknown" under a small budget never answers a
+    larger one, nor a decided verdict a smaller one.  The remembered
+    verdicts are shared by every caller, so callers must not mutate them.
+    """
 
     def __init__(self, circle: KhalimskyCircle):
         self.circle = circle
@@ -108,6 +117,7 @@ class TorusChecker:
         self.P = product(self.X, self.X)
         self.pi1, self.pi2 = projections(self.X, self.X, self.P)
         self.num = recognize_circle(self.X)[1]
+        self._verdicts = {}  # (mask, mode, budget) -> verdict
 
     def coords(self, p: int):
         return divmod(p, self.X.n)
@@ -255,9 +265,9 @@ class TorusChecker:
         empty piece.  In mode 'cat' that is always so past the winding
         test.  Only 'sc' pieces with winding (d, d), d != 0, are left to
         ``homotopic`` on the projections restricted to U: (None, None).
+        U must be open: ``_decide`` checks it, and exact search builds
+        only open pieces.
         """
-        if not self.P.is_open(mask):
-            raise NotOpen("piece is not open in the product")
         if not mask:
             return "homotopic", None
         lifted = potentials(self.P, mask, self.pi1.table, self.pi2.table, self.num)
@@ -279,11 +289,32 @@ class TorusChecker:
     def piece_status(self, mask: int, mode: str, budget: int = DEFAULT_BUDGET) -> str:
         """The status of ``_decide(mask, mode, budget)``, without building
         its certificate: no subspace and no fence unless ``homotopic``
-        must decide."""
+        must decide.
+
+        U must be open, and is not checked: exact search asks only for
+        unions of down-sets of maximals.  A remembered verdict answers,
+        but a status is never remembered here; the search keeps its own
+        memo of statuses, which ends with it.
+        """
+        v = self._verdicts.get((mask, mode, budget))
+        if v is not None:
+            return v.status
         status, _ = self._triage(mask, mode)
         return status or self._on_core(mask, budget).status
 
     def _decide(self, mask: int, mode: str, budget: int):
+        """``_certify(mask, mode, budget)`` once: the verdict is remembered
+        and the same object is returned to every later caller.  Raises
+        ``NotOpen`` if U is not open."""
+        key = (mask, mode, budget)
+        v = self._verdicts.get(key)
+        if v is None:
+            if not self.P.is_open(mask):
+                raise NotOpen("piece is not open in the product")
+            v = self._verdicts[key] = self._certify(mask, mode, budget)
+        return v
+
+    def _certify(self, mask: int, mode: str, budget: int):
         """Decide the open piece U = ``mask``, with its certificate.
 
         ``_triage`` gives the status.  A piece the lift decides gets a
@@ -333,22 +364,32 @@ class TorusChecker:
 
 @lru_cache(maxsize=1)
 def torus(circle: KhalimskyCircle) -> TorusChecker:
-    """The ``TorusChecker`` of ``circle``: S x S, its two projections and
-    the circle numbering, built once and shared by every caller.
+    """The ``TorusChecker`` of ``circle``: S x S, its two projections, the
+    circle numbering and the verdicts given so far, built once and shared
+    by every caller.
 
-    A checker holds no state after ``__init__``, so sharing it is safe.
-    Only the last circle's torus is kept: ``verify_bundle``, ``build_U``,
-    ``build_V`` and witness-mode ``tc`` on one circle build one product
-    between them, and a sweep over many sizes holds one torus at a time.
+    Only the last circle's torus is kept, and its verdicts with it:
+    ``verify_bundle``, ``build_U``, ``build_V`` and witness-mode ``tc`` on
+    one circle build one product between them and decide V once, and a
+    sweep over many sizes holds one torus at a time.  Sharing is safe
+    because a verdict depends only on the piece, the mode and the budget,
+    which key it, and no caller mutates one.
     """
     return TorusChecker(circle)
 
 
 def _torus_of(X: FiniteSpace) -> TorusChecker | None:
     """``torus(khalimsky_circle(n))`` when X is its square S1_n x S1_n,
-    with the same down-sets and labels, else None."""
+    with the same down-sets and labels, else None.
+
+    S1_n x S1_n has n^2 points with a down-set of 1 point, 2n^2 with 3 and
+    n^2 with 9.  A space of another shape is turned away on that count,
+    without building ``torus(S1_n)``, which would replace the torus kept.
+    """
     n = isqrt(X.n // 4)
     if n < 2 or X.n != 4 * n * n:
+        return None
+    if Counter(popcount(d) for d in X.down) != {1: n * n, 3: 2 * n * n, 9: n * n}:
         return None
     checker = torus(khalimsky_circle(n))
     return checker if checker.P == X else None
@@ -799,19 +840,16 @@ def canonical_coloring(grid: SquareGrid, coloring: Coloring, symmetries):
     return Coloring(n, coloring.colors, best)
 
 
-def enumerate_simple_colorings(grid: SquareGrid, colors: int, symmetry: bool = True):
-    """The simple colorings of the grid with ``colors`` colors.
+def _simple_colorings(grid: SquareGrid, colors: int):
+    """The simple colorings of the grid with ``colors`` colors, one at a
+    time, in the lexicographic order of their assignments.
 
     A depth-first search assigns the cells in index order i*n + j, tries
     the colors in increasing order, and cuts a branch as soon as the class
     that just grew contains a full point line.  That is sound because
     containing a line is monotone: adding cells to a class never undoes
-    it.  So the colorings come out in the lexicographic order of their
-    assignments.
-
-    With ``symmetry`` off, every simple coloring is returned in that order.
-    With it on, the sorted canonical representatives under
-    ``cell_symmetries`` and color permutations are returned.
+    it.  The search runs on an explicit stack and stops where the caller
+    stops reading.
     """
     if colors < 1:
         raise InvalidParameter("colors >= 1")
@@ -822,28 +860,43 @@ def enumerate_simple_colorings(grid: SquareGrid, colors: int, symmetry: bool = T
     # a class can only come to contain a line that its new cell meets
     cell_lines = [tuple(line for line in lines if line & m) for m in cell_masks]
     assignment = [0] * cells
+    before = [0] * cells  # the mask of the class a cell joined, before it did
     masks = [0] * colors
-    found = []
-
-    def dfs(idx):
-        if idx == cells:
-            found.append(Coloring(n, colors, tuple(assignment)))
-            return
-        cell = cell_masks[idx]
-        meets = cell_lines[idx]
-        for c in range(colors):
-            old = masks[c]
-            grown = old | cell
-            for line in meets:
+    idx, c = 0, 0  # the cell to assign and the least color left to try
+    while True:
+        if c < colors:
+            grown = masks[c] | cell_masks[idx]
+            for line in cell_lines[idx]:
                 if line & ~grown == 0:
+                    c += 1
                     break
             else:
+                before[idx] = masks[c]
                 masks[c] = grown
                 assignment[idx] = c
-                dfs(idx + 1)
-                masks[c] = old
+                if idx + 1 < cells:
+                    idx, c = idx + 1, 0
+                    continue
+                yield Coloring(n, colors, tuple(assignment))
+                masks[c] = before[idx]
+                c += 1
+            continue
+        if idx == 0:
+            return
+        idx -= 1
+        c = assignment[idx]
+        masks[c] = before[idx]
+        c += 1
 
-    dfs(0)
+
+def enumerate_simple_colorings(grid: SquareGrid, colors: int, symmetry: bool = True):
+    """The simple colorings of the grid with ``colors`` colors, as a list.
+
+    With ``symmetry`` off, every simple coloring in the order of
+    ``_simple_colorings``.  With it on, the sorted canonical representatives
+    under ``cell_symmetries`` and color permutations.
+    """
+    found = list(_simple_colorings(grid, colors))
     if not symmetry:
         return found
     syms = cell_symmetries(grid)
@@ -881,39 +934,36 @@ def line_lemma(grid: SquareGrid):
 def two_color_refutation(grid: SquareGrid, budget: int = DEFAULT_BUDGET):
     """No 2-piece principal cover of S x S is section-categorical.
 
-    Non-simple colorings die by the line lemma; every simple 2-coloring,
-    with no symmetry factored out, is checked piece by piece; a piece
-    shared between colorings is decided once.  The check stops at the
-    first coloring that is not refuted, since one is enough to leave the
-    claim unproven.  Returns (refuted, colorings, notes).
+    Non-simple colorings die by the line lemma; the simple 2-colorings,
+    with no symmetry factored out, are walked one at a time and checked
+    piece by piece.  The checker remembers its verdicts, so a piece shared
+    between colorings is decided once.  The walk stops at the first
+    coloring that is not refuted, since one is enough to leave the claim
+    unproven, and the colorings past it are never built.  Returns
+    (refuted, the colorings checked, notes).
     """
-    notes = []
     degs = line_lemma(grid)
-    notes.append(
-        f"line lemma: {len(degs)} lines, projection degrees all distinct"
-    )
-    colorings = enumerate_simple_colorings(grid, 2, symmetry=False)
-    notes.append(f"{len(colorings)} simple 2-colorings")
-    verdict_of = {}  # piece mask -> verdict
-    for idx, col in enumerate(colorings):
-        cov = cover_from_coloring(grid, col)
-        verdicts = []
-        for p in cov.pieces:
-            if p.members not in verdict_of:
-                verdict_of[p.members] = grid.checker.is_section_categorical(
-                    p.members, budget
-                )
-            verdicts.append(verdict_of[p.members])
+    notes = [f"line lemma: {len(degs)} lines, projection degrees all distinct"]
+    checked = []
+    for idx, col in enumerate(_simple_colorings(grid, 2)):
+        checked.append(col)
+        verdicts = [
+            grid.checker.is_section_categorical(p.members, budget)
+            for p in cover_from_coloring(grid, col).pieces
+        ]
         bad = [v for v in verdicts if v.status == "not_homotopic"]
-        if bad:
-            notes.append(f"coloring {idx}: fails ({bad[0].reason})")
-        else:
+        if not bad:
             notes.append(
                 f"coloring {idx}: not refuted "
                 f"({'; '.join(v.status for v in verdicts)})"
             )
-            return False, colorings, notes
-    return True, colorings, notes
+            notes.insert(
+                1, f"{len(checked)} simple 2-colorings checked, the last not refuted"
+            )
+            return False, checked, notes
+        notes.append(f"coloring {idx}: fails ({bad[0].reason})")
+    notes.insert(1, f"{len(checked)} simple 2-colorings")
+    return True, checked, notes
 
 
 def tc_via_colorings(

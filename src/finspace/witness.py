@@ -436,7 +436,9 @@ def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
         detail5 = f"degrees ({d1}, {d2}), bound {n_C}/{k}"
     checks.append(("projections on C homotopic", ok5, detail5))
 
-    # (6) V through the generic pipeline, and the two pieces cover
+    # (6) V through the generic pipeline, and the two pieces cover; the
+    # shared torus keeps V's verdict, so witness-mode tc on this circle at
+    # the same budget reuses it rather than deciding V again
     cover_ok = (bundle.U.members | bundle.V.members) == P.full
     vverdict = checker.is_section_categorical(bundle.V.members, budget)
     checks.append(

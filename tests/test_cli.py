@@ -283,6 +283,23 @@ def test_tc_witness_builds_one_product(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_cat_of_a_circle_squared_builds_one_product(capsys, monkeypatch):
+    # --square on a circle loads the shared torus, which cat then finds
+    calls = []
+    real = invariants_module.product
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants_module, "product", counted)
+    monkeypatch.setattr(cli_module, "product", counted)
+    invariants_module.torus.cache_clear()
+    code, out, _ = run(capsys, "cat", "--circle", "3", "--square")
+    assert code == 0 and out.splitlines()[0] == "cat = 2"
+    assert len(calls) == 1
+
+
 def run_process(*argv):
     """The CLI in a fresh interpreter, so an uncaught exception shows as a
     traceback on stderr."""

@@ -10,6 +10,7 @@ from finspace.errors import InvalidParameter, MismatchedSpaces, NotOpen
 from finspace.invariants import (
     Coloring,
     Cover,
+    SquareGrid,
     TorusChecker,
     canonical_coloring,
     cat,
@@ -34,11 +35,14 @@ from finspace.homotopy import (
 )
 from finspace.space import (
     DownSet,
+    FiniteSpace,
     OrderMap,
     bits,
     build_space,
     khalimsky_circle,
+    khalimsky_interval,
     popcount,
+    product,
     read_space,
     write_space,
 )
@@ -240,21 +244,25 @@ def test_two_color_refutation_for_n4():
 
 
 def test_two_color_refutation_decides_each_piece_once(monkeypatch):
-    g = square_grid(4)
+    # decisions are counted where the checker's memo misses: each distinct
+    # piece of the 24 colorings is certified once and remembered once
+    circle = khalimsky_circle(4)
+    g = SquareGrid(circle, TorusChecker(circle))
     asked = []
-    decide = g.checker.is_section_categorical
+    certify = g.checker._certify
 
-    def counted(mask, budget):
+    def counted(mask, mode, budget):
         asked.append(mask)
-        return decide(mask, budget)
+        return certify(mask, mode, budget)
 
-    monkeypatch.setattr(g.checker, "is_section_categorical", counted)
+    monkeypatch.setattr(g.checker, "_certify", counted)
     refuted, colorings, notes = two_color_refutation(g)
     pieces = [
         p.members for col in colorings for p in cover_from_coloring(g, col).pieces
     ]
     assert len(pieces) == 48 and len(asked) == 24
     assert sorted(asked) == sorted(set(pieces))
+    assert g.checker._verdicts.keys() == {(m, "sc", DEFAULT_BUDGET) for m in pieces}
     # the notes are those of deciding every piece of every coloring afresh
     fresh = TorusChecker(g.circle)
     for idx, col in enumerate(colorings):
@@ -630,7 +638,9 @@ def test_search_status_is_that_of_the_certified_decision(drawn, mode, budget):
 
 def test_search_builds_certificates_only_for_the_cover(monkeypatch):
     # the pieces the search meets get a status; only the printed ones get
-    # a fence
+    # a fence.  The shared torus remembers the verdicts of earlier calls,
+    # so the search starts from a fresh one.
+    torus.cache_clear()
     fenced = []
     lift_fence = TorusChecker.lift_fence
 
@@ -700,20 +710,146 @@ def test_homotopic_sees_only_winding_pieces(monkeypatch):
     assert all(ch.winding_obstruction(m, "cat") is not None for m in asked)
 
 
-def test_checker_keeps_no_state_across_searches():
+def test_checker_remembers_only_the_printed_covers():
     # a checker keeps what it was built with, and no container it holds
-    # grows: the partition search keeps the only piece memo.  cat and tc
-    # both search on the one shared torus.
+    # grows with the search: the partition search keeps the only memo of
+    # statuses, and the checker remembers the verdicts of the printed
+    # covers' pieces alone.  cat and tc both search on the one shared torus.
+    torus.cache_clear()
     ch = torus(khalimsky_circle(4))
     before = dict(vars(ch))
     sizes = {k: len(v) for k, v in before.items() if isinstance(v, (dict, list))}
-    assert cat(ch.P).value == 2
-    assert tc(ch.circle).value == 2
+    assert sizes["_verdicts"] == 0
+    by_cat, by_tc = cat(ch.P), tc(ch.circle)
+    assert by_cat.value == 2 and by_tc.value == 2
     assert torus(khalimsky_circle(4)) is ch
     after = vars(ch)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
+    printed = {
+        (p.members, mode, DEFAULT_BUDGET): v
+        for res, mode in ((by_cat, "cat"), (by_tc, "sc"))
+        for p, v in zip(res.cover.pieces, res.cover.certificates)
+    }
+    assert len(printed) == 6
+    assert ch._verdicts.keys() == printed.keys()
+    assert all(ch._verdicts[k] is v for k, v in printed.items())
+    sizes["_verdicts"] = len(printed)
     assert sizes == {k: len(after[k]) for k in sizes}
+
+
+@st.composite
+def memo_calls(draw):
+    """A fresh checker of S1_n^2, n = 2..4, and a few calls (mask, mode,
+    budget) in a drawn order, drawn from a small pool of pieces so that
+    pieces repeat, under both modes and both budgets."""
+    pool = [draw(few_maximal_pieces())]
+    ch = pool[0][0]
+    pool += [
+        d for d in draw(st.lists(few_maximal_pieces(), max_size=2)) if d[0] is ch
+    ]
+    masks = [mask for _, mask in pool]
+    calls = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(masks),
+                st.sampled_from(["sc", "cat"]),
+                st.sampled_from([1, DEFAULT_BUDGET]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return TorusChecker(ch.circle), calls
+
+
+def verdict_fields(v):
+    return v.status, v.reason, v.fence, v.fence_space, v.target, v.core_old_ids
+
+
+@settings(max_examples=60)
+@given(memo_calls())
+def test_remembered_verdicts_are_those_of_a_fresh_checker(drawn):
+    # whatever the order of the calls, a verdict read from the memo is the
+    # one a fresh checker gives at that budget: an "unknown" under budget 1
+    # never answers the default budget, nor a decided verdict budget 1
+    ch, calls = drawn
+    method = {"sc": "is_section_categorical", "cat": "is_categorical"}
+    given_out = {}
+    for mask, mode, budget in calls:
+        v = getattr(ch, method[mode])(mask, budget)
+        assert given_out.setdefault((mask, mode, budget), v) is v
+        assert ch.piece_status(mask, mode, budget) == v.status
+    assert ch._verdicts == given_out
+    for (mask, mode, budget), v in given_out.items():
+        fresh = getattr(TorusChecker(ch.circle), method[mode])(mask, budget)
+        assert verdict_fields(v) == verdict_fields(fresh)
+
+
+def test_piece_status_reads_the_memo_and_never_writes_it():
+    ch = TorusChecker(khalimsky_circle(4))
+    mask = 0
+    for x, y in ((1, 1), (1, 3), (3, 3), (3, 5), (5, 5), (5, 7), (7, 7), (7, 1)):
+        mask |= ch.P.down[ch.pair(x, y)]
+    assert ch.piece_status(mask, "sc", 1) == "unknown"
+    assert ch._verdicts == {}
+    v = ch.is_section_categorical(mask, 1)
+    assert v.status == "unknown" and ch.piece_status(mask, "sc", 1) == "unknown"
+    # the unknown under budget 1 does not answer the default budget
+    assert ch.piece_status(mask, "sc", DEFAULT_BUDGET) == "not_homotopic"
+    assert ch.is_section_categorical(mask).status == "not_homotopic"
+    assert ch._verdicts.keys() == {(mask, "sc", 1), (mask, "sc", DEFAULT_BUDGET)}
+
+
+def test_search_checks_openness_only_of_the_printed_cover(monkeypatch):
+    # the pieces exact search builds are unions of down-sets of maximals,
+    # open by construction; only the printed cover's pieces are checked,
+    # when they become DownSets and when they are certified
+    torus.cache_clear()
+    asked = []
+    is_open = FiniteSpace.is_open
+
+    def counted(self, mask):
+        asked.append(mask)
+        return is_open(self, mask)
+
+    monkeypatch.setattr(FiniteSpace, "is_open", counted)
+    res = tc(khalimsky_circle(4))
+    assert res.value == 2
+    assert sorted(asked) == sorted(2 * [p.members for p in res.cover.pieces])
+
+
+def test_a_grid_of_intervals_keeps_the_torus(monkeypatch):
+    # a 400-point square of a 20-point interval has 4 n^2 points for n = 10,
+    # and n^2 maximals and minimals too; its down-set sizes turn it away
+    # without building torus(S1_10), so the torus kept stays
+    kept = torus(khalimsky_circle(3))
+    P = product(*2 * [khalimsky_interval(0, 19).space])
+    assert P.n == 400
+    assert popcount(P.maximal_elements()) == popcount(P.minimal_elements()) == 100
+    built = []
+    monkeypatch.setattr(invariants_module, "TorusChecker", built.append)
+    assert invariants_module._torus_of(P) is None
+    assert built == [] and torus(khalimsky_circle(3)) is kept
+
+
+def test_coloring_walk_at_half_size_five_builds_only_what_it_checks(monkeypatch):
+    # the walk stops at coloring 13, so it builds 14 colorings, not 41,720
+    made = []
+    real = invariants_module.Coloring
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants_module, "Coloring", counted)
+    g = square_grid(5)
+    refuted, checked, notes = two_color_refutation(g)
+    assert not refuted and len(checked) == len(made) == 14
+    assert notes[1] == "14 simple 2-colorings checked, the last not refuted"
+    assert notes[-1].startswith("coloring 13: not refuted (")
+    assert all(is_simple(g, col) for col in checked)
+    assert [c.assignment for c in checked] == sorted(c.assignment for c in checked)
 
 
 @pytest.mark.parametrize("n, value", [(2, 3), (3, 2)])

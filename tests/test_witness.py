@@ -4,6 +4,7 @@ import finspace.invariants as invariants_module
 import finspace.space as space_module
 import finspace.witness as witness_module
 from finspace.errors import InvalidParameter, NotContinuous
+from finspace.homotopy import DEFAULT_BUDGET
 from finspace.invariants import Cover, TorusChecker, tc, torus
 from finspace.space import FiniteSpace, khalimsky_circle, popcount
 from finspace.witness import (
@@ -65,6 +66,29 @@ def test_witness_sweep_builds_one_product_per_k(monkeypatch):
         assert res.exact and res.value == 1
     assert sizes == [10, 12, 14, 16]
     assert torus.cache_info().currsize == 1
+
+
+def test_witness_query_decides_V_once(monkeypatch):
+    # verify_bundle's step (6) decides V on the shared torus; witness-mode
+    # tc on the same circle and budget reads that verdict back
+    certified = []
+    certify = TorusChecker._certify
+
+    def recorded(self, mask, mode, budget):
+        certified.append(mask)
+        return certify(self, mask, mode, budget)
+
+    monkeypatch.setattr(TorusChecker, "_certify", recorded)
+    torus.cache_clear()
+    rep = verify_bundle(7)
+    U, V = build_U(7), build_V(7)
+    res = tc(khalimsky_circle(7), mode="witness", witness=Cover(U.space, [U, V]))
+    assert rep.passed and res.exact and res.value == 1
+    assert certified == [V.members, U.members]
+    remembered = torus(khalimsky_circle(7))._verdicts
+    v_reason = remembered[(V.members, "sc", DEFAULT_BUDGET)].reason
+    assert rep.checks[-1][2].endswith(v_reason)
+    assert res.notes[1] == f"piece 1: homotopic ({v_reason})"
 
 
 def test_chain_first_stage_is_identity():
