@@ -124,25 +124,26 @@ class HomotopyVerdict:
 # -- beat points and cores --------------------------------------------
 
 
-def _beat_status(X: FiniteSpace, mask: int, x: int):
+def _beat_status(X: FiniteSpace, mask: int, live, x: int):
     """(kind, witness) when x is a beat point of the subspace ``mask``,
     else None; an up beat point is reported before a down one.
 
-    The witness is the minimum (maximum) of the strict up- (down-) set of
-    x within ``mask``.  Candidates are read off x's id tuple in X, so x
-    itself and removed points are skipped; the subset test goes first, as
-    it rejects most candidates."""
-    up = X.up[x] & mask & ~(1 << x)
+    ``live[y]`` tells whether y is in ``mask``.  The witness is the
+    minimum (maximum) of the strict up- (down-) set of x within ``mask``.
+    Candidates are read off x's id tuple in X, so x itself and removed
+    points are skipped before the subset test."""
+    bx = 1 << x
+    up = (X.up[x] & mask) ^ bx
     if up:
         ups = X.up
         for y in X.up_ids[x]:
-            if ups[y] & up == up and y != x and (mask >> y) & 1:
+            if y != x and live[y] and ups[y] & up == up:
                 return ("up", y)
-    down = X.down[x] & mask & ~(1 << x)
+    down = (X.down[x] & mask) ^ bx
     if down:
         downs = X.down
         for y in X.down_ids[x]:
-            if downs[y] & down == down and y != x and (mask >> y) & 1:
+            if y != x and live[y] and downs[y] & down == down:
                 return ("down", y)
     return None
 
@@ -185,20 +186,22 @@ def core(X: FiniteSpace) -> CoreData:
     copy is built.
     """
     mask = X.full
+    live = [True] * X.n
     heap = list(range(X.n))  # sorted, so already a heap
     queued = [True] * X.n
     removals = []
     while heap:
         x = heappop(heap)
         queued[x] = False
-        status = _beat_status(X, mask, x)
+        status = _beat_status(X, mask, live, x)
         if status is None:
             continue
         removals.append((x, *status))
-        mask &= ~(1 << x)
+        mask ^= 1 << x
+        live[x] = False
         for near in (X.up_ids[x], X.down_ids[x]):
             for y in near:
-                if not queued[y] and (mask >> y) & 1:
+                if not queued[y] and live[y]:
                     queued[y] = True
                     heappush(heap, y)
     if not removals:
@@ -470,21 +473,22 @@ def potentials(X: FiniteSpace, mask: int, t1, t2, num):
     size = len(num)
     r1 = list(map(num.__getitem__, t1))
     r2 = list(map(num.__getitem__, t2))
-    up_ids = X.up_ids
-    phi = {}
+    up_ids, down_ids = X.up_ids, X.down_ids
+    points = range(X.n) if mask == X.full else list(bits(mask))
+    live = set(points)
     edges = []
-    adj = {p: [] for p in bits(mask)}
-    for p, out in adj.items():
+    for p in points:
         a1, a2 = r1[p], r2[p]
         for q in up_ids[p]:
-            if q != p and mask >> q & 1:
-                d1 = (r1[q] - a1 + 1) % size - 1
-                d2 = (r2[q] - a2 + 1) % size - 1
-                w = (d1, d2)
+            if q != p and q in live:
+                w = ((r1[q] - a1 + 1) % size - 1, (r2[q] - a2 + 1) % size - 1)
                 edges.append((p, q, w))
-                out.append((q, w))
-                adj[q].append((p, (-d1, -d2)))
-    for root in adj:
+    # the BFS visits u's neighbours in the order of the pairs that name
+    # them: those below u with a smaller id, those above u, then those
+    # below u with a larger id.  A pair (p, u) read backwards lifts by
+    # minus its displacement from p to u.
+    phi = {}
+    for root in points:
         if root in phi:
             continue
         phi[root] = (r1[root], r2[root])
@@ -492,10 +496,31 @@ def potentials(X: FiniteSpace, mask: int, t1, t2, num):
         while queue:
             u = queue.popleft()
             pu1, pu2 = phi[u]
-            for v, (d1, d2) in adj[u]:
-                if v not in phi:
-                    phi[v] = (pu1 + d1, pu2 + d2)
-                    queue.append(v)
+            a1, a2 = r1[u], r2[u]
+            below = down_ids[u]
+            for p in below:
+                if p >= u:
+                    break
+                if p in live and p not in phi:
+                    phi[p] = (
+                        pu1 - ((a1 - r1[p] + 1) % size - 1),
+                        pu2 - ((a2 - r2[p] + 1) % size - 1),
+                    )
+                    queue.append(p)
+            for q in up_ids[u]:
+                if q != u and q in live and q not in phi:
+                    phi[q] = (
+                        pu1 + (r1[q] - a1 + 1) % size - 1,
+                        pu2 + (r2[q] - a2 + 1) % size - 1,
+                    )
+                    queue.append(q)
+            for p in below:
+                if p > u and p in live and p not in phi:
+                    phi[p] = (
+                        pu1 - ((a1 - r1[p] + 1) % size - 1),
+                        pu2 - ((a2 - r2[p] + 1) % size - 1),
+                    )
+                    queue.append(p)
     return phi, edges
 
 

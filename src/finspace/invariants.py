@@ -820,26 +820,6 @@ def cell_symmetries(grid: SquareGrid):
     return sorted(out)
 
 
-def canonical_coloring(grid: SquareGrid, coloring: Coloring, symmetries):
-    """Least assignment over the grid symmetries ``symmetries`` (as from
-    ``cell_symmetries``) and color permutations.
-
-    For one moved assignment the least recoloring numbers the colors in
-    order of first appearance, so no color permutation is enumerated.
-    """
-    n = grid.n
-    best = None
-    for perm in symmetries:
-        moved = [0] * (n * n)
-        for cell in range(n * n):
-            moved[perm[cell]] = coloring.assignment[cell]
-        first = {}
-        cand = tuple(first.setdefault(v, len(first)) for v in moved)
-        if best is None or cand < best:
-            best = cand
-    return Coloring(n, coloring.colors, best)
-
-
 def _simple_colorings(grid: SquareGrid, colors: int):
     """The simple colorings of the grid with ``colors`` colors, one at a
     time, in the lexicographic order of their assignments.
@@ -889,22 +869,49 @@ def _simple_colorings(grid: SquareGrid, colors: int):
         c += 1
 
 
+def _is_canonical(assignment, symmetries) -> bool:
+    """Whether ``assignment`` is the least of its orbit under the grid
+    symmetries ``symmetries`` (as from ``cell_symmetries``) and the color
+    permutations.  For one moved assignment the least recoloring numbers
+    the colors in order of first appearance, so no color permutation is
+    enumerated: the assignment must itself be numbered that way, and no
+    symmetry, renumbered so, may give a smaller one.  Each comparison
+    stops at the first cell where the two differ."""
+    first = {}
+    for v in assignment:
+        if first.setdefault(v, len(first)) != v:
+            return False
+    cells = len(assignment)
+    for perm in symmetries:
+        moved = [0] * cells
+        for cell, v in enumerate(assignment):
+            moved[perm[cell]] = v
+        first = {}
+        for a, v in zip(assignment, moved):
+            b = first.setdefault(v, len(first))
+            if b != a:
+                if b < a:
+                    return False
+                break
+    return True
+
+
 def enumerate_simple_colorings(grid: SquareGrid, colors: int, symmetry: bool = True):
     """The simple colorings of the grid with ``colors`` colors, as a list.
 
     With ``symmetry`` off, every simple coloring in the order of
     ``_simple_colorings``.  With it on, the sorted canonical representatives
-    under ``cell_symmetries`` and color permutations.
+    under ``cell_symmetries`` and color permutations.  The walk is lazy and
+    keeps a coloring only when it is the least of its orbit: the least is
+    simple too (a symmetry maps full lines to full lines, a recoloring
+    keeps the classes), so every orbit is met at its least member, and the
+    walk meets them in sorted order.
     """
-    found = list(_simple_colorings(grid, colors))
+    found = _simple_colorings(grid, colors)
     if not symmetry:
-        return found
+        return list(found)
     syms = cell_symmetries(grid)
-    classes = {}
-    for col in found:
-        canon = canonical_coloring(grid, col, syms)
-        classes.setdefault(canon.assignment, canon)
-    return [classes[k] for k in sorted(classes)]
+    return [col for col in found if _is_canonical(col.assignment, syms)]
 
 
 # -- the coloring route to the two-piece impossibility -----------------

@@ -17,12 +17,35 @@ from .errors import (
 )
 
 
+def _byte_bits():
+    """The set bit positions of each byte b, increasing, at index b: the
+    bytes with bit i set are those below 2**i with (i,) appended."""
+    out = [()]
+    for i in range(8):
+        out += [t + (i,) for t in out]
+    return tuple(out)
+
+
+_BYTE_BITS = _byte_bits()
+
+
 def bits(mask: int):
-    """Iterate over the set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Iterate over the set bit positions of ``mask`` in increasing order.
+
+    The mask is read a byte at a time through ``_BYTE_BITS``, so no big
+    int is built per bit; a mask of one byte is looked up whole.  A
+    negative mask has no finite set of bits and raises InvalidParameter."""
+    if mask < 0:
+        raise InvalidParameter(f"bits of a negative mask: {mask}")
+    if mask < 256:
+        yield from _BYTE_BITS[mask]
+        return
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                yield base + i
+        base += 8
 
 
 def popcount(mask: int) -> int:
@@ -36,7 +59,12 @@ class FiniteSpace:
     bitmasks; they are precomputed at construction and never change.
     ``down_ids[x]`` / ``up_ids[x]`` are the same sets as increasing tuples
     of point ids, for loops that visit a point's neighbours.  They are
-    built at construction, by the loop that checks transitivity.
+    built at construction, by the one loop that checks transitivity.
+
+    ``subspace`` and ``product`` know each point's down-set as increasing
+    ids already and hand them down as ``down_ids``, which must list the
+    set bits of each ``down[x]``; only when none are given, as from
+    ``build_space``, are the masks decoded.
     """
 
     __slots__ = (
@@ -44,7 +72,7 @@ class FiniteSpace:
         "_hash",
     )
 
-    def __init__(self, labels, down, covers=None):
+    def __init__(self, labels, down, covers=None, down_ids=None):
         n = len(down)
         self.n = n
         self.labels = tuple(str(l) for l in labels)
@@ -55,25 +83,24 @@ class FiniteSpace:
         for x in range(n):
             if not (down[x] >> x) & 1:
                 raise InvalidParameter("down-set must be reflexive")
+        if down_ids is None:
+            # a mask below 256 is read straight off the table: on spaces
+            # of a few points the generator would cost more than the walk
+            down_ids = [
+                _BYTE_BITS[d] if d < 256 else tuple(bits(d)) for d in down
+            ]
         up = [0] * n
-        down_ids = []
         up_ids = [[] for _ in range(n)]
-        for x in range(n):
-            d = m = reach = down[x]
+        for x, ids in enumerate(down_ids):
+            reach = d = down[x]
             bx = 1 << x
-            ids = []
-            while m:
-                low = m & -m
-                y = low.bit_length() - 1
-                m ^= low
+            for y in ids:
                 reach |= down[y]
                 up[y] |= bx
-                ids.append(y)
                 up_ids[y].append(x)
             # transitivity: down[y] subset of down[x] whenever y <= x
             if reach != d:
                 raise InvalidParameter("down-sets are not transitive")
-            down_ids.append(tuple(ids))
         self.up = tuple(up)
         self.down_ids = tuple(down_ids)
         self.up_ids = tuple(map(tuple, up_ids))
@@ -139,17 +166,21 @@ class FiniteSpace:
         old = list(bits(mask))
         index = {p: i for i, p in enumerate(old)}
         get = index.get
-        down_ids = self.down_ids
+        parent_ids = self.down_ids
         down = []
+        down_ids = []
         for p in old:
             m = 0
-            for q in down_ids[p]:
+            ids = []
+            for q in parent_ids[p]:
                 i = get(q)
                 if i is not None:
                     m |= 1 << i
+                    ids.append(i)
             down.append(m)
+            down_ids.append(tuple(ids))
         labels = [self.labels[p] for p in old]
-        return FiniteSpace(labels, down), old
+        return FiniteSpace(labels, down, down_ids=down_ids), old
 
     # -- dunder --------------------------------------------------------
 
@@ -301,9 +332,13 @@ def khalimsky_interval(k: int, l: int) -> KhalimskyInterval:
 
 
 def product(X: FiniteSpace, Y: FiniteSpace) -> FiniteSpace:
-    """Product poset; its Alexandroff topology is the product topology."""
+    """Product poset; its Alexandroff topology is the product topology.
+
+    Point (x, y) has id x * Y.n + y, so its down-set's ids, the pairs of
+    ids u <= x and v <= y, come out increasing row by row."""
     nY = Y.n
     down = []
+    down_ids = []
     labels = []
     for x, ids in enumerate(X.down_ids):
         # one bit at the start of each row u <= x; multiplying it by a
@@ -312,15 +347,40 @@ def product(X: FiniteSpace, Y: FiniteSpace) -> FiniteSpace:
         for u in ids:
             rows |= 1 << (u * nY)
         down += [rows * block for block in Y.down]
+        starts = [u * nY for u in ids]
+        down_ids += [tuple([s + v for s in starts for v in yids]) for yids in Y.down_ids]
         labels += [f"({X.labels[x]},{l})" for l in Y.labels]
-    return FiniteSpace(labels, down)
+    return FiniteSpace(labels, down, down_ids=down_ids)
 
 
 # -- continuous maps ---------------------------------------------------
 
 
+def _moved_pairs_hold(X: FiniteSpace, table) -> bool:
+    """Whether the endomap ``table`` of X preserves every comparable pair
+    that touches a point it moves; a pair of fixed points holds as is."""
+    down = X.down
+    for x, fx in enumerate(table):
+        if fx == x:
+            continue
+        for x2 in X.up_ids[x]:
+            if not (down[table[x2]] >> fx) & 1:
+                return False
+        dfx = down[fx]
+        for x2 in X.down_ids[x]:
+            if not (dfx >> table[x2]) & 1:
+                return False
+    return True
+
+
 class OrderMap:
-    """A continuous (= order-preserving) map between finite spaces."""
+    """A continuous (= order-preserving) map between finite spaces.
+
+    Every pair x <= x2 of the source is checked, in the order of x and
+    then of ``source.up_ids[x]``, and the first one that fails raises
+    NotOrderPreserving.  An endomap (``source is target``) checks only
+    the pairs that touch a moved point, and scans in order only when one
+    of them fails, so it names the same first pair."""
 
     __slots__ = ("source", "target", "table")
 
@@ -331,12 +391,13 @@ class OrderMap:
         for v in table:
             if not (0 <= v < target.n):
                 raise InvalidParameter(f"value {v} outside the target")
-        tdown = target.down
-        for x, ids in enumerate(source.up_ids):
-            fx = table[x]
-            for x2 in ids:
-                if not (tdown[table[x2]] >> fx) & 1:
-                    raise NotOrderPreserving(x, x2, fx, table[x2])
+        if source is not target or not _moved_pairs_hold(source, table):
+            tdown = target.down
+            for x, ids in enumerate(source.up_ids):
+                fx = table[x]
+                for x2 in ids:
+                    if not (tdown[table[x2]] >> fx) & 1:
+                        raise NotOrderPreserving(x, x2, fx, table[x2])
         self.source = source
         self.target = target
         self.table = table

@@ -5,6 +5,7 @@ way, something the program computes differently (or only feeds to a
 check).  Import them in a test module with ``from reference import ...``.
 """
 
+from collections import deque
 from heapq import heappop, heappush
 from itertools import combinations, product
 from math import factorial
@@ -13,7 +14,12 @@ from finspace.circles import CircleMap
 from finspace.complexes import SimplicialComplex
 from finspace.errors import FinspaceError
 from finspace.homotopy import _beat_status
-from finspace.invariants import Coloring, SquareGrid
+from finspace.invariants import (
+    Coloring,
+    SquareGrid,
+    _simple_colorings,
+    cell_symmetries,
+)
 from finspace.space import FiniteSpace, build_space, popcount
 
 
@@ -106,6 +112,59 @@ def minimal_iso_check(X: FiniteSpace, Y: FiniteSpace):
     if bt(0):
         return list(assign)
     return None
+
+
+def lowbit_bits(mask: int):
+    """The set bit positions of ``mask``, increasing, peeled off the whole
+    int one lowest bit at a time; ``space.bits`` reads bytes instead."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def first_violation(source: FiniteSpace, target: FiniteSpace, table):
+    """The first (x, x2, f(x), f(x2)) in source order with x <= x2 but
+    table[x] !<= table[x2], scanning every comparable pair; else None."""
+    for x in range(source.n):
+        for x2 in lowbit_bits(source.up[x]):
+            if not target.leq(table[x], table[x2]):
+                return (x, x2, table[x], table[x2])
+    return None
+
+
+def adjacency_potentials(X: FiniteSpace, mask: int, t1, t2, num):
+    """``homotopy.potentials`` through an explicit adjacency dict: each
+    pair (p, q), q above p, appends q to p's list and p to q's, and the
+    BFS reads the lists in that order."""
+    size = len(num)
+    r1 = [num[v] for v in t1]
+    r2 = [num[v] for v in t2]
+    phi = {}
+    edges = []
+    adj = {p: [] for p in lowbit_bits(mask)}
+    for p, out in adj.items():
+        a1, a2 = r1[p], r2[p]
+        for q in X.up_ids[p]:
+            if q != p and mask >> q & 1:
+                d1 = (r1[q] - a1 + 1) % size - 1
+                d2 = (r2[q] - a2 + 1) % size - 1
+                edges.append((p, q, (d1, d2)))
+                out.append((q, (d1, d2)))
+                adj[q].append((p, (-d1, -d2)))
+    for root in adj:
+        if root in phi:
+            continue
+        phi[root] = (r1[root], r2[root])
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            pu1, pu2 = phi[u]
+            for v, (d1, d2) in adj[u]:
+                if v not in phi:
+                    phi[v] = (pu1 + d1, pu2 + d2)
+                    queue.append(v)
+    return phi, edges
 
 
 # -- circle maps -------------------------------------------------------
@@ -264,7 +323,8 @@ def eager_core(X: FiniteSpace):
 
     Returns (removals, end mask), removals as ``core`` lists them."""
     mask = X.full
-    status = [_beat_status(X, mask, x) for x in range(X.n)]
+    live = [True] * X.n
+    status = [_beat_status(X, mask, live, x) for x in range(X.n)]
     heap = [x for x in range(X.n) if status[x] is not None]
     removals = []
     while heap:
@@ -274,11 +334,48 @@ def eager_core(X: FiniteSpace):
         kind, w = status[x]
         removals.append((x, kind, w))
         mask &= ~(1 << x)
+        live[x] = False
         for y in sorted(X.up_ids[x] + X.down_ids[x]):
             if not (mask >> y) & 1:
                 continue
             was = status[y]
-            status[y] = _beat_status(X, mask, y)
+            status[y] = _beat_status(X, mask, live, y)
             if was is None and status[y] is not None:
                 heappush(heap, y)
     return removals, mask
+
+
+# -- coloring classes --------------------------------------------------
+
+
+def canonical_coloring(grid: SquareGrid, coloring: Coloring, symmetries):
+    """Least assignment over the grid symmetries ``symmetries`` (as from
+    ``cell_symmetries``) and color permutations.
+
+    For one moved assignment the least recoloring numbers the colors in
+    order of first appearance, so no color permutation is enumerated.
+    """
+    n = grid.n
+    best = None
+    for perm in symmetries:
+        moved = [0] * (n * n)
+        for cell in range(n * n):
+            moved[perm[cell]] = coloring.assignment[cell]
+        first = {}
+        cand = tuple(first.setdefault(v, len(first)) for v in moved)
+        if best is None or cand < best:
+            best = cand
+    return Coloring(n, coloring.colors, best)
+
+
+def listed_coloring_classes(grid, colors: int):
+    """``enumerate_simple_colorings`` with symmetry on, the list-based way:
+    every simple coloring built first, then each canonicalised, one
+    representative kept per class, sorted."""
+    found = list(_simple_colorings(grid, colors))
+    syms = cell_symmetries(grid)
+    classes = {}
+    for col in found:
+        canon = canonical_coloring(grid, col, syms)
+        classes.setdefault(canon.assignment, canon)
+    return [classes[k] for k in sorted(classes)]

@@ -25,7 +25,6 @@ from finspace.homotopy import core, degrees, hom_components, potentials, winding
 from finspace.invariants import (
     Cover,
     TorusChecker,
-    canonical_coloring,
     cat,
     cell_symmetries,
     enumerate_simple_colorings,
@@ -46,6 +45,7 @@ from reference import (
     barycentric_facet_count,
     circle_map_from_order_map,
     beat_points,
+    canonical_coloring,
     coloring_from_rows,
     face_poset,
     minimal_iso_check,

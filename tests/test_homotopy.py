@@ -16,6 +16,7 @@ from finspace.homotopy import (
     hom_components,
     homotopic,
     nullhomotopic_in,
+    potentials,
     table_cmp,
 )
 from finspace.space import (
@@ -32,8 +33,14 @@ from finspace.space import (
     product,
     projections,
 )
-from finspace.witness import build_chain
-from reference import NotMinimal, beat_points, eager_core, minimal_iso_check
+from finspace.witness import build_U, build_chain
+from reference import (
+    NotMinimal,
+    adjacency_potentials,
+    beat_points,
+    eager_core,
+    minimal_iso_check,
+)
 
 
 def random_poset(rng, n):
@@ -492,9 +499,9 @@ def test_core_recomputes_beat_status_only_near_removals(monkeypatch):
     X = b.stages[0].map.source  # the subspace U
     calls = []
 
-    def counted(X, mask, x):
+    def counted(X, mask, live, x):
         calls.append(x)
-        return beat_status(X, mask, x)
+        return beat_status(X, mask, live, x)
 
     beat_status = homotopy_module._beat_status
     monkeypatch.setattr(homotopy_module, "_beat_status", counted)
@@ -717,3 +724,33 @@ def test_fence_bfs_reasons_count_maps_and_budget():
     v = fence_bfs(f, g, 3)
     assert v.status == "unknown" and not v.fence
     assert re.fullmatch(r"fence-bfs budget 3 exhausted after reaching \d+ maps", v.reason)
+
+
+def assert_potentials_match_adjacency_walk(X, mask, t1, t2, num):
+    phi, edges = potentials(X, mask, t1, t2, num)
+    want_phi, want_edges = adjacency_potentials(X, mask, t1, t2, num)
+    # the same potentials, found in the same BFS order, and the same pairs
+    assert list(phi.items()) == list(want_phi.items())
+    assert edges == want_edges
+
+
+@settings(max_examples=200)
+@given(posets(), st.integers(2, 5), st.randoms(use_true_random=False))
+def test_potentials_match_the_adjacency_walk(X, half, rnd):
+    # any tables into a 2 * half residue numbering, continuous or not
+    size = 2 * half
+    num = list(range(size))
+    rnd.shuffle(num)
+    t1 = [rnd.randrange(size) for _ in range(X.n)]
+    t2 = [rnd.randrange(size) for _ in range(X.n)]
+    mask = X.full if rnd.random() < 0.3 else rnd.getrandbits(X.n)
+    assert_potentials_match_adjacency_walk(X, mask, t1, t2, num)
+
+
+def test_potentials_match_the_adjacency_walk_on_a_witness_piece():
+    U = build_U(6)
+    P = U.space
+    S = khalimsky_circle(6).space
+    p1, p2 = projections(S, S, P)
+    num = list(range(S.n))
+    assert_potentials_match_adjacency_walk(P, U.members, p1.table, p2.table, num)

@@ -1,4 +1,5 @@
 import random
+import weakref
 from itertools import combinations, permutations
 
 import pytest
@@ -12,7 +13,7 @@ from finspace.invariants import (
     Cover,
     SquareGrid,
     TorusChecker,
-    canonical_coloring,
+    _is_canonical,
     cat,
     cell_symmetries,
     cover_from_coloring,
@@ -46,7 +47,13 @@ from finspace.space import (
     read_space,
     write_space,
 )
-from reference import brute_force_simple_colorings, coloring_from_rows, is_simple
+from reference import (
+    brute_force_simple_colorings,
+    canonical_coloring,
+    coloring_from_rows,
+    is_simple,
+    listed_coloring_classes,
+)
 from test_circles import relabelled
 
 
@@ -205,9 +212,38 @@ def test_canonical_coloring_matches_permutation_reference(n, colors):
     raw = enumerate_simple_colorings(g, colors, symmetry=False)
     assert raw
     for col in raw:
-        assert canonical_coloring(g, col, syms).assignment == (
-            reference_canonical_assignment(g, col, syms)
-        )
+        least = reference_canonical_assignment(g, col, syms)
+        assert canonical_coloring(g, col, syms).assignment == least
+        assert _is_canonical(col.assignment, syms) == (col.assignment == least)
+
+
+@pytest.mark.parametrize("n,colors", [(3, 2), (4, 2), (3, 3)])
+def test_lazy_coloring_classes_match_the_listed_ones(n, colors):
+    g = square_grid(n)
+    assert enumerate_simple_colorings(g, colors) == listed_coloring_classes(g, colors)
+
+
+def test_coloring_classes_hold_no_list_of_all_colorings(monkeypatch):
+    # the walk keeps only orbit leaders: beside them, at most the coloring
+    # just read and the one before it are alive at any time
+    g = square_grid(3)
+    walk = invariants_module._simple_colorings
+    alive = weakref.WeakSet()
+    peak = total = 0
+
+    def watched(grid, colors):
+        nonlocal peak, total
+        for col in walk(grid, colors):
+            alive.add(col)
+            total += 1
+            peak = max(peak, len(alive))
+            yield col
+
+    monkeypatch.setattr(invariants_module, "_simple_colorings", watched)
+    classes = enumerate_simple_colorings(g, 3)
+    assert classes == listed_coloring_classes(g, 3)
+    assert total > 10 * len(classes)
+    assert peak <= len(classes) + 2
 
 
 @pytest.mark.parametrize("n,colors", [(2, 2), (3, 2), (3, 3), (4, 2)])
@@ -280,7 +316,7 @@ def test_tc_via_colorings_uses_no_symmetry_reduction(monkeypatch):
         raise AssertionError("symmetry reduction on the refutation path")
 
     monkeypatch.setattr(invariants_module, "cell_symmetries", forbidden)
-    monkeypatch.setattr(invariants_module, "canonical_coloring", forbidden)
+    monkeypatch.setattr(invariants_module, "_is_canonical", forbidden)
     res = tc_via_colorings(khalimsky_circle(4))
     assert res.exact and res.value == 2
 

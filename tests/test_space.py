@@ -11,6 +11,7 @@ from finspace.errors import (
 )
 from finspace.space import (
     DownSet,
+    FiniteSpace,
     OrderMap,
     bits,
     build_space,
@@ -26,7 +27,7 @@ from finspace.space import (
     read_space,
     write_space,
 )
-from reference import all_open_sets
+from reference import all_open_sets, first_violation, lowbit_bits
 
 
 def test_build_space_basic():
@@ -171,16 +172,6 @@ def test_write_space_of_square_is_unchanged():
     )
 
 
-def _first_violation(source, target, table):
-    """Reference order check: the first (x, x2) in source order with
-    x <= x2 but table[x] !<= table[x2]."""
-    for x in range(source.n):
-        for x2 in bits(source.up[x]):
-            if not target.leq(table[x], table[x2]):
-                return (x, x2, table[x], table[x2])
-    return None
-
-
 def test_order_map_witness_matches_reference_check():
     rng = random.Random(4)
     for _ in range(400):
@@ -191,7 +182,7 @@ def test_order_map_witness_matches_reference_check():
             spaces.append(build_space([str(i) for i in range(n)], pairs))
         X, Y = spaces
         table = [rng.randrange(Y.n) for _ in range(X.n)]
-        want = _first_violation(X, Y, table)
+        want = first_violation(X, Y, table)
         if want is None:
             assert OrderMap(X, Y, table).table == tuple(table)
         else:
@@ -212,7 +203,7 @@ def test_order_map_witness_on_a_large_product_subspace():
             bad = list(table)
             for _ in range(rng.randint(1, 3)):
                 bad[rng.randrange(sub.n)] = rng.randrange(target.n)
-            want = _first_violation(sub, target, bad)
+            want = first_violation(sub, target, bad)
             if want is None:
                 assert OrderMap(sub, target, bad).table == tuple(bad)
             else:
@@ -239,6 +230,14 @@ def assert_id_tuples_exact(Z):
     assert Z.up_ids == tuple(tuple(bits(m)) for m in Z.up)
 
 
+def assert_same_space(Z, want):
+    assert Z.down == want.down
+    assert Z.down_ids == want.down_ids
+    assert Z.up == want.up
+    assert Z.up_ids == want.up_ids
+    assert Z == want and hash(Z) == hash(want)
+
+
 @settings(max_examples=150)
 @given(posets(), posets(max_n=5), st.randoms(use_true_random=False))
 def test_id_tuples_are_built_at_construction_and_equal_the_masks(X, Y, rnd):
@@ -247,6 +246,10 @@ def test_id_tuples_are_built_at_construction_and_equal_the_masks(X, Y, rnd):
     assert_id_tuples_exact(sub)
     assert_id_tuples_exact(product(X, Y))
     assert_id_tuples_exact(read_space(write_space(X, "X")))
+    # subspace and product hand their id tuples to FiniteSpace; decoding
+    # the masks instead must give the same space
+    for Z in (sub, product(X, Y), product(Y, sub)):
+        assert_same_space(Z, FiniteSpace(Z.labels, Z.down))
 
 
 def test_order_map_on_a_space_with_built_tuples_decodes_no_mask(bits_calls):
@@ -261,3 +264,56 @@ def test_order_map_on_a_space_with_built_tuples_decodes_no_mask(bits_calls):
     with pytest.raises(NotOrderPreserving):
         OrderMap(sub, P, [old[-1]] * (sub.n - 1) + [old[0]])
     assert bits_calls == []
+
+
+FULL_1024 = (1 << 1024) - 1
+sparse_masks = st.sets(st.integers(0, 1023), max_size=12).map(
+    lambda ps: sum(1 << p for p in ps)
+)
+masks = st.one_of(
+    st.just(0),
+    st.integers(0, 1100).map(lambda p: 1 << p),  # a single, possibly high, bit
+    sparse_masks,
+    sparse_masks.map(lambda m: FULL_1024 ^ m),  # dense, 1024 bits wide
+    st.integers(0, FULL_1024),
+)
+
+
+@settings(max_examples=300)
+@given(masks)
+def test_bits_match_the_lowest_bit_walk(mask):
+    assert list(bits(mask)) == list(lowbit_bits(mask))
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 700)])
+def test_bits_of_a_negative_mask_raise(mask):
+    with pytest.raises(InvalidParameter):
+        list(bits(mask))
+
+
+def test_handed_down_ids_still_get_the_transitivity_check():
+    # 0 < 1 < 2 with 0 missing from 2's down-set
+    down = [0b001, 0b011, 0b110]
+    with pytest.raises(InvalidParameter, match="transitive"):
+        FiniteSpace("abc", down, down_ids=[(0,), (0, 1), (1, 2)])
+    with pytest.raises(InvalidParameter, match="transitive"):
+        FiniteSpace("abc", down)
+
+
+@settings(max_examples=300)
+@given(posets(max_n=12), st.randoms(use_true_random=False))
+def test_endomap_check_matches_the_full_scan(X, rnd):
+    # an endomap checks only the pairs at its 1-3 moved points, then, on a
+    # failure, scans in order: the same verdict and first witness as a
+    # scan of every pair
+    table = list(range(X.n))
+    for p in rnd.sample(range(X.n), min(X.n, rnd.randint(1, 3))):
+        near = X.up_ids[p] + X.down_ids[p]
+        table[p] = rnd.choice(near) if rnd.random() < 0.7 else rnd.randrange(X.n)
+    want = first_violation(X, X, table)
+    if want is None:
+        assert OrderMap(X, X, table).table == tuple(table)
+    else:
+        with pytest.raises(NotOrderPreserving) as exc:
+            OrderMap(X, X, table)
+        assert exc.value.witness == want
