@@ -32,16 +32,10 @@ from .homotopy import (
 )
 from .circles import (
     CircleMap,
-    IntervalMap,
-    LiftRecord,
     classify_homotopic,
     degree,
-    epsilon,
-    fence_to_constant,
     lift,
-    monotone_normalize,
     recognize_circle,
-    staircase_fence,
 )
 from .complexes import (
     SimplicialComplex,
@@ -73,16 +67,10 @@ __all__ = [
     "homotopic",
     "nullhomotopic_in",
     "CircleMap",
-    "IntervalMap",
-    "LiftRecord",
     "classify_homotopic",
     "degree",
-    "epsilon",
-    "fence_to_constant",
     "lift",
-    "monotone_normalize",
     "recognize_circle",
-    "staircase_fence",
     "SimplicialComplex",
     "order_complex",
     "format_cover",

@@ -12,19 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import (
-    BaseMismatch,
-    InvalidParameter,
-    MismatchedSizes,
-    NotApplicable,
-    PreconditionViolated,
-)
+from .errors import BaseMismatch, InvalidParameter, MismatchedSizes, NotApplicable
 from .space import FiniteSpace, parse_ints
-
-
-def ht(z: int) -> int:
-    """Height parity: 0 on minimal (open, even) points of the line."""
-    return z % 2
 
 
 def line_leq(a: int, b: int) -> bool:
@@ -36,59 +25,6 @@ def circ_leq(v: int, w: int, size: int) -> bool:
     if v == w:
         return True
     return v % 2 == 0 and (w - v) % size in (1, size - 1)
-
-
-# -- interval maps -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntervalMap:
-    """A continuous function [k,l] -> Z on the digital line."""
-
-    k: int
-    values: tuple
-
-    def __post_init__(self):
-        for z in range(self.k, self.l):
-            a, b = self(z), self(z + 1)
-            lo, hi = (a, b) if z % 2 == 0 else (b, a)
-            if not line_leq(lo, hi):
-                raise InvalidParameter(
-                    f"not continuous at {z}: {a} vs {b}"
-                )
-
-    @property
-    def l(self) -> int:
-        return self.k + len(self.values) - 1
-
-    def __call__(self, z: int) -> int:
-        return self.values[z - self.k]
-
-    def is_monotone(self) -> bool:
-        vs = self.values
-        return all(a <= b for a, b in zip(vs, vs[1:])) or all(
-            a >= b for a, b in zip(vs, vs[1:])
-        )
-
-
-def epsilon(k: int, l: int, a: int) -> IntervalMap:
-    """The constant function at a on [k,l]."""
-    return IntervalMap(k, tuple([a] * (l - k + 1)))
-
-
-def interval_cmp(f: IntervalMap, g: IntervalMap):
-    """Pointwise comparison in the line order, as in fence steps."""
-    if f.k != g.k or len(f.values) != len(g.values):
-        raise MismatchedSizes("interval maps on different domains")
-    leq = all(line_leq(a, b) for a, b in zip(f.values, g.values))
-    geq = all(line_leq(b, a) for a, b in zip(f.values, g.values))
-    if leq and geq:
-        return "equal"
-    if leq:
-        return "leq"
-    if geq:
-        return "geq"
-    return None
 
 
 # -- circle maps -------------------------------------------------------
@@ -133,17 +69,6 @@ def parse_circle_map(text: str) -> CircleMap:
 # -- lifts and degree --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftRecord:
-    """A lift of a circle map along q : Z -> Z/2n over the window [k,l]."""
-
-    base: CircleMap
-    k: int
-    l: int
-    start: int
-    values: tuple  # lifted integer per z in k..l
-
-
 def _steps(f: CircleMap, k: int, l: int):
     """The lift steps f(z+1) - f(z) mod 2n for z in k..l-1, each -1, 0 or
     +1; any other difference is a jump and raises."""
@@ -164,19 +89,22 @@ def _steps(f: CircleMap, k: int, l: int):
         a = b
 
 
-def lift(f: CircleMap, k: int, l: int, a: int) -> LiftRecord:
-    """The unique lift with value a at k, by the step-tracking rule."""
+def lift(f: CircleMap, k: int, l: int, a: int) -> tuple:
+    """The unique lift with value a at k, by the step-tracking rule: its
+    values at z = k..l."""
     if f.n < 2:
         raise NotApplicable("lift uniqueness needs n >= 2")
     size = 2 * f.n
     if a % size != f(k):
         raise BaseMismatch(f"q({a}) = {a % size} != f({k}) = {f(k)}")
-    values = list(accumulate(_steps(f, k, l), initial=a))
-    # the lift is continuous on the digital line; IntervalMap checks it
-    IntervalMap(k, tuple(values))
-    for z in range(k, l + 1):
-        assert values[z - k] % size == f(z), "lift does not commute with q"
-    return LiftRecord(f, k, l, a, tuple(values))
+    values = tuple(accumulate(_steps(f, k, l), initial=a))
+    # the lift is continuous on the digital line: z < z + 1 for even z
+    for z, (v, w) in enumerate(zip(values, values[1:]), start=k):
+        if not (line_leq(v, w) if z % 2 == 0 else line_leq(w, v)):
+            raise InvalidParameter(f"not continuous at {z}: {v} vs {w}")
+    for z, v in enumerate(values, start=k):
+        assert v % size == f(z), "lift does not commute with q"
+    return values
 
 
 def degree(f: CircleMap) -> int:
@@ -185,7 +113,7 @@ def degree(f: CircleMap) -> int:
 
     This is how far ``lift(f, 0, 2m, f(0))`` climbs over the loop, its
     last value minus its first, divided by 2n, without building the
-    lift's values, its IntervalMap or its commutation check.
+    lift's values or its commutation check.
     """
     return sum(_steps(f, 0, 2 * f.m)) // (2 * f.n)
 
@@ -202,126 +130,6 @@ def classify_homotopic(f: CircleMap, g: CircleMap) -> bool:
         return True
     df, dg = degree(f), degree(g)
     return df == dg and abs(df) * f.n < f.m
-
-
-# -- monotone normalization and fences --------------------------------
-
-
-def monotone_normalize(g: IntervalMap) -> IntervalMap:
-    """The staircase-then-plateau normal form h_g.
-
-    Preconditions: g(k) <= g(l) and ht(k) = ht(g(k)).
-    """
-    if g(g.k) > g(g.l):
-        raise PreconditionViolated("g(k) <= g(l)")
-    if ht(g.k) != ht(g(g.k)):
-        raise PreconditionViolated("ht(k) = ht(g(k))")
-    k, gl = g.k, g(g.l)
-    off = g(g.k) - g.k
-    values = tuple(min(z + off, gl) for z in range(g.k, g.l + 1))
-    return IntervalMap(k, values)
-
-
-def _extremum_plateau(f: IntervalMap):
-    """Leftmost strict interior extremum plateau, or None.
-
-    Returns (p, q, kind) with kind 'max' or 'min'; plateau values are odd
-    for peaks and even for valleys by continuity.
-    """
-    vs = f.values
-    n = len(vs)
-    i = 1
-    while i < n - 1:
-        j = i
-        while j + 1 < n and vs[j + 1] == vs[i]:
-            j += 1
-        if j < n - 1:
-            if vs[i - 1] < vs[i] and vs[j + 1] < vs[i]:
-                return (i, j, "max")
-            if vs[i - 1] > vs[i] and vs[j + 1] > vs[i]:
-                return (i, j, "min")
-        i = j + 1 if j > i else i + 1
-    return None
-
-
-def fence_to_monotone(f: IntervalMap):
-    """A fence f = f0 ~ f1 ~ ... ending at a monotone map.
-
-    Each step lowers an odd peak plateau or raises an even valley plateau
-    by one, which is a single pointwise-comparable move.
-    """
-    fence = [f]
-    cur = f
-    while not cur.is_monotone():
-        hit = _extremum_plateau(cur)
-        assert hit is not None, "non-monotone map without interior extremum"
-        p, q, kind = hit
-        vs = list(cur.values)
-        delta = -1 if kind == "max" else 1
-        for i in range(p, q + 1):
-            vs[i] += delta
-        cur = IntervalMap(cur.k, tuple(vs))
-        fence.append(cur)
-    return fence
-
-
-def fence_to_constant(f: IntervalMap):
-    """For f(k) = f(l): a fence rel endpoints down to the constant."""
-    if f(f.k) != f(f.l):
-        raise PreconditionViolated("f(k) = f(l)")
-    fence = fence_to_monotone(f)
-    last = fence[-1]
-    assert last.values == tuple([f(f.k)] * len(f.values)), (
-        "monotone with equal endpoints must be constant"
-    )
-    return fence
-
-
-def staircase_fence(f: IntervalMap):
-    """For monotone increasing f with f(k) <= f(l) and ht(k) = ht(f(k)):
-    the explicit fence f = f0 ~ g1 ~ f1 ~ ... ~ h_f.
-
-    Follows the inductive peak-front construction step by step.
-    """
-    if not f.is_monotone() or f(f.k) > f(f.l):
-        raise PreconditionViolated("monotone increasing")
-    if ht(f.k) != ht(f(f.k)):
-        raise PreconditionViolated("ht(k) = ht(f(k))")
-    k, l = f.k, f.l
-    off = f(k) - k  # even by the ht condition
-    # normalized coordinates: F(k) = k
-    F = IntervalMap(k, tuple(v - off for v in f.values))
-    h = monotone_normalize(F)
-    fence_norm = [F]
-    cur = F
-    guard = 0
-    while cur.values != h.values:
-        guard += 1
-        assert guard <= 4 * (l - k + 2), "staircase fence failed to converge"
-        k0 = min(z for z in range(k, l) if cur(z + 1) == z)
-        l0 = max(z for z in range(k, l + 1) if cur(z) == k0)
-        nxt = []
-        mid = []
-        for z in range(k, l + 1):
-            if z == k0:
-                nxt.append(k0)
-            elif k0 + 1 <= z <= l0 + 1:
-                nxt.append(k0 + 1)
-            else:
-                nxt.append(cur(z))
-            if k0 <= z <= l0 + 1:
-                mid.append(k0 if ht(k0) == ht(z) else k0 + 1)
-            else:
-                mid.append(cur(z))
-        g1 = IntervalMap(k, tuple(mid))
-        f1 = IntervalMap(k, tuple(nxt))
-        assert interval_cmp(cur, g1) is not None
-        assert interval_cmp(g1, f1) is not None
-        fence_norm.extend([g1, f1])
-        cur = f1
-    return [
-        IntervalMap(k, tuple(v + off for v in m.values)) for m in fence_norm
-    ]
 
 
 # -- recognizing abstract circles -------------------------------------

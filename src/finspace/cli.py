@@ -113,11 +113,12 @@ def _order_map_of(cm: CircleMap) -> OrderMap:
 
 
 def _space_sources(p):
-    p.add_argument("--circle", type=int, help="digital circle of half-size N")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--circle", type=int, help="digital circle of half-size N")
+    source.add_argument(
         "--interval", type=int, nargs=2, metavar=("K", "L"), help="line interval [K, L]"
     )
-    p.add_argument("--file", help="space file")
+    source.add_argument("--file", help="space file")
     p.add_argument("--square", action="store_true", help="take the product with itself")
 
 

@@ -53,9 +53,3 @@ class BaseMismatch(FinspaceError):
 class NotApplicable(FinspaceError):
     pass
 
-
-class PreconditionViolated(FinspaceError):
-    def __init__(self, clause):
-        self.clause = clause
-        super().__init__(f"precondition failed: {clause}")
-

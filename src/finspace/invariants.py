@@ -87,12 +87,19 @@ def format_cover(cover: Cover, name: str = "X") -> str:
 
 
 def parse_cover(space: FiniteSpace, text: str) -> Cover:
-    lines = [l for l in text.splitlines() if l.strip()]
+    """Read ``format_cover``'s text: the header, then one line per piece,
+    blank for an empty piece; blank lines past the pieces are ignored."""
+    lines = text.lstrip().splitlines()
     head = lines[0].split() if lines else []
     if len(head) < 3 or head[0] != "cover":
         raise InvalidParameter("missing cover header")
     (c,) = parse_ints(head[2:3], lines[0])
-    return Cover(space, [parse_downset(space, l) for l in lines[1 : 1 + c]])
+    rows = lines[1:]
+    while len(rows) > max(c, 0) and not rows[-1].strip():
+        rows.pop()
+    if len(rows) != c:
+        raise InvalidParameter(f"header gives {c} pieces, found {len(rows)}")
+    return Cover(space, [parse_downset(space, l) for l in rows])
 
 
 # -- the torus certifier -----------------------------------------------

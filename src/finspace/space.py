@@ -481,6 +481,8 @@ def read_space(text: str) -> FiniteSpace:
             continue
         if parts[0] == "space" and len(parts) >= 3:
             (n,) = parse_ints(parts[2:3], line)
+            if n < 0:
+                raise InvalidParameter(f"negative point count: {line!r}")
         elif parts[0] == "point" and len(parts) >= 2:
             (p,) = parse_ints(parts[1:2], line)
             labels[p] = parts[2] if len(parts) > 2 else parts[1]
@@ -490,6 +492,9 @@ def read_space(text: str) -> FiniteSpace:
             raise InvalidParameter(f"bad space line: {line!r}")
     if n is None:
         raise InvalidParameter("missing space header")
+    for p in labels:
+        if not 0 <= p < n:
+            raise InvalidParameter(f"point {p} outside 0..{n - 1}")
     return build_space([labels.get(i, str(i)) for i in range(n)], covers)
 
 

@@ -172,7 +172,7 @@ def test_homotopy_classes_match_degree_classification(m, n, total):
     comp_of = {t: i for i, comp in enumerate(comps) for t in comp}
     cms = {t: circle_map_from_order_map(list(t), rec_x, rec_y) for t in tables}
     for t, cm in cms.items():
-        values = lift(cm, 0, 2 * m, cm(0)).values
+        values = lift(cm, 0, 2 * m, cm(0))
         assert degree(cm) * 2 * n == values[-1] - values[0]
         # the winding of the one cycle of X gives the same degree
         hit = next(windings(potentials(X, X.full, t, t, rec_y[1])), None)
@@ -208,18 +208,18 @@ def test_lifts_commute_and_are_unique():
             except InvalidParameter:
                 continue
         a = f(0)
-        lr = lift(f, 0, 2 * m, a)
+        values = lift(f, 0, 2 * m, a)
         for z in range(2 * m + 1):
-            assert lr.values[z] % size == f(z)
+            assert values[z] % size == f(z)
         # each step of the lift is forced: exactly one integer within
         # distance one of the previous value reduces to f(z)
         for z in range(1, 2 * m + 1):
-            prev = lr.values[z - 1]
+            prev = values[z - 1]
             cands = [
                 c for c in (prev - 1, prev, prev + 1) if c % size == f(z)
             ]
-            assert cands == [lr.values[z]]
-        span = lr.values[2 * m] - lr.values[0]
+            assert cands == [values[z]]
+        span = values[2 * m] - values[0]
         assert span % size == 0
         assert degree(f) == span // size
 

@@ -6,20 +6,13 @@ from hypothesis import given, settings, strategies as st
 import finspace.circles as circles_module
 from finspace.circles import (
     CircleMap,
-    IntervalMap,
     classify_homotopic,
     degree,
-    epsilon,
-    fence_to_constant,
-    fence_to_monotone,
-    interval_cmp,
     lift,
-    monotone_normalize,
     parse_circle_map,
     recognize_circle,
-    staircase_fence,
 )
-from finspace.errors import BaseMismatch, InvalidParameter, MismatchedSizes, PreconditionViolated
+from finspace.errors import BaseMismatch, InvalidParameter, MismatchedSizes
 from finspace.homotopy import degrees, homotopic, potentials, windings
 from finspace.space import (
     OrderMap,
@@ -57,12 +50,6 @@ def random_circle_map(rng, m, n):
             continue
 
 
-def test_interval_map_continuity():
-    IntervalMap(0, (0, 1, 0))
-    with pytest.raises(InvalidParameter):
-        IntervalMap(0, (0, 2, 0))
-
-
 def test_identity_and_constant_degrees():
     assert degree(identity_circle_map(3)) == 1
     assert degree(constant_circle_map(3, 3, 0)) == 0
@@ -86,12 +73,12 @@ def test_lift_uniqueness_and_commutation():
         n = rng.randint(2, 4)
         f = random_circle_map(rng, m, n)
         a = f(0)
-        lr = lift(f, 0, 2 * m, a)
+        values = lift(f, 0, 2 * m, a)
         size = 2 * n
         for z in range(0, 2 * m + 1):
-            assert lr.values[z] % size == f(z)
+            assert values[z] % size == f(z)
         shifted = lift(f, 0, 2 * m, a + 2 * size)
-        assert [v - 2 * size for v in shifted.values] == list(lr.values)
+        assert tuple(v - 2 * size for v in shifted) == values
 
 
 def test_lift_base_mismatch():
@@ -162,7 +149,7 @@ def test_degree_matches_lift_and_step_count(drawn):
     f, d = drawn
     assert abs(d) * f.n <= f.m
     assert degree(f) == d
-    values = lift(f, 0, 2 * f.m, f(0)).values
+    values = lift(f, 0, 2 * f.m, f(0))
     assert (values[-1] - values[0]) // (2 * f.n) == d
     assert reference_degree(f) == d
 
@@ -174,6 +161,31 @@ def test_degree_rejects_a_jump():
         degree(f)
     with pytest.raises(InvalidParameter, match="jumps at 0"):
         lift(f, 0, 6, 0)
+
+
+def test_lift_rejects_a_step_against_the_order():
+    f = identity_circle_map(3)
+    # 0 -> 1 at z = 1 climbs where the line order falls (2 < 1)
+    object.__setattr__(f, "table", (0, 0, 1, 1, 0, 0))  # bypasses validation
+    with pytest.raises(InvalidParameter, match="not continuous at 1: 0 vs 1"):
+        lift(f, 0, 6, 0)
+
+
+@settings(max_examples=300)
+@given(circle_maps_with_degree(), st.integers(-3, 3))
+def test_lift_is_an_order_map_onto_its_span(drawn, turns):
+    f, _ = drawn
+    size = 2 * f.n
+    values = lift(f, 0, 2 * f.m, f(0) + turns * size)
+    lo, hi = min(values), max(values)
+    # OrderMap checks every pair z <= z2 of [0, 2m] against [lo, hi]
+    OrderMap(
+        khalimsky_interval(0, 2 * f.m).space,
+        khalimsky_interval(lo, hi).space,
+        [v - lo for v in values],
+    )
+    assert [v % size for v in values] == [f(z) for z in range(2 * f.m + 1)]
+    assert values[-1] - values[0] == size * degree(f)
 
 
 def test_degree_and_classification_never_lift(monkeypatch):
@@ -219,72 +231,6 @@ def test_classify_rejects_size_mismatch():
 def test_parse_round_trip():
     f = identity_circle_map(3)
     assert parse_circle_map(serialize_circle_map(f)).table == f.table
-
-
-def test_monotone_normalize_properties():
-    rng = random.Random(5)
-    for _ in range(60):
-        length = rng.randrange(3, 12, 2)
-        vals = [rng.randint(-2, 2)]
-        for _i in range(length - 1):
-            step = rng.choice((-1, 0, 1))
-            try:
-                IntervalMap(0, tuple(vals + [vals[-1] + step]))
-            except InvalidParameter:
-                step = 0
-            vals.append(vals[-1] + step)
-        f = IntervalMap(0, tuple(vals))
-        try:
-            h = monotone_normalize(f)
-        except PreconditionViolated:
-            continue
-        assert h.is_monotone()
-        assert h(f.k) == f(f.k) and h(f.l) == f(f.l)
-
-
-def test_fence_to_monotone_steps_comparable():
-    rng = random.Random(9)
-    for _ in range(60):
-        vals = [0]
-        for _ in range(8):
-            prev = vals[-1]
-            vals.append(prev + rng.choice((-1, 0, 1)))
-        try:
-            f = IntervalMap(0, tuple(vals))
-        except InvalidParameter:
-            continue
-        fence = fence_to_monotone(f)
-        for a, b in zip(fence, fence[1:]):
-            assert interval_cmp(a, b) is not None
-        assert fence[-1].is_monotone()
-
-
-def test_fence_to_constant_endpoints_equal():
-    f = IntervalMap(0, (0, 1, 0, -1, 0))
-    fence = fence_to_constant(f)
-    last = fence[-1]
-    assert len(set(last.values)) == 1
-
-
-def test_staircase_fence_reaches_normal_form():
-    rng = random.Random(21)
-    done = 0
-    while done < 10:
-        vals = [0]
-        for _ in range(rng.randrange(4, 10, 2)):
-            vals.append(vals[-1] + rng.choice((-1, 0, 1)))
-        try:
-            f = IntervalMap(0, tuple(vals))
-        except InvalidParameter:
-            continue
-        try:
-            fence = staircase_fence(f)
-        except PreconditionViolated:
-            continue
-        for a, b in zip(fence, fence[1:]):
-            assert interval_cmp(a, b) is not None
-        assert fence[-1].values == monotone_normalize(f).values
-        done += 1
 
 
 def test_recognize_circle_constructor():
@@ -340,7 +286,3 @@ def test_circle_map_from_order_map_identity():
     hit = next(windings(potentials(X, X.full, ident, flip, rec[1])), None)
     assert degrees(hit, rec, X.n) == (1, -1)
 
-
-def test_epsilon_constant():
-    e = epsilon(0, 4, 2)
-    assert set(e.values) == {2}

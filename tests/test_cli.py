@@ -167,6 +167,16 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     assert code == 1
 
 
+def test_space_sources_exclude_each_other(capsys, tmp_path):
+    path = tmp_path / "x.space"
+    path.write_text("space X 1\n")
+    code, out, err = run(capsys, "space", "--circle", "2", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "not allowed with" in err
+    code, _, _ = run(capsys, "cat", "--circle", "2", "--interval", "0", "2")
+    assert code == 1
+
+
 def write_cover(tmp_path, res):
     path = tmp_path / "w.cover"
     path.write_text(format_cover(res.cover))
@@ -333,7 +343,10 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv, text):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "space X\n", "space X 2\npoint\n", "space X 2\ncover 0\n", "space X two\n"],
+    [
+        "", "space X\n", "space X 2\npoint\n", "space X 2\ncover 0\n", "space X two\n",
+        "space X 3\npoint 7 z\n", "space X 3\npoint -1 z\n", "space X -2\n",
+    ],
 )
 def test_read_space_rejects_malformed_text(text):
     with pytest.raises(InvalidParameter):
@@ -341,7 +354,12 @@ def test_read_space_rejects_malformed_text(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["", "cover X\n", "cover X 1\n0 -1\n", "cover X 1\n0 1 2 3 99\n"]
+    "text",
+    [
+        "", "cover X\n", "cover X 1\n0 -1\n", "cover X 1\n0 1 2 3 99\n",
+        # the header's count against the piece lines, both ways
+        "cover X 3\n0 1 2 3\n", "cover X 1\n0 1 2 3\n1\n", "cover X -1\n",
+    ],
 )
 def test_parse_cover_rejects_malformed_text(text):
     with pytest.raises(InvalidParameter):

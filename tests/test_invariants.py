@@ -76,10 +76,15 @@ def test_cover_must_cover():
 
 def test_cover_serialization_round_trip():
     X = khalimsky_circle(2).space
-    cov = arcs_cover(X, [[1], [3]])
-    text = format_cover(cov, "c2")
-    again = parse_cover(X, text)
-    assert [p.members for p in again.pieces] == [p.members for p in cov.pieces]
+    empty, full = DownSet(X, 0), DownSet(X, X.full)
+    # an empty piece is written as a blank line, and read back as a piece
+    for pieces in (
+        arcs_cover(X, [[1], [3]]).pieces, [empty, full], [full, empty], [empty, full, empty],
+    ):
+        text = format_cover(Cover(X, pieces), "c2")
+        for tail in ("", "\n\n"):  # blank lines past the pieces are none
+            again = parse_cover(X, text + tail)
+            assert [p.members for p in again.pieces] == [p.members for p in pieces]
 
 
 def test_section_categorical_rejects_non_open():
