@@ -113,6 +113,7 @@ def _order_map_of(cm: CircleMap) -> OrderMap:
 
 
 def _space_sources(p):
+    """The space options of ``p``; returns the group of exclusive sources."""
     source = p.add_mutually_exclusive_group()
     source.add_argument("--circle", type=int, help="digital circle of half-size N")
     source.add_argument(
@@ -120,6 +121,7 @@ def _space_sources(p):
     )
     source.add_argument("--file", help="space file")
     p.add_argument("--square", action="store_true", help="take the product with itself")
+    return source
 
 
 def _common(p, budget=False):
@@ -192,8 +194,9 @@ def build_parser() -> _Parser:
     _common(p, budget=True)
 
     p = sub.add_parser("export-complex", help="order complex as an .asc file")
-    _space_sources(p)
-    p.add_argument("--cycle", type=int, help="use the N-cycle graph instead")
+    _space_sources(p).add_argument(
+        "--cycle", type=int, help="use the N-cycle graph instead"
+    )
     p.add_argument("--out", help="output path (stdout otherwise)")
     _common(p)
 
@@ -214,6 +217,8 @@ def _budget_of(args) -> int:
 
 
 def _cmd_space(args):
+    if args.dot and args.format == "json":
+        raise _Usage("--dot prints DOT text, not --format json")
     X = _load_space(args)
     if args.out:
         with open(args.out, "w") as fh:
@@ -408,6 +413,8 @@ def _cmd_verify_witness(args):
 
 def _cmd_export_complex(args):
     if args.cycle is not None:
+        if args.square:
+            raise _Usage("--square takes a space, not --cycle")
         K = cycle_complex(args.cycle)
     else:
         K = order_complex(_load_space(args))

@@ -51,13 +51,16 @@ def cycle_complex(n: int) -> SimplicialComplex:
 def order_complex(X: FiniteSpace) -> SimplicialComplex:
     """The complex whose simplices are the chains of X.
 
-    Facets are the maximal chains, found by DFS from minimal elements.
+    Facets are the maximal chains, found by DFS up the covers from the
+    minimal elements.
     """
     facets = []
+    above = [[] for _ in range(X.n)]
+    for lo, hi in X.covers:
+        above[lo].append(hi)
 
     def extend(chain, top):
-        ups = X.up[top] & ~(1 << top)
-        nxt = [y for y in bits(ups) if X.interval(top, y) == (1 << top) | (1 << y)]
+        nxt = above[top]
         if not nxt:
             facets.append(frozenset(chain))
             return

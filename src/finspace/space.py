@@ -72,7 +72,7 @@ class FiniteSpace:
         "_hash",
     )
 
-    def __init__(self, labels, down, covers=None, down_ids=None):
+    def __init__(self, labels, down, down_ids=None):
         n = len(down)
         self.n = n
         self.labels = tuple(str(l) for l in labels)
@@ -104,7 +104,7 @@ class FiniteSpace:
         self.up = tuple(up)
         self.down_ids = tuple(down_ids)
         self.up_ids = tuple(map(tuple, up_ids))
-        self._covers = None if covers is None else tuple(sorted(covers))
+        self._covers = None
         self._hash = hash((self.labels, self.down))
 
     @property
@@ -116,11 +116,11 @@ class FiniteSpace:
 
     def _compute_covers(self):
         out = []
-        for x in range(self.n):
+        up = self.up
+        for x, ids in enumerate(self.down_ids):
             strict = self.down[x] & ~(1 << x)
-            for y in bits(strict):
-                between = strict & self.up[y] & ~(1 << y)
-                if not between:
+            for y in ids:
+                if y != x and not strict & up[y] & ~(1 << y):
                     out.append((y, x))
         return out
 
@@ -128,10 +128,6 @@ class FiniteSpace:
 
     def leq(self, x: int, y: int) -> bool:
         return bool((self.down[y] >> x) & 1)
-
-    def interval(self, a: int, b: int) -> int:
-        """[a,b] as a bitmask: all x with a <= x <= b."""
-        return self.up[a] & self.down[b]
 
     def maximal_elements(self) -> int:
         mask = 0
@@ -229,9 +225,11 @@ class DownSet:
 
 
 def build_space(labels, covering_pairs) -> FiniteSpace:
-    """Build a space from covering pairs (lo, hi), lo < hi.
+    """Build a space from pairs (lo, hi), each saying lo < hi.
 
-    Raises CycleDetected if the pairs are cyclic.
+    The order is their transitive closure; pairs it implies may be given
+    too, and ``covers`` keeps only the covering ones.  Raises
+    CycleDetected if the pairs are cyclic.
     """
     n = len(labels)
     succ = [[] for _ in range(n)]
@@ -259,18 +257,7 @@ def build_space(labels, covering_pairs) -> FiniteSpace:
     for x in order:
         for y in succ[x]:
             down[y] |= down[x]
-    pairs = sorted({(lo, hi) for lo, hi in covering_pairs})
-    # drop transitively implied pairs so covers stays a covering relation
-    covers = []
-    for lo, hi in pairs:
-        strict = down[hi] & ~(1 << hi)
-        between = 0
-        for z in bits(strict & ~(1 << lo)):
-            if (down[z] >> lo) & 1:
-                between |= 1 << z
-        if not between:
-            covers.append((lo, hi))
-    return FiniteSpace(labels, down, covers)
+    return FiniteSpace(labels, down)
 
 
 # -- Khalimsky constructions ------------------------------------------
@@ -479,15 +466,19 @@ def read_space(text: str) -> FiniteSpace:
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
-        if parts[0] == "space" and len(parts) >= 3:
-            (n,) = parse_ints(parts[2:3], line)
+        if parts[0] == "space" and len(parts) == 3:
+            if n is not None:
+                raise InvalidParameter(f"second space header: {line!r}")
+            (n,) = parse_ints(parts[2:], line)
             if n < 0:
                 raise InvalidParameter(f"negative point count: {line!r}")
-        elif parts[0] == "point" and len(parts) >= 2:
+        elif parts[0] == "point" and len(parts) in (2, 3):
             (p,) = parse_ints(parts[1:2], line)
-            labels[p] = parts[2] if len(parts) > 2 else parts[1]
-        elif parts[0] == "cover" and len(parts) >= 3:
-            covers.append(tuple(parse_ints(parts[1:3], line)))
+            if p in labels:
+                raise InvalidParameter(f"point {p} given twice: {line!r}")
+            labels[p] = parts[-1]
+        elif parts[0] == "cover" and len(parts) == 3:
+            covers.append(tuple(parse_ints(parts[1:], line)))
         else:
             raise InvalidParameter(f"bad space line: {line!r}")
     if n is None:

@@ -21,7 +21,6 @@ from .circles import recognize_circle
 from .invariants import TorusChecker, torus
 from .space import (
     DownSet,
-    KhalimskyCircle,
     OrderMap,
     bits,
     khalimsky_circle,
@@ -32,8 +31,7 @@ from .space import (
 @dataclass
 class Stage:
     name: str
-    domain_mask: int
-    map: OrderMap  # on the subspace of the product cut out by domain_mask
+    map: OrderMap  # an endomap of its family's subspace of the product
     old_ids: list  # subspace point -> product point
 
 
@@ -41,7 +39,6 @@ class Stage:
 class WitnessBundle:
     k: int
     m: int
-    circle: KhalimskyCircle
     checker: TorusChecker
     U: DownSet
     V: DownSet
@@ -136,30 +133,28 @@ def build_V(k: int) -> DownSet:
 
 def _family(P, domain_mask, co):
     """The subspace that every stage of one family lives on, its point ids
-    in P, and each point's residue pair with the inverse of that list."""
+    in P, and the subspace id of each point's residue pair."""
     sub, old_ids = P.subspace(domain_mask)
-    pairs = [co.res(p) for p in old_ids]
-    return domain_mask, sub, old_ids, pairs, {xy: i for i, xy in enumerate(pairs)}
+    return sub, old_ids, {co.res(p): i for i, p in enumerate(old_ids)}
 
 
-def _stage(name, family, rule, co) -> Stage:
-    """Materialize a residue-pair rule as an OrderMap on the family's
-    subspace."""
-    domain_mask, sub, old_ids, pairs, index = family
+def _stage(name, family, moves) -> Stage:
+    """The endomap of the family's subspace that sends each residue pair of
+    ``moves`` lying in the family to its image and fixes every other point.
+    A move whose source is off the family is not made; one whose image is
+    off it raises NotContinuous."""
+    sub, old_ids, index = family
     get = index.get
-    table = []
-    for xy in pairs:
-        t = rule(*xy)
-        i = get(t)
-        if i is None:
-            # a rule may leave its residues unreduced
-            tx, ty = t
-            i = get((co.norm(tx), co.norm(ty)))
-            if i is None:
-                raise NotContinuous(name, (xy, (tx, ty)))
-        table.append(i)
+    table = list(range(sub.n))
+    for src, dst in moves.items():
+        i = get(src)
+        if i is not None:
+            j = get(dst)
+            if j is None:
+                raise NotContinuous(name, (src, dst))
+            table[i] = j
     try:
-        return Stage(name, domain_mask, OrderMap(sub, sub, table), old_ids)
+        return Stage(name, OrderMap(sub, sub, table), old_ids)
     except NotOrderPreserving as e:
         raise NotContinuous(name, e.witness) from e
 
@@ -176,8 +171,7 @@ def build_chain(k: int) -> WitnessBundle:
     if k < 5:
         raise InvalidParameter("the witness construction needs k >= 5")
     co, m, A0, A1, A2, A3, A4 = _blocks(k)
-    circle = khalimsky_circle(k)
-    checker = torus(circle)
+    checker = torus(khalimsky_circle(k))
     P = checker.P
     U = build_U(k)
     V = _complement_hull(U)
@@ -192,15 +186,10 @@ def build_chain(k: int) -> WitnessBundle:
     for i in range(0, 2 * k - m - 2):
         ki = 2 * k - 1 - i
         li = max(3, m - 2 - i)
-
-        def f_rule(x, y, ki=ki, li=li):
-            if (x, y) in A0 and ki <= x:
-                return (ki, y)
-            if (x, y) in A3 and li <= x:
-                return (li, y)
-            return (x, y)
-
-        stages.append(_stage(f"f{i}", family, f_rule, co))
+        moves = {(x, y): (li, y) for x, y in A3 if li <= x}
+        # A0 is written last, so a point of both blocks moves as A0 says
+        moves.update({(x, y): (ki, y) for x, y in A0 if ki <= x})
+        stages.append(_stage(f"f{i}", family, moves))
     C1 = _image_mask(stages[-1])
 
     A0p = co.block(co.crange(1, m + 2), [1, 2, 3])
@@ -214,13 +203,8 @@ def build_chain(k: int) -> WitnessBundle:
     family = _family(P, C1, co)
     for i in range(0, 2 * k - 7):
         top = 5 + i
-
-        def g_rule(x, y, top=top):
-            if (x, y) in A3p and y <= top:
-                return (x, top)
-            return (x, y)
-
-        stages.append(_stage(f"g{i}", family, g_rule, co))
+        moves = {(x, y): (x, top) for x, y in A3p if y < top}
+        stages.append(_stage(f"g{i}", family, moves))
     C2 = _image_mask(stages[-1])
 
     A3pp = co.block([1, 2, 3], co.crange(2 * k - 3, 2 * k - 1))
@@ -248,22 +232,14 @@ def build_chain(k: int) -> WitnessBundle:
     Anw = {(co.norm(m + 2), 1), (3, co.norm(2 * k - 3))}
     Ase = {(1, 3), (co.norm(m), co.norm(2 * k - 1))}
 
-    def h0_rule(x, y):
-        if (x, y) in Ar:
-            return (co.norm(x + 1), y)
-        if (x, y) in Al:
-            return (co.norm(x - 1), y)
-        if (x, y) in Au:
-            return (x, co.norm(y + 1))
-        if (x, y) in Ad:
-            return (x, co.norm(y - 1))
-        if (x, y) in Anw:
-            return (co.norm(x - 1), co.norm(y + 1))
-        if (x, y) in Ase:
-            return (co.norm(x + 1), co.norm(y - 1))
-        return (x, y)
-
-    stages.append(_stage("h0", _family(P, C2, co), h0_rule, co))
+    moves = {}
+    for block, dx, dy in (
+        (Ar, 1, 0), (Al, -1, 0), (Au, 0, 1), (Ad, 0, -1), (Anw, -1, 1), (Ase, 1, -1)
+    ):
+        for x, y in block:
+            # a point of two blocks moves as the earlier one says
+            moves.setdefault((x, y), (co.norm(x + dx), co.norm(y + dy)))
+    stages.append(_stage("h0", _family(P, C2, co), moves))
     C3 = _image_mask(stages[-1])
 
     # the corner folds h1 on C3
@@ -278,15 +254,11 @@ def build_chain(k: int) -> WitnessBundle:
     # m = 2k-5; the fold is stated in m but meant for that corner
     for src in [(m + 1, 2 * k - 3), (m + 1, 2 * k - 2), (m + 2, 2 * k - 2)]:
         fold[src] = (m + 2, 2 * k - 3)
-
-    def h1_rule(x, y):
-        return fold.get((x, y), (x, y))
-
-    stages.append(_stage("h1", _family(P, C3, co), h1_rule, co))
+    stages.append(_stage("h1", _family(P, C3, co), fold))
     C = _image_mask(stages[-1])
 
     return WitnessBundle(
-        k, m, circle, checker, U, V, stages, C1, C2, C3, C, inferred_A5, notes
+        k, m, checker, U, V, stages, C1, C2, C3, C, inferred_A5, notes
     )
 
 
@@ -345,9 +317,9 @@ def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
 
     # (2) consecutive stages within each family are fence-comparable
     bad = []
-    groups = {}
+    groups = {}  # by the family subspace, the one object its stages share
     for st in bundle.stages:
-        groups.setdefault(st.domain_mask, []).append(st)
+        groups.setdefault(id(st.map.source), []).append(st)
     for sts in groups.values():
         space = sts[0].map.source
         ident = list(range(space.n))

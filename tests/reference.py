@@ -379,3 +379,93 @@ def listed_coloring_classes(grid, colors: int):
         canon = canonical_coloring(grid, col, syms)
         classes.setdefault(canon.assignment, canon)
     return [classes[k] for k in sorted(classes)]
+
+
+# -- the staged retraction ----------------------------------------------
+
+
+def witness_stage_rules(k: int):
+    """(name, rule) for every stage of ``build_chain(k)``, in order: each
+    stage as a rule on residue pairs (x, y), residues 1..2k, that checks
+    the blocks of the construction in turn and fixes a point in none."""
+    size = 2 * k
+    m = k if k % 2 else k + 1
+
+    def norm(r):
+        return (r - 1) % size + 1
+
+    def span(a, b):
+        """Residues a, a+1, ..., b, wrapping past 2k."""
+        a = norm(a)
+        return [norm(a + i) for i in range((b - a) % size + 1)]
+
+    def block(xs, ys):
+        return {(norm(x), norm(y)) for x in xs for y in ys}
+
+    rules = []
+    A0 = block(span(1, size - 1), [1, 2, 3])
+    A3 = block(span(1, m - 2), span(5, size - 1))
+    for i in range(size - m - 2):
+
+        def f_rule(x, y, ki=size - 1 - i, li=max(3, m - 2 - i)):
+            if (x, y) in A0 and ki <= x:
+                return (ki, y)
+            if (x, y) in A3 and li <= x:
+                return (li, y)
+            return (x, y)
+
+        rules.append((f"f{i}", f_rule))
+
+    A3p = block([1, 2, 3], span(5, size - 1))
+    for i in range(size - 7):
+
+        def g_rule(x, y, top=5 + i):
+            if (x, y) in A3p and y <= top:
+                return (x, top)
+            return (x, y)
+
+        rules.append((f"g{i}", g_rule))
+
+    Ar = block([1], [1, 2, size]) | block([m], span(4, size - 2))
+    Al = block([3], [size - 2, size - 1, size]) | block([m + 2], span(2, m + 1))
+    Au = (
+        block(span(4, m + 1), [1])
+        | block([1, 2], [size - 3])
+        | block(span(m + 3, size), [size - 3])
+    )
+    Ad = block(span(2, m - 1), [3]) | block(span(m + 1, size), [size - 1])
+    Anw = block([m + 2], [1]) | block([3], [size - 3])
+    Ase = block([1], [3]) | block([m], [size - 1])
+
+    def h0_rule(x, y):
+        if (x, y) in Ar:
+            return (norm(x + 1), y)
+        if (x, y) in Al:
+            return (norm(x - 1), y)
+        if (x, y) in Au:
+            return (x, norm(y + 1))
+        if (x, y) in Ad:
+            return (x, norm(y - 1))
+        if (x, y) in Anw:
+            return (norm(x - 1), norm(y + 1))
+        if (x, y) in Ase:
+            return (norm(x + 1), norm(y - 1))
+        return (x, y)
+
+    rules.append(("h0", h0_rule))
+
+    corners = {
+        (1, size - 1): [(1, size - 2), (2, size - 2), (2, size - 1)],
+        (3, 1): [(2, 1), (2, 2), (3, 2)],
+        (m, 3): [(m, 2), (m + 1, 2), (m + 1, 3)],
+        (m + 2, size - 3): [(m + 1, size - 3), (m + 1, size - 2), (m + 2, size - 2)],
+    }
+
+    def h1_rule(x, y):
+        for corner, folded in corners.items():
+            if (x, y) in folded:
+                return corner
+        return (x, y)
+
+    rules.append(("h1", h1_rule))
+    return rules

@@ -222,6 +222,21 @@ def test_export_complex_cycle(capsys):
     assert out.splitlines()[0] == "asc 4 4"
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["export-complex", "--cycle", "4", "--circle", "3"], "not allowed with"),
+        (["export-complex", "--cycle", "4", "--square"], "--square"),
+        (["space", "--circle", "2", "--dot", "--format", "json"], "--dot"),
+    ],
+    ids=["cycle-with-circle", "cycle-with-square", "dot-with-json"],
+)
+def test_a_flag_that_would_do_nothing_is_a_usage_error(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and named in err
+
+
 def test_export_complex_to_file(capsys, tmp_path):
     path = tmp_path / "k.asc"
     code, out, _ = run(
@@ -349,6 +364,23 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv, text):
     ],
 )
 def test_read_space_rejects_malformed_text(text):
+    with pytest.raises(InvalidParameter):
+        read_space(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "space X 2\ncover 0 1 7\n",
+        "space X 2\npoint 0 a b c\n",
+        "space X 2\nspace Y 3\n",
+        "space X 2 3\n",
+        "space X 2\npoint 0 a\npoint 0 b\n",
+    ],
+    ids=["cover-extra-token", "point-extra-tokens", "second-header", "header-extra-token",
+         "point-twice"],
+)
+def test_read_space_reads_every_token_once(text):
     with pytest.raises(InvalidParameter):
         read_space(text)
 

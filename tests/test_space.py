@@ -51,6 +51,22 @@ def test_transitive_reduction_of_covers():
     assert X.leq(0, 2)
 
 
+def test_covers_are_the_covering_relation_of_the_pairs_given():
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.4]
+        X = build_space([str(i) for i in range(n)], pairs)
+        below = [
+            {a for a in range(n) if a != b and X.leq(a, b)} for b in range(n)
+        ]
+        want = sorted(
+            (a, b) for b in range(n) for a in below[b]
+            if not any(a in below[c] for c in below[b])
+        )
+        assert list(X.covers) == want
+
+
 def test_khalimsky_circle_structure():
     K = khalimsky_circle(3)
     X = K.space

@@ -14,6 +14,7 @@ from finspace.witness import (
     displayed_core,
     verify_bundle,
 )
+from reference import witness_stage_rules
 
 
 def test_build_U_rejects_small_k():
@@ -134,10 +135,10 @@ def test_render_mentions_all_checks():
 def test_verify_bundle_reports_a_discontinuous_stage(monkeypatch):
     real = witness_module._stage
 
-    def broken(name, family, rule, co):
+    def broken(name, family, moves):
         if name == "g1":
             raise NotContinuous(name, ((3, 5), (3, 7)))
-        return real(name, family, rule, co)
+        return real(name, family, moves)
 
     monkeypatch.setattr(witness_module, "_stage", broken)
     rep = verify_bundle(5)
@@ -193,50 +194,68 @@ def _lowest(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def _rewire(monkeypatch, stage_name, make_rule):
-    """Run ``stage_name`` with the rule ``make_rule(rule)`` in place of its
-    own."""
-    real = witness_module._stage
+def test_stage_tables_match_the_residue_rules():
+    for k in range(5, 13):
+        b = build_chain(k)
+        co = witness_module._Coords(k)
+        rules = witness_stage_rules(k)
+        assert [st.name for st in b.stages] == [name for name, _ in rules]
+        for st, (name, rule) in zip(b.stages, rules):
+            index = {co.res(p): i for i, p in enumerate(st.old_ids)}
+            want = tuple(index[rule(*co.res(p))] for p in st.old_ids)
+            assert st.map.table == want, (k, name)
 
-    def patched(name, family, rule, co):
-        return real(name, family, make_rule(rule) if name == stage_name else rule, co)
 
-    monkeypatch.setattr(witness_module, "_stage", patched)
+def test_moves_are_built_reduced(monkeypatch):
+    real, seen = witness_module._stage, []
+
+    def recorded(name, family, moves):
+        seen.append((name, moves))
+        return real(name, family, moves)
+
+    monkeypatch.setattr(witness_module, "_stage", recorded)
+    for k in range(5, 13):
+        seen.clear()
+        assert len(build_chain(k).stages) == len(seen)
+        for name, moves in seen:
+            for pair in (*moves, *moves.values()):
+                assert len(pair) == 2 and all(1 <= r <= 2 * k for r in pair), (k, name, pair)
 
 
-def test_a_rule_that_leaves_its_family_names_the_stage_and_point(monkeypatch):
+def test_a_move_that_leaves_its_family_names_the_stage_and_point(monkeypatch):
     k = 8
     b = build_chain(k)
     co = witness_module._Coords(k)
     # a point of C1, on which the g stages live, and a point of U off C1
-    x, y = co.res(_lowest(b.C1))
-    ox, oy = co.res(_lowest(b.U.members & ~b.C1))
-    off = (ox + 2 * k, oy - 2 * k)  # unreduced, and reported as given
+    src = co.res(_lowest(b.C1))
+    off = co.res(_lowest(b.U.members & ~b.C1))
+    real = witness_module._stage
 
-    _rewire(
-        monkeypatch, "g1",
-        lambda rule: lambda x0, y0: off if (x0, y0) == (x, y) else rule(x0, y0),
-    )
+    def patched(name, family, moves):
+        return real(name, family, {**moves, src: off} if name == "g1" else moves)
+
+    monkeypatch.setattr(witness_module, "_stage", patched)
     with pytest.raises(NotContinuous) as exc:
         build_chain(k)
     assert exc.value.stage == "g1"
-    assert exc.value.witness == ((x, y), off)
+    assert exc.value.witness == (src, off)
     name, ok, detail = verify_bundle(k).checks[0]
     assert name == "stages continuous" and not ok
-    assert detail == f"stage g1 fails at {((x, y), off)}"
+    assert detail == f"stage g1 fails at {(src, off)}"
 
 
-def test_unreduced_residues_give_the_same_stage(monkeypatch):
+def test_a_move_from_off_the_family_is_not_made(monkeypatch):
     k = 8
-    want = {st.name: st.map.table for st in build_chain(k).stages}
+    b = build_chain(k)
+    want = [st.map.table for st in b.stages]
+    co = witness_module._Coords(k)
+    # a point of U off C1 sent onto C1: the g stages live on C1 alone
+    off = co.res(_lowest(b.U.members & ~b.C1))
+    dst = co.res(_lowest(b.C1))
+    real = witness_module._stage
 
-    def unreduced(rule):
-        def shifted(x0, y0):
-            tx, ty = rule(x0, y0)
-            return tx + 2 * k, ty - 4 * k
+    def patched(name, family, moves):
+        return real(name, family, {**moves, off: dst} if name[0] == "g" else moves)
 
-        return shifted
-
-    _rewire(monkeypatch, "h0", unreduced)
-    got = {st.name: st.map.table for st in build_chain(k).stages}
-    assert got == want
+    monkeypatch.setattr(witness_module, "_stage", patched)
+    assert [st.map.table for st in build_chain(k).stages] == want
