@@ -95,7 +95,9 @@ def _load_space(args) -> FiniteSpace:
         with open(args.file) as fh:
             X = read_space(fh.read())
     else:
-        raise _Usage("give one of --circle, --interval, --file")
+        # export-complex also takes --cycle, which it handles before here
+        cycle = ", --cycle" if "cycle" in vars(args) else ""
+        raise _Usage(f"give one of --circle, --interval, --file{cycle}")
     return product(X, X) if args.square else X
 
 

@@ -6,7 +6,10 @@ explicit Unknown, never as a guess.  'auto' decides between the cores,
 core(X) -> core(Y), and a "homotopic" answer carries a fence on the domain
 from f to g, which ``HomotopyVerdict.replay`` re-checks anchored at f and
 g: a fence found between the cores is lifted back through the collapses
-of Y and of X.  Maps into a circle are classified by the windings of
+of Y and of X.  The domain is collapsed in place (``collapse``), so the
+same stages (``decide_on_core``) decide maps from a piece of a larger
+space, as ``TorusChecker`` does for pieces of S x S, copying only the
+piece's core.  Maps into a circle are classified by the windings of
 their lifts (``potentials``, ``windings``), the one winding test of the
 package, which ``TorusChecker`` runs on pieces of S x S too.  Only the
 rigidity verdict (equal nonzero degree on a circle core) and the
@@ -167,53 +170,108 @@ class CoreData:
         return out
 
 
-def core(X: FiniteSpace) -> CoreData:
-    """Strong-collapse X to a beat-point-free deformation retract.
+@dataclass(slots=True)
+class Collapse:
+    """The strong collapse of the subspace ``mask`` of ``space``, run in
+    place: ``removals`` (point, kind, witness) in removal order and
+    ``kept``, the core's mask, are in the ids of ``space``.  ``core`` is
+    the core as a standalone space, and ``core_ids`` its points' ids in
+    ``space``; it is ``space`` itself when nothing was removed from all of
+    it, and else the one copy made.  Only ``restate`` copies the piece."""
+
+    space: FiniteSpace
+    mask: int
+    kept: int
+    removals: list
+    core: FiniteSpace
+    core_ids: list
+
+    @property
+    def old_ids(self) -> list:
+        """The core's points as ids of the piece: the ranks of their bits
+        in ``mask``."""
+        mask = self.mask
+        if mask == self.space.full:
+            return list(self.core_ids)
+        return [(mask & ((1 << p) - 1)).bit_count() for p in self.core_ids]
+
+    def restate(self) -> CoreData:
+        """The collapse as ``core`` gives it for the piece as a space of its
+        own, point i being the i-th point of ``mask``: the piece is copied
+        here, unless it is the whole space or is its own core."""
+        X, C = self.space, self.core
+        if not self.removals:
+            return CoreData(C, list(range(C.n)), identity_map(C), [])
+        if self.mask == X.full:
+            piece, removals = X, self.removals
+        else:
+            piece, old = X.subspace(self.mask)
+            index = {p: i for i, p in enumerate(old)}
+            removals = [(index[x], kind, index[w]) for x, kind, w in self.removals]
+        send = list(range(piece.n))
+        for x, _, w in reversed(removals):
+            send[x] = send[w]
+        old_ids = self.old_ids
+        index = {p: i for i, p in enumerate(old_ids)}
+        return CoreData(
+            C, old_ids, OrderMap(piece, C, [index[v] for v in send]), removals
+        )
+
+
+def collapse(X: FiniteSpace, mask: int) -> Collapse:
+    """Strong-collapse the subspace ``mask`` of X to a beat-point-free
+    deformation retract, in place: the piece is not copied, only its core.
 
     Removal is deterministic (lowest point id first); by Stong the result
-    is independent of the order up to homeomorphism.  A worklist holds
-    the points whose beat status may have changed, every point at first:
-    the least one is popped and its status (kind, witness) computed at
-    the current subspace, and if it is a beat point it is removed and its
-    live comparable points not yet queued are queued again.  A point off
-    the list stays non-beat until a point comparable to it is removed, so
-    the least popped beat point is the least beat point.  The retraction
-    is read off the removals backwards, and the per-removal fence tables
-    are rebuilt on demand by ``CoreData.fence``.
-
-    A space with no beat point is returned as its own core, with the
-    identity as retraction: the scan proves it minimal, and no subspace
-    copy is built.
+    is independent of the order up to homeomorphism, and since the ids of
+    a subspace keep the order of X's, it removes what ``core`` of the
+    copied subspace would.  A worklist holds the points whose beat status
+    may have changed, every point of ``mask`` at first: the least one is
+    popped and its status (kind, witness) computed in the current
+    subspace, and if it is a beat point it is removed and its live
+    comparable points not yet queued are queued again.  A point off the
+    list stays non-beat until a point comparable to it is removed, so the
+    least popped beat point is the least beat point.
     """
-    mask = X.full
-    live = [True] * X.n
-    heap = list(range(X.n))  # sorted, so already a heap
-    queued = [True] * X.n
+    if mask == X.full:
+        heap = list(range(X.n))  # increasing, so already a heap
+        live = [True] * X.n
+    else:
+        heap = list(bits(mask))
+        live = [False] * X.n
+        for x in heap:
+            live[x] = True
+    queued = live[:]
     removals = []
+    kept = mask
     while heap:
         x = heappop(heap)
         queued[x] = False
-        status = _beat_status(X, mask, live, x)
+        status = _beat_status(X, kept, live, x)
         if status is None:
             continue
         removals.append((x, *status))
-        mask ^= 1 << x
+        kept ^= 1 << x
         live[x] = False
         for near in (X.up_ids[x], X.down_ids[x]):
             for y in near:
                 if not queued[y] and live[y]:
                     queued[y] = True
                     heappush(heap, y)
-    if not removals:
-        return CoreData(X, list(range(X.n)), identity_map(X), [])
-    send = list(range(X.n))
-    for x, _, w in reversed(removals):
-        send[x] = send[w]
-    sub, old_ids = X.subspace(mask)
-    index = {p: i for i, p in enumerate(old_ids)}
-    return CoreData(
-        sub, old_ids, OrderMap(X, sub, [index[v] for v in send]), removals
-    )
+    C, ids = (X, range(X.n)) if kept == X.full else X.subspace(kept)
+    return Collapse(X, mask, kept, removals, C, ids)
+
+
+def core(X: FiniteSpace) -> CoreData:
+    """Strong-collapse X (``collapse`` on all of X) to its core, with the
+    retraction read off the removals backwards; the per-removal fence
+    tables are rebuilt on demand by ``CoreData.fence``.
+
+    A space with no beat point is returned as its own core, with the
+    identity as retraction: the scan proves it minimal, and no subspace
+    copy is built.
+    """
+    return collapse(X, X.full).restate()
 
 
 # -- enumeration of continuous maps -----------------------------------
@@ -437,18 +495,19 @@ def _constants_fence(X: FiniteSpace, Y: FiniteSpace, a: int, b: int):
     return None
 
 
-def _lift_core_fence(f: OrderMap, g: OrderMap, cd: CoreData, core_fence):
-    """A fence on the full domain from f to g through a fence on core(X).
+def _lift_core_fence(t1, t2, cd: CoreData, core_fence):
+    """A fence on the full domain from f to g (tables ``t1``, ``t2``)
+    through a fence on core(X).
 
     f o s along the collapse, then h o r for each core-fence map h (r the
     retraction), then g o s back along the collapse; consecutive repeats
     are dropped.
     """
     r = cd.retraction.table
-    collapse = cd.fence
-    tables = [tuple(f.table[v] for v in s) for s in collapse]
+    steps = cd.fence
+    tables = [tuple(t1[v] for v in s) for s in steps]
     tables += [tuple(h[v] for v in r) for h in core_fence]
-    tables += [tuple(g.table[v] for v in s) for s in reversed(collapse)]
+    tables += [tuple(t2[v] for v in s) for s in reversed(steps)]
     fence = [tables[0]]
     for t in tables[1:]:
         if t != fence[-1]:
@@ -629,40 +688,58 @@ def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
     )
 
 
-def _lift_fence(f, g, cd: CoreData, cdY: CoreData, ft, gt, core_fence):
-    """A fence on X from f to g through a fence core(X) -> core(Y) from
-    r_Y o f|C to r_Y o g|C (``ft``, ``gt``: f|C and g|C as tables into Y).
+def _lift_fence(t1, t2, cd: CoreData, cdY: CoreData, ft, gt, core_fence):
+    """A fence on X from f to g (tables ``t1``, ``t2``) through a fence
+    core(X) -> core(Y) from r_Y o f|C to r_Y o g|C (``ft``, ``gt``: f|C
+    and g|C as tables into Y).
 
     s o f|C along the collapse of Y, then i_Y o h for each core-fence map
     h, then s o g|C back along the collapse, gives a fence C -> Y from
     f|C to g|C; ``_lift_core_fence`` carries it to X.
     """
-    collapse = cdY.fence
+    steps = cdY.fence
     old_ids = cdY.old_ids
-    tables = [tuple(s[v] for v in ft) for s in collapse]
+    tables = [tuple(s[v] for v in ft) for s in steps]
     tables += [tuple(old_ids[v] for v in h) for h in core_fence]
-    tables += [tuple(s[v] for v in gt) for s in reversed(collapse)]
-    return _lift_core_fence(f, g, cd, tables)
+    tables += [tuple(s[v] for v in gt) for s in reversed(steps)]
+    return _lift_core_fence(t1, t2, cd, tables)
 
 
-def _decide_on_core(f: OrderMap, g: OrderMap, budget: int):
-    """Decide f ~ g between the cores (Stong: f ~ g iff r_Y o f|core(X)
-    ~ r_Y o g|core(X) as maps core(X) -> core(Y)).
+def _on_piece(cl: Collapse, t1, t2):
+    """The collapse restated on the piece (``Collapse.restate``), and the
+    tables ``t1``, ``t2`` of ``cl.space`` restricted to the piece."""
+    cd = cl.restate()
+    if cl.mask == cl.space.full:
+        return cd, t1, t2
+    ids = list(bits(cl.mask))
+    return cd, tuple(t1[p] for p in ids), tuple(t2[p] for p in ids)
 
-    Maps that agree on core(X) get a fence through the collapse of X
-    (``_lift_core_fence``).  Every other stage gives a verdict between
-    the cores, and a homotopic one with a fence core(X) -> core(Y) is
-    lifted once, back through the collapse of Y and then of X
-    (``_lift_fence``); only rigidity carries no fence.
+
+def decide_on_core(cl: Collapse, t1, t2, Y: FiniteSpace, budget: int):
+    """Decide f ~ g for the maps f, g from the piece ``cl.mask`` of
+    ``cl.space`` into Y that the tables ``t1``, ``t2`` on ``cl.space``
+    restrict to, between the cores (Stong: f ~ g iff r_Y o f|core(X) ~
+    r_Y o g|core(X) as maps core(X) -> core(Y)).  X is the piece, and
+    ``cl`` its collapse.
+
+    The stages read the tables at the core's points only.  Maps that
+    agree on core(X) are equal, or get a fence through the collapse of X
+    (``_lift_core_fence``).  Every other stage gives a verdict between the
+    cores, and a homotopic one with a fence core(X) -> core(Y) is lifted
+    once, back through the collapse of Y and then of X (``_lift_fence``);
+    only rigidity carries no fence.  The piece is copied, and the collapse
+    restated in its ids, only to lift a fence.
     """
-    X, Y = f.source, f.target
-    cd = core(X)
-    ft = tuple(f.table[p] for p in cd.old_ids)
-    gt = tuple(g.table[p] for p in cd.old_ids)
-    C = cd.space
+    C, ids = cl.core, cl.core_ids
+    ft = tuple(t1[p] for p in ids)
+    gt = tuple(t2[p] for p in ids)
     if ft == gt:
+        cd, f1, f2 = _on_piece(cl, t1, t2)
+        X = cd.retraction.source
+        if f1 == f2:
+            return HomotopyVerdict("homotopic", [f1], X, Y, reason="maps equal")
         return HomotopyVerdict(
-            "homotopic", _lift_core_fence(f, g, cd, [ft]), X, Y,
+            "homotopic", _lift_core_fence(f1, f2, cd, [ft]), X, Y,
             reason="maps agree on the domain core",
         )
     # retract the target onto its core as well
@@ -691,14 +768,17 @@ def _decide_on_core(f: OrderMap, g: OrderMap, budget: int):
         )
     else:
         recY = recognize_circle(CY)
-        v = None if recY is None else _circle_stage(C, CY, ft2, gt2, recY, cd.old_ids)
+        v = None if recY is None else _circle_stage(C, CY, ft2, gt2, recY, cl.old_ids)
     if v is None:
         v = fence_bfs(OrderMap(C, CY, ft2), OrderMap(C, CY, gt2), budget)
-        v.reason += f" on the domain core ({C.n} of {X.n} points), {target}"
+        v.reason += (
+            f" on the domain core ({C.n} of {cl.mask.bit_count()} points), {target}"
+        )
     if v.fence:
+        cd, f1, f2 = _on_piece(cl, t1, t2)
         return HomotopyVerdict(
-            "homotopic", _lift_fence(f, g, cd, cdY, ft, gt, v.fence), X, Y,
-            reason=v.reason,
+            "homotopic", _lift_fence(f1, f2, cd, cdY, ft, gt, v.fence),
+            cd.retraction.source, Y, reason=v.reason,
         )
     return v
 
@@ -729,7 +809,8 @@ def homotopic(
             "homotopic", [f.table], f.source, f.target, reason="maps equal"
         )
     if strategy == "auto":
-        return _decide_on_core(f, g, budget)
+        X = f.source
+        return decide_on_core(collapse(X, X.full), f.table, g.table, f.target, budget)
     if strategy == "fence-bfs":
         return fence_bfs(f, g, budget)
     if strategy == "exhaustive-components":

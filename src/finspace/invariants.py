@@ -9,9 +9,11 @@ fence.  The potentials, windings and clamps are those of ``homotopic``
 (``homotopy.potentials``), run on the piece itself with no subspace.
 For a categorical piece it runs from the inclusion to a constant; for a
 section-categorical one from pi1|U through constants to pi2|U.  Only
-a section-categorical piece with a cycle of winding (d, d), d != 0, is
-decided by ``homotopic`` on the projections restricted to it, which works
-on the piece's core.
+a section-categorical piece with a cycle of winding (d, d), d != 0, goes
+through the stages of ``homotopic`` (``homotopy.decide_on_core``), on the
+piece's strong collapse run inside S x S: the stages read the
+projections at the core's points, and the piece is copied only for a
+fence that must be lifted to it.
 
 Exact search runs over partitions of the maximal elements (principal
 covers suffice, and any certified cover shrinks to a certified partition
@@ -38,8 +40,9 @@ from .homotopy import (
     DEFAULT_BUDGET,
     HomotopyVerdict,
     _clamps,
+    collapse,
+    decide_on_core,
     degrees,
-    homotopic,
     nullhomotopic_in,
     potentials,
     through_constants,
@@ -114,6 +117,8 @@ class TorusChecker:
     not decided again.  An "unknown" under a small budget never answers a
     larger one, nor a decided verdict a smaller one.  The remembered
     verdicts are shared by every caller, so callers must not mutate them.
+    It also remembers the strong collapse of each piece that it certifies
+    on its core or is asked to collapse (``collapse``), at any budget.
     """
 
     def __init__(self, circle: KhalimskyCircle):
@@ -125,6 +130,7 @@ class TorusChecker:
         self.pi1, self.pi2 = projections(self.X, self.X, self.P)
         self.num = recognize_circle(self.X)[1]
         self._verdicts = {}  # (mask, mode, budget) -> verdict
+        self._collapses = {}  # mask -> Collapse of the piece inside P
 
     def coords(self, p: int):
         return divmod(p, self.X.n)
@@ -271,7 +277,8 @@ class TorusChecker:
         ("homotopic", the potentials), or ("homotopic", None) for the
         empty piece.  In mode 'cat' that is always so past the winding
         test.  Only 'sc' pieces with winding (d, d), d != 0, are left to
-        ``homotopic`` on the projections restricted to U: (None, None).
+        the stages of ``homotopic`` on U's core (``_on_core``): (None,
+        None).
         U must be open: ``_decide`` checks it, and exact search builds
         only open pieces.
         """
@@ -286,22 +293,33 @@ class TorusChecker:
             return None, None
         return "homotopic", lifted
 
-    def _on_core(self, mask: int, budget: int):
-        """``homotopic`` on pi1|U and pi2|U, which works on U's core."""
-        sub, old_ids = self.P.subspace(mask)
-        f1 = self.pi1.restrict(sub, old_ids)
-        f2 = self.pi2.restrict(sub, old_ids)
-        return homotopic(f1, f2, "auto", budget)
+    def collapse(self, mask: int):
+        """The strong collapse of the piece U = ``mask`` inside P
+        (``homotopy.collapse``), remembered: a piece asked for directly or
+        certified is collapsed once."""
+        cl = self._collapses.get(mask)
+        if cl is None:
+            cl = self._collapses[mask] = collapse(self.P, mask)
+        return cl
+
+    def _on_core(self, mask: int, budget: int, cl=None):
+        """pi1|U ~ pi2|U by ``decide_on_core`` on U's collapse inside P:
+        ``cl``, else a remembered one, else a new one that is not kept.
+        The stages read both projections at the core's points, and only a
+        fence to be lifted copies U."""
+        if cl is None:
+            cl = self._collapses.get(mask) or collapse(self.P, mask)
+        return decide_on_core(cl, self.pi1.table, self.pi2.table, self.X, budget)
 
     def piece_status(self, mask: int, mode: str, budget: int = DEFAULT_BUDGET) -> str:
         """The status of ``_decide(mask, mode, budget)``, without building
-        its certificate: no subspace and no fence unless ``homotopic``
-        must decide.
+        its certificate: no subspace and no fence unless a fence found on
+        U's core must be lifted to U.
 
         U must be open, and is not checked: exact search asks only for
         unions of down-sets of maximals.  A remembered verdict answers,
-        but a status is never remembered here; the search keeps its own
-        memo of statuses, which ends with it.
+        but a status is never remembered here, nor a collapse; the search
+        keeps its own memo of statuses, which ends with it.
         """
         v = self._verdicts.get((mask, mode, budget))
         if v is not None:
@@ -328,11 +346,11 @@ class TorusChecker:
         fence built from its potentials.  Mode 'cat' contracts the
         inclusion U -> S x S to a constant by ``lift_fence``; mode 'sc'
         builds a fence on U from pi1|U to pi2|U by ``through_constants``.
-        The rest goes to ``homotopic``.
+        The rest goes to ``_on_core`` on U's remembered collapse.
         """
         status, got = self._triage(mask, mode)
         if status is None:
-            return self._on_core(mask, budget)
+            return self._on_core(mask, budget, self.collapse(mask))
         if status == "not_homotopic":
             _, _, wx, wy = got
             what = "distinct windings" if mode == "sc" else "nonzero winding"
@@ -359,8 +377,8 @@ class TorusChecker:
         """Decide pi1|U ~ pi2|U for the open set U given by ``mask``.
 
         With no winding the lift decides at any budget, and its fence runs
-        on U from pi1|U to pi2|U; with winding (d, d), d != 0, ``homotopic``
-        decides under ``budget``.
+        on U from pi1|U to pi2|U; with winding (d, d), d != 0, the stages of
+        ``homotopic`` decide on U's core under ``budget``.
         """
         return self._decide(mask, "sc", budget)
 
@@ -372,13 +390,13 @@ class TorusChecker:
 @lru_cache(maxsize=1)
 def torus(circle: KhalimskyCircle) -> TorusChecker:
     """The ``TorusChecker`` of ``circle``: S x S, its two projections, the
-    circle numbering and the verdicts given so far, built once and shared
-    by every caller.
+    circle numbering and the verdicts and collapses kept so far, built once
+    and shared by every caller.
 
     Only the last circle's torus is kept, and its verdicts with it:
     ``verify_bundle``, ``build_U``, ``build_V`` and witness-mode ``tc`` on
-    one circle build one product between them and decide V once, and a
-    sweep over many sizes holds one torus at a time.  Sharing is safe
+    one circle build one product between them, collapse U once and decide
+    V once, and a sweep over many sizes holds one torus at a time.  Sharing is safe
     because a verdict depends only on the piece, the mode and the budget,
     which key it, and no caller mutates one.
     """

@@ -406,10 +406,6 @@ class OrderMap:
     def __repr__(self):
         return f"OrderMap({list(self.table)})"
 
-    def restrict(self, sub: FiniteSpace, old_ids) -> "OrderMap":
-        """Restriction along a subspace inclusion given by old_ids."""
-        return OrderMap(sub, self.target, [self.table[p] for p in old_ids])
-
 
 def identity_map(X: FiniteSpace) -> OrderMap:
     return OrderMap(X, X, range(X.n))
@@ -442,9 +438,17 @@ def projections(X: FiniteSpace, Y: FiniteSpace, XY: FiniteSpace):
 
 
 def write_space(X: FiniteSpace, name: str) -> str:
+    """The text ``read_space`` reads X back from.  A label must be one
+    token: an empty one, or one with whitespace, raises InvalidParameter
+    naming its point."""
     lines = [f"space {name} {X.n}"]
-    for p in range(X.n):
-        lines.append(f"point {p} {X.labels[p]}")
+    for p, label in enumerate(X.labels):
+        if label.split() != [label]:
+            raise InvalidParameter(
+                f"point {p}: label {label!r} is not one token, so it cannot "
+                "be read back"
+            )
+        lines.append(f"point {p} {label}")
     for lo, hi in X.covers:
         lines.append(f"cover {lo} {hi}")
     return "\n".join(lines) + "\n"

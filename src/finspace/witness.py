@@ -14,9 +14,10 @@ residue r corresponds to point id r-1 on the circle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import InvalidParameter, NotContinuous, NotOpen, NotOrderPreserving
-from .homotopy import DEFAULT_BUDGET, core, table_cmp
+from .homotopy import DEFAULT_BUDGET, collapse, table_cmp
 from .circles import recognize_circle
 from .invariants import TorusChecker, torus
 from .space import (
@@ -101,20 +102,36 @@ def _blocks(k: int):
     return co, m, A0, A1, A2, A3, A4
 
 
+@lru_cache(maxsize=1)
+def _on_torus(checker: TorusChecker):
+    """``_blocks(k)``, U and V on the torus of ``checker``, k its circle's
+    half-size: built once per torus and shared by ``build_U``,
+    ``build_V`` and ``build_chain``.  Like ``torus``, it keeps only the
+    last torus's."""
+    blocks = _blocks(checker.n)
+    co, _, *A = blocks
+    mask = co.mask(set().union(*A))
+    if not checker.P.is_open(mask):
+        raise NotOpen("the block union is not open; transcription bug")
+    U = DownSet(checker.P, mask)
+    return blocks, U, _complement_hull(U)
+
+
+def _witness(k: int):
+    """The torus of the circle S1_k, then ``_on_torus`` of it."""
+    if k < 5:
+        raise InvalidParameter("the witness construction needs k >= 5")
+    checker = torus(khalimsky_circle(k))
+    return (checker, *_on_torus(checker))
+
+
 def build_U(k: int) -> DownSet:
     """The five-block open set in the product, residues 1..2k.
 
     The product is ``torus(khalimsky_circle(k)).P``, shared with
     ``build_V``, ``build_chain`` and ``tc`` on the same circle; one torus
-    is kept, so calls for one k in a row build it once."""
-    if k < 5:
-        raise InvalidParameter("the witness construction needs k >= 5")
-    co, m, A0, A1, A2, A3, A4 = _blocks(k)
-    P = torus(khalimsky_circle(k)).P
-    mask = co.mask(A0 | A1 | A2 | A3 | A4)
-    if not P.is_open(mask):
-        raise NotOpen("the block union is not open; transcription bug")
-    return DownSet(P, mask)
+    is kept, so calls for one k in a row build it, and U, once."""
+    return _witness(k)[2]
 
 
 def _complement_hull(U: DownSet) -> DownSet:
@@ -128,7 +145,7 @@ def _complement_hull(U: DownSet) -> DownSet:
 def build_V(k: int) -> DownSet:
     """Smallest open neighbourhood of the complement of U, in the same
     shared product as ``build_U(k)`` (see ``invariants.torus``)."""
-    return _complement_hull(build_U(k))
+    return _witness(k)[3]
 
 
 def _family(P, domain_mask, co):
@@ -168,13 +185,8 @@ def _image_mask(stage: Stage) -> int:
 
 def build_chain(k: int) -> WitnessBundle:
     """All retraction stages, with images computed rather than assumed."""
-    if k < 5:
-        raise InvalidParameter("the witness construction needs k >= 5")
-    co, m, A0, A1, A2, A3, A4 = _blocks(k)
-    checker = torus(khalimsky_circle(k))
+    checker, (co, m, A0, A1, A2, A3, A4), U, V = _witness(k)
     P = checker.P
-    U = build_U(k)
-    V = _complement_hull(U)
     notes = []
     stages = []
 
@@ -368,18 +380,16 @@ def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
             )
 
     # (4) the generic core of U is the same circle as (the core of) C;
-    # for k = 5, 6 the staged image is already beat-point free
-    # the f-stages live on the subspace U
-    cd = core(bundle.stages[0].map.source)
-    recU = recognize_circle(cd.space)
-    subC0, oldC0 = P.subspace(bundle.C)
-    cdC = core(subC0)
-    subC = cdC.space
-    oldC = [oldC0[p] for p in cdC.old_ids]
+    # for k = 5, 6 the staged image is already beat-point free.  U is
+    # collapsed inside the product by the checker, which keeps the
+    # collapse for the certification of U as a tc piece
+    recU = recognize_circle(checker.collapse(bundle.U.members).core)
+    clC = collapse(P, bundle.C)
+    subC, oldC = clC.core, clC.core_ids
     recC = recognize_circle(subC)
-    if subC.n != subC0.n:
+    if clC.removals:
         notes.append(
-            f"the staged image retains {subC0.n - subC.n} beat points "
+            f"the staged image retains {len(clC.removals)} beat points "
             "before reaching its core circle"
         )
     ok4 = recU is not None and recC is not None and recU[0] == recC[0]

@@ -237,6 +237,20 @@ def test_a_flag_that_would_do_nothing_is_a_usage_error(capsys, argv, named):
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize(
+    "command,sources",
+    [
+        ("export-complex", "--circle, --interval, --file, --cycle"),
+        ("core", "--circle, --interval, --file"),
+    ],
+    ids=["export-complex", "core"],
+)
+def test_a_missing_source_names_every_source_of_the_subcommand(capsys, command, sources):
+    code, out, err = run(capsys, command)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: give one of {sources}"
+
+
 def test_export_complex_to_file(capsys, tmp_path):
     path = tmp_path / "k.asc"
     code, out, _ = run(

@@ -9,6 +9,7 @@ import finspace.homotopy as homotopy_module
 from finspace.errors import BudgetExceeded
 from finspace.homotopy import (
     HomotopyVerdict,
+    collapse,
     comparable,
     core,
     enumerate_maps,
@@ -388,6 +389,27 @@ def test_lazy_core_matches_eager_worklist(X):
     cd = core(X)
     assert cd.removals == removals
     assert cd.old_ids == list(bits(mask))
+
+
+@settings(max_examples=300)
+@given(posets(max_n=20), st.data())
+def test_collapse_in_place_matches_the_core_of_the_copied_subspace(X, data):
+    # collapsing a mask inside X removes what core() of the copied
+    # subspace removes, in the same order, read through old_ids
+    mask = data.draw(st.integers(0, X.full))
+    sub, old_ids = X.subspace(mask)
+    cd = core(sub)
+    cl = collapse(X, mask)
+    assert cl.removals == [(old_ids[x], kind, old_ids[w]) for x, kind, w in cd.removals]
+    core_space, core_ids = cl.core, cl.core_ids
+    assert list(core_ids) == [old_ids[p] for p in cd.old_ids]
+    assert cl.kept == sum(1 << p for p in core_ids)
+    assert cl.old_ids == cd.old_ids
+    assert core_space == cd.space
+    # restated on the piece, it is core() of the copy
+    again = cl.restate()
+    assert again.space == cd.space and again.old_ids == cd.old_ids
+    assert again.removals == cd.removals and again.retraction == cd.retraction
 
 
 # S1_2, S1_3, and S1_2 with a point w below b0 (an up beat point): the

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import finspace.homotopy as homotopy_module
 import finspace.invariants as invariants_module
+import finspace.witness as witness_module
 from finspace.errors import InvalidParameter, MismatchedSpaces, NotOpen
 from finspace.invariants import (
     Coloring,
@@ -30,6 +31,7 @@ from finspace.invariants import (
 from finspace.homotopy import (
     DEFAULT_BUDGET,
     HomotopyVerdict,
+    decide_on_core,
     homotopic,
     nullhomotopic_in,
     potentials,
@@ -560,10 +562,9 @@ def test_lift_certifies_every_winding_free_piece(drawn):
     hit = ch.winding_obstruction(mask, "cat")
     v = TorusChecker(ch.circle).is_categorical(mask, budget=1)
     sub, old_ids = ch.P.subspace(mask)
-    restricted = [f.restrict(sub, old_ids) for f in (ch.pi1, ch.pi2)]
     general = [
         homotopic(f, OrderMap(sub, ch.X, [f.table[0]] * sub.n), "auto", 2000)
-        for f in restricted
+        for f in projections_on(ch, mask)
     ]
     if hit is not None:
         _, _, wx, wy = hit
@@ -593,7 +594,9 @@ def test_lift_certifies_every_winding_free_piece(drawn):
 
 def projections_on(ch, mask):
     sub, old_ids = ch.P.subspace(mask)
-    return ch.pi1.restrict(sub, old_ids), ch.pi2.restrict(sub, old_ids)
+    return tuple(
+        OrderMap(sub, ch.X, [pi.table[p] for p in old_ids]) for pi in (ch.pi1, ch.pi2)
+    )
 
 
 def replays_anchored(v, f, g):
@@ -625,6 +628,55 @@ def few_maximal_pieces(draw):
     for x in chosen:
         mask |= ch.P.down[x]
     return ch, mask
+
+
+@st.composite
+def maximal_unions(draw):
+    """A union of the down-sets of maximals of S1_n^2, n = 3..5: any set
+    of them, a band of shifted diagonals of cells (a cycle of winding
+    (1, 1)), or at n = 5 a piece of the witness cover (its core a circle
+    longer than S1_5), the last two with a few more."""
+    kind = draw(st.sampled_from(["any", "band", "witness"]))
+    n = 5 if kind == "witness" else draw(st.integers(3, 5))
+    if n not in _checkers:
+        _checkers[n] = TorusChecker(khalimsky_circle(n))
+    ch = _checkers[n]
+    maxs = list(bits(ch.P.maximal_elements()))
+    mask = 0
+    if kind == "any":
+        chosen = draw(st.lists(st.sampled_from(maxs), min_size=1, unique=True))
+    else:
+        chosen = draw(st.lists(st.sampled_from(maxs), max_size=2))
+        if kind == "witness":
+            _, U, V = witness_module._on_torus(ch)
+            mask = draw(st.sampled_from([U.members, V.members]))
+        else:
+            s, width = draw(st.integers(0, n - 1)), draw(st.integers(1, 2))
+            b = ch.circle.b
+            chosen += [
+                ch.pair(b(i), b((i + s + k) % n)) for i in range(n) for k in range(width)
+            ]
+    for x in chosen:
+        mask |= ch.P.down[x]
+    return ch, mask
+
+
+def verdict_fields(v):
+    return (
+        v.status, v.reason, v.fence, v.fence_space, v.target, v.core_old_ids
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(maximal_unions(), st.sampled_from([1, 300, DEFAULT_BUDGET]))
+def test_piece_decided_inside_the_product_matches_homotopic_on_the_copy(drawn, budget):
+    # _on_core collapses U inside S x S and reads the projections at the
+    # core's points; homotopic gets pi1|U and pi2|U on a copy of U
+    ch, mask = drawn
+    kept = dict(ch._collapses)
+    want = homotopic(*projections_on(ch, mask), "auto", budget)
+    assert verdict_fields(ch._on_core(mask, budget)) == verdict_fields(want)
+    assert ch._collapses == kept  # a collapse it was not handed is not kept
 
 
 def test_homotopic_refutes_a_piece_with_distinct_windings_without_search():
@@ -732,20 +784,18 @@ def test_tc_covers_replay_anchored_at_the_projections():
 
 
 def test_homotopic_sees_only_winding_pieces(monkeypatch):
-    # during exact tc(S1_4), homotopic is asked only about pieces with a
-    # nonzero winding (d, d): the lift decides the rest
+    # during exact tc(S1_4), the piece decision between the cores is asked
+    # only about pieces with a nonzero winding (d, d): the lift decides the
+    # rest
     ch = TorusChecker(khalimsky_circle(4))
     asked = []
 
-    def recorded(f, g, *args):
-        # pi1|U and pi2|U give the coordinates of U's points
-        mask = 0
-        for x, y in zip(f.table, g.table):
-            mask |= 1 << ch.pair(x, y)
-        asked.append(mask)
-        return homotopic(f, g, *args)
+    def recorded(cl, *args):
+        assert cl.space == ch.P
+        asked.append(cl.mask)
+        return decide_on_core(cl, *args)
 
-    monkeypatch.setattr(invariants_module, "homotopic", recorded)
+    monkeypatch.setattr(invariants_module, "decide_on_core", recorded)
     assert tc(ch.circle).value == 2
     assert asked
     assert all(ch.winding_obstruction(m, "cat") is not None for m in asked)
@@ -775,8 +825,17 @@ def test_checker_remembers_only_the_printed_covers():
     assert len(printed) == 6
     assert ch._verdicts.keys() == printed.keys()
     assert all(ch._verdicts[k] is v for k, v in printed.items())
+    # the lift decides every printed piece here, so no collapse is kept
+    assert not ch._collapses
     sizes["_verdicts"] = len(printed)
     assert sizes == {k: len(after[k]) for k in sizes}
+    # at n = 5 both printed pieces are rigidity verdicts, decided on their
+    # collapses inside the product; the checker keeps those two alone
+    torus.cache_clear()
+    ch = torus(khalimsky_circle(5))
+    res = tc(ch.circle)
+    assert res.value == 1
+    assert set(ch._collapses) == {p.members for p in res.cover.pieces}
 
 
 @st.composite

@@ -141,18 +141,6 @@ def test_check_continuous_witness():
     assert bad is None and witness is not None
 
 
-def test_compose_and_restrict():
-    # restriction is composition with the subspace inclusion
-    X = khalimsky_circle(3).space
-    f = identity_map(X)
-    g = constant_map(X, X, 0)
-    sub, old = X.subspace(X.down[1])
-    r = f.restrict(sub, old)
-    assert list(r.table) == list(old)
-    inclusion = OrderMap(sub, X, old)
-    assert g.restrict(sub, old).table == tuple(g.table[v] for v in inclusion.table)
-
-
 def test_space_file_round_trip():
     X = khalimsky_circle(4).space
     text = write_space(X, "c4")
@@ -160,6 +148,20 @@ def test_space_file_round_trip():
     assert Y.n == X.n
     assert Y.covers == X.covers
     assert list(Y.labels) == list(X.labels)
+
+
+def test_write_space_refuses_a_label_with_whitespace():
+    # "point 0 a b" has a token too many, which read_space rejects
+    X = build_space(["a b", "c"], [(0, 1)])
+    with pytest.raises(InvalidParameter, match="point 0: label 'a b'"):
+        write_space(X, "X")
+
+
+def test_write_space_refuses_an_empty_label():
+    # "point 1 " would read back as the label "1", silently
+    X = build_space(["a", ""], [(0, 1)])
+    with pytest.raises(InvalidParameter, match="point 1: label ''"):
+        write_space(X, "X")
 
 
 def test_downset_serialize_round_trip():

@@ -150,7 +150,10 @@ def test_verify_bundle_reports_a_discontinuous_stage(monkeypatch):
 
 def test_one_subspace_per_stage_family(monkeypatch):
     # a call-count bound, not a clock: the 16 stages of k = 8 share four
-    # subspaces (U, C1, C2, C3); verify_bundle adds C and the piece V
+    # subspaces (U, C1, C2, C3); verify_bundle adds C and one core for
+    # each piece it collapses, U and V, which are collapsed inside the
+    # product: neither is copied whole beyond the family of the f-stages
+    torus.cache_clear()
     real = FiniteSpace.subspace
     on_product = []
 
@@ -165,7 +168,8 @@ def test_one_subspace_per_stage_family(monkeypatch):
     assert len(on_product) <= 4
     on_product.clear()
     assert verify_bundle(8).passed
-    assert len(on_product) <= 6
+    assert len(on_product) <= 4 + 1 + 2
+    assert on_product.count(b.U.members) == 1 and b.V.members not in on_product
 
 
 def test_residues_are_computed_once_per_family_point(monkeypatch):
