@@ -10,8 +10,8 @@ of Y and of X.  The domain is collapsed in place (``collapse``), so the
 same stages (``decide_on_core``) decide maps from a piece of a larger
 space, as ``TorusChecker`` does for pieces of S x S, copying only the
 piece's core.  Maps into a circle are classified by the windings of
-their lifts (``potentials``, ``windings``), the one winding test of the
-package, which ``TorusChecker`` runs on pieces of S x S too.  Only the
+their lifts (``potentials``, ``windings``), which ``TorusChecker`` runs
+on the pieces of S x S that it certifies too.  Only the
 rigidity verdict (equal nonzero degree on a circle core) and the
 'exhaustive-components' strategy carry no fence, so ``replay()`` is False
 on their verdicts.
@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .circles import recognize_circle
 from .errors import BudgetExceeded, MismatchedSpaces, NotOpen
@@ -518,13 +519,27 @@ def _lift_core_fence(t1, t2, cd: CoreData, core_fence):
 # -- maps into a circle: lifts and windings ---------------------------
 
 
-def potentials(X: FiniteSpace, mask: int, t1, t2, num):
+class Lift(NamedTuple):
+    """Spanning-forest potentials of two tables X -> S on a subspace of X
+    (``potentials``): ``phi[p]`` = (L1, L2) at each point p of the
+    subspace, None off it, and the residues ``r1``, ``r2`` of the two
+    tables in a ``size``-point circle, from which ``windings`` reads the
+    displacement of each comparable pair."""
+
+    X: FiniteSpace
+    phi: list
+    r1: list
+    r2: list
+    size: int
+
+
+def potentials(X: FiniteSpace, mask: int, t1, t2, num) -> Lift:
     """Spanning-forest potentials of two tables X -> S on the subspace
     ``mask`` of X, S a circle with residue numbering ``num`` (as from
-    ``recognize_circle``), and the comparable pairs of that subspace.
+    ``recognize_circle``).
 
-    A pair (p, q, w), q above p, holds the lifted displacements w of both
-    tables from p to q, each -1, 0 or +1.  ``phi[p]`` sums them along a
+    A comparable pair (p, q), q above p, has lifted displacements w from p
+    to q under both tables, each -1, 0 or +1.  ``phi[p]`` sums them along a
     BFS tree from the root of p's component, starting at the root's
     residues.  A pair is balanced when phi[p] + w = phi[q]; when every
     pair is, phi lifts both tables to the digital line.
@@ -534,21 +549,16 @@ def potentials(X: FiniteSpace, mask: int, t1, t2, num):
     r2 = list(map(num.__getitem__, t2))
     up_ids, down_ids = X.up_ids, X.down_ids
     points = range(X.n) if mask == X.full else list(bits(mask))
-    live = set(points)
-    edges = []
+    live = bytearray(X.n)
     for p in points:
-        a1, a2 = r1[p], r2[p]
-        for q in up_ids[p]:
-            if q != p and q in live:
-                w = ((r1[q] - a1 + 1) % size - 1, (r2[q] - a2 + 1) % size - 1)
-                edges.append((p, q, w))
+        live[p] = 1
     # the BFS visits u's neighbours in the order of the pairs that name
     # them: those below u with a smaller id, those above u, then those
     # below u with a larger id.  A pair (p, u) read backwards lifts by
     # minus its displacement from p to u.
-    phi = {}
+    phi = [None] * X.n
     for root in points:
-        if root in phi:
+        if phi[root] is not None:
             continue
         phi[root] = (r1[root], r2[root])
         queue = deque([root])
@@ -560,41 +570,51 @@ def potentials(X: FiniteSpace, mask: int, t1, t2, num):
             for p in below:
                 if p >= u:
                     break
-                if p in live and p not in phi:
+                if live[p] and phi[p] is None:
                     phi[p] = (
                         pu1 - ((a1 - r1[p] + 1) % size - 1),
                         pu2 - ((a2 - r2[p] + 1) % size - 1),
                     )
                     queue.append(p)
             for q in up_ids[u]:
-                if q != u and q in live and q not in phi:
+                if live[q] and phi[q] is None:
                     phi[q] = (
                         pu1 + (r1[q] - a1 + 1) % size - 1,
                         pu2 + (r2[q] - a2 + 1) % size - 1,
                     )
                     queue.append(q)
             for p in below:
-                if p > u and p in live and p not in phi:
+                if p > u and live[p] and phi[p] is None:
                     phi[p] = (
                         pu1 - ((a1 - r1[p] + 1) % size - 1),
                         pu2 - ((a2 - r2[p] + 1) % size - 1),
                     )
                     queue.append(p)
-    return phi, edges
+    return Lift(X, phi, r1, r2, size)
 
 
-def windings(lifted):
-    """(p, q, w1, w2) for each pair of ``lifted`` (``potentials``) that is
-    not balanced, in pair order: the cycle that the pair closes in the
-    spanning forest winds w1 under the first table and w2 under the
-    second, in lift steps (2n to a turn of a 2n-point circle)."""
-    phi, edges = lifted
-    for p, q, (d1, d2) in edges:
-        a1, a2 = phi[p]
-        b1, b2 = phi[q]
-        w1, w2 = a1 + d1 - b1, a2 + d2 - b2
-        if w1 or w2:
-            yield p, q, w1, w2
+def windings(lifted: Lift):
+    """(p, q, w1, w2) for each comparable pair p < q of ``lifted``'s
+    subspace (``potentials``) that is not balanced, p in increasing order
+    and q in ``up_ids[p]`` order, scanned as they are read: the cycle that
+    the pair closes in the spanning forest winds w1 under the first table
+    and w2 under the second, in lift steps (2n to a turn of a 2n-point
+    circle)."""
+    X, phi, r1, r2, size = lifted
+    up_ids = X.up_ids
+    for p, a in enumerate(phi):
+        if a is None:
+            continue
+        a1, a2 = a
+        s1, s2 = r1[p], r2[p]
+        for q in up_ids[p]:
+            b = phi[q]
+            if b is None or q == p:
+                continue
+            w1 = a1 + (r1[q] - s1 + 1) % size - 1 - b[0]
+            w2 = a2 + (r2[q] - s2 + 1) % size - 1 - b[1]
+            if w1 or w2:
+                yield p, q, w1, w2
 
 
 def degrees(hit, rec, size: int):
@@ -665,7 +685,7 @@ def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
             )
         first = first or hit
     if first is None:
-        fence = through_constants(C, CY, lifted[0], range(C.n), num)
+        fence = through_constants(C, CY, lifted.phi, range(C.n), num)
         return HomotopyVerdict(
             "homotopic", fence, C, CY,
             reason="circle classification: both maps lift to the digital line; "

@@ -22,9 +22,10 @@ because both criteria are hereditary under passing to open subsets);
 refuted, and decides each piece once per orbit of a group that preserves
 the verdict: Aut(S)^2 with the factor swap (order 8n^2) for cat, phi x phi
 with the swap (order 4n) for tc.  The search asks only for a piece's
-status, which for a lift-decided piece needs no subspace and no fence;
-the pieces of the cover it prints are decided again in full, with their
-certificates.
+status, which for a lift-decided piece needs no subspace and no fence:
+the winding test grows along the DFS path (``TorusChecker.grow``), from
+the labels of the block that a new maximal joins.  The pieces of the
+cover it prints are decided again in full, with their certificates.
 """
 
 from __future__ import annotations
@@ -129,6 +130,13 @@ class TorusChecker:
         self.P = product(self.X, self.X)
         self.pi1, self.pi2 = projections(self.X, self.X, self.P)
         self.num = recognize_circle(self.X)[1]
+        # the winding test's tables: the residues of both projections, and
+        # for each point x the points p below it with the displacements from
+        # p to x, and their number, filled in when ``grow`` first meets x
+        self._r1 = [self.num[v] for v in self.pi1.table]
+        self._r2 = [self.num[v] for v in self.pi2.table]
+        self._below = [None] * self.P.n
+        self._height = [0] * self.P.n
         self._verdicts = {}  # (mask, mode, budget) -> verdict
         self._collapses = {}  # mask -> Collapse of the piece inside P
 
@@ -311,21 +319,92 @@ class TorusChecker:
             cl = self._collapses.get(mask) or collapse(self.P, mask)
         return decide_on_core(cl, self.pi1.table, self.pi2.table, self.X, budget)
 
-    def piece_status(self, mask: int, mode: str, budget: int = DEFAULT_BUDGET) -> str:
-        """The status of ``_decide(mask, mode, budget)``, without building
-        its certificate: no subspace and no fence unless a fence found on
-        U's core must be lifted to U.
+    def grow(self, state, mask: int, mode: str):
+        """The winding test of the open piece U = ``mask``, grown from
+        ``state``, the test's labels on an open piece inside U (None: on
+        the empty piece), as (status, state).
 
-        U must be open, and is not checked: exact search asks only for
-        unions of down-sets of maximals.  A remembered verdict answers,
-        but a status is never remembered here, nor a collapse; the search
-        keeps its own memo of statuses, which ends with it.
+        The status is "not_homotopic" at the first cycle of forbidden
+        winding (as in ``winding_obstruction``), else "homotopic", or None
+        for an 'sc' piece with a cycle of winding (d, d), d != 0, which is
+        left to ``_on_core``.  The state labels U for a child: the lifts of
+        both projections along a spanning forest, each point's component
+        (the id of a point of it), and whether a cycle winds; it is None
+        when U is refuted.  Only the new points are labelled, top down,
+        and only the pairs below a new point are read: a new point has no
+        old point above it, since the old piece is open.  A pair that joins
+        two components shifts one of them to balance the pair; the others
+        close cycles.  The status does not depend on the forest, so it is
+        that of ``_triage``.
+        """
+        n = self.P.n
+        if state is None:
+            old, phi1, phi2, comp, wound = 0, [0] * n, [0] * n, [-1] * n, False
+        else:
+            old, phi1, phi2, comp, wound = state
+            phi1, phi2, comp = phi1[:], phi2[:], comp[:]
+        r1, r2, size, below = self._r1, self._r2, self.size, self._below
+        new = list(bits(mask & ~old))
+        for x in new:
+            comp[x] = -2  # in U, not labelled yet
+            if below[x] is None:
+                a1, a2 = r1[x], r2[x]
+                below[x] = tuple(
+                    (p, (a1 - r1[p] + 1) % size - 1, (a2 - r2[p] + 1) % size - 1)
+                    for p in self.P.down_ids[x] if p != x
+                )
+                self._height[x] = len(below[x])
+        new.sort(key=self._height.__getitem__, reverse=True)
+        cat = mode == "cat"
+        for x in new:
+            cx = comp[x]
+            if cx == -2:
+                # nothing above x is in U: label x from the first labelled
+                # point below it, or root a new component at x
+                for p, d1, d2 in below[x]:
+                    if comp[p] >= 0:
+                        a1, a2, cx = phi1[p] + d1, phi2[p] + d2, comp[p]
+                        break
+                else:
+                    a1, a2, cx = r1[x], r2[x], x
+                phi1[x], phi2[x], comp[x] = a1, a2, cx
+            else:
+                a1, a2 = phi1[x], phi2[x]
+            for p, d1, d2 in below[x]:
+                cp = comp[p]
+                if cp == cx:
+                    w1, w2 = phi1[p] + d1 - a1, phi2[p] + d2 - a2
+                    if w1 != w2 or cat and w1:
+                        return "not_homotopic", None
+                    wound = wound or w1 != 0
+                elif cp == -2:
+                    phi1[p], phi2[p], comp[p] = a1 - d1, a2 - d2, cx
+                elif cp >= 0:
+                    s1, s2 = a1 - d1 - phi1[p], a2 - d2 - phi2[p]
+                    for y in range(n):
+                        if comp[y] == cp:
+                            phi1[y] += s1
+                            phi2[y] += s2
+                            comp[y] = cx
+        return (None if wound else "homotopic"), (mask, phi1, phi2, comp, wound)
+
+    def piece_status(
+        self, mask: int, mode: str, budget: int = DEFAULT_BUDGET, parent=None
+    ):
+        """The status of ``_decide(mask, mode, budget)`` without its
+        certificate, as (status, state): ``grow`` from ``parent`` (the state
+        of an open piece inside U, or None), then the stages on U's core if
+        ``grow`` leaves U open.  The state is None when U is refuted or a
+        remembered verdict answers.  No status or collapse is remembered
+        here; the search keeps its own memo of statuses, which ends with it.
+        U must be open, and is not checked: exact search builds only unions
+        of down-sets of maximals.
         """
         v = self._verdicts.get((mask, mode, budget))
         if v is not None:
-            return v.status
-        status, _ = self._triage(mask, mode)
-        return status or self._on_core(mask, budget).status
+            return v.status, None
+        status, state = self.grow(parent, mask, mode)
+        return status or self._on_core(mask, budget).status, state
 
     def _decide(self, mask: int, mode: str, budget: int):
         """``_certify(mask, mode, budget)`` once: the verdict is remembered
@@ -357,7 +436,7 @@ class TorusChecker:
             return HomotopyVerdict(status, reason=f"cycle with {what} ({wx},{wy})")
         if got is None:
             return HomotopyVerdict(status, reason="empty piece (vacuous)")
-        phi, _ = got
+        phi = got.phi
         sub, old_ids = self.P.subspace(mask)
         if mode == "cat":
             fence = self.lift_fence(old_ids, phi)
@@ -422,22 +501,24 @@ def _torus_of(X: FiniteSpace) -> TorusChecker | None:
 
 def _deciders(X: FiniteSpace, checker: TorusChecker | None, mode: str, budget: int):
     """How a search decides the pieces of X, as (status_of, certify,
-    group): ``status_of(mask)`` the status alone, ``certify(mask)`` the
-    verdict with its certificate, and ``group()`` the symmetries that
-    exact search may use, built only when it asks (witness mode does not).
+    group): ``status_of(mask, parent)`` the status alone, as (status,
+    state), ``certify(mask)`` the verdict with its certificate, and
+    ``group()`` the symmetries that exact search may use, built only when
+    it asks (witness mode does not).
 
     With a ``checker`` (X is its S x S) pieces go through its
     ``is_categorical`` (mode 'cat') or ``is_section_categorical`` (mode
-    'sc'), and the group is ``checker.symmetries(mode)``.  Without one,
-    X's pieces go through ``nullhomotopic_in`` with no symmetry.
+    'sc'), statuses through ``piece_status``, grown from ``parent``, and
+    the group is ``checker.symmetries(mode)``.  Without one, X's pieces go
+    through ``nullhomotopic_in`` with no state and no symmetry.
     """
     if checker is None:
 
         def certify(mask):
             return nullhomotopic_in(DownSet(X, mask), X, budget)
 
-        def status_of(mask):
-            return certify(mask).status
+        def status_of(mask, parent):
+            return certify(mask).status, None
 
         return status_of, certify, lambda: ()
 
@@ -446,8 +527,8 @@ def _deciders(X: FiniteSpace, checker: TorusChecker | None, mode: str, budget: i
     def certify(mask):
         return decide(mask, budget)
 
-    def status_of(mask):
-        return checker.piece_status(mask, mode, budget)
+    def status_of(mask, parent):
+        return checker.piece_status(mask, mode, budget, parent)
 
     return status_of, certify, lambda: checker.symmetries(mode)
 
@@ -478,13 +559,17 @@ MAX_EXACT_MAXIMALS = 30
 class _PartitionSearch:
     """DFS over partitions of the maximal elements into <= c blocks.
 
-    The DFS decides each block's piece by ``status_of(mask)``, a status
-    alone: "homotopic", "not_homotopic" or "unknown".  A block is pruned as
-    soon as its piece is "not_homotopic" (sound by heredity: open subsets
-    of certified pieces stay certified).  Blocks are bitmasks over
-    positions in ``maximals``.  Only ``cover`` calls ``certify(mask)``,
-    the full decision with its certificate, and only on the pieces of the
-    cover it returns.
+    The DFS decides each block's piece by ``status_of(mask, parent)``, a
+    status alone: "homotopic", "not_homotopic" or "unknown", with a state
+    that the block's children grow from, or None.  ``parent`` is the state
+    held for the block that the new maximal joins (None for a new block),
+    which is that of the block's piece or of a piece inside it.  A state
+    is held only for each block on the DFS path and is dropped on
+    backtrack.  A block is pruned as soon as its piece is "not_homotopic"
+    (sound by heredity: open subsets of certified pieces stay certified).
+    Blocks are bitmasks over positions in ``maximals``.  Only ``cover``
+    calls ``certify(mask)``, the full decision with its certificate, and
+    only on the pieces of the cover it returns.
 
     Piece statuses are memoized per block.  On a miss the block's least
     image under ``group`` (permutations of the maximals that map certified
@@ -517,6 +602,8 @@ class _PartitionSearch:
         self.decided = 0  # pieces sent to status_of
         self.orbit_hits = 0  # statuses read off another block of the orbit
         self.undecided = 0  # leaves of the last search with no refutation
+        self._blocks = []  # the blocks on the DFS path, during a search
+        self._states = []  # the state held for each of them
 
     def piece_mask(self, block: int) -> int:
         m = 0
@@ -538,32 +625,37 @@ class _PartitionSearch:
             for k in range(0, len(raw), w)
         )
 
-    def status(self, block: int) -> str:
+    def status(self, block: int, parent=None):
+        """The status of ``block``'s piece and the state that ``status_of``
+        grew for it from ``parent``, or None when a memo answers."""
         s = self._status.get(block)
+        if s is not None:
+            return s, None
+        state = None
+        key = self.least_image(block) if self._images else None
+        s = self._orbit.get(key)
         if s is None:
-            key = self.least_image(block) if self._images else None
-            s = self._orbit.get(key)
-            if s is None:
-                s = self.status_of(self.piece_mask(block))
-                self.decided += 1
-                if key is not None and s != "unknown":
-                    self._orbit[key] = s
-            else:
-                self.orbit_hits += 1
-            self._status[block] = s
-        return s
+            s, state = self.status_of(self.piece_mask(block), parent)
+            self.decided += 1
+            if key is not None and s != "unknown":
+                self._orbit[key] = s
+        else:
+            self.orbit_hits += 1
+        self._status[block] = s
+        return s, state
 
     def search(self, c: int):
         """First partition (as blocks) with every piece certified, else
         None."""
         m = len(self.maximals)
         status = self.status
-        blocks = []
+        blocks = self._blocks = []
+        states = self._states = []
 
         def dfs(i):
             self.nodes += 1
             if i == m:
-                statuses = [status(b) for b in blocks]
+                statuses = [self._status[b] for b in blocks]
                 if all(s == "homotopic" for s in statuses):
                     return list(blocks)
                 if "not_homotopic" not in statuses:
@@ -571,26 +663,32 @@ class _PartitionSearch:
                 return None
             x = 1 << i
             for bi in range(len(blocks)):
-                nb = blocks[bi] | x
-                if status(nb) == "not_homotopic":
+                old, held = blocks[bi], states[bi]
+                s, state = status(old | x, held)
+                if s == "not_homotopic":
                     continue
-                old = blocks[bi]
-                blocks[bi] = nb
+                # a memo gives no state: the children grow from ``held``
+                blocks[bi], states[bi] = old | x, state or held
                 got = dfs(i + 1)
                 if got is not None:
                     return got
-                blocks[bi] = old
+                blocks[bi], states[bi] = old, held
             if len(blocks) < c:
-                if status(x) != "not_homotopic":
+                s, state = status(x)
+                if s != "not_homotopic":
                     blocks.append(x)
+                    states.append(state)
                     got = dfs(i + 1)
                     if got is not None:
                         return got
                     blocks.pop()
+                    states.pop()
             return None
 
         self.undecided = 0
-        return dfs(0)
+        got = dfs(0)
+        self._blocks, self._states = [], []
+        return got
 
     def cover(self, c: int):
         """A cover by at most c certified pieces, with its certificates

@@ -167,6 +167,23 @@ def adjacency_potentials(X: FiniteSpace, mask: int, t1, t2, num):
     return phi, edges
 
 
+def comparability_components(X: FiniteSpace, mask: int):
+    """The components of the comparability graph of the subspace ``mask``
+    of X, as bitmasks, grown point by point from the lowest point left."""
+    out = []
+    left = mask
+    while left:
+        comp = left & -left
+        grown = 0
+        while comp != grown:
+            grown = comp
+            for p in lowbit_bits(grown):
+                comp |= (X.down[p] | X.up[p]) & mask
+        out.append(comp)
+        left &= ~comp
+    return out
+
+
 # -- circle maps -------------------------------------------------------
 
 

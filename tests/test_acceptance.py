@@ -34,6 +34,7 @@ from finspace.invariants import (
 )
 from finspace.space import (
     OrderMap,
+    bits,
     build_space,
     khalimsky_circle,
     khalimsky_interval,
@@ -60,6 +61,27 @@ class Clock:
     def check(self):
         elapsed = time.monotonic() - self.t0
         assert elapsed <= self.cap, f"took {elapsed:.1f}s, cap {self.cap}s"
+
+
+def cover_maximals(cover):
+    """The maximal points of each piece of a searched cover, after checking
+    that each piece is the union of their down-sets."""
+    P = cover.space
+    out = []
+    for piece in cover.pieces:
+        maxs = list(bits(piece.members & P.maximal_elements()))
+        union = 0
+        for m in maxs:
+            union |= P.down[m]
+        assert union == piece.members
+        out.append(maxs)
+    return out
+
+
+# the cover that exact search finds first at half-size 4, for tc and cat
+FIRST_COVER_AT_FOUR = [
+    [9, 11, 13, 25, 27, 29, 41, 43, 45], [15, 31, 47, 59], [57, 61, 63]
+]
 
 
 def test_tc_of_smallest_circle_is_three():
@@ -103,6 +125,12 @@ def test_exact_search_at_half_size_four_matches_colorings():
     res = tc(K)
     assert res.exact and res.value == 2
     assert "no certified cover with 2 pieces (exhaustive)" in res.notes
+    # the search's path and counters, pinned
+    assert res.notes[-1] == (
+        "search: 1224 DFS nodes, 1353 pieces decided, 1069 orbit-memo hits, "
+        "0 undecided partitions"
+    )
+    assert cover_maximals(res.cover) == FIRST_COVER_AT_FOUR
     assert tc_via_colorings(K).value == res.value
     clk.check()
 
@@ -113,6 +141,14 @@ def test_exact_search_at_half_size_five_finds_two_piece_cover():
     assert res.exact and res.value == 1
     assert len(res.cover.pieces) == 2
     assert all(v.is_homotopic for v in res.cover.certificates)
+    assert res.notes[-1] == (
+        "search: 737 DFS nodes, 1430 pieces decided, 28 orbit-memo hits, "
+        "0 undecided partitions"
+    )
+    assert cover_maximals(res.cover) == [
+        [11, 13, 15, 17, 31, 33, 35, 37, 55, 71, 75, 77, 79, 91],
+        [19, 39, 51, 53, 57, 59, 73, 93, 95, 97, 99],
+    ]
     clk.check()
 
 
@@ -273,6 +309,11 @@ def test_category_of_the_half_size_four_torus_is_two():
     res = cat(ch.P)
     assert res.exact and res.value == 2
     assert "no certified cover with 2 pieces (exhaustive)" in res.notes
+    assert res.notes[-1] == (
+        "search: 1223 DFS nodes, 321 pieces decided, 2091 orbit-memo hits, "
+        "0 undecided partitions"
+    )
+    assert cover_maximals(res.cover) == FIRST_COVER_AT_FOUR
     assert len(res.cover.pieces) == 3
     for piece, v in zip(res.cover.pieces, res.cover.certificates):
         sub, old_ids = ch.P.subspace(piece.members)

@@ -53,6 +53,7 @@ from reference import (
     brute_force_simple_colorings,
     canonical_coloring,
     coloring_from_rows,
+    comparability_components,
     is_simple,
     listed_coloring_classes,
 )
@@ -454,8 +455,8 @@ def test_orbit_memo_matches_unreduced_search(mode, n):
     ch = TorusChecker(khalimsky_circle(n))
     decide = ch.is_section_categorical if mode == "sc" else ch.is_categorical
 
-    def status_of(mask):
-        return ch.piece_status(mask, mode)
+    def status_of(mask, parent):
+        return ch.piece_status(mask, mode, parent=parent)
 
     reduced = invariants_module._PartitionSearch(
         ch.P, status_of, decide, ch.symmetries(mode)
@@ -479,18 +480,18 @@ def test_orbit_memo_shares_only_decided_statuses():
     ch = TorusChecker(khalimsky_circle(3))
     asked = []
 
-    def status_of(mask):
+    def status_of(mask, parent):
         asked.append(mask)
-        return "unknown" if len(asked) == 1 else "homotopic"
+        return "unknown" if len(asked) == 1 else "homotopic", None
 
     search = invariants_module._PartitionSearch(
         ch.P, status_of, None, ch.symmetries("cat")
     )
     # single maximals form one orbit: cells are moved around transitively
-    assert search.status(1 << 0) == "unknown"
-    assert search.status(1 << 1) == "homotopic"  # the unknown was not shared
-    assert search.status(1 << 0) == "unknown"  # its own block keeps it
-    assert search.status(1 << 2) == "homotopic"
+    assert search.status(1 << 0)[0] == "unknown"
+    assert search.status(1 << 1)[0] == "homotopic"  # the unknown was not shared
+    assert search.status(1 << 0)[0] == "unknown"  # its own block keeps it
+    assert search.status(1 << 2)[0] == "homotopic"
     assert len(asked) == 2 and search.orbit_hits == 1
 
 
@@ -577,19 +578,25 @@ def test_lift_certifies_every_winding_free_piece(drawn):
     incl, const = inclusion_and_constant(ch, mask, v.fence)
     assert v.replay(incl, const)
     assert all(h.status != "not_homotopic" for h in general)
-    # dropping one nonzero delta of the lift breaks the certificate
-    lifts, edges = potentials(ch.P, mask, ch.pi1.table, ch.pi2.table, ch.num)
-    for p, q, w in edges:
-        for i in (0, 1):
-            if w[i]:
-                bad = dict(lifts)
-                wrong = list(bad[q])
-                wrong[i] = bad[p][i]
-                bad[q] = tuple(wrong)
-                fence = ch.lift_fence(old_ids, bad)
-                broken = HomotopyVerdict("homotopic", fence, sub, ch.P)
-                assert not broken.replay(*inclusion_and_constant(ch, mask, fence))
-                return
+    # dropping one nonzero delta of the lift breaks the certificate: the
+    # first comparable pair p < q of the piece, in pair order, whose
+    # residues differ under a projection
+    lifted = potentials(ch.P, mask, ch.pi1.table, ch.pi2.table, ch.num)
+    lifts, residues = lifted.phi, (lifted.r1, lifted.r2)
+    for p in bits(mask):
+        for q in ch.P.up_ids[p]:
+            if q == p or lifts[q] is None:
+                continue
+            for i, r in enumerate(residues):
+                if (r[q] - r[p] + 1) % lifted.size - 1:
+                    bad = list(lifts)
+                    wrong = list(bad[q])
+                    wrong[i] = bad[p][i]
+                    bad[q] = tuple(wrong)
+                    fence = ch.lift_fence(old_ids, bad)
+                    broken = HomotopyVerdict("homotopic", fence, sub, ch.P)
+                    assert not broken.replay(*inclusion_and_constant(ch, mask, fence))
+                    return
 
 
 def projections_on(ch, mask):
@@ -721,7 +728,7 @@ def test_search_status_is_that_of_the_certified_decision(drawn, mode, budget):
     # gives stands on a fence that replays
     ch, mask = drawn
     v = ch._decide(mask, mode, budget)
-    assert ch.piece_status(mask, mode, budget) == v.status
+    assert ch.piece_status(mask, mode, budget)[0] == v.status
     if v.reason.startswith("projections lift to the digital line"):
         if mode == "sc":
             assert replays_anchored(v, *projections_on(ch, mask))
@@ -766,7 +773,9 @@ def test_search_builds_certificates_only_for_the_cover(monkeypatch):
 def test_cover_rejects_a_certificate_that_disagrees_with_its_status():
     X = khalimsky_circle(3).space
     search = invariants_module._PartitionSearch(
-        X, lambda mask: "homotopic", lambda mask: HomotopyVerdict("unknown")
+        X,
+        lambda mask, parent: ("homotopic", None),
+        lambda mask: HomotopyVerdict("unknown"),
     )
     with pytest.raises(AssertionError, match="is unknown on certification"):
         search.cover(1)
@@ -879,7 +888,7 @@ def test_remembered_verdicts_are_those_of_a_fresh_checker(drawn):
     for mask, mode, budget in calls:
         v = getattr(ch, method[mode])(mask, budget)
         assert given_out.setdefault((mask, mode, budget), v) is v
-        assert ch.piece_status(mask, mode, budget) == v.status
+        assert ch.piece_status(mask, mode, budget)[0] == v.status
     assert ch._verdicts == given_out
     for (mask, mode, budget), v in given_out.items():
         fresh = getattr(TorusChecker(ch.circle), method[mode])(mask, budget)
@@ -891,14 +900,132 @@ def test_piece_status_reads_the_memo_and_never_writes_it():
     mask = 0
     for x, y in ((1, 1), (1, 3), (3, 3), (3, 5), (5, 5), (5, 7), (7, 7), (7, 1)):
         mask |= ch.P.down[ch.pair(x, y)]
-    assert ch.piece_status(mask, "sc", 1) == "unknown"
+    assert ch.piece_status(mask, "sc", 1)[0] == "unknown"
     assert ch._verdicts == {}
     v = ch.is_section_categorical(mask, 1)
-    assert v.status == "unknown" and ch.piece_status(mask, "sc", 1) == "unknown"
+    assert v.status == "unknown" and ch.piece_status(mask, "sc", 1)[0] == "unknown"
     # the unknown under budget 1 does not answer the default budget
-    assert ch.piece_status(mask, "sc", DEFAULT_BUDGET) == "not_homotopic"
+    assert ch.piece_status(mask, "sc", DEFAULT_BUDGET)[0] == "not_homotopic"
     assert ch.is_section_categorical(mask).status == "not_homotopic"
     assert ch._verdicts.keys() == {(mask, "sc", 1), (mask, "sc", DEFAULT_BUDGET)}
+
+
+# -- the grown winding test of exact search ----------------------------
+
+
+def checker_of(n):
+    if n not in _checkers:
+        _checkers[n] = TorusChecker(khalimsky_circle(n))
+    return _checkers[n]
+
+
+def assert_growth_matches_triage(ch, steps, mode):
+    """Grow the open pieces that ``steps`` add up to, each step a list of
+    points whose down-sets it adds, and check each grown status against
+    ``_triage``'s from scratch and against ``grow`` from scratch.  A grown
+    state must label the piece's components, and its labels must give
+    every comparable pair the winding (w, w) of a cycle ("homotopic": w =
+    0).  Returns the number of steps that joined components of the piece
+    before them."""
+    size = ch.size
+    r1, r2 = ([ch.num[v] for v in pi.table] for pi in (ch.pi1, ch.pi2))
+    state, mask, joins = None, 0, 0
+    for step in steps:
+        before = comparability_components(ch.P, mask)
+        for x in step:
+            mask |= ch.P.down[x]
+        after = comparability_components(ch.P, mask)
+        joins += any(sum(1 for b in before if b & a) > 1 for a in after)
+        want = ch._triage(mask, mode)[0]
+        got, grown = ch.grow(state, mask, mode)
+        assert got == want
+        assert ch.grow(None, mask, mode)[0] == want
+        if got == "not_homotopic":
+            assert grown is None
+            return joins
+        grown_mask, phi1, phi2, comp, wound = grown
+        assert grown_mask == mask
+        labels = {c: sum(1 << p for p in bits(mask) if comp[p] == c) for c in comp}
+        labels.pop(-1, None)
+        assert sorted(labels.values()) == sorted(after)
+        wind = []
+        for p in bits(mask):
+            for q in ch.P.up_ids[p]:
+                if q != p and mask >> q & 1:
+                    w1 = phi1[p] + (r1[q] - r1[p] + 1) % size - 1 - phi1[q]
+                    w2 = phi2[p] + (r2[q] - r2[p] + 1) % size - 1 - phi2[q]
+                    assert w1 == w2
+                    wind.append(w1)
+        assert wound == any(wind) and (got is None) == wound
+        state = grown
+    return joins
+
+
+@st.composite
+def growth_steps(draw):
+    """A checker of S1_n^2, n = 2..5, and a few steps of growth, each
+    adding the down-sets of one to three points: maximals (cells, as exact
+    search adds them) or any points."""
+    ch = checker_of(draw(st.integers(2, 5)))
+    maxs = list(bits(ch.P.maximal_elements()))
+    point = st.one_of(st.sampled_from(maxs), st.integers(0, ch.P.n - 1))
+    step = st.lists(point, min_size=1, max_size=3)
+    steps = draw(st.lists(step, min_size=1, max_size=10))
+    return ch, steps
+
+
+@settings(max_examples=200)
+@given(growth_steps(), st.sampled_from(["cat", "sc"]))
+def test_grown_status_is_the_status_from_scratch(drawn, mode):
+    ch, steps = drawn
+    assert_growth_matches_triage(ch, steps, mode)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("mode", ["cat", "sc"])
+@pytest.mark.parametrize("turn", [1, -1])
+def test_grown_status_across_a_join(n, mode, turn):
+    # cells (0, 0) and (2, 2 turn) lie apart, (1, turn) joins them, and the
+    # cells on round the torus close a cycle through the join: winding
+    # (1, 1) in turns, or (1, -1)
+    ch = checker_of(n)
+    b = ch.circle.b
+    cells = [ch.pair(b(i), b(turn * i % n)) for i in range(n)]
+    steps = [[cells[0]], [cells[2]], [cells[1]]] + [[c] for c in cells[3:]]
+    assert assert_growth_matches_triage(ch, steps, mode) == 1
+    mask = 0
+    for c in cells:
+        mask |= ch.P.down[c]
+    status = ch.grow(None, mask, mode)[0]
+    assert status == (None if (mode, turn) == ("sc", 1) else "not_homotopic")
+
+
+def test_search_holds_grown_states_only_on_its_path():
+    # during the search a state is held for each block on the DFS path
+    # alone, a parent is one of them, and it labels the block's piece or a
+    # piece inside it; after the search none is held
+    ch = TorusChecker(khalimsky_circle(4))
+    deciders = invariants_module._deciders(ch.P, ch, "sc", DEFAULT_BUDGET)
+    status_of, certify, group = deciders
+    grown = []
+
+    def watched(mask, parent):
+        blocks, states = search._blocks, search._states
+        assert len(states) == len(blocks) <= 3
+        assert parent is None or any(parent is s for s in states)
+        for block, s in zip(blocks, states):
+            assert s is None or s[0] & ~search.piece_mask(block) == 0
+        grown.append(parent is not None)
+        return status_of(mask, parent)
+
+    search = invariants_module._PartitionSearch(ch.P, watched, certify, group())
+    assert search.cover(2) is None
+    assert search.cover(3) is not None
+    assert search._blocks == [] and search._states == []
+    assert set(search._status.values()) | set(search._orbit.values()) <= {
+        "homotopic", "not_homotopic"
+    }
+    assert any(grown) and not all(grown)
 
 
 def test_search_checks_openness_only_of_the_printed_cover(monkeypatch):
@@ -1020,7 +1147,8 @@ def test_limit_bounds_by_the_refuted_piece_counts():
 def test_unknown_pieces_bound_below_the_start(start):
     X = khalimsky_circle(3).space
     res = invariants_module._exact_invariant(
-        "cat", X, lambda mask: "unknown", lambda mask: HomotopyVerdict("unknown"),
+        "cat", X, lambda mask, parent: ("unknown", None),
+        lambda mask: HomotopyVerdict("unknown"),
         None, False, start=start, notes=["seed"],
     )
     assert not res.exact
