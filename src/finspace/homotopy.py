@@ -10,11 +10,11 @@ of Y and of X.  The domain is collapsed in place (``collapse``), so the
 same stages (``decide_on_core``) decide maps from a piece of a larger
 space, as ``TorusChecker`` does for pieces of S x S, copying only the
 piece's core.  Maps into a circle are classified by the windings of
-their lifts (``potentials``, ``windings``), which ``TorusChecker`` runs
-on the pieces of S x S that it certifies too.  Only the
-rigidity verdict (equal nonzero degree on a circle core) and the
-'exhaustive-components' strategy carry no fence, so ``replay()`` is False
-on their verdicts.
+their lifts (``potentials``, ``windings``); ``TorusChecker`` grows its
+own lift of each piece of S x S and clamps it with ``_clamps`` and
+``through_constants``.  Only the rigidity verdict (equal nonzero degree
+on a circle core) and the 'exhaustive-components' strategy carry no
+fence, so ``replay()`` is False on their verdicts.
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@
 Covers are certified piece by piece.  For products of digital circles a
 winding obstruction on the comparability graph refutes a piece outright.
 A piece whose cycles all have winding (0, 0) is certified by its lift:
-the spanning-forest potentials lift both projections to the digital line,
-the lift lands in a finite interval, and clamping it step by step gives a
-fence.  The potentials, windings and clamps are those of ``homotopic``
-(``homotopy.potentials``), run on the piece itself with no subspace.
-For a categorical piece it runs from the inclusion to a constant; for a
-section-categorical one from pi1|U through constants to pi2|U.  Only
+the winding test (``TorusChecker.grow``) lifts both projections to the
+digital line along a spanning forest, the lift lands in a finite
+interval, and clamping it step by step (``homotopy._clamps``, as in
+``homotopic``) gives a fence.  One test decides every piece, in exact
+search and in the cover that it prints; a refuted piece names its cycle
+from the ``potentials`` and ``windings`` of ``homotopic``.  For a
+categorical piece the fence runs from the inclusion to a constant; for
+a section-categorical one from pi1|U through constants to pi2|U.  Only
 a section-categorical piece with a cycle of winding (d, d), d != 0, goes
 through the stages of ``homotopic`` (``homotopy.decide_on_core``), on the
 piece's strong collapse run inside S x S: the stages read the
@@ -195,16 +197,14 @@ class TorusChecker:
                 group.setdefault(tuple(sorted(perm.items())), perm)
         return list(group.values())
 
-    def winding_obstruction(self, mask: int, mode: str, lifted=None):
-        """A cycle with forbidden winding, as (p, q, wx, wy) from
-        ``windings``, or None.
+    def winding_obstruction(self, mask: int, mode: str):
+        """A cycle with forbidden winding, as (p, q, wx, wy) from the
+        ``windings`` of the piece's ``potentials``, or None.
 
         mode 'sc': forbidden when the two coordinate windings differ;
-        mode 'cat': forbidden when either winding is nonzero.  ``lifted``
-        is the piece's ``potentials`` when the caller has them already.
+        mode 'cat': forbidden when either winding is nonzero.
         """
-        if lifted is None:
-            lifted = potentials(self.P, mask, self.pi1.table, self.pi2.table, self.num)
+        lifted = potentials(self.P, mask, self.pi1.table, self.pi2.table, self.num)
         hits = windings(lifted)
         if mode == "sc":
             return next((h for h in hits if h[2] != h[3]), None)
@@ -274,33 +274,6 @@ class TorusChecker:
                         queue.append(st)
         return None
 
-    def _triage(self, mask: int, mode: str):
-        """What the winding test says of the open piece U = ``mask``,
-        before any certificate is built, as (status, evidence).
-
-        Both modes start from the piece's potentials: a cycle with
-        forbidden winding refutes U, ("not_homotopic", the cycle).
-        Otherwise, when every cycle has winding (0, 0), the potentials
-        lift both projections to the digital line and the lift decides U:
-        ("homotopic", the potentials), or ("homotopic", None) for the
-        empty piece.  In mode 'cat' that is always so past the winding
-        test.  Only 'sc' pieces with winding (d, d), d != 0, are left to
-        the stages of ``homotopic`` on U's core (``_on_core``): (None,
-        None).
-        U must be open: ``_decide`` checks it, and exact search builds
-        only open pieces.
-        """
-        if not mask:
-            return "homotopic", None
-        lifted = potentials(self.P, mask, self.pi1.table, self.pi2.table, self.num)
-        hit = self.winding_obstruction(mask, mode, lifted)
-        if hit is not None:
-            return "not_homotopic", hit
-        # windings are (d, d) here; any unbalanced pair has d != 0
-        if mode == "sc" and next(windings(lifted), None) is not None:
-            return None, None
-        return "homotopic", lifted
-
     def collapse(self, mask: int):
         """The strong collapse of the piece U = ``mask`` inside P
         (``homotopy.collapse``), remembered: a piece asked for directly or
@@ -335,7 +308,8 @@ class TorusChecker:
         old point above it, since the old piece is open.  A pair that joins
         two components shifts one of them to balance the pair; the others
         close cycles.  The status does not depend on the forest, so it is
-        that of ``_triage``.
+        that of the piece's ``potentials`` and ``windings`` from scratch,
+        and grown from None it is the status that ``_certify`` gives.
         """
         n = self.P.n
         if state is None:
@@ -409,10 +383,13 @@ class TorusChecker:
     def _decide(self, mask: int, mode: str, budget: int):
         """``_certify(mask, mode, budget)`` once: the verdict is remembered
         and the same object is returned to every later caller.  Raises
+        ``InvalidParameter`` if ``mask`` names points outside S x S, and
         ``NotOpen`` if U is not open."""
         key = (mask, mode, budget)
         v = self._verdicts.get(key)
         if v is None:
+            if mask & ~self.P.full:
+                raise InvalidParameter("members outside the space")
             if not self.P.is_open(mask):
                 raise NotOpen("piece is not open in the product")
             v = self._verdicts[key] = self._certify(mask, mode, budget)
@@ -421,35 +398,44 @@ class TorusChecker:
     def _certify(self, mask: int, mode: str, budget: int):
         """Decide the open piece U = ``mask``, with its certificate.
 
-        ``_triage`` gives the status.  A piece the lift decides gets a
-        fence built from its potentials.  Mode 'cat' contracts the
-        inclusion U -> S x S to a constant by ``lift_fence``; mode 'sc'
-        builds a fence on U from pi1|U to pi2|U by ``through_constants``.
-        The rest goes to ``_on_core`` on U's remembered collapse.
+        ``grow`` from scratch gives the status.  A refuted piece names the
+        first cycle of forbidden winding (``winding_obstruction``).  A
+        piece the lift decides gets a fence built from the grown lifts,
+        each component shifted so that its least point sits at its
+        residues: with no winding a component's lift is unique up to that
+        shift, so it is the lift of ``potentials``, which roots the
+        component there.  Mode 'cat' contracts the inclusion U -> S x S to
+        a constant by ``lift_fence``; mode 'sc' builds a fence on U from
+        pi1|U to pi2|U by ``through_constants``.  The rest goes to
+        ``_on_core`` on U's remembered collapse.
         """
-        status, got = self._triage(mask, mode)
+        if not mask:
+            return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
+        status, state = self.grow(None, mask, mode)
         if status is None:
             return self._on_core(mask, budget, self.collapse(mask))
         if status == "not_homotopic":
-            _, _, wx, wy = got
+            _, _, wx, wy = self.winding_obstruction(mask, mode)
             what = "distinct windings" if mode == "sc" else "nonzero winding"
             return HomotopyVerdict(status, reason=f"cycle with {what} ({wx},{wy})")
-        if got is None:
-            return HomotopyVerdict(status, reason="empty piece (vacuous)")
-        phi = got.phi
+        _, phi1, phi2, comp, _ = state
+        shifts, phi = {}, {}
+        for p in bits(mask):
+            s1, s2 = shifts.setdefault(
+                comp[p], (self._r1[p] - phi1[p], self._r2[p] - phi2[p])
+            )
+            phi[p] = (phi1[p] + s1, phi2[p] + s2)
         sub, old_ids = self.P.subspace(mask)
         if mode == "cat":
             fence = self.lift_fence(old_ids, phi)
-            return HomotopyVerdict(
-                status, fence, sub, self.P,
-                reason=f"projections lift to the digital line; "
-                f"fence of {len(fence)} maps to a constant",
-            )
-        fence = through_constants(sub, self.X, phi, old_ids, self.num)
+            target, ends = self.P, "to a constant"
+        else:
+            fence = through_constants(sub, self.X, phi, old_ids, self.num)
+            target, ends = self.X, "through constants"
         return HomotopyVerdict(
-            status, fence, sub, self.X,
+            status, fence, sub, target,
             reason=f"projections lift to the digital line; "
-            f"fence of {len(fence)} maps through constants",
+            f"fence of {len(fence)} maps {ends}",
         )
 
     def is_section_categorical(self, mask: int, budget: int = DEFAULT_BUDGET):

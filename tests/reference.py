@@ -13,7 +13,7 @@ from math import factorial
 from finspace.circles import CircleMap
 from finspace.complexes import SimplicialComplex
 from finspace.errors import FinspaceError
-from finspace.homotopy import _beat_status
+from finspace.homotopy import _beat_status, potentials, windings
 from finspace.invariants import (
     Coloring,
     SquareGrid,
@@ -182,6 +182,22 @@ def comparability_components(X: FiniteSpace, mask: int):
         out.append(comp)
         left &= ~comp
     return out
+
+
+def winding_status(checker, mask: int, mode: str):
+    """The winding test's status of the open piece ``mask`` of a
+    ``TorusChecker``'s S x S, from its ``potentials`` from scratch:
+    "not_homotopic" when ``winding_obstruction`` finds a cycle of
+    forbidden winding, None when an 'sc' piece has a cycle of winding
+    (d, d), d != 0, else "homotopic"."""
+    if checker.winding_obstruction(mask, mode) is not None:
+        return "not_homotopic"
+    pi1, pi2 = checker.pi1.table, checker.pi2.table
+    lifted = potentials(checker.P, mask, pi1, pi2, checker.num)
+    # past the obstruction every unbalanced pair winds (d, d), d != 0
+    if mode == "sc" and next(windings(lifted), None) is not None:
+        return None
+    return "homotopic"
 
 
 # -- circle maps -------------------------------------------------------

@@ -35,6 +35,7 @@ from finspace.homotopy import (
     homotopic,
     nullhomotopic_in,
     potentials,
+    through_constants,
 )
 from finspace.space import (
     DownSet,
@@ -56,6 +57,7 @@ from reference import (
     comparability_components,
     is_simple,
     listed_coloring_classes,
+    winding_status,
 )
 from test_circles import relabelled
 
@@ -95,6 +97,15 @@ def test_section_categorical_rejects_non_open():
     ch = TorusChecker(K)
     with pytest.raises(NotOpen):
         ch.is_section_categorical(1 << 3)
+
+
+def test_torus_checker_rejects_points_outside_the_space():
+    ch = TorusChecker(khalimsky_circle(2))
+    for mask in (1 << ch.P.n, ch.P.full | 1 << 70):
+        for decide in (ch.is_categorical, ch.is_section_categorical):
+            with pytest.raises(InvalidParameter, match="members outside the space"):
+                decide(mask)
+    assert ch._verdicts == {}
 
 
 def test_whole_product_not_section_categorical():
@@ -919,13 +930,13 @@ def checker_of(n):
     return _checkers[n]
 
 
-def assert_growth_matches_triage(ch, steps, mode):
+def assert_growth_matches_scratch(ch, steps, mode):
     """Grow the open pieces that ``steps`` add up to, each step a list of
     points whose down-sets it adds, and check each grown status against
-    ``_triage``'s from scratch and against ``grow`` from scratch.  A grown
-    state must label the piece's components, and its labels must give
-    every comparable pair the winding (w, w) of a cycle ("homotopic": w =
-    0).  Returns the number of steps that joined components of the piece
+    the reference ``winding_status`` from scratch and against ``grow``
+    from scratch.  A grown state must label the piece's components, and
+    its labels must give every comparable pair the winding (w, w) of a
+    cycle ("homotopic": w = 0).  Returns the number of steps that joined components of the piece
     before them."""
     size = ch.size
     r1, r2 = ([ch.num[v] for v in pi.table] for pi in (ch.pi1, ch.pi2))
@@ -936,7 +947,7 @@ def assert_growth_matches_triage(ch, steps, mode):
             mask |= ch.P.down[x]
         after = comparability_components(ch.P, mask)
         joins += any(sum(1 for b in before if b & a) > 1 for a in after)
-        want = ch._triage(mask, mode)[0]
+        want = winding_status(ch, mask, mode)
         got, grown = ch.grow(state, mask, mode)
         assert got == want
         assert ch.grow(None, mask, mode)[0] == want
@@ -978,7 +989,7 @@ def growth_steps(draw):
 @given(growth_steps(), st.sampled_from(["cat", "sc"]))
 def test_grown_status_is_the_status_from_scratch(drawn, mode):
     ch, steps = drawn
-    assert_growth_matches_triage(ch, steps, mode)
+    assert_growth_matches_scratch(ch, steps, mode)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -992,7 +1003,7 @@ def test_grown_status_across_a_join(n, mode, turn):
     b = ch.circle.b
     cells = [ch.pair(b(i), b(turn * i % n)) for i in range(n)]
     steps = [[cells[0]], [cells[2]], [cells[1]]] + [[c] for c in cells[3:]]
-    assert assert_growth_matches_triage(ch, steps, mode) == 1
+    assert assert_growth_matches_scratch(ch, steps, mode) == 1
     mask = 0
     for c in cells:
         mask |= ch.P.down[c]
@@ -1218,3 +1229,39 @@ def test_witness_mode_rejects_search_flags():
         with pytest.raises(InvalidParameter, match="limit and force"):
             cat(ch.P, mode="witness", witness=cov, **flags)
     assert tc(K, mode="witness", witness=cov, limit=None, force=False).upper is None
+
+
+@st.composite
+def open_pieces(draw):
+    """A checker of S1_n^2, n = 2..6, and an open piece of it: the union of
+    the down-sets of one to eight points, maximals (cells) or any points."""
+    ch = checker_of(draw(st.integers(2, 6)))
+    maxs = list(bits(ch.P.maximal_elements()))
+    point = st.one_of(st.sampled_from(maxs), st.integers(0, ch.P.n - 1))
+    mask = 0
+    for x in draw(st.lists(point, min_size=1, max_size=8)):
+        mask |= ch.P.down[x]
+    return ch, mask
+
+
+@settings(max_examples=300)
+@given(open_pieces(), st.sampled_from(["cat", "sc"]))
+def test_certified_fence_is_the_fence_of_the_potentials(drawn, mode):
+    # the grown lifts, shifted per component, are the potentials' lifts, so
+    # a lift-decided piece gets the fence that the potentials give
+    ch, mask = drawn
+    v = ch._certify(mask, mode, DEFAULT_BUDGET)
+    by_lift = v.reason.startswith("projections lift to the digital line")
+    assert by_lift == (winding_status(ch, mask, mode) == "homotopic")
+    if not by_lift:
+        return
+    phi = potentials(ch.P, mask, ch.pi1.table, ch.pi2.table, ch.num).phi
+    sub, old_ids = ch.P.subspace(mask)
+    if mode == "cat":
+        want = ch.lift_fence(old_ids, phi)
+        f, g = inclusion_and_constant(ch, mask, v.fence)
+    else:
+        want = through_constants(sub, ch.X, phi, old_ids, ch.num)
+        f, g = projections_on(ch, mask)
+    assert [tuple(t) for t in v.fence] == [tuple(t) for t in want]
+    assert replays_anchored(v, f, g)
