@@ -52,23 +52,28 @@ def order_complex(X: FiniteSpace) -> SimplicialComplex:
     """The complex whose simplices are the chains of X.
 
     Facets are the maximal chains, found by DFS up the covers from the
-    minimal elements.
+    minimal elements.  The DFS runs on an explicit stack, so a chain has
+    no depth limit: ``chain`` is the current path and ``todo[i]`` the
+    covers of ``chain[i]`` not yet walked.
     """
     facets = []
     above = [[] for _ in range(X.n)]
     for lo, hi in X.covers:
         above[lo].append(hi)
-
-    def extend(chain, top):
-        nxt = above[top]
-        if not nxt:
-            facets.append(frozenset(chain))
-            return
-        for y in nxt:
-            extend(chain + [y], y)
-
     for x in bits(X.minimal_elements()):
-        extend([x], x)
+        chain, todo = [x], [iter(above[x])]
+        if not above[x]:
+            facets.append(frozenset(chain))
+        while todo:
+            y = next(todo[-1], None)
+            if y is None:
+                chain.pop()
+                todo.pop()
+                continue
+            chain.append(y)
+            todo.append(iter(above[y]))
+            if not above[y]:
+                facets.append(frozenset(chain))
     return make_complex(list(X.labels), facets)
 
 

@@ -5,12 +5,13 @@ class FinspaceError(Exception):
     pass
 
 
-class CycleDetected(FinspaceError):
-    """The covering relation would force some x < x."""
-
-
 class InvalidParameter(FinspaceError):
     pass
+
+
+class CycleDetected(InvalidParameter):
+    """The covering relation would force some x < x: a bad input, like
+    any other ``InvalidParameter``."""
 
 
 class NotOrderPreserving(FinspaceError):

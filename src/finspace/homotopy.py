@@ -6,15 +6,19 @@ explicit Unknown, never as a guess.  'auto' decides between the cores,
 core(X) -> core(Y), and a "homotopic" answer carries a fence on the domain
 from f to g, which ``HomotopyVerdict.replay`` re-checks anchored at f and
 g: a fence found between the cores is lifted back through the collapses
-of Y and of X.  The domain is collapsed in place (``collapse``), so the
-same stages (``decide_on_core``) decide maps from a piece of a larger
-space, as ``TorusChecker`` does for pieces of S x S, copying only the
-piece's core.  Maps into a circle are classified by the windings of
-their lifts (``potentials``, ``windings``); ``TorusChecker`` grows its
-own lift of each piece of S x S and clamps it with ``_clamps`` and
-``through_constants``.  Only the rigidity verdict (equal nonzero degree
-on a circle core) and the 'exhaustive-components' strategy carry no
-fence, so ``replay()`` is False on their verdicts.
+of Y and of X.  The domain is collapsed in place (``collapse``), and one
+record, ``Collapse``, keeps a collapse in the ids of the space it ran in;
+``core(X)`` is the collapse of all of X.  So the same stages
+(``decide_on_core``) decide maps from a piece of a larger space:
+``homotopic`` on all of the domain, ``nullhomotopic_in`` on an open piece
+and ``TorusChecker`` on pieces of S x S, copying only the piece's core,
+and the piece itself only as the space of a lifted fence.  Maps into a
+circle are classified by the windings of their lifts (``potentials``,
+``windings``); ``TorusChecker`` grows its own lift of each piece of
+S x S and clamps it with ``_clamps`` and ``through_constants``.  Only
+the rigidity verdict (equal nonzero degree on a circle core) and the
+'exhaustive-components' strategy carry no fence, so ``replay()`` is
+False on their verdicts.
 """
 
 from __future__ import annotations
@@ -152,39 +156,21 @@ def _beat_status(X: FiniteSpace, mask: int, live, x: int):
     return None
 
 
-@dataclass
-class CoreData:
-    space: FiniteSpace  # the core as a standalone space
-    old_ids: list  # core point id -> id in the original space
-    retraction: OrderMap  # X -> core
-    removals: list  # (point, kind, witness) in removal order
-
-    @property
-    def fence(self) -> list:
-        """Value tables X -> X from the identity to the full retraction,
-        one per removal; rebuilt from the removals on every read."""
-        send = list(range(self.retraction.source.n))
-        out = [tuple(send)]
-        for x, _, w in self.removals:
-            send = [w if v == x else v for v in send]
-            out.append(tuple(send))
-        return out
-
-
 @dataclass(slots=True)
 class Collapse:
-    """The strong collapse of the subspace ``mask`` of ``space``, run in
-    place: ``removals`` (point, kind, witness) in removal order and
-    ``kept``, the core's mask, are in the ids of ``space``.  ``core`` is
-    the core as a standalone space, and ``core_ids`` its points' ids in
-    ``space``; it is ``space`` itself when nothing was removed from all of
-    it, and else the one copy made.  Only ``restate`` copies the piece."""
+    """The strong collapse of the piece ``mask`` of ``X``, run in place:
+    ``removals`` (point, kind, witness) in removal order and ``kept``, the
+    core's mask, are in X's ids.  ``space`` is the core as a standalone
+    space, and ``core_ids`` its points' ids in X; it is X itself when
+    nothing was removed from all of X, and else the one copy made.
+    ``core(X)`` is the collapse of all of X.  The piece is copied only when
+    ``piece`` is read, and by ``retraction``, whose source it is."""
 
-    space: FiniteSpace
+    X: FiniteSpace
     mask: int
     kept: int
     removals: list
-    core: FiniteSpace
+    space: FiniteSpace
     core_ids: list
 
     @property
@@ -192,31 +178,44 @@ class Collapse:
         """The core's points as ids of the piece: the ranks of their bits
         in ``mask``."""
         mask = self.mask
-        if mask == self.space.full:
-            return list(self.core_ids)
         return [(mask & ((1 << p) - 1)).bit_count() for p in self.core_ids]
 
-    def restate(self) -> CoreData:
-        """The collapse as ``core`` gives it for the piece as a space of its
-        own, point i being the i-th point of ``mask``: the piece is copied
-        here, unless it is the whole space or is its own core."""
-        X, C = self.space, self.core
+    @property
+    def piece(self) -> FiniteSpace:
+        """The piece as a standalone space, point i being the i-th point of
+        ``mask``: X itself for all of X, the core when it has no beat point,
+        else a copy."""
         if not self.removals:
-            return CoreData(C, list(range(C.n)), identity_map(C), [])
-        if self.mask == X.full:
-            piece, removals = X, self.removals
-        else:
-            piece, old = X.subspace(self.mask)
-            index = {p: i for i, p in enumerate(old)}
-            removals = [(index[x], kind, index[w]) for x, kind, w in self.removals]
-        send = list(range(piece.n))
-        for x, _, w in reversed(removals):
+            return self.space
+        if self.mask == self.X.full:
+            return self.X
+        return self.X.subspace(self.mask)[0]
+
+    @property
+    def retraction(self) -> OrderMap:
+        """The retraction of the piece onto its core, read off the removals
+        backwards: a checked map, built on every read."""
+        if not self.removals:
+            return identity_map(self.space)
+        send = list(range(self.X.n))
+        for x, _, w in reversed(self.removals):
             send[x] = send[w]
-        old_ids = self.old_ids
-        index = {p: i for i, p in enumerate(old_ids)}
-        return CoreData(
-            C, old_ids, OrderMap(piece, C, [index[v] for v in send]), removals
+        index = {p: i for i, p in enumerate(self.core_ids)}
+        return OrderMap(
+            self.piece, self.space, [index[send[p]] for p in bits(self.mask)]
         )
+
+    @property
+    def fence(self) -> list:
+        """Value tables from the piece into X, from its inclusion to its
+        retraction (in X's ids), one per removal; on all of X they run from
+        the identity.  Rebuilt from the removals on every read."""
+        send = list(bits(self.mask))
+        out = [tuple(send)]
+        for x, _, w in self.removals:
+            send = [w if v == x else v for v in send]
+            out.append(tuple(send))
+        return out
 
 
 def collapse(X: FiniteSpace, mask: int) -> Collapse:
@@ -263,16 +262,12 @@ def collapse(X: FiniteSpace, mask: int) -> Collapse:
     return Collapse(X, mask, kept, removals, C, ids)
 
 
-def core(X: FiniteSpace) -> CoreData:
-    """Strong-collapse X (``collapse`` on all of X) to its core, with the
-    retraction read off the removals backwards; the per-removal fence
-    tables are rebuilt on demand by ``CoreData.fence``.
-
-    A space with no beat point is returned as its own core, with the
-    identity as retraction: the scan proves it minimal, and no subspace
-    copy is built.
-    """
-    return collapse(X, X.full).restate()
+def core(X: FiniteSpace) -> Collapse:
+    """Strong-collapse X to its core: ``collapse`` on all of X, which
+    builds no map.  A space with no beat point is its own core, with the
+    identity as retraction: the scan proves it minimal, and nothing is
+    copied."""
+    return collapse(X, X.full)
 
 
 # -- enumeration of continuous maps -----------------------------------
@@ -496,16 +491,18 @@ def _constants_fence(X: FiniteSpace, Y: FiniteSpace, a: int, b: int):
     return None
 
 
-def _lift_core_fence(t1, t2, cd: CoreData, core_fence):
-    """A fence on the full domain from f to g (tables ``t1``, ``t2``)
-    through a fence on core(X).
+def _lift_core_fence(t1, t2, cl: Collapse, core_fence, Y, reason):
+    """A homotopic verdict with a fence on the piece of ``cl`` from f to g
+    (the maps into Y that the tables ``t1``, ``t2`` on ``cl.X`` restrict
+    to) through a fence on its core.
 
     f o s along the collapse, then h o r for each core-fence map h (r the
     retraction), then g o s back along the collapse; consecutive repeats
-    are dropped.
+    are dropped.  The retraction's source, the piece, is the fence's.
     """
-    r = cd.retraction.table
-    steps = cd.fence
+    retraction = cl.retraction
+    r = retraction.table
+    steps = cl.fence
     tables = [tuple(t1[v] for v in s) for s in steps]
     tables += [tuple(h[v] for v in r) for h in core_fence]
     tables += [tuple(t2[v] for v in s) for s in reversed(steps)]
@@ -513,7 +510,7 @@ def _lift_core_fence(t1, t2, cd: CoreData, core_fence):
     for t in tables[1:]:
         if t != fence[-1]:
             fence.append(t)
-    return fence
+    return HomotopyVerdict("homotopic", fence, retraction.source, Y, reason=reason)
 
 
 # -- maps into a circle: lifts and windings ---------------------------
@@ -708,65 +705,54 @@ def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
     )
 
 
-def _lift_fence(t1, t2, cd: CoreData, cdY: CoreData, ft, gt, core_fence):
-    """A fence on X from f to g (tables ``t1``, ``t2``) through a fence
-    core(X) -> core(Y) from r_Y o f|C to r_Y o g|C (``ft``, ``gt``: f|C
-    and g|C as tables into Y).
+def _lift_fence(t1, t2, cl: Collapse, clY: Collapse, ft, gt, v: HomotopyVerdict):
+    """The verdict ``v`` with its fence core(X) -> core(Y), from r_Y o f|C
+    to r_Y o g|C, lifted to a fence on the piece X of ``cl`` from f to g
+    (tables ``t1``, ``t2`` on ``cl.X``; ``ft``, ``gt``: f|C and g|C as
+    tables into Y, and ``clY`` the collapse of all of Y).
 
     s o f|C along the collapse of Y, then i_Y o h for each core-fence map
     h, then s o g|C back along the collapse, gives a fence C -> Y from
     f|C to g|C; ``_lift_core_fence`` carries it to X.
     """
-    steps = cdY.fence
-    old_ids = cdY.old_ids
+    steps = clY.fence
+    old_ids = clY.core_ids
     tables = [tuple(s[v] for v in ft) for s in steps]
-    tables += [tuple(old_ids[v] for v in h) for h in core_fence]
+    tables += [tuple(old_ids[v] for v in h) for h in v.fence]
     tables += [tuple(s[v] for v in gt) for s in reversed(steps)]
-    return _lift_core_fence(t1, t2, cd, tables)
-
-
-def _on_piece(cl: Collapse, t1, t2):
-    """The collapse restated on the piece (``Collapse.restate``), and the
-    tables ``t1``, ``t2`` of ``cl.space`` restricted to the piece."""
-    cd = cl.restate()
-    if cl.mask == cl.space.full:
-        return cd, t1, t2
-    ids = list(bits(cl.mask))
-    return cd, tuple(t1[p] for p in ids), tuple(t2[p] for p in ids)
+    return _lift_core_fence(t1, t2, cl, tables, clY.X, v.reason)
 
 
 def decide_on_core(cl: Collapse, t1, t2, Y: FiniteSpace, budget: int):
     """Decide f ~ g for the maps f, g from the piece ``cl.mask`` of
-    ``cl.space`` into Y that the tables ``t1``, ``t2`` on ``cl.space``
-    restrict to, between the cores (Stong: f ~ g iff r_Y o f|core(X) ~
-    r_Y o g|core(X) as maps core(X) -> core(Y)).  X is the piece, and
-    ``cl`` its collapse.
+    ``cl.X`` into Y that the tables ``t1``, ``t2`` on ``cl.X`` restrict
+    to, between the cores (Stong: f ~ g iff r_Y o f|core(X) ~ r_Y o
+    g|core(X) as maps core(X) -> core(Y)).  X is the piece, and ``cl``
+    its collapse.
 
     The stages read the tables at the core's points only.  Maps that
     agree on core(X) are equal, or get a fence through the collapse of X
     (``_lift_core_fence``).  Every other stage gives a verdict between the
     cores, and a homotopic one with a fence core(X) -> core(Y) is lifted
     once, back through the collapse of Y and then of X (``_lift_fence``);
-    only rigidity carries no fence.  The piece is copied, and the collapse
-    restated in its ids, only to lift a fence.
+    only rigidity carries no fence.  The piece is copied only to be the
+    space of a homotopic verdict's fence.
     """
-    C, ids = cl.core, cl.core_ids
+    C, ids = cl.space, cl.core_ids
     ft = tuple(t1[p] for p in ids)
     gt = tuple(t2[p] for p in ids)
     if ft == gt:
-        cd, f1, f2 = _on_piece(cl, t1, t2)
-        X = cd.retraction.source
-        if f1 == f2:
-            return HomotopyVerdict("homotopic", [f1], X, Y, reason="maps equal")
-        return HomotopyVerdict(
-            "homotopic", _lift_core_fence(f1, f2, cd, [ft]), X, Y,
-            reason="maps agree on the domain core",
-        )
+        points = list(bits(cl.mask))
+        f1 = tuple(t1[p] for p in points)
+        if f1 == tuple(t2[p] for p in points):
+            return HomotopyVerdict("homotopic", [f1], cl.piece, Y, reason="maps equal")
+        return _lift_core_fence(t1, t2, cl, [ft], Y, "maps agree on the domain core")
     # retract the target onto its core as well
-    cdY = core(Y)
-    ft2 = tuple(cdY.retraction.table[v] for v in ft)
-    gt2 = tuple(cdY.retraction.table[v] for v in gt)
-    CY = cdY.space
+    clY = core(Y)
+    rY = clY.retraction.table
+    ft2 = tuple(rY[v] for v in ft)
+    gt2 = tuple(rY[v] for v in gt)
+    CY = clY.space
     target = f"target core ({CY.n} of {Y.n} points)"
     if C.n == 1:
         fence = _constants_fence(C, CY, ft2[0], gt2[0])
@@ -795,11 +781,7 @@ def decide_on_core(cl: Collapse, t1, t2, Y: FiniteSpace, budget: int):
             f" on the domain core ({C.n} of {cl.mask.bit_count()} points), {target}"
         )
     if v.fence:
-        cd, f1, f2 = _on_piece(cl, t1, t2)
-        return HomotopyVerdict(
-            "homotopic", _lift_fence(f1, f2, cd, cdY, ft, gt, v.fence),
-            cd.retraction.source, Y, reason=v.reason,
-        )
+        return _lift_fence(t1, t2, cl, clY, ft, gt, v)
     return v
 
 
@@ -857,16 +839,16 @@ def homotopic(
 def nullhomotopic_in(
     U: DownSet, X: FiniteSpace, budget: int = DEFAULT_BUDGET
 ) -> HomotopyVerdict:
-    """Is the inclusion U -> X homotopic to a constant map?  The empty
-    piece vacuously is."""
+    """Is the inclusion U -> X homotopic to a constant map, at U's least
+    point?  The empty piece vacuously is.  U is collapsed inside X and the
+    two maps are given as tables on X, so ``decide_on_core`` builds
+    neither map and copies U only as the space of a lifted fence."""
     if U.space != X:
         raise MismatchedSpaces("U must be a subset of X")
     if not X.is_open(U.members):
         raise NotOpen("U is not open in X")
     if not U.members:
         return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
-    sub, old_ids = X.subspace(U.members)
-    incl = OrderMap(sub, X, old_ids)
-    base = old_ids[0]
-    const = OrderMap(sub, X, [base] * sub.n)
-    return homotopic(incl, const, "auto", budget)
+    mask = U.members
+    base = (mask & -mask).bit_length() - 1
+    return decide_on_core(collapse(X, mask), range(X.n), [base] * X.n, X, budget)

@@ -745,7 +745,8 @@ def _exact_invariant(
 
 def _check_mode(mode, witness, limit, force):
     """``mode`` is "exact" or "witness"; a witness cover is given exactly in
-    witness mode, and ``limit`` and ``force`` tune only exact search."""
+    witness mode, ``limit`` and ``force`` tune only exact search, and a
+    limit is not negative."""
     if mode not in ("exact", "witness"):
         raise InvalidParameter(f"mode must be 'exact' or 'witness', not {mode!r}")
     if mode == "witness" and witness is None:
@@ -754,6 +755,8 @@ def _check_mode(mode, witness, limit, force):
         raise InvalidParameter(f"a witness cover needs mode='witness', not {mode!r}")
     if mode == "witness" and (limit is not None or force):
         raise InvalidParameter("only exact search takes limit and force")
+    if limit is not None and limit < 0:
+        raise InvalidParameter(f"limit must be at least 0, not {limit}")
 
 
 def _witness_invariant(name, lower, space, check_piece, witness):

@@ -383,9 +383,9 @@ def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
     # for k = 5, 6 the staged image is already beat-point free.  U is
     # collapsed inside the product by the checker, which keeps the
     # collapse for the certification of U as a tc piece
-    recU = recognize_circle(checker.collapse(bundle.U.members).core)
+    recU = recognize_circle(checker.collapse(bundle.U.members).space)
     clC = collapse(P, bundle.C)
-    subC, oldC = clC.core, clC.core_ids
+    subC, oldC = clC.space, clC.core_ids
     recC = recognize_circle(subC)
     if clC.removals:
         notes.append(

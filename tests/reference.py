@@ -13,14 +13,20 @@ from math import factorial
 from finspace.circles import CircleMap
 from finspace.complexes import SimplicialComplex
 from finspace.errors import FinspaceError
-from finspace.homotopy import _beat_status, potentials, windings
+from finspace.homotopy import (
+    HomotopyVerdict,
+    _beat_status,
+    homotopic,
+    potentials,
+    windings,
+)
 from finspace.invariants import (
     Coloring,
     SquareGrid,
     _simple_colorings,
     cell_symmetries,
 )
-from finspace.space import FiniteSpace, build_space, popcount
+from finspace.space import DownSet, FiniteSpace, OrderMap, build_space, popcount
 
 
 class NotMinimal(FinspaceError):
@@ -376,6 +382,19 @@ def eager_core(X: FiniteSpace):
             if was is None and status[y] is not None:
                 heappush(heap, y)
     return removals, mask
+
+
+def nullhomotopic_by_copy(U: DownSet, X: FiniteSpace, budget: int) -> HomotopyVerdict:
+    """``homotopy.nullhomotopic_in`` by copying the piece: U as a space of
+    its own, the inclusion U -> X and the constant at U's least point as
+    two maps, decided by ``homotopic``.  The caller checks that U is
+    open."""
+    if not U.members:
+        return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
+    sub, old_ids = X.subspace(U.members)
+    incl = OrderMap(sub, X, old_ids)
+    const = OrderMap(sub, X, [old_ids[0]] * sub.n)
+    return homotopic(incl, const, "auto", budget)
 
 
 # -- coloring classes --------------------------------------------------

@@ -260,6 +260,17 @@ def test_export_complex_to_file(capsys, tmp_path):
     assert path.read_text().startswith("asc 6 6")
 
 
+def test_export_complex_of_a_long_chain(capsys, tmp_path):
+    # one facet of dimension n - 1, its chain walked without recursion
+    n = 1200
+    path = tmp_path / "chain.space"
+    covers = "".join(f"cover {i} {i + 1}\n" for i in range(n - 1))
+    path.write_text(f"space chain {n}\n" + covers)
+    code, out, err = run(capsys, "export-complex", "--file", str(path))
+    assert code == 0 and err == ""
+    assert out.splitlines() == [f"asc {n} 1", " ".join(map(str, range(n)))]
+
+
 def test_budget_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("FINSPACE_BUDGET", "nope")
     code, _, err = run(
@@ -357,8 +368,13 @@ def run_process(*argv):
         (["tc", "--circle", "3", "--witness", "{path}"], "cover X 1\n0 1 x\n"),
         (["degree", "circlemap 2"], None),
         (["space", "--file", "{path}"], "cover X 1\n0 1 2 3 4 5\n"),
+        (["space", "--file", "{path}"], "space X 2\ncover 0 1\ncover 1 0\n"),
+        (["space", "--file", "{path}"], "space X 2\ncover 0 0\n"),
+        (["cat", "--circle", "3", "--limit", "-1"], None),
+        (["tc", "--circle", "3", "--limit", "-1"], None),
     ],
-    ids=["empty-cover", "cover-token", "short-circlemap", "cover-as-space"],
+    ids=["empty-cover", "cover-token", "short-circlemap", "cover-as-space",
+         "cyclic-covers", "reflexive-cover", "cat-negative-limit", "tc-negative-limit"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, argv, text):
     path = tmp_path / "input.txt"

@@ -42,6 +42,7 @@ from reference import (
     beat_points,
     eager_core,
     minimal_iso_check,
+    nullhomotopic_by_copy,
 )
 
 
@@ -84,7 +85,9 @@ def test_core_retraction_composes_to_identity_on_core():
     assert list(comp) == list(range(cd.space.n))
 
 
-def test_core_builds_one_map_the_retraction(monkeypatch):
+def test_core_builds_no_map_and_a_retraction_read_builds_one(monkeypatch):
+    # core() keeps the removals only; each read of the retraction builds
+    # one checked map from X onto the core
     X = khalimsky_interval(0, 6).space
     built = []
     init = OrderMap.__init__
@@ -95,8 +98,10 @@ def test_core_builds_one_map_the_retraction(monkeypatch):
 
     monkeypatch.setattr(OrderMap, "__init__", counted)
     cd = core(X)
-    assert len(built) == 1 and built[0] is cd.retraction
-    assert cd.removals
+    assert built == [] and cd.removals
+    rt = cd.retraction
+    assert len(built) == 1 and built[0] is rt
+    assert rt.source is X and rt.target is cd.space
 
 
 def test_core_order_independent(seed=7):
@@ -402,15 +407,71 @@ def test_collapse_in_place_matches_the_core_of_the_copied_subspace(X, data):
     cd = core(sub)
     cl = collapse(X, mask)
     assert cl.removals == [(old_ids[x], kind, old_ids[w]) for x, kind, w in cd.removals]
-    core_space, core_ids = cl.core, cl.core_ids
+    core_space, core_ids = cl.space, cl.core_ids
     assert list(core_ids) == [old_ids[p] for p in cd.old_ids]
     assert cl.kept == sum(1 << p for p in core_ids)
     assert cl.old_ids == cd.old_ids
     assert core_space == cd.space
-    # restated on the piece, it is core() of the copy
-    again = cl.restate()
-    assert again.space == cd.space and again.old_ids == cd.old_ids
-    assert again.removals == cd.removals and again.retraction == cd.retraction
+    # its fence runs in X's ids, and its retraction in ranks of the
+    # piece: both are core() of the copy, read through old_ids
+    assert cl.fence == [tuple(old_ids[v] for v in t) for t in cd.fence]
+    assert cl.retraction == cd.retraction and cl.piece == sub
+
+
+@settings(max_examples=200)
+@given(posets(max_n=9), st.data())
+def test_nullhomotopic_in_decides_in_place_as_on_the_copied_piece(X, data):
+    # U collapsed inside X gives the verdict, certificate and all, that
+    # the copied piece gives with its inclusion and constant maps
+    which = data.draw(st.sampled_from(("empty", "point", "whole", "union")))
+    if which == "empty":
+        mask = 0
+    elif which == "point":
+        minimal = [x for x in range(X.n) if X.down[x] == 1 << x]
+        mask = 1 << data.draw(st.sampled_from(minimal))
+    elif which == "whole":
+        mask = X.full
+    else:
+        mask = 0
+        for x in data.draw(st.lists(st.integers(0, X.n - 1), max_size=4)):
+            mask |= X.down[x]
+    U = DownSet(X, mask)
+    v, ref = nullhomotopic_in(U, X, 20_000), nullhomotopic_by_copy(U, X, 20_000)
+    assert (v.status, v.reason, v.fence, v.fence_space, v.target, v.core_old_ids) == (
+        ref.status, ref.reason, ref.fence, ref.fence_space, ref.target, ref.core_old_ids
+    )
+    if v.fence:
+        incl = OrderMap(v.fence_space, X, list(bits(mask)))
+        const = constant_map(v.fence_space, X, (mask & -mask).bit_length() - 1)
+        assert v.replay(incl, const)
+
+
+def test_a_refuted_piece_is_not_copied(monkeypatch):
+    # a piece whose inclusion is refuted is collapsed inside X: only its
+    # core is copied, never the piece itself
+    X = product(khalimsky_circle(3).space, khalimsky_circle(2).space)
+    maximals = [x for x in range(X.n) if X.up[x] == 1 << x]
+    copied = []
+    subspace = FiniteSpace.subspace
+
+    def recorded(self, mask):
+        copied.append(mask)
+        return subspace(self, mask)
+
+    monkeypatch.setattr(FiniteSpace, "subspace", recorded)
+    refuted = 0
+    for pick in range(1, 1 << len(maximals)):
+        mask = 0
+        for i, x in enumerate(maximals):
+            if pick >> i & 1:
+                mask |= X.down[x]
+        copied.clear()
+        v = nullhomotopic_in(DownSet(X, mask), X)
+        if v.status == "not_homotopic":
+            refuted += 1
+            assert mask not in copied
+            assert set(copied) <= {collapse(X, mask).kept}
+    assert refuted
 
 
 # S1_2, S1_3, and S1_2 with a point w below b0 (an up beat point): the

@@ -811,7 +811,7 @@ def test_homotopic_sees_only_winding_pieces(monkeypatch):
     asked = []
 
     def recorded(cl, *args):
-        assert cl.space == ch.P
+        assert cl.X == ch.P
         asked.append(cl.mask)
         return decide_on_core(cl, *args)
 
@@ -1145,6 +1145,15 @@ def test_limit_below_the_seed_keeps_the_seeded_bound():
         "lower bound 1 from the topological circle",
         "search stopped at the limit of 0 pieces",
     ]
+
+
+def test_a_negative_limit_is_refused():
+    # limit 0 stops before any search; below it there is nothing to search
+    S = khalimsky_circle(3)
+    with pytest.raises(InvalidParameter, match="limit must be at least 0"):
+        tc(S, limit=-1)
+    with pytest.raises(InvalidParameter, match="limit must be at least 0"):
+        cat(S.space, limit=-1)
 
 
 def test_limit_bounds_by_the_refuted_piece_counts():
