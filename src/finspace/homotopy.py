@@ -13,12 +13,16 @@ record, ``Collapse``, keeps a collapse in the ids of the space it ran in;
 ``homotopic`` on all of the domain, ``nullhomotopic_in`` on an open piece
 and ``TorusChecker`` on pieces of S x S, copying only the piece's core,
 and the piece itself only as the space of a lifted fence.  Maps into a
-circle are classified by the windings of their lifts (``potentials``,
-``windings``); ``TorusChecker`` grows its own lift of each piece of
-S x S and clamps it with ``_clamps`` and ``through_constants``.  Only
-the rigidity verdict (equal nonzero degree on a circle core) and the
-'exhaustive-components' strategy carry no fence, so ``replay()`` is
-False on their verdicts.
+circle are classified by the windings of one lift kernel, ``Lift``: its
+``grow`` lifts two tables to the digital line along a spanning forest,
+from scratch or from the lift of a smaller open piece, and reports the
+first cycle of forbidden winding, or of winding (d, d), d != 0.  The
+circle stage grows it once on the domain core, and ``TorusChecker``
+grows it along exact search; a winding-free lift, ``rooted`` at the
+least point of each component, is clamped to a fence with ``_clamps``
+and ``through_constants``.  Only the rigidity verdict (equal nonzero
+degree on a circle core) and the 'exhaustive-components' strategy carry
+no fence, so ``replay()`` is False on their verdicts.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import NamedTuple
 
 from .circles import recognize_circle
 from .errors import BudgetExceeded, MismatchedSpaces, NotOpen
@@ -516,115 +519,148 @@ def _lift_core_fence(t1, t2, cl: Collapse, core_fence, Y, reason):
 # -- maps into a circle: lifts and windings ---------------------------
 
 
-class Lift(NamedTuple):
-    """Spanning-forest potentials of two tables X -> S on a subspace of X
-    (``potentials``): ``phi[p]`` = (L1, L2) at each point p of the
-    subspace, None off it, and the residues ``r1``, ``r2`` of the two
-    tables in a ``size``-point circle, from which ``windings`` reads the
-    displacement of each comparable pair."""
+class Lift:
+    """The lift of two tables X -> S to the digital line, S a circle with
+    residue numbering ``num`` (as from ``recognize_circle``), grown on
+    pieces of X (``grow``).
 
-    X: FiniteSpace
-    phi: list
-    r1: list
-    r2: list
-    size: int
-
-
-def potentials(X: FiniteSpace, mask: int, t1, t2, num) -> Lift:
-    """Spanning-forest potentials of two tables X -> S on the subspace
-    ``mask`` of X, S a circle with residue numbering ``num`` (as from
-    ``recognize_circle``).
-
-    A comparable pair (p, q), q above p, has lifted displacements w from p
-    to q under both tables, each -1, 0 or +1.  ``phi[p]`` sums them along a
-    BFS tree from the root of p's component, starting at the root's
-    residues.  A pair is balanced when phi[p] + w = phi[q]; when every
-    pair is, phi lifts both tables to the digital line.
+    A comparable pair (p, x), x above p, has lifted displacements from p
+    to x under both tables, each -1, 0 or +1 for a continuous table.  A
+    state labels a piece with the lifts of both tables along a spanning
+    forest and each point's component.  A pair is balanced when the lifts
+    at p plus its displacements give the lifts at x; else it closes a
+    cycle of the forest, which winds (w1, w2) under the two tables, in
+    lift steps (2n to a turn of a 2n-point circle).  ``_below[x]`` holds
+    the pairs below x with their displacements, and ``_height[x]`` their
+    number, both filled in when ``grow`` first meets x.
     """
-    size = len(num)
-    r1 = list(map(num.__getitem__, t1))
-    r2 = list(map(num.__getitem__, t2))
-    up_ids, down_ids = X.up_ids, X.down_ids
-    points = range(X.n) if mask == X.full else list(bits(mask))
-    live = bytearray(X.n)
-    for p in points:
-        live[p] = 1
-    # the BFS visits u's neighbours in the order of the pairs that name
-    # them: those below u with a smaller id, those above u, then those
-    # below u with a larger id.  A pair (p, u) read backwards lifts by
-    # minus its displacement from p to u.
-    phi = [None] * X.n
-    for root in points:
-        if phi[root] is not None:
-            continue
-        phi[root] = (r1[root], r2[root])
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            pu1, pu2 = phi[u]
-            a1, a2 = r1[u], r2[u]
-            below = down_ids[u]
-            for p in below:
-                if p >= u:
-                    break
-                if live[p] and phi[p] is None:
-                    phi[p] = (
-                        pu1 - ((a1 - r1[p] + 1) % size - 1),
-                        pu2 - ((a2 - r2[p] + 1) % size - 1),
-                    )
-                    queue.append(p)
-            for q in up_ids[u]:
-                if live[q] and phi[q] is None:
-                    phi[q] = (
-                        pu1 + (r1[q] - a1 + 1) % size - 1,
-                        pu2 + (r2[q] - a2 + 1) % size - 1,
-                    )
-                    queue.append(q)
-            for p in below:
-                if p > u and live[p] and phi[p] is None:
-                    phi[p] = (
-                        pu1 - ((a1 - r1[p] + 1) % size - 1),
-                        pu2 - ((a2 - r2[p] + 1) % size - 1),
-                    )
-                    queue.append(p)
-    return Lift(X, phi, r1, r2, size)
 
+    __slots__ = ("X", "r1", "r2", "size", "_below", "_height")
 
-def windings(lifted: Lift):
-    """(p, q, w1, w2) for each comparable pair p < q of ``lifted``'s
-    subspace (``potentials``) that is not balanced, p in increasing order
-    and q in ``up_ids[p]`` order, scanned as they are read: the cycle that
-    the pair closes in the spanning forest winds w1 under the first table
-    and w2 under the second, in lift steps (2n to a turn of a 2n-point
-    circle)."""
-    X, phi, r1, r2, size = lifted
-    up_ids = X.up_ids
-    for p, a in enumerate(phi):
-        if a is None:
-            continue
-        a1, a2 = a
-        s1, s2 = r1[p], r2[p]
-        for q in up_ids[p]:
-            b = phi[q]
-            if b is None or q == p:
-                continue
-            w1 = a1 + (r1[q] - s1 + 1) % size - 1 - b[0]
-            w2 = a2 + (r2[q] - s2 + 1) % size - 1 - b[1]
-            if w1 or w2:
-                yield p, q, w1, w2
+    def __init__(self, X: FiniteSpace, t1, t2, num):
+        self.X = X
+        self.size = len(num)
+        self.r1 = list(map(num.__getitem__, t1))
+        self.r2 = list(map(num.__getitem__, t2))
+        self._below = [None] * X.n
+        self._height = [0] * X.n
+
+    def grow(self, state, mask: int, cat: bool = False):
+        """The lift on the piece ``mask`` of X, grown from ``state``, the
+        lift on a piece inside it that holds every point of ``mask`` below
+        its points, as an open piece does (None: on the empty piece), as
+        (hit, state).
+
+        ``hit`` is the first pair (p, x, w1, w2) whose cycle has forbidden
+        windings: w1 != w2, or with ``cat`` either one nonzero; the state
+        is None then.  Else hit is None and the state is (mask, phi1,
+        phi2, comp, wound): the lifts, the component of each point (the
+        id of a point of it, -1 off the piece), and ``wound``, the first
+        pair whose cycle winds (d, d), d != 0, or None.  Whether a hit or
+        a wound pair exists does not depend on the forest.
+
+        Only the new points are labelled, top down, and only the pairs
+        below a new point are read: a new point has no old point above
+        it.  A pair that joins two components shifts one of them to
+        balance the pair; the others close cycles.  From None, every point
+        of ``mask`` is new, so any subspace of X can be grown.
+        """
+        X = self.X
+        n = X.n
+        if state is None:
+            old, wound = 0, None
+            phi1, phi2, comp = [0] * n, [0] * n, [-1] * n
+        else:
+            old, phi1, phi2, comp, wound = state
+            phi1, phi2, comp = phi1[:], phi2[:], comp[:]
+        r1, r2, size = self.r1, self.r2, self.size
+        below, height = self._below, self._height
+        new = list(bits(mask & ~old))
+        down_ids = X.down_ids
+        for x in new:
+            comp[x] = -2  # in the piece, not labelled yet
+            if below[x] is None:
+                # a loop, not a comprehension: most points have few pairs
+                # below, and a lift grown once pays for every list it makes
+                a1, a2 = r1[x], r2[x]
+                below[x] = pairs = []
+                for p in down_ids[x]:
+                    if p != x:
+                        pairs.append(
+                            (p, (a1 - r1[p] + 1) % size - 1, (a2 - r2[p] + 1) % size - 1)
+                        )
+                height[x] = len(pairs)
+        new.sort(key=height.__getitem__, reverse=True)
+        for x in new:
+            cx = comp[x]
+            if cx == -2:
+                # nothing above x is labelled: label x from the first
+                # labelled point below it, or root a new component at x
+                for p, d1, d2 in below[x]:
+                    if comp[p] >= 0:
+                        a1, a2, cx = phi1[p] + d1, phi2[p] + d2, comp[p]
+                        break
+                else:
+                    a1, a2, cx = r1[x], r2[x], x
+                phi1[x], phi2[x], comp[x] = a1, a2, cx
+            else:
+                a1, a2 = phi1[x], phi2[x]
+            for p, d1, d2 in below[x]:
+                cp = comp[p]
+                if cp == cx:
+                    w1, w2 = phi1[p] + d1 - a1, phi2[p] + d2 - a2
+                    if w1 != w2 or cat and w1:
+                        return (p, x, w1, w2), None
+                    if w1 and wound is None:
+                        wound = (p, x, w1, w2)
+                elif cp == -2:
+                    phi1[p], phi2[p], comp[p] = a1 - d1, a2 - d2, cx
+                elif cp >= 0:
+                    s1, s2 = a1 - d1 - phi1[p], a2 - d2 - phi2[p]
+                    for y in range(n):
+                        if comp[y] == cp:
+                            phi1[y] += s1
+                            phi2[y] += s2
+                            comp[y] = cx
+        return None, (mask, phi1, phi2, comp, wound)
+
+    def rooted(self, state, points):
+        """The lifts of ``state`` at ``points``, in increasing order, as a
+        dict p -> (L1, L2), each component shifted so that its least point
+        sits at its residues.  On a component with no winding the lift is
+        unique up to that shift, so it is the lift of a forest rooted at
+        the least point."""
+        _, phi1, phi2, comp, _ = state
+        r1, r2 = self.r1, self.r2
+        shifts, phi = {}, {}
+        for p in points:
+            s1, s2 = shifts.setdefault(comp[p], (r1[p] - phi1[p], r2[p] - phi2[p]))
+            phi[p] = (phi1[p] + s1, phi2[p] + s2)
+        return phi
 
 
 def degrees(hit, rec, size: int):
     """The degrees of two tables from a circle numbered by ``rec`` into a
-    ``size``-point one, from the first of their ``windings`` (None: both
-    0).  A circle has one cycle, and the pair (p, q) closes it running
-    from p to q, so the numbering orients it."""
+    ``size``-point one, from the first pair of their ``Lift`` that closes
+    a cycle, (p, q, w1, w2) as a hit or a wound pair of ``Lift.grow``
+    (None: both 0).  A circle has one cycle, and the pair (p, q) closes it
+    running from p to q, so the numbering orients it."""
     if hit is None:
         return 0, 0
     p, q, w1, w2 = hit
     m, num = rec
     sign = 1 if (num[q] - num[p]) % (2 * m) == 1 else -1
     return sign * w1 // size, sign * w2 // size
+
+
+def oriented(hit) -> str:
+    """The windings "(w1,w2)" of the cycle that the pair ``hit`` closes,
+    read in the direction that makes the first nonzero one positive: a
+    grown lift may close a cycle from either side."""
+    _, _, w1, w2 = hit
+    if (w1 or w2) < 0:
+        w1, w2 = -w1, -w2
+    return f"({w1},{w2})"
 
 
 def _clamps(L, num):
@@ -671,18 +707,18 @@ def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
     of C in the domain are ``core_old_ids``).
     """
     n, num = recY
-    lifted = potentials(C, C.full, ft2, gt2, num)
-    first = None
-    for hit in windings(lifted):
-        if hit[2] != hit[3]:
-            return HomotopyVerdict(
-                "not_homotopic",
-                reason="circle classification: cycle with distinct windings "
-                f"({hit[2]},{hit[3]})",
-            )
-        first = first or hit
-    if first is None:
-        fence = through_constants(C, CY, lifted.phi, range(C.n), num)
+    lift = Lift(C, ft2, gt2, num)
+    hit, state = lift.grow(None, C.full)
+    if hit is not None:
+        return HomotopyVerdict(
+            "not_homotopic",
+            reason="circle classification: cycle with distinct windings "
+            + oriented(hit),
+        )
+    wound = state[4]
+    if wound is None:
+        points = range(C.n)
+        fence = through_constants(C, CY, lift.rooted(state, points), points, num)
         return HomotopyVerdict(
             "homotopic", fence, C, CY,
             reason="circle classification: both maps lift to the digital line; "
@@ -691,7 +727,7 @@ def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
     rec = recognize_circle(C)
     if rec is None:
         return None
-    m, d = rec[0], degrees(first, rec, len(num))[0]
+    m, d = rec[0], degrees(wound, rec, len(num))[0]
     if abs(d) * n < m:
         return HomotopyVerdict(
             "homotopic", [], C, CY,

@@ -3,19 +3,20 @@
 Covers are certified piece by piece.  For products of digital circles a
 winding obstruction on the comparability graph refutes a piece outright.
 A piece whose cycles all have winding (0, 0) is certified by its lift:
-the winding test (``TorusChecker.grow``) lifts both projections to the
-digital line along a spanning forest, the lift lands in a finite
+the winding test (``TorusChecker.grow``, on the lift kernel
+``homotopy.Lift`` that ``homotopic`` uses too) lifts both projections to
+the digital line along a spanning forest, the lift lands in a finite
 interval, and clamping it step by step (``homotopy._clamps``, as in
 ``homotopic``) gives a fence.  One test decides every piece, in exact
-search and in the cover that it prints; a refuted piece names its cycle
-from the ``potentials`` and ``windings`` of ``homotopic``.  For a
-categorical piece the fence runs from the inclusion to a constant; for
-a section-categorical one from pi1|U through constants to pi2|U.  Only
-a section-categorical piece with a cycle of winding (d, d), d != 0, goes
-through the stages of ``homotopic`` (``homotopy.decide_on_core``), on the
-piece's strong collapse run inside S x S: the stages read the
-projections at the core's points, and the piece is copied only for a
-fence that must be lifted to it.
+search and in the cover that it prints; a refuted piece names the cycle
+that the lift closed.  For a categorical piece the fence runs from the
+inclusion to a constant; for a section-categorical one from pi1|U
+through constants to pi2|U.  Only a section-categorical piece with a
+cycle of winding (d, d), d != 0, goes through the stages of
+``homotopic`` (``homotopy.decide_on_core``), on the piece's strong
+collapse run inside S x S: the stages read the projections at the
+core's points, and the piece is copied only for a fence that must be
+lifted to it.
 
 Exact search runs over partitions of the maximal elements (principal
 covers suffice, and any certified cover shrinks to a certified partition
@@ -42,14 +43,14 @@ from .errors import InvalidParameter, MismatchedSpaces, NotOpen
 from .homotopy import (
     DEFAULT_BUDGET,
     HomotopyVerdict,
+    Lift,
     _clamps,
     collapse,
     decide_on_core,
     degrees,
     nullhomotopic_in,
-    potentials,
+    oriented,
     through_constants,
-    windings,
 )
 from .circles import recognize_circle
 from .space import (
@@ -132,13 +133,7 @@ class TorusChecker:
         self.P = product(self.X, self.X)
         self.pi1, self.pi2 = projections(self.X, self.X, self.P)
         self.num = recognize_circle(self.X)[1]
-        # the winding test's tables: the residues of both projections, and
-        # for each point x the points p below it with the displacements from
-        # p to x, and their number, filled in when ``grow`` first meets x
-        self._r1 = [self.num[v] for v in self.pi1.table]
-        self._r2 = [self.num[v] for v in self.pi2.table]
-        self._below = [None] * self.P.n
-        self._height = [0] * self.P.n
+        self.lift = Lift(self.P, self.pi1.table, self.pi2.table, self.num)
         self._verdicts = {}  # (mask, mode, budget) -> verdict
         self._collapses = {}  # mask -> Collapse of the piece inside P
 
@@ -153,8 +148,8 @@ class TorusChecker:
         S x S, whose point p is the product point ``old_ids[p]`` and whose
         ``recognize_circle`` numbering is ``rec``."""
         t1, t2 = ([pi.table[p] for p in old_ids] for pi in (self.pi1, self.pi2))
-        hit = next(windings(potentials(sub, sub.full, t1, t2, self.num)), None)
-        return degrees(hit, rec, self.size)
+        hit, state = Lift(sub, t1, t2, self.num).grow(None, sub.full)
+        return degrees(hit or state[4], rec, self.size)
 
     def symmetries(self, mode: str):
         """The group that preserves ``mode`` verdicts, as permutations of
@@ -198,17 +193,13 @@ class TorusChecker:
         return list(group.values())
 
     def winding_obstruction(self, mask: int, mode: str):
-        """A cycle with forbidden winding, as (p, q, wx, wy) from the
-        ``windings`` of the piece's ``potentials``, or None.
+        """A cycle with forbidden winding, as the hit (p, q, wx, wy) of the
+        lift of the piece grown from scratch (``Lift.grow``), or None.
 
         mode 'sc': forbidden when the two coordinate windings differ;
         mode 'cat': forbidden when either winding is nonzero.
         """
-        lifted = potentials(self.P, mask, self.pi1.table, self.pi2.table, self.num)
-        hits = windings(lifted)
-        if mode == "sc":
-            return next((h for h in hits if h[2] != h[3]), None)
-        return next(hits, None)
+        return self.lift.grow(None, mask, mode == "cat")[0]
 
     def lift_fence(self, old_ids, lifts):
         """Value tables from the inclusion q o L to a constant, for integer
@@ -294,73 +285,15 @@ class TorusChecker:
 
     def grow(self, state, mask: int, mode: str):
         """The winding test of the open piece U = ``mask``, grown from
-        ``state``, the test's labels on an open piece inside U (None: on
-        the empty piece), as (status, state).
-
-        The status is "not_homotopic" at the first cycle of forbidden
-        winding (as in ``winding_obstruction``), else "homotopic", or None
-        for an 'sc' piece with a cycle of winding (d, d), d != 0, which is
-        left to ``_on_core``.  The state labels U for a child: the lifts of
-        both projections along a spanning forest, each point's component
-        (the id of a point of it), and whether a cycle winds; it is None
-        when U is refuted.  Only the new points are labelled, top down,
-        and only the pairs below a new point are read: a new point has no
-        old point above it, since the old piece is open.  A pair that joins
-        two components shifts one of them to balance the pair; the others
-        close cycles.  The status does not depend on the forest, so it is
-        that of the piece's ``potentials`` and ``windings`` from scratch,
-        and grown from None it is the status that ``_certify`` gives.
-        """
-        n = self.P.n
-        if state is None:
-            old, phi1, phi2, comp, wound = 0, [0] * n, [0] * n, [-1] * n, False
-        else:
-            old, phi1, phi2, comp, wound = state
-            phi1, phi2, comp = phi1[:], phi2[:], comp[:]
-        r1, r2, size, below = self._r1, self._r2, self.size, self._below
-        new = list(bits(mask & ~old))
-        for x in new:
-            comp[x] = -2  # in U, not labelled yet
-            if below[x] is None:
-                a1, a2 = r1[x], r2[x]
-                below[x] = tuple(
-                    (p, (a1 - r1[p] + 1) % size - 1, (a2 - r2[p] + 1) % size - 1)
-                    for p in self.P.down_ids[x] if p != x
-                )
-                self._height[x] = len(below[x])
-        new.sort(key=self._height.__getitem__, reverse=True)
-        cat = mode == "cat"
-        for x in new:
-            cx = comp[x]
-            if cx == -2:
-                # nothing above x is in U: label x from the first labelled
-                # point below it, or root a new component at x
-                for p, d1, d2 in below[x]:
-                    if comp[p] >= 0:
-                        a1, a2, cx = phi1[p] + d1, phi2[p] + d2, comp[p]
-                        break
-                else:
-                    a1, a2, cx = r1[x], r2[x], x
-                phi1[x], phi2[x], comp[x] = a1, a2, cx
-            else:
-                a1, a2 = phi1[x], phi2[x]
-            for p, d1, d2 in below[x]:
-                cp = comp[p]
-                if cp == cx:
-                    w1, w2 = phi1[p] + d1 - a1, phi2[p] + d2 - a2
-                    if w1 != w2 or cat and w1:
-                        return "not_homotopic", None
-                    wound = wound or w1 != 0
-                elif cp == -2:
-                    phi1[p], phi2[p], comp[p] = a1 - d1, a2 - d2, cx
-                elif cp >= 0:
-                    s1, s2 = a1 - d1 - phi1[p], a2 - d2 - phi2[p]
-                    for y in range(n):
-                        if comp[y] == cp:
-                            phi1[y] += s1
-                            phi2[y] += s2
-                            comp[y] = cx
-        return (None if wound else "homotopic"), (mask, phi1, phi2, comp, wound)
+        ``state``, the lift on an open piece inside U (None: on the empty
+        piece), as (status, state) from ``Lift.grow``: "not_homotopic" at
+        a cycle of forbidden winding (the state is None), None for an 'sc'
+        piece with a cycle of winding (d, d), d != 0, which is left to
+        ``_on_core``, else "homotopic"."""
+        hit, state = self.lift.grow(state, mask, mode == "cat")
+        if hit is not None:
+            return "not_homotopic", None
+        return ("homotopic" if state[4] is None else None), state
 
     def piece_status(
         self, mask: int, mode: str, budget: int = DEFAULT_BUDGET, parent=None
@@ -398,33 +331,26 @@ class TorusChecker:
     def _certify(self, mask: int, mode: str, budget: int):
         """Decide the open piece U = ``mask``, with its certificate.
 
-        ``grow`` from scratch gives the status.  A refuted piece names the
-        first cycle of forbidden winding (``winding_obstruction``).  A
-        piece the lift decides gets a fence built from the grown lifts,
-        each component shifted so that its least point sits at its
-        residues: with no winding a component's lift is unique up to that
-        shift, so it is the lift of ``potentials``, which roots the
-        component there.  Mode 'cat' contracts the inclusion U -> S x S to
-        a constant by ``lift_fence``; mode 'sc' builds a fence on U from
-        pi1|U to pi2|U by ``through_constants``.  The rest goes to
+        The lift of U grown from scratch (``Lift.grow``) decides it.  A
+        refuted piece names its cycle of forbidden winding.  A piece with
+        no winding gets a fence built from the lift, ``rooted`` at the
+        least point of each component: mode 'cat' contracts the inclusion
+        U -> S x S to a constant by ``lift_fence``; mode 'sc' builds a
+        fence on U from pi1|U to pi2|U by ``through_constants``.  The rest,
+        'sc' pieces with a cycle of winding (d, d), d != 0, go to
         ``_on_core`` on U's remembered collapse.
         """
         if not mask:
             return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
-        status, state = self.grow(None, mask, mode)
-        if status is None:
-            return self._on_core(mask, budget, self.collapse(mask))
-        if status == "not_homotopic":
-            _, _, wx, wy = self.winding_obstruction(mask, mode)
+        hit, state = self.lift.grow(None, mask, mode == "cat")
+        if hit is not None:
             what = "distinct windings" if mode == "sc" else "nonzero winding"
-            return HomotopyVerdict(status, reason=f"cycle with {what} ({wx},{wy})")
-        _, phi1, phi2, comp, _ = state
-        shifts, phi = {}, {}
-        for p in bits(mask):
-            s1, s2 = shifts.setdefault(
-                comp[p], (self._r1[p] - phi1[p], self._r2[p] - phi2[p])
+            return HomotopyVerdict(
+                "not_homotopic", reason=f"cycle with {what} {oriented(hit)}"
             )
-            phi[p] = (phi1[p] + s1, phi2[p] + s2)
+        if state[4] is not None:
+            return self._on_core(mask, budget, self.collapse(mask))
+        phi = self.lift.rooted(state, bits(mask))
         sub, old_ids = self.P.subspace(mask)
         if mode == "cat":
             fence = self.lift_fence(old_ids, phi)
@@ -433,7 +359,7 @@ class TorusChecker:
             fence = through_constants(sub, self.X, phi, old_ids, self.num)
             target, ends = self.X, "through constants"
         return HomotopyVerdict(
-            status, fence, sub, target,
+            "homotopic", fence, sub, target,
             reason=f"projections lift to the digital line; "
             f"fence of {len(fence)} maps {ends}",
         )
@@ -761,7 +687,8 @@ def _check_mode(mode, witness, limit, force):
 
 def _witness_invariant(name, lower, space, check_piece, witness):
     """Upper bound from a witness cover of ``space``; exact when it meets
-    ``lower``."""
+    ``lower``.  The result's cover has the witness's pieces with their
+    verdicts as certificates; the witness itself is left as it was."""
     if witness.space != space:
         raise MismatchedSpaces("witness cover of a different space")
     verdicts = [check_piece(p.members) for p in witness.pieces]
@@ -769,7 +696,8 @@ def _witness_invariant(name, lower, space, check_piece, witness):
     upper = len(witness.pieces) - 1 if ok else None
     exact = upper == lower
     return InvariantResult(
-        name, upper if exact else None, lower, upper, exact, witness,
+        name, upper if exact else None, lower, upper, exact,
+        Cover(space, witness.pieces, verdicts),
         [f"piece {i}: {v.status} ({v.reason})" for i, v in enumerate(verdicts)],
     )
 

@@ -13,13 +13,7 @@ from math import factorial
 from finspace.circles import CircleMap
 from finspace.complexes import SimplicialComplex
 from finspace.errors import FinspaceError
-from finspace.homotopy import (
-    HomotopyVerdict,
-    _beat_status,
-    homotopic,
-    potentials,
-    windings,
-)
+from finspace.homotopy import HomotopyVerdict, _beat_status, homotopic
 from finspace.invariants import (
     Coloring,
     SquareGrid,
@@ -140,9 +134,13 @@ def first_violation(source: FiniteSpace, target: FiniteSpace, table):
 
 
 def adjacency_potentials(X: FiniteSpace, mask: int, t1, t2, num):
-    """``homotopy.potentials`` through an explicit adjacency dict: each
-    pair (p, q), q above p, appends q to p's list and p to q's, and the
-    BFS reads the lists in that order."""
+    """Spanning-forest lifts of two tables X -> S on the subspace ``mask``
+    of X, S a circle with residue numbering ``num``, through an explicit
+    adjacency dict: each pair (p, q), q above p, appends q to p's list and
+    p to q's, and a BFS from the least point of each component, rooted at
+    its residues, reads the lists in that order.  Returns the lifts, a
+    dict p -> (L1, L2), and the pairs (p, q, (d1, d2)) with their lifted
+    displacements from p to q, in pair order."""
     size = len(num)
     r1 = [num[v] for v in t1]
     r2 = [num[v] for v in t2]
@@ -190,20 +188,32 @@ def comparability_components(X: FiniteSpace, mask: int):
     return out
 
 
+def adjacency_windings(X: FiniteSpace, mask: int, t1, t2, num):
+    """``adjacency_potentials`` and the pairs (p, q, w1, w2) that its
+    forest leaves unbalanced, in pair order: the cycle that the pair
+    closes winds w1 under the first table and w2 under the second."""
+    phi, edges = adjacency_potentials(X, mask, t1, t2, num)
+    unbalanced = []
+    for p, q, (d1, d2) in edges:
+        w1 = phi[p][0] + d1 - phi[q][0]
+        w2 = phi[p][1] + d2 - phi[q][1]
+        if w1 or w2:
+            unbalanced.append((p, q, w1, w2))
+    return phi, unbalanced
+
+
 def winding_status(checker, mask: int, mode: str):
     """The winding test's status of the open piece ``mask`` of a
-    ``TorusChecker``'s S x S, from its ``potentials`` from scratch:
-    "not_homotopic" when ``winding_obstruction`` finds a cycle of
-    forbidden winding, None when an 'sc' piece has a cycle of winding
-    (d, d), d != 0, else "homotopic"."""
-    if checker.winding_obstruction(mask, mode) is not None:
-        return "not_homotopic"
+    ``TorusChecker``'s S x S, from ``adjacency_windings`` of its
+    projections: "not_homotopic" with a cycle of forbidden winding (in
+    mode 'sc' windings that differ, in mode 'cat' any nonzero one), None
+    when an 'sc' piece has a cycle of winding (d, d), d != 0, else
+    "homotopic"."""
     pi1, pi2 = checker.pi1.table, checker.pi2.table
-    lifted = potentials(checker.P, mask, pi1, pi2, checker.num)
-    # past the obstruction every unbalanced pair winds (d, d), d != 0
-    if mode == "sc" and next(windings(lifted), None) is not None:
-        return None
-    return "homotopic"
+    _, unbalanced = adjacency_windings(checker.P, mask, pi1, pi2, checker.num)
+    if any(w1 != w2 or mode == "cat" for _, _, w1, w2 in unbalanced):
+        return "not_homotopic"
+    return None if unbalanced else "homotopic"
 
 
 # -- circle maps -------------------------------------------------------

@@ -21,7 +21,7 @@ from finspace.circles import (
 from finspace.cli import main
 from finspace.complexes import cycle_complex, make_complex, order_complex
 from finspace.errors import InvalidParameter
-from finspace.homotopy import core, degrees, hom_components, potentials, windings
+from finspace.homotopy import Lift, core, degrees, hom_components
 from finspace.invariants import (
     Cover,
     TorusChecker,
@@ -211,8 +211,9 @@ def test_homotopy_classes_match_degree_classification(m, n, total):
         values = lift(cm, 0, 2 * m, cm(0))
         assert degree(cm) * 2 * n == values[-1] - values[0]
         # the winding of the one cycle of X gives the same degree
-        hit = next(windings(potentials(X, X.full, t, t, rec_y[1])), None)
-        assert degrees(hit, rec_x, Y.n) == (degree(cm), degree(cm))
+        hit, state = Lift(X, t, t, rec_y[1]).grow(None, X.full)
+        assert hit is None
+        assert degrees(state[4], rec_x, Y.n) == (degree(cm), degree(cm))
     for comp in comps:
         ds = {degree(cms[t]) for t in comp}
         assert len(ds) == 1

@@ -13,7 +13,7 @@ from finspace.circles import (
     recognize_circle,
 )
 from finspace.errors import BaseMismatch, InvalidParameter, MismatchedSizes
-from finspace.homotopy import degrees, homotopic, potentials, windings
+from finspace.homotopy import Lift, degrees, homotopic
 from finspace.space import (
     OrderMap,
     build_space,
@@ -276,13 +276,14 @@ def test_recognize_circle_matches_all_rotations_on_posets(X):
 
 def test_circle_map_from_order_map_identity():
     # the identity and a reflection, reindexed as circle maps, against the
-    # degrees read off the lift's one unbalanced pair
+    # degrees read off the pair that closes the lift's one cycle
     X = khalimsky_circle(3).space
     rec = recognize_circle(X)
     ident = list(range(X.n))
     flip = [(-p) % X.n for p in ident]
     assert degree(circle_map_from_order_map(ident, rec, rec)) == 1
     assert degree(circle_map_from_order_map(flip, rec, rec)) == -1
-    hit = next(windings(potentials(X, X.full, ident, flip, rec[1])), None)
+    hit, state = Lift(X, ident, flip, rec[1]).grow(None, X.full)
+    assert state is None
     assert degrees(hit, rec, X.n) == (1, -1)
 

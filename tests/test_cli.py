@@ -311,6 +311,29 @@ def test_cat_of_a_saved_circle_squared_takes_the_torus_path(capsys, tmp_path):
     assert want[0] == 0 and got == want
 
 
+@pytest.mark.parametrize("command", ["cat", "tc"])
+def test_witness_results_print_one_certificate_per_piece(capsys, tmp_path, command):
+    # in witness mode the certificates are the verdicts that the notes name
+    space, cover = tmp_path / "c3.space", tmp_path / "c.cover"
+    assert run(capsys, "space", "--circle", "3", "--out", str(space))[0] == 0
+    if command == "cat":
+        X = read_space(space.read_text())
+        cover.write_text(format_cover(cat(X).cover))
+        argv = ["cat", "--file", str(space)]
+    else:
+        cover.write_text(format_cover(tc(khalimsky_circle(3)).cover))
+        argv = ["tc", "--circle", "3"]
+    # the cover bounds the value from above; it meets no lower bound here
+    code, out, _ = run(capsys, *argv, "--witness", str(cover), "--format", "json")
+    got = json.loads(out)
+    assert code == 2 and got["upper"] == len(got["cover"]) - 1
+    certificates = got["certificates"]
+    assert len(certificates) == len(got["cover"]) > 1
+    assert got["notes"] == [
+        f"piece {i}: {c['status']} ({c['reason']})" for i, c in enumerate(certificates)
+    ]
+
+
 def test_tc_witness_builds_one_product(capsys, monkeypatch, tmp_path):
     U, V = build_U(5), build_V(5)
     path = tmp_path / "w5.cover"

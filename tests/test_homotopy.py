@@ -7,19 +7,20 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import finspace.homotopy as homotopy_module
 from finspace.errors import BudgetExceeded
+from finspace.circles import degree, recognize_circle
 from finspace.homotopy import (
     HomotopyVerdict,
+    Lift,
     collapse,
     comparable,
     core,
+    degrees,
     enumerate_maps,
     fence_bfs,
     hom_components,
     homotopic,
     nullhomotopic_in,
-    potentials,
     table_cmp,
-    windings,
 )
 from finspace.space import (
     DownSet,
@@ -38,8 +39,10 @@ from finspace.space import (
 from finspace.witness import build_U, build_chain
 from reference import (
     NotMinimal,
-    adjacency_potentials,
+    adjacency_windings,
     beat_points,
+    circle_map_from_order_map,
+    comparability_components,
     eager_core,
     minimal_iso_check,
     nullhomotopic_by_copy,
@@ -810,21 +813,56 @@ def test_fence_bfs_reasons_count_maps_and_budget():
     assert re.fullmatch(r"fence-bfs budget 3 exhausted after reaching \d+ maps", v.reason)
 
 
-def assert_potentials_match_adjacency_walk(X, mask, t1, t2, num):
-    lifted = potentials(X, mask, t1, t2, num)
-    want_phi, want_edges = adjacency_potentials(X, mask, t1, t2, num)
-    # the same potentials at every point, None off the subspace.  The
-    # random tables make most cycles wind, so a tree found in another BFS
-    # order would label some point otherwise
-    assert lifted.phi == [want_phi.get(p) for p in range(X.n)]
-    # the same unbalanced pairs, in pair order, with the same windings
-    want = []
-    for p, q, (d1, d2) in want_edges:
-        w1 = want_phi[p][0] + d1 - want_phi[q][0]
-        w2 = want_phi[p][1] + d2 - want_phi[q][1]
-        if w1 or w2:
-            want.append((p, q, w1, w2))
-    assert list(windings(lifted)) == want
+def assert_lift_matches_adjacency_walk(X, mask, t1, t2, num):
+    """Grow the lift of ``t1``, ``t2`` on the subspace ``mask`` of X from
+    scratch and check it against ``adjacency_windings``, which roots a BFS
+    forest at the least point of each component.  Returns the lift's hit
+    and state."""
+    size = len(num)
+    want_phi, unbalanced = adjacency_windings(X, mask, t1, t2, num)
+    lift = Lift(X, t1, t2, num)
+    # a hit exactly when some cycle has distinct windings, or under 'cat'
+    # any nonzero one: the cycle space is spanned by the cycles that a
+    # spanning forest's other pairs close, whichever forest it is
+    hit, state = lift.grow(None, mask)
+    assert (hit is not None) == any(w1 != w2 for _, _, w1, w2 in unbalanced)
+    cat_hit, cat_state = lift.grow(None, mask, cat=True)
+    assert (cat_hit is not None) == bool(unbalanced)
+    for h in (hit, cat_hit):
+        if h is not None:
+            p, x, w1, w2 = h
+            assert mask >> p & 1 and mask >> x & 1 and p != x and X.leq(p, x)
+            # windings of a closed walk: whole turns of the circle
+            assert (w1 or w2) and w1 % size == 0 and w2 % size == 0
+    assert hit is None or (state is None and cat_hit is not None)
+    if hit is None:
+        assert (state[4] is not None) == bool(unbalanced)
+    if cat_hit is None:
+        assert cat_state[4] is None
+    if state is None:
+        return hit, state
+    grown_mask, phi1, phi2, comp, wound = state
+    assert grown_mask == mask
+    if wound is not None:
+        p, x, w1, w2 = wound
+        assert X.leq(p, x) and w1 == w2 and w1 and w1 % size == 0
+    # the labels are the components of the comparability graph
+    labels = {}
+    for p in bits(mask):
+        labels[comp[p]] = labels.get(comp[p], 0) | 1 << p
+    comps = comparability_components(X, mask)
+    assert sorted(labels.values()) == sorted(comps)
+    # rooted at the least point, a component with no winding lifts as the
+    # reference does
+    rooted = lift.rooted(state, bits(mask))
+    assert rooted.keys() == want_phi.keys()
+    wound_points = 0
+    for p, q, _, _ in unbalanced:
+        wound_points |= 1 << p | 1 << q
+    for c in comps:
+        if not c & wound_points:
+            assert all(rooted[p] == want_phi[p] for p in bits(c))
+    return hit, state
 
 
 @settings(max_examples=200)
@@ -837,7 +875,7 @@ def test_potentials_match_the_adjacency_walk(X, half, rnd):
     t1 = [rnd.randrange(size) for _ in range(X.n)]
     t2 = [rnd.randrange(size) for _ in range(X.n)]
     mask = X.full if rnd.random() < 0.3 else rnd.getrandbits(X.n)
-    assert_potentials_match_adjacency_walk(X, mask, t1, t2, num)
+    assert_lift_matches_adjacency_walk(X, mask, t1, t2, num)
 
 
 def test_potentials_match_the_adjacency_walk_on_a_witness_piece():
@@ -846,4 +884,57 @@ def test_potentials_match_the_adjacency_walk_on_a_witness_piece():
     S = khalimsky_circle(6).space
     p1, p2 = projections(S, S, P)
     num = list(range(S.n))
-    assert_potentials_match_adjacency_walk(P, U.members, p1.table, p2.table, num)
+    assert_lift_matches_adjacency_walk(P, U.members, p1.table, p2.table, num)
+
+
+_circle_maps = {}
+
+
+def circle_maps(m, n):
+    """Every continuous map S1_m -> S1_n, as a table, built once."""
+    if (m, n) not in _circle_maps:
+        X, Y = khalimsky_circle(m).space, khalimsky_circle(n).space
+        _circle_maps[m, n] = enumerate_maps(X, Y)
+    return _circle_maps[m, n]
+
+
+@st.composite
+def tables_into_circles(draw):
+    """A domain X with two tables into S1_n, n = 2..4, a subspace of X,
+    and whether X is a circle with two continuous maps: a small random
+    poset with any tables, or S1_m, m = 2..5, with its points renumbered
+    and two maps, on all of it.  The renumbering makes the lift grown from
+    scratch join components, which random posets seldom make it do."""
+    n = draw(st.integers(2, 4))
+    Y = khalimsky_circle(n).space
+    if draw(st.booleans()):
+        X = draw(posets(max_n=10))
+        values = st.lists(st.integers(0, Y.n - 1), min_size=X.n, max_size=X.n)
+        t1, t2 = draw(values), draw(values)
+        mask = X.full if draw(st.booleans()) else draw(st.integers(0, X.full))
+        return X, Y, mask, t1, t2, False
+    m = draw(st.integers(2, 5))
+    S = khalimsky_circle(m).space
+    new = draw(st.permutations(range(S.n)))
+    pairs = [(new[p], new[q]) for p in range(S.n) for q in S.up_ids[p] if q != p]
+    X = build_space([str(p) for p in range(S.n)], pairs)
+    t1, t2 = (draw(st.sampled_from(circle_maps(m, n))) for _ in range(2))
+    t1, t2 = ([t[new.index(p)] for p in range(S.n)] for t in (t1, t2))
+    return X, Y, X.full, t1, t2, True
+
+
+@settings(max_examples=300)
+@given(tables_into_circles())
+def test_lift_of_maps_into_a_circle_matches_the_adjacency_walk(drawn):
+    # the inputs of the circle stage, and more: tables into S1_n on any
+    # poset, not only pieces of S x S.  On a circle, the pair that closes
+    # its one cycle gives the degrees of both maps
+    X, Y, mask, t1, t2, circle = drawn
+    rec_y = recognize_circle(Y)
+    hit, state = assert_lift_matches_adjacency_walk(X, mask, t1, t2, rec_y[1])
+    if circle:
+        rec_x = recognize_circle(X)
+        want = tuple(
+            degree(circle_map_from_order_map(t, rec_x, rec_y)) for t in (t1, t2)
+        )
+        assert degrees(hit or state[4], rec_x, Y.n) == want

@@ -34,7 +34,6 @@ from finspace.homotopy import (
     decide_on_core,
     homotopic,
     nullhomotopic_in,
-    potentials,
     through_constants,
 )
 from finspace.space import (
@@ -51,6 +50,7 @@ from finspace.space import (
     write_space,
 )
 from reference import (
+    adjacency_potentials,
     brute_force_simple_colorings,
     canonical_coloring,
     coloring_from_rows,
@@ -157,6 +157,10 @@ def test_tc_witness_mode_round_trip():
     cov = parse_cover(ch.P, cover_text)
     wres = tc(K, mode="witness", witness=cov)
     assert wres.upper == 2
+    # the result's cover carries the verdicts; the witness is left as it was
+    assert wres.cover is not cov and cov.certificates == []
+    assert wres.cover.pieces == cov.pieces
+    assert [v.status for v in wres.cover.certificates] == ["homotopic"] * 3
 
 
 def test_grid_cells_partition_maximals():
@@ -592,22 +596,18 @@ def test_lift_certifies_every_winding_free_piece(drawn):
     # dropping one nonzero delta of the lift breaks the certificate: the
     # first comparable pair p < q of the piece, in pair order, whose
     # residues differ under a projection
-    lifted = potentials(ch.P, mask, ch.pi1.table, ch.pi2.table, ch.num)
-    lifts, residues = lifted.phi, (lifted.r1, lifted.r2)
-    for p in bits(mask):
-        for q in ch.P.up_ids[p]:
-            if q == p or lifts[q] is None:
-                continue
-            for i, r in enumerate(residues):
-                if (r[q] - r[p] + 1) % lifted.size - 1:
-                    bad = list(lifts)
-                    wrong = list(bad[q])
-                    wrong[i] = bad[p][i]
-                    bad[q] = tuple(wrong)
-                    fence = ch.lift_fence(old_ids, bad)
-                    broken = HomotopyVerdict("homotopic", fence, sub, ch.P)
-                    assert not broken.replay(*inclusion_and_constant(ch, mask, fence))
-                    return
+    lifts, pairs = adjacency_potentials(ch.P, mask, ch.pi1.table, ch.pi2.table, ch.num)
+    for p, q, deltas in pairs:
+        for i, d in enumerate(deltas):
+            if d:
+                bad = dict(lifts)
+                wrong = list(bad[q])
+                wrong[i] = bad[p][i]
+                bad[q] = tuple(wrong)
+                fence = ch.lift_fence(old_ids, bad)
+                broken = HomotopyVerdict("homotopic", fence, sub, ch.P)
+                assert not broken.replay(*inclusion_and_constant(ch, mask, fence))
+                return
 
 
 def projections_on(ch, mask):
@@ -956,6 +956,15 @@ def assert_growth_matches_scratch(ch, steps, mode):
             return joins
         grown_mask, phi1, phi2, comp, wound = grown
         assert grown_mask == mask
+        if wound is not None:
+            # the first pair of the piece seen closing a cycle of winding (d, d)
+            p, q, w1, w2 = wound
+            assert mask >> p & 1 and mask >> q & 1 and ch.P.leq(p, q)
+            assert w1 == w2 != 0
+            assert (w1, w2) == (
+                phi1[p] + (r1[q] - r1[p] + 1) % size - 1 - phi1[q],
+                phi2[p] + (r2[q] - r2[p] + 1) % size - 1 - phi2[q],
+            )
         labels = {c: sum(1 << p for p in bits(mask) if comp[p] == c) for c in comp}
         labels.pop(-1, None)
         assert sorted(labels.values()) == sorted(after)
@@ -967,7 +976,7 @@ def assert_growth_matches_scratch(ch, steps, mode):
                     w2 = phi2[p] + (r2[q] - r2[p] + 1) % size - 1 - phi2[q]
                     assert w1 == w2
                     wind.append(w1)
-        assert wound == any(wind) and (got is None) == wound
+        assert (wound is not None) == any(wind) == (got is None)
         state = grown
     return joins
 
@@ -1256,15 +1265,16 @@ def open_pieces(draw):
 @settings(max_examples=300)
 @given(open_pieces(), st.sampled_from(["cat", "sc"]))
 def test_certified_fence_is_the_fence_of_the_potentials(drawn, mode):
-    # the grown lifts, shifted per component, are the potentials' lifts, so
-    # a lift-decided piece gets the fence that the potentials give
+    # the grown lifts, rooted per component, are the lifts of the reference
+    # forest rooted at each component's least point, so a lift-decided
+    # piece gets the fence that the reference potentials give
     ch, mask = drawn
     v = ch._certify(mask, mode, DEFAULT_BUDGET)
     by_lift = v.reason.startswith("projections lift to the digital line")
     assert by_lift == (winding_status(ch, mask, mode) == "homotopic")
     if not by_lift:
         return
-    phi = potentials(ch.P, mask, ch.pi1.table, ch.pi2.table, ch.num).phi
+    phi, _ = adjacency_potentials(ch.P, mask, ch.pi1.table, ch.pi2.table, ch.num)
     sub, old_ids = ch.P.subspace(mask)
     if mode == "cat":
         want = ch.lift_fence(old_ids, phi)
