@@ -370,11 +370,9 @@ def _cmd_tc(args):
     else:
         res = tc(circle, limit=args.limit, budget=budget, force=args.force)
     payload = {"command": "tc", "circle": args.circle, **_result_payload(res)}
-    if res.exact:
-        _emit(args, payload, [str(res.value)] + [f"  {n}" for n in res.notes])
-        return EXIT_OK
-    _emit(args, payload, [str(res)] + [f"  {n}" for n in res.notes])
-    return EXIT_BOUNDS
+    head = str(res.value) if res.exact else str(res)
+    _emit(args, payload, [head] + [f"  {n}" for n in res.notes])
+    return EXIT_OK if res.exact else EXIT_BOUNDS
 
 
 def _cmd_colorings(args):
@@ -498,13 +496,7 @@ def main(argv=None) -> int:
         if hasattr(args, "budget"):
             _budget_of(args)
         return _DISPATCH[args.command](args)
-    except _Usage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MismatchedSpaces, InvalidParameter) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
+    except (_Usage, MismatchedSpaces, InvalidParameter, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, FinspaceError) as e:

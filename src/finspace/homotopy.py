@@ -9,9 +9,10 @@ g: a fence found between the cores is lifted back through the collapses
 of Y and of X.  The domain is collapsed in place (``collapse``), and one
 record, ``Collapse``, keeps a collapse in the ids of the space it ran in;
 ``core(X)`` is the collapse of all of X.  So the same stages
-(``decide_on_core``) decide maps from a piece of a larger space:
-``homotopic`` on all of the domain, ``nullhomotopic_in`` on an open piece
-and ``TorusChecker`` on pieces of S x S, copying only the piece's core,
+(``decide_on_core``) decide maps from a piece of a larger space into a
+target whose core the caller collapses once: ``homotopic`` on all of the
+domain, ``nullhomotopic_in`` and generic ``cat`` on open pieces, and
+``TorusChecker`` on pieces of S x S.  They copy only the piece's core,
 and the piece itself only as the space of a lifted fence.  Maps into a
 circle are classified by the windings of one lift kernel, ``Lift``: its
 ``grow`` lifts two tables to the digital line along a spanning forest,
@@ -759,12 +760,13 @@ def _lift_fence(t1, t2, cl: Collapse, clY: Collapse, ft, gt, v: HomotopyVerdict)
     return _lift_core_fence(t1, t2, cl, tables, clY.X, v.reason)
 
 
-def decide_on_core(cl: Collapse, t1, t2, Y: FiniteSpace, budget: int):
+def decide_on_core(cl: Collapse, t1, t2, clY: Collapse, budget: int):
     """Decide f ~ g for the maps f, g from the piece ``cl.mask`` of
-    ``cl.X`` into Y that the tables ``t1``, ``t2`` on ``cl.X`` restrict
-    to, between the cores (Stong: f ~ g iff r_Y o f|core(X) ~ r_Y o
-    g|core(X) as maps core(X) -> core(Y)).  X is the piece, and ``cl``
-    its collapse.
+    ``cl.X`` into Y = ``clY.X`` that the tables ``t1``, ``t2`` on ``cl.X``
+    restrict to, between the cores (Stong: f ~ g iff r_Y o f|core(X) ~
+    r_Y o g|core(X) as maps core(X) -> core(Y)).  X is the piece, ``cl``
+    its collapse, and ``clY`` Y's core, which a caller collapses once for
+    all its pieces.  The empty piece vacuously is homotopic.
 
     The stages read the tables at the core's points only.  Maps that
     agree on core(X) are equal, or get a fence through the collapse of X
@@ -774,6 +776,9 @@ def decide_on_core(cl: Collapse, t1, t2, Y: FiniteSpace, budget: int):
     only rigidity carries no fence.  The piece is copied only to be the
     space of a homotopic verdict's fence.
     """
+    if not cl.mask:
+        return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
+    Y = clY.X
     C, ids = cl.space, cl.core_ids
     ft = tuple(t1[p] for p in ids)
     gt = tuple(t2[p] for p in ids)
@@ -784,7 +789,6 @@ def decide_on_core(cl: Collapse, t1, t2, Y: FiniteSpace, budget: int):
             return HomotopyVerdict("homotopic", [f1], cl.piece, Y, reason="maps equal")
         return _lift_core_fence(t1, t2, cl, [ft], Y, "maps agree on the domain core")
     # retract the target onto its core as well
-    clY = core(Y)
     rY = clY.retraction.table
     ft2 = tuple(rY[v] for v in ft)
     gt2 = tuple(rY[v] for v in gt)
@@ -847,8 +851,7 @@ def homotopic(
             "homotopic", [f.table], f.source, f.target, reason="maps equal"
         )
     if strategy == "auto":
-        X = f.source
-        return decide_on_core(collapse(X, X.full), f.table, g.table, f.target, budget)
+        return decide_on_core(core(f.source), f.table, g.table, core(f.target), budget)
     if strategy == "fence-bfs":
         return fence_bfs(f, g, budget)
     if strategy == "exhaustive-components":
@@ -883,8 +886,6 @@ def nullhomotopic_in(
         raise MismatchedSpaces("U must be a subset of X")
     if not X.is_open(U.members):
         raise NotOpen("U is not open in X")
-    if not U.members:
-        return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
     mask = U.members
-    base = (mask & -mask).bit_length() - 1
-    return decide_on_core(collapse(X, mask), range(X.n), [base] * X.n, X, budget)
+    base = (mask & -mask).bit_length() - 1  # -1 on the empty piece, never read
+    return decide_on_core(collapse(X, mask), range(X.n), [base] * X.n, core(X), budget)

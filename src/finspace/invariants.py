@@ -3,20 +3,20 @@
 Covers are certified piece by piece.  For products of digital circles a
 winding obstruction on the comparability graph refutes a piece outright.
 A piece whose cycles all have winding (0, 0) is certified by its lift:
-the winding test (``TorusChecker.grow``, on the lift kernel
-``homotopy.Lift`` that ``homotopic`` uses too) lifts both projections to
-the digital line along a spanning forest, the lift lands in a finite
-interval, and clamping it step by step (``homotopy._clamps``, as in
-``homotopic``) gives a fence.  One test decides every piece, in exact
-search and in the cover that it prints; a refuted piece names the cycle
-that the lift closed.  For a categorical piece the fence runs from the
-inclusion to a constant; for a section-categorical one from pi1|U
-through constants to pi2|U.  Only a section-categorical piece with a
-cycle of winding (d, d), d != 0, goes through the stages of
-``homotopic`` (``homotopy.decide_on_core``), on the piece's strong
-collapse run inside S x S: the stages read the projections at the
-core's points, and the piece is copied only for a fence that must be
-lifted to it.
+the winding test (``Lift.grow`` in ``homotopy``, the lift kernel that
+``homotopic`` uses too) lifts both projections to the digital line along
+a spanning forest, the lift lands in a finite interval, and clamping it
+step by step (``homotopy._clamps``, as in ``homotopic``) gives a fence.
+One test decides every piece, in exact search and in the cover that it
+prints; a refuted piece names the cycle that the lift closed.  For a
+categorical piece the fence runs from the inclusion to a constant; for a
+section-categorical one from pi1|U through constants to pi2|U.  Only a
+section-categorical piece with a cycle of winding (d, d), d != 0, goes
+through the stages of ``homotopic`` (``homotopy.decide_on_core``), on
+the piece's strong collapse run inside S x S: the stages read the
+projections at the core's points, and the piece is copied only for a
+fence that must be lifted to it.  On any other space ``cat`` sends each
+piece to the same stages, against the core of the space.
 
 Exact search runs over partitions of the maximal elements (principal
 covers suffice, and any certified cover shrinks to a certified partition
@@ -26,8 +26,8 @@ refuted, and decides each piece once per orbit of a group that preserves
 the verdict: Aut(S)^2 with the factor swap (order 8n^2) for cat, phi x phi
 with the swap (order 4n) for tc.  The search asks only for a piece's
 status, which for a lift-decided piece needs no subspace and no fence:
-the winding test grows along the DFS path (``TorusChecker.grow``), from
-the labels of the block that a new maximal joins.  The pieces of the
+the winding test grows along the DFS path (``TorusChecker.piece_status``),
+from the labels of the block that a new maximal joins.  The pieces of the
 cover it prints are decided again in full, with their certificates.
 """
 
@@ -46,9 +46,9 @@ from .homotopy import (
     Lift,
     _clamps,
     collapse,
+    core,
     decide_on_core,
     degrees,
-    nullhomotopic_in,
     oriented,
     through_constants,
 )
@@ -134,6 +134,7 @@ class TorusChecker:
         self.pi1, self.pi2 = projections(self.X, self.X, self.P)
         self.num = recognize_circle(self.X)[1]
         self.lift = Lift(self.P, self.pi1.table, self.pi2.table, self.num)
+        self.clX = core(self.X)  # S is its own core: the target of _on_core
         self._verdicts = {}  # (mask, mode, budget) -> verdict
         self._collapses = {}  # mask -> Collapse of the piece inside P
 
@@ -281,37 +282,29 @@ class TorusChecker:
         fence to be lifted copies U."""
         if cl is None:
             cl = self._collapses.get(mask) or collapse(self.P, mask)
-        return decide_on_core(cl, self.pi1.table, self.pi2.table, self.X, budget)
-
-    def grow(self, state, mask: int, mode: str):
-        """The winding test of the open piece U = ``mask``, grown from
-        ``state``, the lift on an open piece inside U (None: on the empty
-        piece), as (status, state) from ``Lift.grow``: "not_homotopic" at
-        a cycle of forbidden winding (the state is None), None for an 'sc'
-        piece with a cycle of winding (d, d), d != 0, which is left to
-        ``_on_core``, else "homotopic"."""
-        hit, state = self.lift.grow(state, mask, mode == "cat")
-        if hit is not None:
-            return "not_homotopic", None
-        return ("homotopic" if state[4] is None else None), state
+        return decide_on_core(cl, self.pi1.table, self.pi2.table, self.clX, budget)
 
     def piece_status(
         self, mask: int, mode: str, budget: int = DEFAULT_BUDGET, parent=None
     ):
         """The status of ``_decide(mask, mode, budget)`` without its
-        certificate, as (status, state): ``grow`` from ``parent`` (the state
-        of an open piece inside U, or None), then the stages on U's core if
-        ``grow`` leaves U open.  The state is None when U is refuted or a
-        remembered verdict answers.  No status or collapse is remembered
-        here; the search keeps its own memo of statuses, which ends with it.
-        U must be open, and is not checked: exact search builds only unions
-        of down-sets of maximals.
+        certificate, as (status, state): the lift grown from ``parent`` (the
+        state of an open piece inside U, or None), then the stages on U's
+        core if a cycle winds (d, d), d != 0.  The state is None when U is
+        refuted or a remembered verdict answers.  No status or collapse is
+        remembered here; the search keeps its own memo of statuses, which
+        ends with it.  U must be open, and is not checked: exact search
+        builds only unions of down-sets of maximals.
         """
         v = self._verdicts.get((mask, mode, budget))
         if v is not None:
             return v.status, None
-        status, state = self.grow(parent, mask, mode)
-        return status or self._on_core(mask, budget).status, state
+        hit, state = self.lift.grow(parent, mask, mode == "cat")
+        if hit is not None:
+            return "not_homotopic", None
+        if state[4] is None:
+            return "homotopic", state
+        return self._on_core(mask, budget).status, state
 
     def _decide(self, mask: int, mode: str, budget: int):
         """``_certify(mask, mode, budget)`` once: the verdict is remembered
@@ -421,13 +414,16 @@ def _deciders(X: FiniteSpace, checker: TorusChecker | None, mode: str, budget: i
     With a ``checker`` (X is its S x S) pieces go through its
     ``is_categorical`` (mode 'cat') or ``is_section_categorical`` (mode
     'sc'), statuses through ``piece_status``, grown from ``parent``, and
-    the group is ``checker.symmetries(mode)``.  Without one, X's pieces go
-    through ``nullhomotopic_in`` with no state and no symmetry.
+    the group is ``checker.symmetries(mode)``.  Without one, a piece (a
+    search piece or a ``DownSet``, open) is decided as by ``nullhomotopic_in``
+    against X's core, collapsed once, with no state and no symmetry.
     """
     if checker is None:
+        clX, ident = core(X), range(X.n)
 
         def certify(mask):
-            return nullhomotopic_in(DownSet(X, mask), X, budget)
+            base = (mask & -mask).bit_length() - 1  # -1 on the empty piece, never read
+            return decide_on_core(collapse(X, mask), ident, [base] * X.n, clX, budget)
 
         def status_of(mask, parent):
             return certify(mask).status, None
@@ -481,7 +477,7 @@ class _PartitionSearch:
     (sound by heredity: open subsets of certified pieces stay certified).
     Blocks are bitmasks over positions in ``maximals``.  Only ``cover``
     calls ``certify(mask)``, the full decision with its certificate, and
-    only on the pieces of the cover it returns.
+    only on the pieces of the cover it returns; ``_deciders`` gives both.
 
     Piece statuses are memoized per block.  On a miss the block's least
     image under ``group`` (permutations of the maximals that map certified
@@ -669,10 +665,17 @@ def _exact_invariant(
     return InvariantResult(name, None, lower, None, False, None, notes)
 
 
-def _check_mode(mode, witness, limit, force):
+def _check_budget(budget):
+    """A budget is at least 1, as the CLI's ``--budget`` is."""
+    if budget < 1:
+        raise InvalidParameter(f"budget must be at least 1, not {budget}")
+
+
+def _check_mode(mode, witness, limit, force, budget):
     """``mode`` is "exact" or "witness"; a witness cover is given exactly in
-    witness mode, ``limit`` and ``force`` tune only exact search, and a
-    limit is not negative."""
+    witness mode, ``limit`` and ``force`` tune only exact search, a limit
+    is not negative, and ``_check_budget`` holds."""
+    _check_budget(budget)
     if mode not in ("exact", "witness"):
         raise InvalidParameter(f"mode must be 'exact' or 'witness', not {mode!r}")
     if mode == "witness" and witness is None:
@@ -719,11 +722,12 @@ def cat(
     a constant.  The exact search then decides one piece per orbit of
     Aut(S)^2 with the factor swap (order 8n^2), since a homeomorphism maps
     categorical pieces to categorical pieces.  Any other X, a relabelled
-    torus too, has its pieces go through ``nullhomotopic_in``, and the
-    search uses no symmetry.  A ``witness`` is read only in witness mode,
-    which needs one and takes no ``limit`` or ``force``.
+    torus too, has each piece decided as ``nullhomotopic_in`` does, and
+    the search uses no symmetry.  A ``witness`` is read only in witness
+    mode, which needs one and takes no ``limit`` or ``force``.  A
+    ``budget`` below 1 is refused.
     """
-    _check_mode(mode, witness, limit, force)
+    _check_mode(mode, witness, limit, force, budget)
     status_of, certify, group = _deciders(X, _torus_of(X), "cat", budget)
     if mode == "witness":
         return _witness_invariant("cat", 0, X, certify, witness)
@@ -749,9 +753,9 @@ def tc(
     which preserves pi1|U ~ pi2|U.  phi x psi with phi != psi does not: a
     rotation of S is not homotopic to the identity.  A ``witness`` is read
     only in witness mode, which needs one and takes no ``limit`` or
-    ``force``.
+    ``force``.  A ``budget`` below 1 is refused.
     """
-    _check_mode(mode, witness, limit, force)
+    _check_mode(mode, witness, limit, force, budget)
     checker = torus(circle)
     status_of, certify, group = _deciders(checker.P, checker, "sc", budget)
     if mode == "witness":
@@ -1018,6 +1022,7 @@ def tc_via_colorings(
 ) -> InvariantResult:
     """tc of a digital circle with the 2-piece impossibility argued through
     simple colorings, then the exact search from 3 pieces on."""
+    _check_budget(budget)
     checker = torus(circle)
     grid = SquareGrid(circle, checker)
     refuted, _, notes = two_color_refutation(grid, budget)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .errors import InvalidParameter, NotContinuous, NotOpen, NotOrderPreserving
 from .homotopy import DEFAULT_BUDGET, collapse, table_cmp
 from .circles import recognize_circle
-from .invariants import TorusChecker, torus
+from .invariants import TorusChecker, _check_budget, torus
 from .space import (
     DownSet,
     OrderMap,
@@ -312,6 +312,7 @@ class WitnessReport:
 
 def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
     """Recheck every claim in the staged retraction and certify V too."""
+    _check_budget(budget)
     # (1) every stage is validated as a continuous map while it is built;
     # a stage that is not continuous fails the report with its witness
     try:

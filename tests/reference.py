@@ -407,6 +407,56 @@ def nullhomotopic_by_copy(U: DownSet, X: FiniteSpace, budget: int) -> HomotopyVe
     return homotopic(incl, const, "auto", budget)
 
 
+def set_partitions(items, c: int):
+    """Every partition of ``items`` into exactly c non-empty blocks, as
+    lists of lists: item i joins each block opened before it, or opens a
+    new one while fewer than c are open."""
+    blocks = []
+
+    def walk(i):
+        if i == len(items):
+            if len(blocks) == c:
+                yield [list(b) for b in blocks]
+            return
+        for b in blocks:
+            b.append(items[i])
+            yield from walk(i + 1)
+            b.pop()
+        if len(blocks) < c:
+            blocks.append([items[i]])
+            yield from walk(i + 1)
+            blocks.pop()
+
+    yield from walk(0)
+
+
+def cat_by_partitions(X: FiniteSpace, budget: int):
+    """``invariants.cat``'s exact value, by the unreduced search: for
+    c = 1, 2, ..., every partition of the maximal elements into c blocks,
+    each piece (the union of its block's down-sets) decided by
+    ``nullhomotopic_by_copy``, with no pruning and no symmetry.  The value
+    is c - 1 for the first c with a partition of categorical pieces; None
+    as soon as a piece is "unknown"."""
+    maximals = [x for x in range(X.n) if X.maximal_elements() >> x & 1]
+    status = {}
+    for c in range(1, len(maximals) + 1):
+        for blocks in set_partitions(maximals, c):
+            statuses = []
+            for block in blocks:
+                mask = 0
+                for x in block:
+                    mask |= X.down[x]
+                if mask not in status:
+                    v = nullhomotopic_by_copy(DownSet(X, mask), X, budget)
+                    status[mask] = v.status
+                statuses.append(status[mask])
+            if "unknown" in statuses:
+                return None
+            if all(s == "homotopic" for s in statuses):
+                return c - 1
+    raise AssertionError("the down-sets of the maximals are categorical")
+
+
 # -- coloring classes --------------------------------------------------
 
 

@@ -3,7 +3,7 @@ import weakref
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import finspace.homotopy as homotopy_module
 import finspace.invariants as invariants_module
@@ -53,6 +53,7 @@ from reference import (
     adjacency_potentials,
     brute_force_simple_colorings,
     canonical_coloring,
+    cat_by_partitions,
     coloring_from_rows,
     comparability_components,
     is_simple,
@@ -385,6 +386,112 @@ def test_module_level_wrappers():
         generic = nullhomotopic_in(DownSet(ch.P, mask), ch.P)
         assert generic.status == ch.is_categorical(mask).status
     assert nullhomotopic_in(DownSet(ch.P, 0), ch.P).is_homotopic
+
+
+def test_generic_witness_keeps_the_empty_piece_vacuous():
+    # a cover file may list an empty piece; on a space that is not a torus
+    # it is decided with the others, and keeps its own verdict
+    S = khalimsky_circle(2).space
+    top, other = bits(S.maximal_elements())
+    cov = arcs_cover(S, [[], [top], [other]])
+    res = cat(S, mode="witness", witness=cov)
+    assert not res.exact and (res.lower, res.upper) == (0, 2)
+    assert res.notes[0] == "piece 0: homotopic (empty piece (vacuous))"
+    empty = res.cover.certificates[0]
+    assert empty.fence == [] and empty.fence_space is None
+    assert all(v.is_homotopic for v in res.cover.certificates[1:])
+
+
+def s13_x_s12():
+    return product(khalimsky_circle(3).space, khalimsky_circle(2).space)
+
+
+def test_generic_cat_collapses_the_space_once_per_search(monkeypatch):
+    # exact cat(S1_3 x S1_2) decides 26 pieces and certifies the 4 of its
+    # cover, each on its own collapse inside X, all against one core of X:
+    # 31 collapses, where collapsing X again per piece made 60
+    runs = []
+    real = homotopy_module.collapse
+
+    def counted(X, mask):
+        runs.append(mask)
+        return real(X, mask)
+
+    monkeypatch.setattr(homotopy_module, "collapse", counted)
+    monkeypatch.setattr(invariants_module, "collapse", counted)
+    X = s13_x_s12()
+    res = cat(X)
+    assert res.exact and res.value == 3
+    assert res.notes[-1].startswith("search: 25 DFS nodes, 26 pieces decided")
+    assert len(runs) == 31 and runs.count(X.full) == 1
+    twice = {m for m in runs if runs.count(m) == 2}
+    assert twice == {p.members for p in res.cover.pieces}
+
+
+def test_exact_generic_cat_never_calls_nullhomotopic_in(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("nullhomotopic_in called")
+
+    monkeypatch.setattr(homotopy_module, "nullhomotopic_in", refused)
+    monkeypatch.setattr(invariants_module, "nullhomotopic_in", refused, raising=False)
+    assert cat(s13_x_s12()).value == 3
+    assert cat(khalimsky_circle(3).space).value == 1
+
+
+@pytest.mark.parametrize("budget", [3, DEFAULT_BUDGET])
+def test_generic_cover_certificates_are_those_of_nullhomotopic_in(budget):
+    # each printed piece is decided in place against the core of X that
+    # the search collapsed once; nullhomotopic_in collapses X per call
+    perm = list(range(16))
+    random.Random(2).shuffle(perm)
+    spaces = [
+        s13_x_s12(),
+        relabelled(torus(khalimsky_circle(2)).P, perm),
+        khalimsky_interval(0, 6).space,
+    ]
+    for X in spaces:
+        res = cat(X, budget=budget)
+        if res.cover is None:
+            continue
+        for piece, v in zip(res.cover.pieces, res.cover.certificates):
+            want = nullhomotopic_in(piece, X, budget)
+            assert verdict_fields(v) == verdict_fields(want)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_a_budget_below_one_is_refused(budget):
+    # the library keeps the CLI's --budget rule: a budget of 1 is the least
+    S = khalimsky_circle(3)
+    X = s13_x_s12()
+    calls = [
+        lambda: cat(X, budget=budget),
+        lambda: cat(X, mode="witness", witness=Cover(X, [DownSet(X, X.full)]), budget=budget),
+        lambda: tc(S, budget=budget),
+        lambda: tc_via_colorings(khalimsky_circle(4), budget),
+        lambda: witness_module.verify_bundle(5, budget),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameter, match="budget must be at least 1"):
+            call()
+    assert cat(S.space, budget=1).value == 1
+
+
+@st.composite
+def small_posets(draw):
+    """A random poset of 1-7 points: each pair i < j related (i below j)
+    with probability one half, closed transitively."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for j in range(n) for i in range(j) if draw(st.booleans())]
+    return build_space([f"p{i}" for i in range(n)], pairs)
+
+
+@settings(max_examples=150)
+@given(small_posets(), st.sampled_from([20, DEFAULT_BUDGET]))
+def test_generic_cat_matches_the_unreduced_partition_search(X, budget):
+    want = cat_by_partitions(X, budget)
+    assume(want is not None)
+    res = cat(X, budget=budget)
+    assert res.exact and res.value == want
 
 
 def test_witness_cover_of_another_space_is_rejected():
@@ -930,11 +1037,24 @@ def checker_of(n):
     return _checkers[n]
 
 
+def grown_status(ch, state, mask, mode):
+    """The winding test of the open piece ``mask`` on the checker's lift,
+    grown from ``state``, as (status, state) in the form of
+    ``winding_status``: "not_homotopic" at a cycle of forbidden winding
+    (no state), None at a cycle of winding (d, d), d != 0, else
+    "homotopic"."""
+    hit, state = ch.lift.grow(state, mask, mode == "cat")
+    if hit is not None:
+        return "not_homotopic", None
+    return ("homotopic" if state[4] is None else None), state
+
+
 def assert_growth_matches_scratch(ch, steps, mode):
     """Grow the open pieces that ``steps`` add up to, each step a list of
     points whose down-sets it adds, and check each grown status against
-    the reference ``winding_status`` from scratch and against ``grow``
-    from scratch.  A grown state must label the piece's components, and
+    the reference ``winding_status`` from scratch, against the lift grown
+    from scratch, and against ``piece_status`` grown as the search grows
+    it when the lift decides.  A grown state must label the piece's components, and
     its labels must give every comparable pair the winding (w, w) of a
     cycle ("homotopic": w = 0).  Returns the number of steps that joined components of the piece
     before them."""
@@ -948,9 +1068,11 @@ def assert_growth_matches_scratch(ch, steps, mode):
         after = comparability_components(ch.P, mask)
         joins += any(sum(1 for b in before if b & a) > 1 for a in after)
         want = winding_status(ch, mask, mode)
-        got, grown = ch.grow(state, mask, mode)
+        got, grown = grown_status(ch, state, mask, mode)
         assert got == want
-        assert ch.grow(None, mask, mode)[0] == want
+        assert grown_status(ch, None, mask, mode)[0] == want
+        if got is not None:
+            assert ch.piece_status(mask, mode, DEFAULT_BUDGET, state)[0] == got
         if got == "not_homotopic":
             assert grown is None
             return joins
@@ -1016,7 +1138,7 @@ def test_grown_status_across_a_join(n, mode, turn):
     mask = 0
     for c in cells:
         mask |= ch.P.down[c]
-    status = ch.grow(None, mask, mode)[0]
+    status = grown_status(ch, None, mask, mode)[0]
     assert status == (None if (mode, turn) == ("sc", 1) else "not_homotopic")
 
 

@@ -11,7 +11,8 @@ dead: a brute-force check the tests compare against belongs in
 A method counts as used when some attribute access in a Python file under
 ``src/`` or ``bench/`` names it (``x.name``, read off the syntax tree, so
 comments, strings and tests do not count), or when ``bench/tracing.py``'s
-``LAYERS`` wraps it by its dotted path.  A module function read through
+``LAYERS`` wraps it by its dotted path, ``Class.method``: a traced method
+of one class is no use of a method of the same name in another.  A module function read through
 the benchmark's namespace of modules, ``fs.<module>.name``, is no use of
 a method called ``name``.  A function nested in another
 counts as used when the program names it outside its ``def``.  Dunder
@@ -104,14 +105,15 @@ def names_in(paths):
 
 
 def traced_methods():
-    """The method names that ``bench/tracing.py``'s ``LAYERS`` wraps."""
+    """The methods that ``bench/tracing.py``'s ``LAYERS`` wraps, as the
+    dotted paths ``Class.method`` it names them by."""
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
         ):
             layers = ast.literal_eval(node.value)
-            return {path.split(".")[-1] for _, path in layers.values() if "." in path}
+            return {path for _, path in layers.values() if "." in path}
     raise AssertionError("bench/tracing.py defines no LAYERS")
 
 
@@ -134,7 +136,7 @@ def test_every_definition_is_used():
             attr = name.split(".")[1]
             overrides = any(hasattr(base, attr) for base in cls.__mro__[1:])
             dead = not (
-                attrs[attr] or attr in traced or overrides or name in API_METHODS
+                attrs[attr] or name in traced or overrides or name in API_METHODS
             )
         else:
             dead = not names[name] and not attrs[name]
