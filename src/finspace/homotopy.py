@@ -10,26 +10,31 @@ of Y and of X.  The domain is collapsed in place (``collapse``), and one
 record, ``Collapse``, keeps a collapse in the ids of the space it ran in;
 ``core(X)`` is the collapse of all of X.  So the same stages
 (``decide_on_core``) decide maps from a piece of a larger space into a
-target whose core the caller collapses once: ``homotopic`` on all of the
-domain, ``nullhomotopic_in`` and generic ``cat`` on open pieces, and
-``TorusChecker`` on pieces of S x S.  They copy only the piece's core,
-and the piece itself only as the space of a lifted fence.  Maps into a
-circle are classified by the windings of one lift kernel, ``Lift``: its
-``grow`` lifts two tables to the digital line along a spanning forest,
-from scratch or from the lift of a smaller open piece, and reports the
-first cycle of forbidden winding, or of winding (d, d), d != 0.  The
-circle stage grows it once on the domain core, and ``TorusChecker``
-grows it along exact search; a winding-free lift, ``rooted`` at the
-least point of each component, is clamped to a fence with ``_clamps``
-and ``through_constants``.  Only the rigidity verdict (equal nonzero
-degree on a circle core) and the 'exhaustive-components' strategy carry
-no fence, so ``replay()`` is False on their verdicts.
+target whose core is collapsed once: ``homotopic`` on all of the domain
+(collapsing the target only past the agreement stages),
+``nullhomotopic_in`` and generic ``cat`` on open pieces, and
+``TorusChecker`` on pieces of S x S.  A homotopic verdict holds a proof
+of its fence, built from what the deciding stage already has (the lift,
+or the collapses and the fence between the cores) when the fence is
+first read: a caller that reads only the status builds no fence and
+copies only the piece's core.  Maps into a circle are classified by the
+windings of one lift kernel, ``Lift``: its ``grow`` lifts two tables to
+the digital line along a spanning forest, from scratch or from the lift
+of a smaller open piece, and reports the first cycle of forbidden
+winding, or of winding (d, d), d != 0.  The circle stage grows it once on
+the domain core, and ``TorusChecker`` grows it along exact search; a
+winding-free lift, ``rooted`` at the least point of each component, is
+clamped to a fence with ``_clamps`` and ``through_constants``, and a
+reason that states the fence's length reads it off the lift's range.
+Only the rigidity verdict (equal nonzero degree on a circle core) and
+the 'exhaustive-components' strategy carry no fence, so ``replay()`` is
+False on their verdicts.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .circles import recognize_circle
@@ -73,7 +78,6 @@ def table_cmp(Y: FiniteSpace, t1, t2):
     return "leq" if leq else "geq"
 
 
-@dataclass
 class HomotopyVerdict:
     """Outcome of a homotopy decision.
 
@@ -93,14 +97,37 @@ class HomotopyVerdict:
     fence on the piece: a categorical one from the inclusion to a
     constant, a section-categorical one from pi1|U to pi2|U.  An empty
     piece carries none.
+
+    A verdict given a ``proof`` (a function returning the fence and its
+    space) holds no fence until ``fence`` or ``fence_space`` is first
+    read; the proof builds both then, and they are kept.  The deciding
+    stages give their fences so: the proof holds what the stage already
+    had, the collapses and the fence between the cores, or the lift.
     """
 
-    status: str
-    fence: list = field(default_factory=list)
-    fence_space: FiniteSpace | None = None
-    target: FiniteSpace | None = None
-    reason: str = ""
-    core_old_ids: list | None = None
+    def __init__(
+        self, status: str, fence=None, fence_space=None, target=None, reason="",
+        core_old_ids=None, proof=None,
+    ):
+        self.status = status
+        self.target = target
+        self.reason = reason
+        self.core_old_ids = core_old_ids
+        if proof is None:
+            self.fence = [] if fence is None else fence
+            self.fence_space = fence_space
+        else:
+            self._proof = proof
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: a fence not built yet
+        if name not in ("fence", "fence_space") or "_proof" not in self.__dict__:
+            raise AttributeError(name)
+        self.fence, self.fence_space = self.__dict__.pop("_proof")()
+        return self.__dict__[name]
+
+    def __repr__(self):
+        return f"HomotopyVerdict({self.status!r}, reason={self.reason!r})"
 
     @property
     def is_homotopic(self):
@@ -475,9 +502,9 @@ def hom_components(X: FiniteSpace, Y: FiniteSpace, budget=DEFAULT_BUDGET):
 # -- homotopy decision -------------------------------------------------
 
 
-def _constants_fence(X: FiniteSpace, Y: FiniteSpace, a: int, b: int):
-    """Fence between constant maps at a and b along an order path, if any."""
-    # BFS over the comparability graph of Y
+def _order_path(Y: FiniteSpace, a: int, b: int):
+    """The points of a shortest order path from a to b in Y, by BFS over
+    its comparability graph, or None if they lie in different components."""
     parent = {a: None}
     queue = deque([a])
     while queue:
@@ -487,7 +514,7 @@ def _constants_fence(X: FiniteSpace, Y: FiniteSpace, a: int, b: int):
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])
             path.reverse()
-            return [tuple([v] * X.n) for v in path]
+            return path
         for nxt in sorted(Y.up_ids[cur] + Y.down_ids[cur]):
             if nxt not in parent:
                 parent[nxt] = cur
@@ -495,10 +522,16 @@ def _constants_fence(X: FiniteSpace, Y: FiniteSpace, a: int, b: int):
     return None
 
 
-def _lift_core_fence(t1, t2, cl: Collapse, core_fence, Y, reason):
-    """A homotopic verdict with a fence on the piece of ``cl`` from f to g
-    (the maps into Y that the tables ``t1``, ``t2`` on ``cl.X`` restrict
-    to) through a fence on its core.
+def _constants_fence(X: FiniteSpace, Y: FiniteSpace, a: int, b: int):
+    """Fence between constant maps at a and b along an order path, if any."""
+    path = _order_path(Y, a, b)
+    return None if path is None else [tuple([v] * X.n) for v in path]
+
+
+def _lift_core_fence(t1, t2, cl: Collapse, core_fence):
+    """A fence on the piece of ``cl`` from f to g (the maps that the tables
+    ``t1``, ``t2`` on ``cl.X`` restrict to) through a fence on its core,
+    with its space, the piece.
 
     f o s along the collapse, then h o r for each core-fence map h (r the
     retraction), then g o s back along the collapse; consecutive repeats
@@ -514,7 +547,7 @@ def _lift_core_fence(t1, t2, cl: Collapse, core_fence, Y, reason):
     for t in tables[1:]:
         if t != fence[-1]:
             fence.append(t)
-    return HomotopyVerdict("homotopic", fence, retraction.source, Y, reason=reason)
+    return fence, retraction.source
 
 
 # -- maps into a circle: lifts and windings ---------------------------
@@ -696,6 +729,16 @@ def through_constants(X: FiniteSpace, S: FiniteSpace, phi, points, num):
     return down[:-1] + path + up[-2::-1]
 
 
+def through_constants_length(S: FiniteSpace, phi, points, num) -> int:
+    """``len(through_constants(X, S, phi, points, num))``, with no table
+    built: max - min clamps of each lift past its bottom, and the order
+    path in S between the two bottom constants."""
+    L1, L2 = zip(*(phi[p] for p in points))
+    size = len(num)
+    path = _order_path(S, num.index(min(L1) % size), num.index(min(L2) % size))
+    return max(L1) - min(L1) + len(path) + max(L2) - min(L2)
+
+
 def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
     """Classify ``ft2`` and ``gt2``, maps from the domain core C into the
     circle core ``CY`` numbered by ``recY``, by the windings of their
@@ -719,11 +762,13 @@ def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
     wound = state[4]
     if wound is None:
         points = range(C.n)
-        fence = through_constants(C, CY, lift.rooted(state, points), points, num)
+        phi = lift.rooted(state, points)
         return HomotopyVerdict(
-            "homotopic", fence, C, CY,
+            "homotopic", target=CY,
             reason="circle classification: both maps lift to the digital line; "
-            f"fence of {len(fence)} maps through constants",
+            f"fence of {through_constants_length(CY, phi, points, num)} maps "
+            "through constants",
+            proof=lambda: (through_constants(C, CY, phi, points, num), C),
         )
     rec = recognize_circle(C)
     if rec is None:
@@ -742,11 +787,11 @@ def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
     )
 
 
-def _lift_fence(t1, t2, cl: Collapse, clY: Collapse, ft, gt, v: HomotopyVerdict):
-    """The verdict ``v`` with its fence core(X) -> core(Y), from r_Y o f|C
-    to r_Y o g|C, lifted to a fence on the piece X of ``cl`` from f to g
-    (tables ``t1``, ``t2`` on ``cl.X``; ``ft``, ``gt``: f|C and g|C as
-    tables into Y, and ``clY`` the collapse of all of Y).
+def _lift_fence(t1, t2, cl: Collapse, clY: Collapse, ft, gt, core_fence):
+    """A fence core(X) -> core(Y), from r_Y o f|C to r_Y o g|C, lifted to
+    a fence on the piece X of ``cl`` from f to g, with its space (tables
+    ``t1``, ``t2`` on ``cl.X``; ``ft``, ``gt``: f|C and g|C as tables into
+    Y, and ``clY`` the collapse of all of Y).
 
     s o f|C along the collapse of Y, then i_Y o h for each core-fence map
     h, then s o g|C back along the collapse, gives a fence C -> Y from
@@ -755,30 +800,33 @@ def _lift_fence(t1, t2, cl: Collapse, clY: Collapse, ft, gt, v: HomotopyVerdict)
     steps = clY.fence
     old_ids = clY.core_ids
     tables = [tuple(s[v] for v in ft) for s in steps]
-    tables += [tuple(old_ids[v] for v in h) for h in v.fence]
+    tables += [tuple(old_ids[v] for v in h) for h in core_fence]
     tables += [tuple(s[v] for v in gt) for s in reversed(steps)]
-    return _lift_core_fence(t1, t2, cl, tables, clY.X, v.reason)
+    return _lift_core_fence(t1, t2, cl, tables)
 
 
-def decide_on_core(cl: Collapse, t1, t2, clY: Collapse, budget: int):
+def decide_on_core(
+    cl: Collapse, t1, t2, Y: FiniteSpace, budget: int, clY: Collapse | None = None
+):
     """Decide f ~ g for the maps f, g from the piece ``cl.mask`` of
-    ``cl.X`` into Y = ``clY.X`` that the tables ``t1``, ``t2`` on ``cl.X``
-    restrict to, between the cores (Stong: f ~ g iff r_Y o f|core(X) ~
-    r_Y o g|core(X) as maps core(X) -> core(Y)).  X is the piece, ``cl``
-    its collapse, and ``clY`` Y's core, which a caller collapses once for
-    all its pieces.  The empty piece vacuously is homotopic.
+    ``cl.X`` into Y that the tables ``t1``, ``t2`` on ``cl.X`` restrict
+    to, between the cores (Stong: f ~ g iff r_Y o f|core(X) ~ r_Y o
+    g|core(X) as maps core(X) -> core(Y)).  X is the piece and ``cl`` its
+    collapse.  ``clY`` is Y's core, which a caller with many pieces
+    collapses once; without it, Y is collapsed here, and only if the maps
+    differ on core(X).  The empty piece vacuously is homotopic.
 
     The stages read the tables at the core's points only.  Maps that
-    agree on core(X) are equal, or get a fence through the collapse of X
+    agree on core(X) are equal, or homotopic through the collapse of X
     (``_lift_core_fence``).  Every other stage gives a verdict between the
     cores, and a homotopic one with a fence core(X) -> core(Y) is lifted
-    once, back through the collapse of Y and then of X (``_lift_fence``);
-    only rigidity carries no fence.  The piece is copied only to be the
-    space of a homotopic verdict's fence.
+    back through the collapse of Y and then of X (``_lift_fence``); only
+    rigidity carries no fence.  Every fence on the piece is a proof, built
+    when the verdict's fence is first read: only then is the piece copied,
+    as the fence's space.
     """
     if not cl.mask:
         return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
-    Y = clY.X
     C, ids = cl.space, cl.core_ids
     ft = tuple(t1[p] for p in ids)
     gt = tuple(t2[p] for p in ids)
@@ -786,8 +834,16 @@ def decide_on_core(cl: Collapse, t1, t2, clY: Collapse, budget: int):
         points = list(bits(cl.mask))
         f1 = tuple(t1[p] for p in points)
         if f1 == tuple(t2[p] for p in points):
-            return HomotopyVerdict("homotopic", [f1], cl.piece, Y, reason="maps equal")
-        return _lift_core_fence(t1, t2, cl, [ft], Y, "maps agree on the domain core")
+            return HomotopyVerdict(
+                "homotopic", target=Y, reason="maps equal",
+                proof=lambda: ([f1], cl.piece),
+            )
+        return HomotopyVerdict(
+            "homotopic", target=Y, reason="maps agree on the domain core",
+            proof=lambda: _lift_core_fence(t1, t2, cl, [ft]),
+        )
+    if clY is None:
+        clY = core(Y)
     # retract the target onto its core as well
     rY = clY.retraction.table
     ft2 = tuple(rY[v] for v in ft)
@@ -820,8 +876,11 @@ def decide_on_core(cl: Collapse, t1, t2, clY: Collapse, budget: int):
         v.reason += (
             f" on the domain core ({C.n} of {cl.mask.bit_count()} points), {target}"
         )
-    if v.fence:
-        return _lift_fence(t1, t2, cl, clY, ft, gt, v)
+    if v.status == "homotopic" and v.core_old_ids is None:
+        return HomotopyVerdict(
+            "homotopic", target=Y, reason=v.reason,
+            proof=lambda: _lift_fence(t1, t2, cl, clY, ft, gt, v.fence),
+        )
     return v
 
 
@@ -839,8 +898,8 @@ def homotopic(
     r_Y onto core(Y); a circle core(Y) (classification by the windings of
     the lifts, ``_circle_stage``); else fence BFS from r_Y o f|core(X) to
     r_Y o g|core(X) in the maps core(X) -> core(Y).  Each stage but
-    rigidity gives a fence on X from f to g, lifted back through both
-    collapses.
+    rigidity proves f ~ g by a fence on X from f to g, lifted back through
+    both collapses when the verdict's fence is first read.
     'fence-bfs' and 'exhaustive-components' work on the full domain and
     serve as brute-force references.
     """
@@ -851,7 +910,7 @@ def homotopic(
             "homotopic", [f.table], f.source, f.target, reason="maps equal"
         )
     if strategy == "auto":
-        return decide_on_core(core(f.source), f.table, g.table, core(f.target), budget)
+        return decide_on_core(core(f.source), f.table, g.table, f.target, budget)
     if strategy == "fence-bfs":
         return fence_bfs(f, g, budget)
     if strategy == "exhaustive-components":
@@ -881,11 +940,11 @@ def nullhomotopic_in(
     """Is the inclusion U -> X homotopic to a constant map, at U's least
     point?  The empty piece vacuously is.  U is collapsed inside X and the
     two maps are given as tables on X, so ``decide_on_core`` builds
-    neither map and copies U only as the space of a lifted fence."""
+    neither map, and copies U only when the verdict's fence is read."""
     if U.space != X:
         raise MismatchedSpaces("U must be a subset of X")
     if not X.is_open(U.members):
         raise NotOpen("U is not open in X")
     mask = U.members
     base = (mask & -mask).bit_length() - 1  # -1 on the empty piece, never read
-    return decide_on_core(collapse(X, mask), range(X.n), [base] * X.n, core(X), budget)
+    return decide_on_core(collapse(X, mask), range(X.n), [base] * X.n, X, budget)

@@ -14,8 +14,8 @@ section-categorical one from pi1|U through constants to pi2|U.  Only a
 section-categorical piece with a cycle of winding (d, d), d != 0, goes
 through the stages of ``homotopic`` (``homotopy.decide_on_core``), on
 the piece's strong collapse run inside S x S: the stages read the
-projections at the core's points, and the piece is copied only for a
-fence that must be lifted to it.  On any other space ``cat`` sends each
+projections at the core's points, and the piece is copied only when a
+fence lifted to it is read.  On any other space ``cat`` sends each
 piece to the same stages, against the core of the space.
 
 Exact search runs over partitions of the maximal elements (principal
@@ -28,7 +28,8 @@ with the swap (order 4n) for tc.  The search asks only for a piece's
 status, which for a lift-decided piece needs no subspace and no fence:
 the winding test grows along the DFS path (``TorusChecker.piece_status``),
 from the labels of the block that a new maximal joins.  The pieces of the
-cover it prints are decided again in full, with their certificates.
+cover it prints are decided again, with their certificates, whose fences
+are built only when read.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .homotopy import (
     degrees,
     oriented,
     through_constants,
+    through_constants_length,
 )
 from .circles import recognize_circle
 from .space import (
@@ -278,11 +280,13 @@ class TorusChecker:
     def _on_core(self, mask: int, budget: int, cl=None):
         """pi1|U ~ pi2|U by ``decide_on_core`` on U's collapse inside P:
         ``cl``, else a remembered one, else a new one that is not kept.
-        The stages read both projections at the core's points, and only a
-        fence to be lifted copies U."""
+        The stages read both projections at the core's points, and only
+        reading the verdict's fence copies U."""
         if cl is None:
             cl = self._collapses.get(mask) or collapse(self.P, mask)
-        return decide_on_core(cl, self.pi1.table, self.pi2.table, self.clX, budget)
+        return decide_on_core(
+            cl, self.pi1.table, self.pi2.table, self.X, budget, self.clX
+        )
 
     def piece_status(
         self, mask: int, mode: str, budget: int = DEFAULT_BUDGET, parent=None
@@ -326,12 +330,14 @@ class TorusChecker:
 
         The lift of U grown from scratch (``Lift.grow``) decides it.  A
         refuted piece names its cycle of forbidden winding.  A piece with
-        no winding gets a fence built from the lift, ``rooted`` at the
-        least point of each component: mode 'cat' contracts the inclusion
-        U -> S x S to a constant by ``lift_fence``; mode 'sc' builds a
-        fence on U from pi1|U to pi2|U by ``through_constants``.  The rest,
-        'sc' pieces with a cycle of winding (d, d), d != 0, go to
-        ``_on_core`` on U's remembered collapse.
+        no winding is proved by the lift, ``rooted`` at the least point of
+        each component, and its fence is built from it when first read:
+        mode 'cat' contracts the inclusion U -> S x S to a constant by
+        ``lift_fence``; mode 'sc' builds a fence on U from pi1|U to pi2|U
+        by ``through_constants``.  The reason gives the fence's length,
+        read off the ranges of the lift.  The rest, 'sc' pieces with a
+        cycle of winding (d, d), d != 0, go to ``_on_core`` on U's
+        remembered collapse.
         """
         if not mask:
             return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
@@ -343,18 +349,27 @@ class TorusChecker:
             )
         if state[4] is not None:
             return self._on_core(mask, budget, self.collapse(mask))
-        phi = self.lift.rooted(state, bits(mask))
-        sub, old_ids = self.P.subspace(mask)
+        points = list(bits(mask))
+        phi = self.lift.rooted(state, points)
         if mode == "cat":
-            fence = self.lift_fence(old_ids, phi)
+            L1, L2 = zip(*(phi[p] for p in points))
+            length = max(L1) - min(L1) + 1 + max(L2) - min(L2)  # of lift_fence
             target, ends = self.P, "to a constant"
         else:
-            fence = through_constants(sub, self.X, phi, old_ids, self.num)
+            length = through_constants_length(self.X, phi, points, self.num)
             target, ends = self.X, "through constants"
+
+        def proof():
+            sub = self.P.subspace(mask)[0]
+            if mode == "cat":
+                return self.lift_fence(points, phi), sub
+            return through_constants(sub, self.X, phi, points, self.num), sub
+
         return HomotopyVerdict(
-            "homotopic", fence, sub, target,
+            "homotopic", target=target,
             reason=f"projections lift to the digital line; "
-            f"fence of {len(fence)} maps {ends}",
+            f"fence of {length} maps {ends}",
+            proof=proof,
         )
 
     def is_section_categorical(self, mask: int, budget: int = DEFAULT_BUDGET):
@@ -423,7 +438,7 @@ def _deciders(X: FiniteSpace, checker: TorusChecker | None, mode: str, budget: i
 
         def certify(mask):
             base = (mask & -mask).bit_length() - 1  # -1 on the empty piece, never read
-            return decide_on_core(collapse(X, mask), ident, [base] * X.n, clX, budget)
+            return decide_on_core(collapse(X, mask), ident, [base] * X.n, X, budget, clX)
 
         def status_of(mask, parent):
             return certify(mask).status, None
@@ -864,9 +879,10 @@ def cell_symmetries(grid: SquareGrid):
     return sorted(out)
 
 
-def _simple_colorings(grid: SquareGrid, colors: int):
+def _simple_colorings(grid: SquareGrid, colors: int, with_masks: bool = False):
     """The simple colorings of the grid with ``colors`` colors, one at a
-    time, in the lexicographic order of their assignments.
+    time, in the lexicographic order of their assignments; ``with_masks``
+    pairs each with the point masks of its classes, color by color.
 
     A depth-first search assigns the cells in index order i*n + j, tries
     the colors in increasing order, and cuts a branch as soon as the class
@@ -901,7 +917,8 @@ def _simple_colorings(grid: SquareGrid, colors: int):
                 if idx + 1 < cells:
                     idx, c = idx + 1, 0
                     continue
-                yield Coloring(n, colors, tuple(assignment))
+                col = Coloring(n, colors, tuple(assignment))
+                yield (col, tuple(masks)) if with_masks else col
                 masks[c] = before[idx]
                 c += 1
             continue
@@ -987,7 +1004,8 @@ def two_color_refutation(grid: SquareGrid, budget: int = DEFAULT_BUDGET):
 
     Non-simple colorings die by the line lemma; the simple 2-colorings,
     with no symmetry factored out, are walked one at a time and checked
-    piece by piece.  The checker remembers its verdicts, so a piece shared
+    piece by piece, each piece the point mask of a class that the walk
+    holds.  The checker remembers its verdicts, so a piece shared
     between colorings is decided once.  The walk stops at the first
     coloring that is not refuted, since one is enough to leave the claim
     unproven, and the colorings past it are never built.  Returns
@@ -996,11 +1014,10 @@ def two_color_refutation(grid: SquareGrid, budget: int = DEFAULT_BUDGET):
     degs = line_lemma(grid)
     notes = [f"line lemma: {len(degs)} lines, projection degrees all distinct"]
     checked = []
-    for idx, col in enumerate(_simple_colorings(grid, 2)):
+    for idx, (col, masks) in enumerate(_simple_colorings(grid, 2, with_masks=True)):
         checked.append(col)
         verdicts = [
-            grid.checker.is_section_categorical(p.members, budget)
-            for p in cover_from_coloring(grid, col).pieces
+            grid.checker.is_section_categorical(m, budget) for m in masks if m
         ]
         bad = [v for v in verdicts if v.status == "not_homotopic"]
         if not bad:
@@ -1021,13 +1038,23 @@ def tc_via_colorings(
     circle: KhalimskyCircle, budget: int = DEFAULT_BUDGET
 ) -> InvariantResult:
     """tc of a digital circle with the 2-piece impossibility argued through
-    simple colorings, then the exact search from 3 pieces on."""
+    simple colorings, then the exact search from 3 pieces on.  A simple
+    2-coloring whose two pieces are both certified is a 2-piece cover,
+    which meets the lower bound: tc = 1, with that cover."""
     _check_budget(budget)
     checker = torus(circle)
     grid = SquareGrid(circle, checker)
-    refuted, _, notes = two_color_refutation(grid, budget)
+    refuted, checked, notes = two_color_refutation(grid, budget)
     notes = ["lower bound 1 from the topological circle"] + notes
     if not refuted:
+        cover = cover_from_coloring(grid, checked[-1])
+        # the checker remembers these verdicts from the refutation's walk
+        cover.certificates = [
+            checker.is_section_categorical(p.members, budget) for p in cover.pieces
+        ]
+        if all(v.is_homotopic for v in cover.certificates):
+            notes.append("certified 2-piece cover found")
+            return InvariantResult("tc", 1, 1, 1, True, cover, notes)
         notes.append("a simple 2-coloring was not refuted")
         return InvariantResult("tc", None, 1, None, False, None, notes)
     notes.append("no certified cover with 2 pieces (colorings + line lemma)")

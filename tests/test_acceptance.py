@@ -113,9 +113,12 @@ def test_tc_of_half_size_four_circle_via_colorings():
 def test_coloring_route_at_half_size_five_stops_at_first_unrefuted_coloring():
     clk = Clock(10)
     res = tc_via_colorings(khalimsky_circle(5))
-    assert not res.exact and (res.lower, res.upper) == (1, None)
+    # coloring 13 has both pieces certified: a 2-piece cover, tc = 1
+    assert res.exact and (res.value, res.lower, res.upper) == (1, 1, 1)
+    assert len(res.cover.pieces) == 2
+    assert all(v.is_homotopic for v in res.cover.certificates)
     assert res.notes[-2].startswith("coloring 13: not refuted (")
-    assert res.notes[-1] == "a simple 2-coloring was not refuted"
+    assert res.notes[-1] == "certified 2-piece cover found"
     clk.check()
 
 

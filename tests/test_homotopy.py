@@ -325,6 +325,78 @@ def test_fence_bfs_runs_on_the_target_core():
             assert v.fence[0] == ft and v.fence[-1] == gt and v.replay(f, g)
 
 
+def test_maps_that_agree_on_the_domain_core_never_collapse_the_target(monkeypatch):
+    # the agreement stages read the tables at core(X) alone: the target is
+    # collapsed only for a pair that differs there, and then once
+    X, Y = khalimsky_interval(0, 2).space, khalimsky_interval(0, 3).space
+    collapsed = []
+    real = homotopy_module.collapse
+
+    def counted(space, mask):
+        collapsed.append(space)
+        return real(space, mask)
+
+    monkeypatch.setattr(homotopy_module, "collapse", counted)
+    tables = enumerate_maps(X, Y)
+    agreeing = 0
+    for ft, gt in iproduct(tables, tables):
+        collapsed.clear()
+        v = homotopic(OrderMap(X, Y, ft), OrderMap(X, Y, gt))
+        agree = v.reason in ("maps equal", "maps agree on the domain core")
+        agreeing += agree
+        assert sum(space is Y for space in collapsed) == (0 if agree else 1), v.reason
+    assert agreeing == 65
+
+
+def poset(rnd, name, n):
+    """A poset on n points in which i < j is a generating pair with
+    probability 0.3, as the poset-maps benchmark draws its posets."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < 0.3]
+    return build_space([f"{name}{i}" for i in range(n)], pairs)
+
+
+@st.composite
+def benchmark_like_pairs(draw):
+    """Two maps X -> Y: between posets of 4-7 and 4-6 points drawn as the
+    poset-maps benchmark draws them, or between circles S1_m -> S1_n,
+    m, n = 2..4, the second map at times the first turned by a rotation
+    (equal windings)."""
+    circles = draw(st.booleans())
+    if circles:
+        X, Y = (khalimsky_circle(draw(st.integers(2, 4))).space for _ in "XY")
+    else:
+        rnd = draw(st.randoms(use_true_random=False))
+        X, Y = poset(rnd, "x", draw(st.integers(4, 7))), poset(rnd, "y", draw(st.integers(4, 6)))
+    tables = enumerate_maps(X, Y)
+    assume(len(tables) <= 1500)  # keeps the hom_components oracle quick
+    ft, gt = (draw(st.sampled_from(tables)) for _ in "fg")
+    if circles and draw(st.booleans()):
+        gt = tuple((v + 2) % Y.n for v in ft)
+    return OrderMap(X, Y, ft), OrderMap(X, Y, gt)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(benchmark_like_pairs())
+def test_a_fence_proof_replays_and_has_the_length_its_reason_states(pair):
+    # a homotopic verdict's fence is built from its proof when first read:
+    # it replays anchored at f and g, the status is that of the full
+    # hom-set, and a length that the reason states is the fence's, or the
+    # fence's between the cores once it is lifted through a collapse
+    f, g = pair
+    X, Y = f.source, f.target
+    v = homotopic(f, g)
+    same = any(f.table in c and g.table in c for c in hom_components(X, Y))
+    assert v.status == ("homotopic" if same else "not_homotopic"), v.reason
+    if v.fence:
+        assert v.replay(f, g)
+    stated = re.search(r"fence of (\d+) maps", v.reason)
+    if stated:
+        if beat_point_free(X) and beat_point_free(Y):
+            assert int(stated[1]) == len(v.fence)
+        else:
+            assert int(stated[1]) <= len(v.fence)
+
+
 def naive_core(X):
     """Reference collapse: rescan the subspace from point 0 after every
     removal and remove the lowest-id beat point, up before down.

@@ -1,4 +1,5 @@
 import random
+import re
 import weakref
 from itertools import combinations, permutations
 
@@ -854,38 +855,66 @@ def test_search_status_is_that_of_the_certified_decision(drawn, mode, budget):
             assert v.replay(*inclusion_and_constant(ch, mask, v.fence))
 
 
-def test_search_builds_certificates_only_for_the_cover(monkeypatch):
-    # the pieces the search meets get a status; only the printed ones get
-    # a fence.  The shared torus remembers the verdicts of earlier calls,
-    # so the search starts from a fresh one.
+def test_searches_build_no_fence_until_a_certificate_is_read(monkeypatch):
+    # every search reads statuses alone: no clamp, no fence through
+    # constants and no lift of a core fence is built while it decides,
+    # not even for the pieces of the cover it prints.  The shared torus
+    # remembers the verdicts of earlier calls, so it starts afresh.
     torus.cache_clear()
-    fenced = []
-    lift_fence = TorusChecker.lift_fence
+    made = []
 
-    def recorded_fence(self, old_ids, lifts):
-        fenced.append(sum(1 << p for p in old_ids))
-        return lift_fence(self, old_ids, lifts)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(TorusChecker, "lift_fence", recorded_fence)
-    res = cat(TorusChecker(khalimsky_circle(3)).P)
-    assert res.value == 2
-    assert sorted(fenced) == sorted(p.members for p in res.cover.pieces)
+        def wrapped(*args):
+            made.append(name)
+            return real(*args)
 
-    # the clamps are shared with homotopic; count them under both names
-    clamped = []
-    clamps = homotopy_module._clamps
+        monkeypatch.setattr(module, name, wrapped)
 
-    def recorded_clamps(lifts, num):
-        clamped.append(len(lifts))
-        return clamps(lifts, num)
+    for module, name in (
+        (homotopy_module, "_clamps"),
+        (invariants_module, "_clamps"),
+        (homotopy_module, "through_constants"),
+        (invariants_module, "through_constants"),
+        (homotopy_module, "_lift_core_fence"),
+    ):
+        counted(module, name)
+    S3, S2 = khalimsky_circle(3), khalimsky_circle(2)
+    results = [
+        cat(torus(S3).P),
+        tc(S3),
+        cat(product(S3.space, S2.space)),
+        tc_via_colorings(khalimsky_circle(4)),
+    ]
+    assert [r.value for r in results] == [2, 2, 3, 2]
+    assert made == []
 
-    monkeypatch.setattr(homotopy_module, "_clamps", recorded_clamps)
-    monkeypatch.setattr(invariants_module, "_clamps", recorded_clamps)
-    res = tc(khalimsky_circle(3))
-    assert res.value == 2
-    # one clamp table per coordinate of each lift-certified cover piece
-    sizes = [popcount(p.members) for p in res.cover.pieces]
-    assert sorted(clamped) == sorted(sizes * 2)
+    # a certificate's first read builds its one fence, and a second read
+    # builds nothing and gives the same list
+    built = []
+    first_read = HomotopyVerdict.__getattr__
+
+    def recorded(self, name):
+        if "_proof" in vars(self):
+            built.append(self)
+        return first_read(self, name)
+
+    monkeypatch.setattr(HomotopyVerdict, "__getattr__", recorded)
+    certificates = [v for r in results for v in r.cover.certificates]
+    assert len(certificates) == 13
+    fences = [v.fence for v in certificates]
+    assert all(fences) and made
+    assert [sum(b is v for b in built) for v in certificates] == [1] * 13
+    count = len(built)
+    assert all(v.fence is fence for v, fence in zip(certificates, fences))
+    assert all(v.fence_space.n == popcount(p.members)
+               for r in results for p, v in zip(r.cover.pieces, r.cover.certificates))
+    assert len(built) == count
+    # a length that a reason states is that of the fence built
+    for v in certificates:
+        stated = re.search(r"fence of (\d+) maps", v.reason)
+        assert stated is None or int(stated[1]) == len(v.fence), v.reason
 
 
 def test_cover_rejects_a_certificate_that_disagrees_with_its_status():
@@ -1221,6 +1250,53 @@ def test_coloring_walk_at_half_size_five_builds_only_what_it_checks(monkeypatch)
     assert [c.assignment for c in checked] == sorted(c.assignment for c in checked)
 
 
+@pytest.mark.parametrize("n, last", [(5, 13), (6, 89)])
+def test_coloring_route_returns_the_certified_two_piece_cover_it_meets(n, last):
+    # the first simple 2-coloring that is not refuted has both pieces
+    # certified: a 2-piece cover, so tc = 1, the lower bound
+    g = square_grid(n)
+    res = tc_via_colorings(g.circle)
+    assert res.exact and (res.value, res.lower, res.upper) == (1, 1, 1)
+    _, checked, _ = two_color_refutation(g)
+    assert len(checked) == last + 1
+    want = cover_from_coloring(g, checked[-1])
+    assert [p.members for p in res.cover.pieces] == [p.members for p in want.pieces]
+    assert res.cover.certificates == [
+        g.checker.is_section_categorical(p.members) for p in want.pieces
+    ]
+    assert all(v.is_homotopic for v in res.cover.certificates)
+    assert res.notes[-2].startswith(f"coloring {last}: not refuted (")
+    assert res.notes[-1] == "certified 2-piece cover found"
+
+
+def test_coloring_route_keeps_bounds_when_a_piece_is_unknown(monkeypatch):
+    ch = TorusChecker(khalimsky_circle(5))
+    certify = ch._certify
+
+    def unknown_rigidity(mask, mode, budget):
+        v = certify(mask, mode, budget)
+        if v.reason.startswith("circle classification: both maps have degree"):
+            return HomotopyVerdict("unknown", reason="stubbed")
+        return v
+
+    monkeypatch.setattr(ch, "_certify", unknown_rigidity)
+    monkeypatch.setattr(invariants_module, "torus", lambda circle: ch)
+    res = tc_via_colorings(ch.circle)
+    assert not res.exact and (res.lower, res.upper, res.cover) == (1, None, None)
+    assert res.notes[-2] == "coloring 13: not refuted (unknown; unknown)"
+    assert res.notes[-1] == "a simple 2-coloring was not refuted"
+
+
+def test_coloring_refutation_decides_the_masks_of_its_walk(monkeypatch):
+    # the walk holds each class's point mask, so no cover is rebuilt
+    def forbidden(*args):
+        raise AssertionError("a cover rebuilt from a coloring")
+
+    monkeypatch.setattr(invariants_module, "cover_from_coloring", forbidden)
+    refuted, checked, _ = two_color_refutation(square_grid(4))
+    assert refuted and len(checked) == 24
+
+
 @pytest.mark.parametrize("n, value", [(2, 3), (3, 2)])
 def test_cat_of_a_relabelled_torus_agrees_with_the_torus_path(n, value):
     # a torus with its points permuted is not recognised, so its pieces go
@@ -1406,3 +1482,15 @@ def test_certified_fence_is_the_fence_of_the_potentials(drawn, mode):
         f, g = projections_on(ch, mask)
     assert [tuple(t) for t in v.fence] == [tuple(t) for t in want]
     assert replays_anchored(v, f, g)
+
+
+@settings(max_examples=300)
+@given(open_pieces(), st.sampled_from(["cat", "sc"]))
+def test_a_lift_reason_states_the_length_of_its_unbuilt_fence(drawn, mode):
+    # the length is read off the lift's range before any table exists
+    ch, mask = drawn
+    v = ch._certify(mask, mode, DEFAULT_BUDGET)
+    stated = re.search(r"fence of (\d+) maps", v.reason)
+    if stated:
+        assert "_proof" in vars(v)
+        assert int(stated[1]) == len(v.fence)
