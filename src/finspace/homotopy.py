@@ -2,12 +2,14 @@
 
 The machinery here is exact: every "not homotopic" answer rests on an
 obstruction or an exhausted search, and budget exhaustion surfaces as an
-explicit Unknown, never as a guess.  'auto' decides between the cores,
-core(X) -> core(Y), and a "homotopic" answer carries a fence on the domain
-from f to g, which ``HomotopyVerdict.replay`` re-checks anchored at f and
-g: a fence found between the cores is lifted back through the collapses
-of Y and of X.  The domain is collapsed in place (``collapse``), and one
-record, ``Collapse``, keeps a collapse in the ids of the space it ran in;
+explicit Unknown, never as a guess.  'auto' refutes a pair that sends a
+point into two components of the target before any collapse, else it
+decides between the cores, core(X) -> core(Y); a "homotopic" answer
+carries a fence on the domain from f to g, which
+``HomotopyVerdict.replay`` re-checks anchored at f and g: a fence found
+between the cores is lifted back through the collapses of Y and of X.
+The domain is collapsed in place (``collapse``), and one record,
+``Collapse``, keeps a collapse in the ids of the space it ran in;
 ``core(X)`` is the collapse of all of X.  So the same stages
 (``decide_on_core``) decide maps from a piece of a larger space into a
 target whose core is collapsed once: ``homotopic`` on all of the domain
@@ -21,13 +23,14 @@ copies only the piece's core.  Maps into a circle are classified by the
 windings of one lift kernel, ``Lift``: its ``grow`` lifts two tables to
 the digital line along a spanning forest, from scratch or from the lift
 of a smaller open piece, and reports the first cycle of forbidden
-winding, or of winding (d, d), d != 0.  The circle stage grows it once on
-the domain core, and ``TorusChecker`` grows it along exact search; a
+winding, or of winding (d, d), d != 0.  The circle stage grows it once
+on the domain core, and ``TorusChecker`` grows it along exact search; a
 winding-free lift, ``rooted`` at the least point of each component, is
 clamped to a fence with ``_clamps`` and ``through_constants``, and a
-reason that states the fence's length reads it off the lift's range.
-Only the rigidity verdict (equal nonzero degree on a circle core) and
-the 'exhaustive-components' strategy carry no fence, so ``replay()`` is
+reason that states the fence's length reads it off the lift's range (and
+names the cores when the fence is lifted through a collapse).  Only the
+rigidity verdict (equal nonzero degree on a circle core) and the
+'exhaustive-components' strategy carry no fence, so ``replay()`` is
 False on their verdicts.
 """
 
@@ -81,7 +84,11 @@ def table_cmp(Y: FiniteSpace, t1, t2):
 class HomotopyVerdict:
     """Outcome of a homotopy decision.
 
-    status is 'homotopic', 'not_homotopic' or 'unknown'.  A homotopic
+    status is 'homotopic', 'not_homotopic' or 'unknown'.  A refutation
+    names its obstruction in ``reason``: a point of the domain sent into
+    two components of the target (the component stage, a one-point
+    certificate read off the tables), a cycle of distinct windings, a
+    rigidity bound, or an exhausted fence BFS.  A homotopic
     verdict may carry a fence, a list of value tables ``fence_space`` ->
     ``target``.  Which ones do:
 
@@ -523,9 +530,9 @@ def _order_path(Y: FiniteSpace, a: int, b: int):
 
 
 def _constants_fence(X: FiniteSpace, Y: FiniteSpace, a: int, b: int):
-    """Fence between constant maps at a and b along an order path, if any."""
-    path = _order_path(Y, a, b)
-    return None if path is None else [tuple([v] * X.n) for v in path]
+    """Fence between constant maps at a and b along an order path; a and b
+    lie in one component of Y."""
+    return [tuple([v] * X.n) for v in _order_path(Y, a, b)]
 
 
 def _lift_core_fence(t1, t2, cl: Collapse, core_fence):
@@ -739,16 +746,18 @@ def through_constants_length(S: FiniteSpace, phi, points, num) -> int:
     return max(L1) - min(L1) + len(path) + max(L2) - min(L2)
 
 
-def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
+def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids, where):
     """Classify ``ft2`` and ``gt2``, maps from the domain core C into the
     circle core ``CY`` numbered by ``recY``, by the windings of their
     lifts; None sends the pair on to fence BFS.
 
     A cycle with distinct windings refutes f ~ g.  With no winding both
     maps lift to the digital line, and a fence C -> CY through constants
-    proves it.  Equal nonzero windings on a circle C give degree d on
-    both sides, and f ~ g iff |d| n < m (rigidity, no fence; the points
-    of C in the domain are ``core_old_ids``).
+    proves it; the reason states its length, then ``where``, which names
+    the cores when a collapse lifts it to a longer fence.  Equal nonzero
+    windings on a circle C give degree d on both sides, and f ~ g iff
+    |d| n < m (rigidity, no fence; the points of C in the domain are
+    ``core_old_ids``).
     """
     n, num = recY
     lift = Lift(C, ft2, gt2, num)
@@ -767,7 +776,7 @@ def _circle_stage(C, CY, ft2, gt2, recY, core_old_ids):
             "homotopic", target=CY,
             reason="circle classification: both maps lift to the digital line; "
             f"fence of {through_constants_length(CY, phi, points, num)} maps "
-            "through constants",
+            f"through constants{where}",
             proof=lambda: (through_constants(C, CY, phi, points, num), C),
         )
     rec = recognize_circle(C)
@@ -805,6 +814,35 @@ def _lift_fence(t1, t2, cl: Collapse, clY: Collapse, ft, gt, core_fence):
     return _lift_core_fence(t1, t2, cl, tables)
 
 
+def _component_stage(mask: int, t1, t2, Y: FiniteSpace):
+    """The component stage: a "not_homotopic" verdict if the tables send
+    a point of the piece ``mask`` into two components of Y, naming the
+    first such point by its rank in the piece and its two values, else
+    None.  A homotopy restricted to one point is a path, so that point is
+    a certificate (Barmak, LNM 2032).  On a connected Y this is one read
+    of ``Y.components``."""
+    comp = Y.components
+    if comp[0] == Y.full:
+        return None
+    for i, x in enumerate(bits(mask)):
+        a, b = t1[x], t2[x]
+        if not comp[a] >> b & 1:
+            return HomotopyVerdict(
+                "not_homotopic",
+                reason=f"point {i} of the domain goes to {a} and {b}, "
+                "in different components of the target",
+            )
+    return None
+
+
+def _on_cores(cl: Collapse, clY: Collapse, Y: FiniteSpace) -> str:
+    """Where a stage ran, for its reason: the cores' sizes."""
+    return (
+        f" on the domain core ({cl.space.n} of {cl.mask.bit_count()} points), "
+        f"target core ({clY.space.n} of {Y.n} points)"
+    )
+
+
 def decide_on_core(
     cl: Collapse, t1, t2, Y: FiniteSpace, budget: int, clY: Collapse | None = None
 ):
@@ -816,17 +854,22 @@ def decide_on_core(
     collapses once; without it, Y is collapsed here, and only if the maps
     differ on core(X).  The empty piece vacuously is homotopic.
 
-    The stages read the tables at the core's points only.  Maps that
-    agree on core(X) are equal, or homotopic through the collapse of X
-    (``_lift_core_fence``).  Every other stage gives a verdict between the
-    cores, and a homotopic one with a fence core(X) -> core(Y) is lifted
-    back through the collapse of Y and then of X (``_lift_fence``); only
-    rigidity carries no fence.  Every fence on the piece is a proof, built
-    when the verdict's fence is first read: only then is the piece copied,
-    as the fence's space.
+    The component stage (``_component_stage``) runs first, on the piece's
+    points: one sent into two components of Y refutes f ~ g before Y is
+    collapsed.  The later stages read the tables at the core's points
+    only.  Maps that agree on core(X) are equal, or homotopic through the
+    collapse of X (``_lift_core_fence``).  Every other stage gives a
+    verdict between the cores, and a homotopic one with a fence core(X) ->
+    core(Y) is lifted back through the collapse of Y and then of X
+    (``_lift_fence``); only rigidity carries no fence.  Every fence on the
+    piece is a proof, built when the verdict's fence is first read: only
+    then is the piece copied, as the fence's space.
     """
     if not cl.mask:
         return HomotopyVerdict("homotopic", reason="empty piece (vacuous)")
+    v = _component_stage(cl.mask, t1, t2, Y)
+    if v is not None:
+        return v
     C, ids = cl.space, cl.core_ids
     ft = tuple(t1[p] for p in ids)
     gt = tuple(t2[p] for p in ids)
@@ -851,14 +894,9 @@ def decide_on_core(
     CY = clY.space
     target = f"target core ({CY.n} of {Y.n} points)"
     if C.n == 1:
-        fence = _constants_fence(C, CY, ft2[0], gt2[0])
-        if fence is None:
-            return HomotopyVerdict(
-                "not_homotopic",
-                reason="constant values lie in different components",
-            )
+        # the component stage joined the two values, and r_Y keeps components
         v = HomotopyVerdict(
-            "homotopic", fence, C, CY,
+            "homotopic", _constants_fence(C, CY, ft2[0], gt2[0]), C, CY,
             reason="domain core is a point; constants joined by order path "
             f"in the {target}",
         )
@@ -870,12 +908,13 @@ def decide_on_core(
         )
     else:
         recY = recognize_circle(CY)
-        v = None if recY is None else _circle_stage(C, CY, ft2, gt2, recY, cl.old_ids)
+        where = _on_cores(cl, clY, Y) if cl.removals or clY.removals else ""
+        v = None if recY is None else _circle_stage(
+            C, CY, ft2, gt2, recY, cl.old_ids, where
+        )
     if v is None:
         v = fence_bfs(OrderMap(C, CY, ft2), OrderMap(C, CY, gt2), budget)
-        v.reason += (
-            f" on the domain core ({C.n} of {cl.mask.bit_count()} points), {target}"
-        )
+        v.reason += _on_cores(cl, clY, Y)
     if v.status == "homotopic" and v.core_old_ids is None:
         return HomotopyVerdict(
             "homotopic", target=Y, reason=v.reason,
@@ -892,7 +931,9 @@ def homotopic(
 ) -> HomotopyVerdict:
     """Decide whether f ~ g.
 
-    'auto' decides between the cores, in stages: equal tables; maps that
+    'auto' first runs the component stage on the tables, before X is
+    collapsed: a point sent into two components of Y refutes f ~ g.  It
+    then decides between the cores, in stages: equal tables; maps that
     agree on core(X); a point core (constants joined by an order path in
     core(Y)); maps that agree on core(X) once composed with the retraction
     r_Y onto core(Y); a circle core(Y) (classification by the windings of
@@ -910,7 +951,9 @@ def homotopic(
             "homotopic", [f.table], f.source, f.target, reason="maps equal"
         )
     if strategy == "auto":
-        return decide_on_core(core(f.source), f.table, g.table, f.target, budget)
+        X, Y = f.source, f.target
+        v = _component_stage(X.full, f.table, g.table, Y)
+        return v or decide_on_core(core(X), f.table, g.table, Y, budget)
     if strategy == "fence-bfs":
         return fence_bfs(f, g, budget)
     if strategy == "exhaustive-components":

@@ -60,6 +60,7 @@ class FiniteSpace:
     ``down_ids[x]`` / ``up_ids[x]`` are the same sets as increasing tuples
     of point ids, for loops that visit a point's neighbours.  They are
     built at construction, by the one loop that checks transitivity.
+    ``covers`` and ``components`` are computed on first read and kept.
 
     ``subspace`` and ``product`` know each point's down-set as increasing
     ids already and hand them down as ``down_ids``, which must list the
@@ -68,8 +69,8 @@ class FiniteSpace:
     """
 
     __slots__ = (
-        "n", "labels", "down", "up", "down_ids", "up_ids", "_covers", "full",
-        "_hash",
+        "n", "labels", "down", "up", "down_ids", "up_ids", "_covers",
+        "_components", "full", "_hash",
     )
 
     def __init__(self, labels, down, down_ids=None):
@@ -104,7 +105,7 @@ class FiniteSpace:
         self.up = tuple(up)
         self.down_ids = tuple(down_ids)
         self.up_ids = tuple(map(tuple, up_ids))
-        self._covers = None
+        self._covers = self._components = None
         self._hash = hash((self.labels, self.down))
 
     @property
@@ -123,6 +124,30 @@ class FiniteSpace:
                 if y != x and not strict & up[y] & ~(1 << y):
                     out.append((y, x))
         return out
+
+    @property
+    def components(self):
+        """``components[x]``: the component of x in the comparability
+        graph, as a mask, one int shared by its points; so the space is
+        connected iff ``components[0] == full``.  Computed on first read,
+        growing each component from its least point a layer at a time."""
+        if self._components is None:
+            up, down = self.up, self.down
+            out = [0] * self.n
+            left = self.full
+            while left:
+                comp, grown = 0, left & -left
+                while grown:
+                    comp |= grown
+                    reach = 0
+                    for y in bits(grown):
+                        reach |= up[y] | down[y]
+                    grown = reach & ~comp
+                for y in bits(comp):
+                    out[y] = comp
+                left &= ~comp
+            self._components = tuple(out)
+        return self._components
 
     # -- order queries -------------------------------------------------
 

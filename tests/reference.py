@@ -188,6 +188,25 @@ def comparability_components(X: FiniteSpace, mask: int):
     return out
 
 
+def component_labels(X: FiniteSpace):
+    """The least point of each point's component of the comparability
+    graph of X, by a BFS that asks ``X.leq`` of every pair (it never reads
+    ``X.components``)."""
+    label = [None] * X.n
+    for root in range(X.n):
+        if label[root] is not None:
+            continue
+        label[root] = root
+        queue = deque([root])
+        while queue:
+            p = queue.popleft()
+            for q in range(X.n):
+                if label[q] is None and (X.leq(p, q) or X.leq(q, p)):
+                    label[q] = root
+                    queue.append(q)
+    return label
+
+
 def adjacency_windings(X: FiniteSpace, mask: int, t1, t2, num):
     """``adjacency_potentials`` and the pairs (p, q, w1, w2) that its
     forest leaves unbalanced, in pair order: the cycle that the pair

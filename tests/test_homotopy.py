@@ -43,6 +43,7 @@ from reference import (
     beat_points,
     circle_map_from_order_map,
     comparability_components,
+    component_labels,
     eager_core,
     minimal_iso_check,
     nullhomotopic_by_copy,
@@ -300,26 +301,30 @@ def test_equal_windings_go_to_rigidity_or_fence_bfs(X, Y, ft, status, reason):
 
 
 def test_fence_bfs_runs_on_the_target_core():
-    # X: two discrete points.  Y: S1_2 (a0, a1 < b0, b1) with p above b0,
-    # and a chain q < r; p and q are beat points, core(Y) is S1_2 + {r}
-    X = build_space(["u", "v"], [])
+    # Y: S1_2 (a0, a1 < b0, b1) with p above b0, and a chain q < r; p and
+    # q are beat points, core(Y) is S1_2 + {r}, which is no circle.  X: two
+    # discrete points, or S1_2, which f sends onto the S1_2 in Y: no other
+    # map is comparable to that one
+    two = build_space(["u", "v"], [])
+    S = khalimsky_circle(2).space
     Y = build_space(
         ["a0", "a1", "b0", "b1", "p", "q", "r"],
         [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 4), (2, 4), (5, 6)],
     )
-    a0, b1, p, q, r = 0, 3, 4, 5, 6
-    comps = hom_components(X, Y)
-    for ft, gt, status in (
-        ((p, q), (b1, r), "homotopic"),  # r_Y o f = (b0, r), r_Y o g = (b1, r)
-        ((p, r), (a0, p), "not_homotopic"),  # v lands in two components
+    a0, a1, b0, b1, p, q, r = range(7)
+    for X, ft, gt, status in (
+        (two, (p, q), (b1, r), "homotopic"),  # r_Y o f = (b0, r), r_Y o g = (b1, r)
+        (S, (a0, b0, a1, b1), (a0,) * 4, "not_homotopic"),  # degree 1 against 0
     ):
         f, g = OrderMap(X, Y, ft), OrderMap(X, Y, gt)
         v = homotopic(f, g)
         assert v.status == status, v.reason
         assert v.reason.endswith(
-            "on the domain core (2 of 2 points), target core (5 of 7 points)"
+            f"on the domain core ({X.n} of {X.n} points), target core (5 of 7 points)"
         )
-        same = any(ft in c and gt in c for c in comps)
+        if not v.is_homotopic:
+            assert v.reason.startswith("comparability component of f exhausted (1 maps")
+        same = any(ft in c and gt in c for c in hom_components(X, Y))
         assert same == v.is_homotopic
         if v.is_homotopic:
             assert v.fence[0] == ft and v.fence[-1] == gt and v.replay(f, g)
@@ -380,8 +385,8 @@ def benchmark_like_pairs(draw):
 def test_a_fence_proof_replays_and_has_the_length_its_reason_states(pair):
     # a homotopic verdict's fence is built from its proof when first read:
     # it replays anchored at f and g, the status is that of the full
-    # hom-set, and a length that the reason states is the fence's, or the
-    # fence's between the cores once it is lifted through a collapse
+    # hom-set, and a length that the reason states is the fence's, or,
+    # when the reason names the cores, the fence's between the cores
     f, g = pair
     X, Y = f.source, f.target
     v = homotopic(f, g)
@@ -389,12 +394,113 @@ def test_a_fence_proof_replays_and_has_the_length_its_reason_states(pair):
     assert v.status == ("homotopic" if same else "not_homotopic"), v.reason
     if v.fence:
         assert v.replay(f, g)
-    stated = re.search(r"fence of (\d+) maps", v.reason)
+    stated = re.search(r"fence of (\d+) maps through constants", v.reason)
     if stated:
-        if beat_point_free(X) and beat_point_free(Y):
+        cX, cY = core(X), core(Y)
+        if not (cX.removals or cY.removals):
+            assert v.reason.endswith("through constants")
             assert int(stated[1]) == len(v.fence)
         else:
-            assert int(stated[1]) <= len(v.fence)
+            # the fence between the cores, which the reason names: the
+            # same pair decided on the cores, beat-point free, builds it
+            assert v.reason.endswith(
+                f"through constants on the domain core ({cX.space.n} of {X.n} points), "
+                f"target core ({cY.space.n} of {Y.n} points)"
+            )
+            r = cY.retraction.table
+            on_cores = [
+                OrderMap(cX.space, cY.space, [r[t[p]] for p in cX.core_ids])
+                for t in (f.table, g.table)
+            ]
+            w = homotopic(*on_cores)
+            assert v.reason.startswith(w.reason) and w.reason.endswith("through constants")
+            assert int(stated[1]) == len(w.fence)
+
+
+def disjoint_union(A, B):
+    """A + B: B's points follow A's, and no point of A is comparable to
+    one of B."""
+    pairs = list(A.covers) + [(A.n + lo, A.n + hi) for lo, hi in B.covers]
+    return build_space(A.labels + B.labels, pairs)
+
+
+SEPARATED = re.compile(
+    r"point (\d+) of the domain goes to (\d+) and (\d+), "
+    r"in different components of the target"
+)
+
+
+@st.composite
+def pairs_into_unions(draw):
+    """Two maps X -> Y between posets drawn as the poset-maps benchmark
+    draws them (4-7 and 4-6 points), either side at times the disjoint
+    union of two smaller ones."""
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def side(name, most):
+        if draw(st.booleans()):
+            return poset(rnd, name, draw(st.integers(4, most)))
+        return disjoint_union(
+            poset(rnd, name, draw(st.integers(1, 4))),
+            poset(rnd, name.upper(), draw(st.integers(1, 3))),
+        )
+
+    X, Y = side("x", 7), side("y", 6)
+    tables = enumerate_maps(X, Y)
+    assume(len(tables) <= 1500)  # keeps the hom_components oracle quick
+    ft, gt = (draw(st.sampled_from(tables)) for _ in "fg")
+    return OrderMap(X, Y, ft), OrderMap(X, Y, gt)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(pairs_into_unions())
+def test_a_point_sent_into_two_components_refutes_by_itself(pair):
+    # the status is that of the full hom-set; the component stage decides
+    # exactly the pairs that send some point into two components of Y, as
+    # a BFS that never reads Y.components labels them, and names the first
+    # such point with its two values
+    f, g = pair
+    X, Y = f.source, f.target
+    v = homotopic(f, g)
+    same = any(f.table in c and g.table in c for c in hom_components(X, Y))
+    assert v.status == ("homotopic" if same else "not_homotopic"), v.reason
+    label = component_labels(Y)
+    split = [x for x in range(X.n) if label[f.table[x]] != label[g.table[x]]]
+    named = SEPARATED.fullmatch(v.reason)
+    if split:
+        x = split[0]
+        assert named, v.reason
+        assert tuple(map(int, named.groups())) == (x, f.table[x], g.table[x])
+    else:
+        assert named is None, v.reason
+
+
+def test_a_separated_pair_is_refuted_before_any_collapse_or_fence_bfs(monkeypatch):
+    # the tables alone refute a pair that sends a point into two
+    # components of the target: X and Y are not collapsed, and no fence
+    # BFS runs; nullhomotopic_in collapses only its piece
+    called = []
+    for name in ("collapse", "fence_bfs"):
+        real = getattr(homotopy_module, name)
+
+        def counted(*args, real=real, name=name):
+            called.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(homotopy_module, name, counted)
+    I = khalimsky_interval(0, 2).space  # 0 < 1 > 2: two beat points
+    Y = build_space(["a", "b", "c"], [(0, 1)])  # a < b, and c apart
+    v = homotopic(OrderMap(I, Y, (0, 1, 0)), constant_map(I, Y, 2))
+    assert v.status == "not_homotopic" and called == []
+    assert v.reason == "point 0 of the domain goes to 0 and 2, in different components of the target"
+    # no point separates these: the domain and target are collapsed
+    assert homotopic(OrderMap(I, Y, (0, 1, 0)), constant_map(I, Y, 1)).is_homotopic
+    assert called.count("collapse") == 2
+    called.clear()
+    X = disjoint_union(khalimsky_circle(2).space, build_space(["p"], []))
+    v = nullhomotopic_in(DownSet(X, X.full), X)
+    assert v.status == "not_homotopic" and called == ["collapse"]
+    assert v.reason == "point 4 of the domain goes to 4 and 0, in different components of the target"
 
 
 def naive_core(X):

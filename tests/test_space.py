@@ -27,7 +27,7 @@ from finspace.space import (
     read_space,
     write_space,
 )
-from reference import all_open_sets, first_violation, lowbit_bits
+from reference import all_open_sets, component_labels, first_violation, lowbit_bits
 
 
 def test_build_space_basic():
@@ -254,6 +254,22 @@ def assert_same_space(Z, want):
     assert Z.up == want.up
     assert Z.up_ids == want.up_ids
     assert Z == want and hash(Z) == hash(want)
+
+
+@settings(max_examples=150)
+@given(posets(), posets(max_n=5), st.randoms(use_true_random=False))
+def test_components_match_a_reference_bfs(X, Y, rnd):
+    # each point's component mask, computed once and kept, holds exactly
+    # the points that the reference BFS labels alike
+    sub, _ = X.subspace(rnd.getrandbits(X.n))
+    for Z in (X, sub, product(X, Y), product(Y, sub)):
+        label = component_labels(Z)
+        want = tuple(
+            sum(1 << q for q in range(Z.n) if label[q] == label[p]) for p in range(Z.n)
+        )
+        assert Z.components == want
+        assert Z.components is Z.components
+        assert (Z.n == 0 or Z.components[0] == Z.full) == (set(label) <= {0})
 
 
 @settings(max_examples=150)
