@@ -25,7 +25,7 @@ from .space import (
     write_space,
 )
 from .homotopy import DEFAULT_BUDGET, core, homotopic
-from .circles import CircleMap, classify_homotopic, degree, parse_circle_map, recognize_circle
+from .circles import CircleMap, degree, parse_circle_map, recognize_circle
 from .complexes import (
     cycle_complex,
     export_complex,
@@ -36,7 +36,6 @@ from .complexes import (
 from .invariants import (
     cat,
     parse_cover,
-    square_grid,
     tc,
     tc_via_colorings,
     torus,
@@ -108,10 +107,16 @@ def _read_circle_map(spec_text: str) -> CircleMap:
     return parse_circle_map(spec_text.strip())
 
 
-def _order_map_of(cm: CircleMap) -> OrderMap:
-    src = khalimsky_circle(cm.m).space
-    tgt = khalimsky_circle(cm.n).space
-    return OrderMap(src, tgt, list(cm.table))
+def _order_maps(args):
+    """The circle maps ``args.f`` and ``args.g``, of the same sizes, and the
+    two order maps that they are between one pair of circles."""
+    f = _read_circle_map(args.f)
+    g = _read_circle_map(args.g)
+    if f.m != g.m or f.n != g.n:
+        raise _Usage("maps must share domain and target sizes")
+    src = khalimsky_circle(f.m).space
+    tgt = khalimsky_circle(f.n).space
+    return f, g, OrderMap(src, tgt, list(f.table)), OrderMap(src, tgt, list(g.table))
 
 
 def _space_sources(p):
@@ -267,11 +272,7 @@ def _cmd_core(args):
 
 
 def _cmd_homotopic(args):
-    f = _read_circle_map(args.f)
-    g = _read_circle_map(args.g)
-    if f.m != g.m or f.n != g.n:
-        raise _Usage("maps must share domain and target sizes")
-    fo, go = _order_map_of(f), _order_map_of(g)
+    _, _, fo, go = _order_maps(args)
     verdict = homotopic(fo, go, args.strategy, _budget_of(args))
     payload = {
         "command": "homotopic",
@@ -293,11 +294,8 @@ def _cmd_degree(args):
 
 
 def _cmd_classify(args):
-    f = _read_circle_map(args.f)
-    g = _read_circle_map(args.g)
-    if f.m != g.m or f.n != g.n:
-        raise _Usage("maps must share domain and target sizes")
-    same = classify_homotopic(f, g)
+    f, g, fo, go = _order_maps(args)
+    same = homotopic(fo, go).is_homotopic
     df, dg = degree(f), degree(g)
     payload = {
         "command": "classify",
@@ -376,9 +374,8 @@ def _cmd_tc(args):
 
 
 def _cmd_colorings(args):
-    grid = square_grid(args.n)
     found = enumerate_simple_colorings(
-        grid, args.colors, symmetry=not args.no_symmetry
+        torus(khalimsky_circle(args.n)), args.colors, symmetry=not args.no_symmetry
     )
     payload = {
         "command": "colorings",

@@ -30,6 +30,13 @@ the winding test grows along the DFS path (``TorusChecker.piece_status``),
 from the labels of the block that a new maximal joins.  The pieces of the
 cover it prints are decided again, with their certificates, whose fences
 are built only when read.
+
+A coloring of the n x n grid is such a partition: cell i * n + j is the
+down-set of the (i * n + j)-th maximal, (b_i, b_j).  The coloring walk
+meets each partition once, with its colors numbered in order of first
+appearance, and reads the search's group (``TorusChecker.symmetries``,
+tuples over those positions) for its orbit leaders.  It stays a walk of
+its own: it cuts a class that holds a full line and decides no piece.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 from math import isqrt
 from sys import byteorder
 
@@ -156,8 +164,9 @@ class TorusChecker:
 
     def symmetries(self, mode: str):
         """The group that preserves ``mode`` verdicts, as permutations of
-        the maximal elements of S x S (dicts from each maximal to its
-        image), without repeats.
+        the positions of the maximal elements of S x S in id order (tuples
+        sending position i to position g[i]), without repeats.  Position
+        i * n + j is the maximal (b_i, b_j): cell (i, j) of the grid.
 
         The circle automorphisms are the rotations p -> p + r and the
         reflections p -> r - p for even r, 2n in all.  Mode 'cat' gets
@@ -167,7 +176,8 @@ class TorusChecker:
         = phi o pi_i, and the swap exchanges pi1 and pi2.  phi x psi with
         phi != psi is excluded there, since it turns pi1 ~ pi2 into
         phi o pi1 ~ psi o pi2, and a rotation of S is not homotopic to the
-        identity.
+        identity.  (At n = 2 the automorphisms act on the two maximals of
+        S as 2 permutations, so the groups have orders 8 and 4.)
         """
         size = self.size
         circle = []
@@ -185,15 +195,14 @@ class TorusChecker:
             pairs = [(s, t) for s in circle for t in circle]
         else:
             pairs = [(s, s) for s in circle]
-        maxs = [self.coords(m) for m in bits(self.P.maximal_elements())]
+        maxs = list(bits(self.P.maximal_elements()))
+        pos = {m: i for i, m in enumerate(maxs)}
+        coords = [self.coords(m) for m in maxs]
         group = {}
         for s, t in pairs:
-            for perm in (
-                {self.pair(x, y): self.pair(s[x], t[y]) for x, y in maxs},
-                {self.pair(x, y): self.pair(t[y], s[x]) for x, y in maxs},
-            ):
-                group.setdefault(tuple(sorted(perm.items())), perm)
-        return list(group.values())
+            group[tuple(pos[self.pair(s[x], t[y])] for x, y in coords)] = None
+            group[tuple(pos[self.pair(t[y], s[x])] for x, y in coords)] = None
+        return list(group)
 
     def winding_obstruction(self, mask: int, mode: str):
         """A cycle with forbidden winding, as the hit (p, q, wx, wy) of the
@@ -495,8 +504,9 @@ class _PartitionSearch:
     only on the pieces of the cover it returns; ``_deciders`` gives both.
 
     Piece statuses are memoized per block.  On a miss the block's least
-    image under ``group`` (permutations of the maximals that map certified
-    pieces to certified pieces and the others to the others) keys a second
+    image under ``group`` (permutations of the positions in ``maximals``,
+    as ``TorusChecker.symmetries`` gives them, that map certified pieces
+    to certified pieces and the others to the others) keys a second
     memo, so each piece is decided once per orbit.  Only decided statuses
     are shared across an orbit; an "unknown" stays with its own block.
     The DFS order does not depend on the group.
@@ -508,7 +518,6 @@ class _PartitionSearch:
         self.status_of = status_of
         self.certify = certify
         self._down = [space.down[x] for x in self.maximals]
-        pos = {x: i for i, x in enumerate(self.maximals)}
         # bit-sliced images: slot j of _images[i] holds the image of bit i
         # under the j-th group element, so OR-ing the _images of a block's
         # bits gives all its images at once
@@ -516,8 +525,8 @@ class _PartitionSearch:
         self._width = 8 if m <= 64 else (m + 7) // 8  # bytes per slot
         self._images = [0] * m if group else []
         for j, g in enumerate(group):
-            for i, x in enumerate(self.maximals):
-                self._images[i] |= 1 << (pos[g[x]] + 8 * self._width * j)
+            for i, gi in enumerate(g):
+                self._images[i] |= 1 << (gi + 8 * self._width * j)
         self._count = len(group)
         self._status = {}  # block -> status
         self._orbit = {}  # least image -> decided status
@@ -782,44 +791,7 @@ def tc(
     )
 
 
-# -- the square grid and colorings ------------------------------------
-
-
-@dataclass
-class SquareGrid:
-    """The n x n cells of S x S; cell (i,j) is min_open(b_i) x min_open(b_j)."""
-
-    circle: KhalimskyCircle
-    checker: TorusChecker
-
-    @property
-    def n(self):
-        return self.circle.n
-
-    def cell_mask(self, i: int, j: int) -> int:
-        P = self.checker.P
-        bi = self.circle.b(i % self.n)
-        bj = self.circle.b(j % self.n)
-        return P.down[self.checker.pair(bi, bj)]
-
-    def line_masks(self):
-        """Point masks of every full horizontal and vertical line."""
-        out = []
-        X = self.circle.space
-        for a in range(X.n):
-            h = 0
-            v = 0
-            for x in range(X.n):
-                h |= 1 << self.checker.pair(x, a)
-                v |= 1 << self.checker.pair(a, x)
-            out.append(h)
-            out.append(v)
-        return out
-
-
-def square_grid(n: int) -> SquareGrid:
-    circle = khalimsky_circle(n)
-    return SquareGrid(circle, torus(circle))
+# -- colorings of the square grid --------------------------------------
 
 
 @dataclass(frozen=True)
@@ -844,48 +816,39 @@ class Coloring:
         return f"coloring {self.n} {self.colors}\n" + "\n".join(self.rows()) + "\n"
 
 
-def cover_from_coloring(grid: SquareGrid, coloring: Coloring) -> Cover:
-    """Piece i = union of the cells colored i."""
-    n = grid.n
-    masks = [0] * coloring.colors
-    for i in range(n):
-        for j in range(n):
-            masks[coloring.color(i, j)] |= grid.cell_mask(i, j)
-    P = grid.checker.P
-    pieces = [DownSet(P, m) for m in masks if m]
-    return Cover(P, pieces)
+def line_masks(checker: TorusChecker):
+    """Point masks of every full horizontal and vertical line of S x S."""
+    out = []
+    for a in range(checker.X.n):
+        h = 0
+        v = 0
+        for x in range(checker.X.n):
+            h |= 1 << checker.pair(x, a)
+            v |= 1 << checker.pair(a, x)
+        out.append(h)
+        out.append(v)
+    return out
 
 
-def cell_symmetries(grid: SquareGrid):
-    """The automorphisms of the product poset, as permutations of cells.
-
-    ``TorusChecker.symmetries('cat')``, the circle symmetries (rotations
-    by a full cell, the reflections) per factor plus the coordinate swap,
-    restricted to the maximal elements: cell (i,j) is (b_i, b_j).
-    """
-    n = grid.n
-    circ = grid.circle
-    cell_of_max = {
-        grid.checker.pair(circ.b(i), circ.b(j)): i * n + j
-        for i in range(n)
-        for j in range(n)
-    }
-    out = set()
-    for g in grid.checker.symmetries("cat"):
-        perm = [0] * (n * n)
-        for m, cell in cell_of_max.items():
-            perm[cell] = cell_of_max[g[m]]
-        out.add(tuple(perm))
-    return sorted(out)
+def cell_symmetries(checker: TorusChecker):
+    """The automorphisms of the product poset as permutations of the grid
+    cells, sorted: ``checker.symmetries('cat')``, whose positions are the
+    cells (position i * n + j is the maximal (b_i, b_j))."""
+    return sorted(checker.symmetries("cat"))
 
 
-def _simple_colorings(grid: SquareGrid, colors: int, with_masks: bool = False):
-    """The simple colorings of the grid with ``colors`` colors, one at a
-    time, in the lexicographic order of their assignments; ``with_masks``
-    pairs each with the point masks of its classes, color by color.
+def _simple_colorings(checker: TorusChecker, colors: int, with_masks: bool = False):
+    """The simple colorings of the grid with at most ``colors`` colors,
+    one per partition of the cells: the colors are numbered in order of
+    first appearance, so a cell takes color c only once colors 0..c-1 are
+    in use.  These are the partitions of the maximals that exact search
+    walks, cell i * n + j being the down-set of the (i * n + j)-th maximal
+    of S x S.  They come one at a time, in the lexicographic order of their
+    assignments; ``with_masks`` pairs each with the point masks of its
+    classes, color by color.
 
-    A depth-first search assigns the cells in index order i*n + j, tries
-    the colors in increasing order, and cuts a branch as soon as the class
+    A depth-first search assigns the cells in index order, tries the
+    colors in increasing order, and cuts a branch as soon as the class
     that just grew contains a full point line.  That is sound because
     containing a line is monotone: adding cells to a class never undoes
     it.  The search runs on an explicit stack and stops where the caller
@@ -893,18 +856,19 @@ def _simple_colorings(grid: SquareGrid, colors: int, with_masks: bool = False):
     """
     if colors < 1:
         raise InvalidParameter("colors >= 1")
-    n = grid.n
-    cells = n * n
-    lines = grid.line_masks()
-    cell_masks = [grid.cell_mask(i, j) for i in range(n) for j in range(n)]
+    P = checker.P
+    cell_masks = [P.down[x] for x in bits(P.maximal_elements())]
+    cells = len(cell_masks)
+    lines = line_masks(checker)
     # a class can only come to contain a line that its new cell meets
     cell_lines = [tuple(line for line in lines if line & m) for m in cell_masks]
     assignment = [0] * cells
     before = [0] * cells  # the mask of the class a cell joined, before it did
+    used = [0] * cells  # the colors in use before a cell is assigned
     masks = [0] * colors
     idx, c = 0, 0  # the cell to assign and the least color left to try
     while True:
-        if c < colors:
+        if c < colors and c <= used[idx]:
             grown = masks[c] | cell_masks[idx]
             for line in cell_lines[idx]:
                 if line & ~grown == 0:
@@ -915,9 +879,10 @@ def _simple_colorings(grid: SquareGrid, colors: int, with_masks: bool = False):
                 masks[c] = grown
                 assignment[idx] = c
                 if idx + 1 < cells:
+                    used[idx + 1] = max(used[idx], c + 1)
                     idx, c = idx + 1, 0
                     continue
-                col = Coloring(n, colors, tuple(assignment))
+                col = Coloring(checker.n, colors, tuple(assignment))
                 yield (col, tuple(masks)) if with_masks else col
                 masks[c] = before[idx]
                 c += 1
@@ -935,13 +900,10 @@ def _is_canonical(assignment, symmetries) -> bool:
     symmetries ``symmetries`` (as from ``cell_symmetries``) and the color
     permutations.  For one moved assignment the least recoloring numbers
     the colors in order of first appearance, so no color permutation is
-    enumerated: the assignment must itself be numbered that way, and no
-    symmetry, renumbered so, may give a smaller one.  Each comparison
-    stops at the first cell where the two differ."""
-    first = {}
-    for v in assignment:
-        if first.setdefault(v, len(first)) != v:
-            return False
+    enumerated: no symmetry, renumbered so, may give a smaller assignment.
+    The identity is one of them, so an assignment not itself numbered that
+    way is refused.  Each comparison stops at the first cell where the two
+    differ."""
     cells = len(assignment)
     for perm in symmetries:
         moved = [0] * cells
@@ -957,28 +919,36 @@ def _is_canonical(assignment, symmetries) -> bool:
     return True
 
 
-def enumerate_simple_colorings(grid: SquareGrid, colors: int, symmetry: bool = True):
-    """The simple colorings of the grid with ``colors`` colors, as a list.
+def enumerate_simple_colorings(
+    checker: TorusChecker, colors: int, symmetry: bool = True
+):
+    """The simple colorings of the grid of ``checker`` with ``colors``
+    colors, as a sorted list.
 
-    With ``symmetry`` off, every simple coloring in the order of
-    ``_simple_colorings``.  With it on, the sorted canonical representatives
-    under ``cell_symmetries`` and color permutations.  The walk is lazy and
-    keeps a coloring only when it is the least of its orbit: the least is
-    simple too (a symmetry maps full lines to full lines, a recoloring
-    keeps the classes), so every orbit is met at its least member, and the
-    walk meets them in sorted order.
+    With ``symmetry`` on, the canonical representatives under
+    ``cell_symmetries`` and color permutations.  The walk is lazy and keeps
+    a partition only when it is the least of its orbit: the least is simple
+    too (a symmetry maps full lines to full lines, a recoloring keeps the
+    classes), so every orbit is met at its least member, and the walk meets
+    them in sorted order.  With it off, every simple coloring: each
+    partition of the walk under every injective relabelling of its colors.
     """
-    found = _simple_colorings(grid, colors)
+    found = _simple_colorings(checker, colors)
     if not symmetry:
-        return list(found)
-    syms = cell_symmetries(grid)
+        every = sorted(
+            tuple(relabel[v] for v in col.assignment)
+            for col in found
+            for relabel in permutations(range(colors), max(col.assignment) + 1)
+        )
+        return [Coloring(checker.n, colors, a) for a in every]
+    syms = cell_symmetries(checker)
     return [col for col in found if _is_canonical(col.assignment, syms)]
 
 
 # -- the coloring route to the two-piece impossibility -----------------
 
 
-def line_lemma(grid: SquareGrid):
+def line_lemma(checker: TorusChecker):
     """Check that every full line is a circle on which the two projections
     have distinct degrees.
 
@@ -987,38 +957,38 @@ def line_lemma(grid: SquareGrid):
     equal degrees.  Returns the (d1, d2) pairs, one per line.
     """
     out = []
-    for mask in grid.line_masks():
-        sub, old_ids = grid.checker.P.subspace(mask)
+    for mask in line_masks(checker):
+        sub, old_ids = checker.P.subspace(mask)
         rec = recognize_circle(sub)
         if rec is None:
             raise AssertionError("a full line must be a circle")
-        d1, d2 = grid.checker.degrees_on_circle(sub, old_ids, rec)
+        d1, d2 = checker.degrees_on_circle(sub, old_ids, rec)
         if d1 == d2:
             raise AssertionError("projections agree on a line")
         out.append((d1, d2))
     return out
 
 
-def two_color_refutation(grid: SquareGrid, budget: int = DEFAULT_BUDGET):
+def two_color_refutation(checker: TorusChecker, budget: int = DEFAULT_BUDGET):
     """No 2-piece principal cover of S x S is section-categorical.
 
     Non-simple colorings die by the line lemma; the simple 2-colorings,
-    with no symmetry factored out, are walked one at a time and checked
-    piece by piece, each piece the point mask of a class that the walk
-    holds.  The checker remembers its verdicts, so a piece shared
-    between colorings is decided once.  The walk stops at the first
-    coloring that is not refuted, since one is enough to leave the claim
-    unproven, and the colorings past it are never built.  Returns
-    (refuted, the colorings checked, notes).
+    one per partition of the cells and with no grid symmetry factored out,
+    are walked one at a time and checked piece by piece, each piece the
+    point mask of a class that the walk holds.  The checker remembers its
+    verdicts, so a piece shared between colorings is decided once.  The
+    walk stops at the first coloring that is not refuted, since one is
+    enough to leave the claim unproven, and the colorings past it are
+    never built.  Returns (refuted, the colorings checked, each with the
+    point masks of its two classes, notes).
     """
-    degs = line_lemma(grid)
+    degs = line_lemma(checker)
     notes = [f"line lemma: {len(degs)} lines, projection degrees all distinct"]
     checked = []
-    for idx, (col, masks) in enumerate(_simple_colorings(grid, 2, with_masks=True)):
-        checked.append(col)
-        verdicts = [
-            grid.checker.is_section_categorical(m, budget) for m in masks if m
-        ]
+    for idx, (col, masks) in enumerate(_simple_colorings(checker, 2, with_masks=True)):
+        checked.append((col, masks))
+        # a simple 2-coloring has two classes: one alone would hold every line
+        verdicts = [checker.is_section_categorical(m, budget) for m in masks]
         bad = [v for v in verdicts if v.status == "not_homotopic"]
         if not bad:
             notes.append(
@@ -1043,17 +1013,16 @@ def tc_via_colorings(
     which meets the lower bound: tc = 1, with that cover."""
     _check_budget(budget)
     checker = torus(circle)
-    grid = SquareGrid(circle, checker)
-    refuted, checked, notes = two_color_refutation(grid, budget)
+    refuted, checked, notes = two_color_refutation(checker, budget)
     notes = ["lower bound 1 from the topological circle"] + notes
     if not refuted:
-        cover = cover_from_coloring(grid, checked[-1])
+        masks = checked[-1][1]
         # the checker remembers these verdicts from the refutation's walk
-        cover.certificates = [
-            checker.is_section_categorical(p.members, budget) for p in cover.pieces
-        ]
-        if all(v.is_homotopic for v in cover.certificates):
+        certificates = [checker.is_section_categorical(m, budget) for m in masks]
+        if all(v.is_homotopic for v in certificates):
             notes.append("certified 2-piece cover found")
+            pieces = [DownSet(checker.P, m) for m in masks]
+            cover = Cover(checker.P, pieces, certificates)
             return InvariantResult("tc", 1, 1, 1, True, cover, notes)
         notes.append("a simple 2-coloring was not refuted")
         return InvariantResult("tc", None, 1, None, False, None, notes)

@@ -299,9 +299,6 @@ class KhalimskyCircle:
     n: int
     space: FiniteSpace
 
-    def b(self, i: int) -> int:
-        return (2 * i + 1) % (2 * self.n)
-
 
 def khalimsky_circle(n: int) -> KhalimskyCircle:
     if n < 2:

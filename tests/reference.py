@@ -14,12 +14,7 @@ from finspace.circles import CircleMap
 from finspace.complexes import SimplicialComplex
 from finspace.errors import FinspaceError
 from finspace.homotopy import HomotopyVerdict, _beat_status, homotopic
-from finspace.invariants import (
-    Coloring,
-    SquareGrid,
-    _simple_colorings,
-    cell_symmetries,
-)
+from finspace.invariants import Coloring, Cover
 from finspace.space import DownSet, FiniteSpace, OrderMap, build_space, popcount
 
 
@@ -358,29 +353,65 @@ def coloring_from_rows(rows, colors: int) -> Coloring:
     return Coloring(n, colors, tuple(assignment))
 
 
-def is_simple(grid: SquareGrid, coloring: Coloring) -> bool:
-    """No color class contains a full horizontal or vertical point line."""
-    lines = grid.line_masks()
-    n = grid.n
+def grid_masks(checker):
+    """(cell masks, line masks) of the torus of ``checker``, read off
+    ``P.down``: cell (i, j), at index i * n + j, is the down-set of the
+    product point (b_i, b_j), b_i being point 2i + 1 of the circle; a line
+    is every point with one coordinate fixed, horizontal then vertical for
+    each value."""
+    P, N, n = checker.P, checker.X.n, checker.n
+    cells = [P.down[(2 * i + 1) * N + 2 * j + 1] for i in range(n) for j in range(n)]
+    lines = []
+    for a in range(N):
+        lines.append(sum(1 << (x * N + a) for x in range(N)))
+        lines.append(sum(1 << (a * N + x) for x in range(N)))
+    return cells, lines
+
+
+def class_masks(checker, coloring: Coloring):
+    """The point mask of each color class, color by color."""
+    cells, _ = grid_masks(checker)
     masks = [0] * coloring.colors
-    for i in range(n):
-        for j in range(n):
-            masks[coloring.color(i, j)] |= grid.cell_mask(i, j)
-    for m in masks:
-        for line in lines:
-            if line & ~m == 0:
-                return False
-    return True
+    for cell, v in enumerate(coloring.assignment):
+        masks[v] |= cells[cell]
+    return masks
 
 
-def brute_force_simple_colorings(grid: SquareGrid, colors: int):
+def cover_from_coloring(checker, coloring: Coloring) -> Cover:
+    """Piece i = union of the cells colored i, empty pieces left out."""
+    P = checker.P
+    return Cover(P, [DownSet(P, m) for m in class_masks(checker, coloring) if m])
+
+
+def _no_class_holds_a_line(cells, lines, assignment, colors) -> bool:
+    masks = [0] * colors
+    for cell, v in zip(cells, assignment):
+        masks[v] |= cell
+    return not any(line & ~m == 0 for m in masks for line in lines)
+
+
+def is_simple(checker, coloring: Coloring) -> bool:
+    """No color class contains a full horizontal or vertical point line."""
+    return _no_class_holds_a_line(
+        *grid_masks(checker), coloring.assignment, coloring.colors
+    )
+
+
+def brute_force_simple_colorings(checker, colors: int):
     """Every assignment in lexicographic order, kept if simple."""
-    n = grid.n
+    cells, lines = grid_masks(checker)
     return [
-        Coloring(n, colors, combo)
-        for combo in product(range(colors), repeat=n * n)
-        if is_simple(grid, Coloring(n, colors, combo))
+        Coloring(checker.n, colors, combo)
+        for combo in product(range(colors), repeat=len(cells))
+        if _no_class_holds_a_line(cells, lines, combo, colors)
     ]
+
+
+def first_appearance(assignment) -> bool:
+    """Whether the colors of ``assignment`` are numbered in order of first
+    appearance: the one assignment of its partition that numbers so."""
+    first = {}
+    return all(first.setdefault(v, len(first)) == v for v in assignment)
 
 
 def eager_core(X: FiniteSpace):
@@ -479,37 +510,50 @@ def cat_by_partitions(X: FiniteSpace, budget: int):
 # -- coloring classes --------------------------------------------------
 
 
-def canonical_coloring(grid: SquareGrid, coloring: Coloring, symmetries):
+def grid_symmetries(n: int):
+    """The symmetries of the n x n grid of cells, sorted, as tuples sending
+    cell i * n + j to cell g[i * n + j]: a dihedral map of Z/n on each
+    coordinate (i -> i + r, i -> r - i), then optionally the swap."""
+    dihedral = [[(i + r) % n for i in range(n)] for r in range(n)]
+    dihedral += [[(r - i) % n for i in range(n)] for r in range(n)]
+    out = set()
+    for s in dihedral:
+        for t in dihedral:
+            out.add(tuple(s[i] * n + t[j] for i in range(n) for j in range(n)))
+            out.add(tuple(t[j] * n + s[i] for i in range(n) for j in range(n)))
+    return sorted(out)
+
+
+def canonical_coloring(coloring: Coloring, symmetries):
     """Least assignment over the grid symmetries ``symmetries`` (as from
-    ``cell_symmetries``) and color permutations.
+    ``grid_symmetries``) and color permutations.
 
     For one moved assignment the least recoloring numbers the colors in
     order of first appearance, so no color permutation is enumerated.
     """
-    n = grid.n
+    cells = len(coloring.assignment)
     best = None
     for perm in symmetries:
-        moved = [0] * (n * n)
-        for cell in range(n * n):
+        moved = [0] * cells
+        for cell in range(cells):
             moved[perm[cell]] = coloring.assignment[cell]
         first = {}
         cand = tuple(first.setdefault(v, len(first)) for v in moved)
         if best is None or cand < best:
             best = cand
-    return Coloring(n, coloring.colors, best)
+    return Coloring(coloring.n, coloring.colors, best)
 
 
-def listed_coloring_classes(grid, colors: int):
+def listed_coloring_classes(checker, colors: int):
     """``enumerate_simple_colorings`` with symmetry on, the list-based way:
-    every simple coloring built first, then each canonicalised, one
-    representative kept per class, sorted."""
-    found = list(_simple_colorings(grid, colors))
-    syms = cell_symmetries(grid)
-    classes = {}
-    for col in found:
-        canon = canonical_coloring(grid, col, syms)
-        classes.setdefault(canon.assignment, canon)
-    return [classes[k] for k in sorted(classes)]
+    every simple coloring by brute force, each canonicalised under
+    ``grid_symmetries``, one representative kept per class, sorted."""
+    syms = grid_symmetries(checker.n)
+    classes = {
+        canonical_coloring(col, syms).assignment
+        for col in brute_force_simple_colorings(checker, colors)
+    }
+    return [Coloring(checker.n, colors, a) for a in sorted(classes)]
 
 
 # -- the staged retraction ----------------------------------------------

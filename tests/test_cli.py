@@ -9,11 +9,13 @@ import finspace
 import finspace.cli as cli_module
 import finspace.invariants as invariants_module
 from finspace.cli import main
-from finspace.circles import parse_circle_map
+from finspace.circles import classify_homotopic, degree, parse_circle_map, recognize_circle
+from finspace.homotopy import hom_components
 from finspace.errors import InvalidParameter
 from finspace.invariants import Cover, TorusChecker, cat, format_cover, parse_cover, tc
 from finspace.space import DownSet, khalimsky_circle, read_space
 from finspace.witness import build_U, build_V
+from reference import circle_map_from_order_map, serialize_circle_map
 
 
 def run(capsys, *argv):
@@ -101,6 +103,33 @@ def test_degree_and_classify(capsys):
         "circlemap 2 2 0 0 0 0",
     )
     assert code == 0 and "not homotopic" in out
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_classify_prints_the_degree_rule_on_every_pair(capsys, monkeypatch, m, n):
+    # classify decides through homotopic; its line is the one the degree
+    # rule (classify_homotopic) gives, on every pair of continuous maps
+    parser = cli_module.build_parser()
+    monkeypatch.setattr(cli_module, "build_parser", lambda: parser)
+    X, Y = khalimsky_circle(m).space, khalimsky_circle(n).space
+    rec_x, rec_y = recognize_circle(X), recognize_circle(Y)
+    maps = [
+        circle_map_from_order_map(list(t), rec_x, rec_y)
+        for comp in hom_components(X, Y)
+        for t in comp
+    ]
+    specs = [serialize_circle_map(f) for f in maps]
+    want = []
+    for f in maps:
+        for g in maps:
+            same = classify_homotopic(f, g)
+            want.append(
+                f"{'homotopic' if same else 'not homotopic'} "
+                f"(degrees {degree(f)}, {degree(g)}, bound {m}/{n})"
+            )
+    codes = {main(["classify", f, g]) for f in specs for g in specs}
+    assert codes == {0}
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def test_homotopic_mismatch_is_usage_error(capsys):

@@ -13,17 +13,15 @@ from finspace.errors import InvalidParameter, MismatchedSpaces, NotOpen
 from finspace.invariants import (
     Coloring,
     Cover,
-    SquareGrid,
     TorusChecker,
     _is_canonical,
     cat,
     cell_symmetries,
-    cover_from_coloring,
     enumerate_simple_colorings,
     format_cover,
     line_lemma,
+    line_masks,
     parse_cover,
-    square_grid,
     tc,
     tc_via_colorings,
     torus,
@@ -55,8 +53,13 @@ from reference import (
     brute_force_simple_colorings,
     canonical_coloring,
     cat_by_partitions,
+    class_masks,
     coloring_from_rows,
     comparability_components,
+    cover_from_coloring,
+    first_appearance,
+    grid_masks,
+    grid_symmetries,
     is_simple,
     listed_coloring_classes,
     winding_status,
@@ -126,7 +129,7 @@ def test_diagonal_band_core_is_too_short():
     mask = 0
     for i in range(n):
         for j in (i - 1, i, i + 1):
-            mask |= ch.P.down[ch.pair(K.b(i), K.b(j % n))]
+            mask |= ch.P.down[ch.pair(2 * i + 1, 2 * (j % n) + 1)]
     v = ch.is_section_categorical(mask)
     assert v.status == "not_homotopic"
     assert v.reason.startswith("comparability component of f exhausted")
@@ -166,60 +169,94 @@ def test_tc_witness_mode_round_trip():
 
 
 def test_grid_cells_partition_maximals():
-    g = square_grid(3)
-    seen = 0
-    for i in range(g.n):
-        for j in range(g.n):
-            seen |= g.cell_mask(i, j)
-    assert seen == g.checker.P.full
+    # the maximals (b_i, b_j) of product(S, S) come out row-major, so cell
+    # i * n + j is the down-set of the (i * n + j)-th maximal; b_i is point
+    # 2i + 1 of the circle
+    for n in range(2, 7):
+        ch = TorusChecker(khalimsky_circle(n))
+        maxs = list(bits(ch.P.maximal_elements()))
+        assert maxs == [
+            ch.pair(2 * i + 1, 2 * j + 1) for i in range(n) for j in range(n)
+        ]
+        cells, lines = grid_masks(ch)
+        assert cells == [ch.P.down[x] for x in maxs]
+        seen = 0
+        for m in cells:
+            seen |= m
+        assert seen == ch.P.full
+        assert line_masks(ch) == lines
 
 
 def test_line_masks_are_circles_with_distinct_degrees():
-    g = square_grid(4)
-    degs = line_lemma(g)
+    degs = line_lemma(TorusChecker(khalimsky_circle(4)))
     assert len(degs) == 16
     for d1, d2 in degs:
         assert {abs(d1), abs(d2)} == {0, 1}
 
 
 def test_cell_symmetry_group_order():
-    g = square_grid(4)
-    syms = cell_symmetries(g)
+    syms = cell_symmetries(TorusChecker(khalimsky_circle(4)))
     # rotations and reflections per factor, plus the swap
     assert len(syms) == 2 * (2 * 4) * (2 * 4)
+    assert syms == grid_symmetries(4)
+
+
+def compose(g, h):
+    """g after h, as position tuples."""
+    return tuple(g[i] for i in h)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("mode", ["cat", "sc"])
+def test_symmetries_are_a_group_of_position_tuples(n, mode):
+    ch = TorusChecker(khalimsky_circle(n))
+    group = ch.symmetries(mode)
+    m = n * n
+    # at n = 2 a circle automorphism acts on the two maximals of S as one
+    # of 2 permutations, not 2n = 4
+    k = 2 if n == 2 else 2 * n
+    assert len(group) == len(set(group)) == (2 * k * k if mode == "cat" else 2 * k)
+    assert all(sorted(g) == list(range(m)) for g in group)
+    assert tuple(range(m)) in group
+    members = set(group)
+    assert all(compose(g, h) in members for g in group for h in group)
+    if mode == "cat":
+        assert sorted(group) == cell_symmetries(ch) == grid_symmetries(n)
+    # position i * n + j is the maximal (b_i, b_j): the swap sends it to
+    # (b_j, b_i), the rotation of both factors by one cell to (b_i+1, b_j+1)
+    swap = tuple(j * n + i for i in range(n) for j in range(n))
+    turn = tuple((i + 1) % n * n + (j + 1) % n for i in range(n) for j in range(n))
+    assert swap in members and turn in members
 
 
 def test_simple_rejects_full_row_class():
-    g = square_grid(4)
     rows = ["1111", "0000", "0000", "0000"]
     col = coloring_from_rows(rows, 2)
-    assert not is_simple(g, col)
+    assert not is_simple(TorusChecker(khalimsky_circle(4)), col)
 
 
 def test_checkerboard_not_simple():
     # adjacent cell rows of one class jointly cover a point line
-    g = square_grid(4)
     col = coloring_from_rows(["0101", "1010", "0101", "1010"], 2)
-    assert not is_simple(g, col)
+    assert not is_simple(TorusChecker(khalimsky_circle(4)), col)
 
 
 def test_canonical_form_is_orbit_invariant():
-    g = square_grid(4)
-    syms = cell_symmetries(g)
+    syms = grid_symmetries(4)
     col = coloring_from_rows(["1001", "0011", "0110", "1100"], 2)
-    canon = canonical_coloring(g, col, syms)
+    canon = canonical_coloring(col, syms)
     flipped = coloring_from_rows(["0110", "1100", "1001", "0011"], 2)
-    assert canonical_coloring(g, flipped, syms).assignment == canon.assignment
+    assert canonical_coloring(flipped, syms).assignment == canon.assignment
 
 
-def reference_canonical_assignment(grid, coloring, symmetries):
+def reference_canonical_assignment(coloring, symmetries):
     """Reference: the least assignment over every cell symmetry and every
     color permutation, each permutation tried."""
-    n = grid.n
+    cells = len(coloring.assignment)
     best = None
     for perm in symmetries:
-        moved = [0] * (n * n)
-        for cell in range(n * n):
+        moved = [0] * cells
+        for cell in range(cells):
             moved[perm[cell]] = coloring.assignment[cell]
         cand = min(
             tuple(p[v] for v in moved)
@@ -232,104 +269,142 @@ def reference_canonical_assignment(grid, coloring, symmetries):
 
 @pytest.mark.parametrize("n,colors", [(3, 3), (4, 2)])
 def test_canonical_coloring_matches_permutation_reference(n, colors):
-    g = square_grid(n)
-    syms = cell_symmetries(g)
-    raw = enumerate_simple_colorings(g, colors, symmetry=False)
+    ch = TorusChecker(khalimsky_circle(n))
+    syms = cell_symmetries(ch)
+    raw = enumerate_simple_colorings(ch, colors, symmetry=False)
     assert raw
     for col in raw:
-        least = reference_canonical_assignment(g, col, syms)
-        assert canonical_coloring(g, col, syms).assignment == least
+        least = reference_canonical_assignment(col, syms)
+        assert canonical_coloring(col, syms).assignment == least
         assert _is_canonical(col.assignment, syms) == (col.assignment == least)
 
 
 @pytest.mark.parametrize("n,colors", [(3, 2), (4, 2), (3, 3)])
 def test_lazy_coloring_classes_match_the_listed_ones(n, colors):
-    g = square_grid(n)
-    assert enumerate_simple_colorings(g, colors) == listed_coloring_classes(g, colors)
+    ch = TorusChecker(khalimsky_circle(n))
+    assert enumerate_simple_colorings(ch, colors) == listed_coloring_classes(ch, colors)
 
 
 def test_coloring_classes_hold_no_list_of_all_colorings(monkeypatch):
     # the walk keeps only orbit leaders: beside them, at most the coloring
     # just read and the one before it are alive at any time
-    g = square_grid(3)
+    ch = TorusChecker(khalimsky_circle(3))
     walk = invariants_module._simple_colorings
     alive = weakref.WeakSet()
     peak = total = 0
 
-    def watched(grid, colors):
+    def watched(checker, colors):
         nonlocal peak, total
-        for col in walk(grid, colors):
+        for col in walk(checker, colors):
             alive.add(col)
             total += 1
             peak = max(peak, len(alive))
             yield col
 
     monkeypatch.setattr(invariants_module, "_simple_colorings", watched)
-    classes = enumerate_simple_colorings(g, 3)
-    assert classes == listed_coloring_classes(g, 3)
+    classes = enumerate_simple_colorings(ch, 3)
+    assert classes == listed_coloring_classes(ch, 3)
     assert total > 10 * len(classes)
     assert peak <= len(classes) + 2
 
 
 @pytest.mark.parametrize("n,colors", [(2, 2), (3, 2), (3, 3), (4, 2)])
 def test_simple_colorings_match_brute_force(n, colors):
-    g = square_grid(n)
-    got = enumerate_simple_colorings(g, colors, symmetry=False)
-    assert got == brute_force_simple_colorings(g, colors)
+    ch = TorusChecker(khalimsky_circle(n))
+    got = enumerate_simple_colorings(ch, colors, symmetry=False)
+    assert got == brute_force_simple_colorings(ch, colors)
+
+
+@pytest.mark.parametrize("n,colors", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_coloring_walk_meets_each_partition_once(n, colors):
+    # the walk yields the simple colorings numbered by first appearance:
+    # one per partition of the cells, with the point masks of its classes
+    ch = TorusChecker(khalimsky_circle(n))
+    walked = list(invariants_module._simple_colorings(ch, colors, with_masks=True))
+    want = [
+        col
+        for col in brute_force_simple_colorings(ch, colors)
+        if first_appearance(col.assignment)
+    ]
+    assert [col for col, _ in walked] == want
+    assert all(list(masks) == class_masks(ch, col) for col, masks in walked)
 
 
 def test_simple_coloring_classes_match_brute_force():
-    g = square_grid(4)
-    syms = cell_symmetries(g)
+    ch = TorusChecker(khalimsky_circle(4))
+    syms = grid_symmetries(4)
     want = {
-        canonical_coloring(g, c, syms).assignment
-        for c in brute_force_simple_colorings(g, 2)
+        canonical_coloring(c, syms).assignment
+        for c in brute_force_simple_colorings(ch, 2)
     }
-    got = enumerate_simple_colorings(g, 2)
+    got = enumerate_simple_colorings(ch, 2)
     assert [c.assignment for c in got] == sorted(want)
 
 
+def piece_sets(ch, colorings):
+    """The pieces of each coloring's cover, as a set of point masks."""
+    return [
+        frozenset(p.members for p in cover_from_coloring(ch, col).pieces)
+        for col in colorings
+    ]
+
+
 def test_two_color_refutation_for_n4():
-    g = square_grid(4)
-    refuted, colorings, notes = two_color_refutation(g)
+    ch = TorusChecker(khalimsky_circle(4))
+    refuted, checked, notes = two_color_refutation(ch)
     assert refuted
-    assert len(colorings) == 24
-    assert colorings == enumerate_simple_colorings(g, 2, symmetry=False)
-    for col in colorings:
-        statuses = [
-            g.checker.is_section_categorical(p.members).status
-            for p in cover_from_coloring(g, col).pieces
-        ]
+    colorings = [col for col, _ in checked]
+    assert len(colorings) == 12
+    assert colorings == [
+        col
+        for col in enumerate_simple_colorings(ch, 2, symmetry=False)
+        if first_appearance(col.assignment)
+    ]
+    for col, masks in checked:
+        assert list(masks) == class_masks(ch, col)
+        statuses = [ch.is_section_categorical(m).status for m in masks]
         assert "not_homotopic" in statuses
-    assert "24 simple 2-colorings" in notes
+    # the 24 simple 2-colorings give no cover beyond those of the 12
+    every = enumerate_simple_colorings(ch, 2, symmetry=False)
+    assert len(every) == 24
+    assert set(piece_sets(ch, every)) == set(piece_sets(ch, colorings))
+    assert "12 simple 2-colorings" in notes
+
+
+def test_two_color_refutation_checks_each_partition_once():
+    ch = TorusChecker(khalimsky_circle(4))
+    refuted, checked, notes = two_color_refutation(ch)
+    covers = [frozenset(masks) for _, masks in checked]
+    assert len(covers) == len(set(covers)) == 12
+    assert covers == piece_sets(ch, [col for col, _ in checked])
 
 
 def test_two_color_refutation_decides_each_piece_once(monkeypatch):
-    # decisions are counted where the checker's memo misses: each distinct
-    # piece of the 24 colorings is certified once and remembered once
-    circle = khalimsky_circle(4)
-    g = SquareGrid(circle, TorusChecker(circle))
+    # decisions are counted where the checker's memo misses: each piece of
+    # the 12 colorings is certified once and remembered once
+    ch = TorusChecker(khalimsky_circle(4))
     asked = []
-    certify = g.checker._certify
+    certify = ch._certify
 
     def counted(mask, mode, budget):
         asked.append(mask)
         return certify(mask, mode, budget)
 
-    monkeypatch.setattr(g.checker, "_certify", counted)
-    refuted, colorings, notes = two_color_refutation(g)
+    monkeypatch.setattr(ch, "_certify", counted)
+    refuted, checked, notes = two_color_refutation(ch)
+    colorings = [col for col, _ in checked]
     pieces = [
-        p.members for col in colorings for p in cover_from_coloring(g, col).pieces
+        p.members for col in colorings for p in cover_from_coloring(ch, col).pieces
     ]
-    assert len(pieces) == 48 and len(asked) == 24
+    assert len(pieces) == 24 and len(asked) == 24
     assert sorted(asked) == sorted(set(pieces))
-    assert g.checker._verdicts.keys() == {(m, "sc", DEFAULT_BUDGET) for m in pieces}
+    assert ch._verdicts.keys() == {(m, "sc", DEFAULT_BUDGET) for m in pieces}
     # the notes are those of deciding every piece of every coloring afresh
-    fresh = TorusChecker(g.circle)
+    fresh = TorusChecker(ch.circle)
     for idx, col in enumerate(colorings):
         verdicts = [
             fresh.is_section_categorical(p.members)
-            for p in cover_from_coloring(g, col).pieces
+            for p in cover_from_coloring(ch, col).pieces
         ]
         bad = [v for v in verdicts if v.status == "not_homotopic"]
         assert notes[2 + idx] == f"coloring {idx}: fails ({bad[0].reason})"
@@ -511,17 +586,19 @@ def test_witness_cover_of_another_space_is_rejected():
 
 
 def blocks_of_maximals(P, most=None):
-    maxs = list(bits(P.maximal_elements()))
-    sizes = range(1, (most or len(maxs)) + 1)
-    return [frozenset(b) for k in sizes for b in combinations(maxs, k)]
+    """Blocks of positions of the maximals of P, as frozensets."""
+    count = popcount(P.maximal_elements())
+    sizes = range(1, (most or count) + 1)
+    return [frozenset(b) for k in sizes for b in combinations(range(count), k)]
 
 
 def block_statuses(P, blocks, decide):
+    maxs = list(bits(P.maximal_elements()))
     out = {}
     for b in blocks:
         mask = 0
-        for x in b:
-            mask |= P.down[x]
+        for i in b:
+            mask |= P.down[maxs[i]]
         out[b] = decide(mask).status
     return out
 
@@ -538,7 +615,7 @@ def orbit_mismatches(statuses, group):
 def diagonal_orbit(ch):
     """The orbit of the diagonal cells under the cat group: the smallest
     blocks of S1_4^2 on which the two groups differ."""
-    diag = [ch.pair(ch.circle.b(i), ch.circle.b(i)) for i in range(ch.n)]
+    diag = [i * ch.n + i for i in range(ch.n)]
     return {frozenset(g[x] for x in diag) for g in ch.symmetries("cat")}
 
 
@@ -624,14 +701,10 @@ def test_least_image_matches_loop_reference(n, mode):
     ch = TorusChecker(khalimsky_circle(n))
     group = ch.symmetries(mode)
     search = invariants_module._PartitionSearch(ch.P, None, None, group)
-    pos = {x: i for i, x in enumerate(search.maximals)}
     rng = random.Random(n)
     for _ in range(100):
-        block = rng.getrandbits(len(pos)) or 1
-        images = [
-            sum(1 << pos[g[search.maximals[i]]] for i in bits(block))
-            for g in group
-        ]
+        block = rng.getrandbits(len(search.maximals)) or 1
+        images = [sum(1 << g[i] for i in bits(block)) for g in group]
         assert search.least_image(block) == min(images)
 
 
@@ -743,10 +816,8 @@ def few_maximal_pieces(draw):
     if draw(st.booleans()):
         s = draw(st.integers(0, n - 1))
         width = draw(st.integers(1, 2))
-        b = ch.circle.b
-        chosen = [
-            ch.pair(b(i), b((i + s + k) % n)) for i in range(n) for k in range(width)
-        ]
+        # cell (i, j) is maximal i * n + j
+        chosen = [maxs[i * n + (i + s + k) % n] for i in range(n) for k in range(width)]
         chosen += draw(st.lists(st.sampled_from(maxs), max_size=2))
     else:
         chosen = draw(st.lists(st.sampled_from(maxs), min_size=1, max_size=len(maxs)))
@@ -778,9 +849,8 @@ def maximal_unions(draw):
             mask = draw(st.sampled_from([U.members, V.members]))
         else:
             s, width = draw(st.integers(0, n - 1)), draw(st.integers(1, 2))
-            b = ch.circle.b
             chosen += [
-                ch.pair(b(i), b((i + s + k) % n)) for i in range(n) for k in range(width)
+                maxs[i * n + (i + s + k) % n] for i in range(n) for k in range(width)
             ]
     for x in chosen:
         mask |= ch.P.down[x]
@@ -1160,8 +1230,8 @@ def test_grown_status_across_a_join(n, mode, turn):
     # cells on round the torus close a cycle through the join: winding
     # (1, 1) in turns, or (1, -1)
     ch = checker_of(n)
-    b = ch.circle.b
-    cells = [ch.pair(b(i), b(turn * i % n)) for i in range(n)]
+    maxs = list(bits(ch.P.maximal_elements()))
+    cells = [maxs[i * n + turn * i % n] for i in range(n)]
     steps = [[cells[0]], [cells[2]], [cells[1]]] + [[c] for c in cells[3:]]
     assert assert_growth_matches_scratch(ch, steps, mode) == 1
     mask = 0
@@ -1241,28 +1311,30 @@ def test_coloring_walk_at_half_size_five_builds_only_what_it_checks(monkeypatch)
         return real(*args)
 
     monkeypatch.setattr(invariants_module, "Coloring", counted)
-    g = square_grid(5)
-    refuted, checked, notes = two_color_refutation(g)
+    ch = TorusChecker(khalimsky_circle(5))
+    refuted, checked, notes = two_color_refutation(ch)
     assert not refuted and len(checked) == len(made) == 14
     assert notes[1] == "14 simple 2-colorings checked, the last not refuted"
     assert notes[-1].startswith("coloring 13: not refuted (")
-    assert all(is_simple(g, col) for col in checked)
-    assert [c.assignment for c in checked] == sorted(c.assignment for c in checked)
+    colorings = [col for col, _ in checked]
+    assert all(is_simple(ch, col) for col in colorings)
+    assert all(first_appearance(col.assignment) for col in colorings)
+    assert [c.assignment for c in colorings] == sorted(c.assignment for c in colorings)
 
 
 @pytest.mark.parametrize("n, last", [(5, 13), (6, 89)])
 def test_coloring_route_returns_the_certified_two_piece_cover_it_meets(n, last):
     # the first simple 2-coloring that is not refuted has both pieces
     # certified: a 2-piece cover, so tc = 1, the lower bound
-    g = square_grid(n)
-    res = tc_via_colorings(g.circle)
+    ch = torus(khalimsky_circle(n))
+    res = tc_via_colorings(ch.circle)
     assert res.exact and (res.value, res.lower, res.upper) == (1, 1, 1)
-    _, checked, _ = two_color_refutation(g)
+    _, checked, _ = two_color_refutation(ch)
     assert len(checked) == last + 1
-    want = cover_from_coloring(g, checked[-1])
+    want = cover_from_coloring(ch, checked[-1][0])
     assert [p.members for p in res.cover.pieces] == [p.members for p in want.pieces]
     assert res.cover.certificates == [
-        g.checker.is_section_categorical(p.members) for p in want.pieces
+        ch.is_section_categorical(p.members) for p in want.pieces
     ]
     assert all(v.is_homotopic for v in res.cover.certificates)
     assert res.notes[-2].startswith(f"coloring {last}: not refuted (")
@@ -1288,13 +1360,29 @@ def test_coloring_route_keeps_bounds_when_a_piece_is_unknown(monkeypatch):
 
 
 def test_coloring_refutation_decides_the_masks_of_its_walk(monkeypatch):
-    # the walk holds each class's point mask, so no cover is rebuilt
-    def forbidden(*args):
-        raise AssertionError("a cover rebuilt from a coloring")
+    # the walk holds each class's point mask: the refutation decides those
+    # masks, in the walk's order, and rebuilds no piece from the cells
+    ch = TorusChecker(khalimsky_circle(4))
+    walk = invariants_module._simple_colorings
+    held, asked = [], []
 
-    monkeypatch.setattr(invariants_module, "cover_from_coloring", forbidden)
-    refuted, checked, _ = two_color_refutation(square_grid(4))
-    assert refuted and len(checked) == 24
+    def watched(checker, colors, with_masks=False):
+        for col, masks in walk(checker, colors, with_masks=True):
+            held.extend(masks)
+            yield (col, masks) if with_masks else col
+
+    decide = ch.is_section_categorical
+
+    def counted(mask, budget=DEFAULT_BUDGET):
+        asked.append(mask)
+        return decide(mask, budget)
+
+    monkeypatch.setattr(invariants_module, "_simple_colorings", watched)
+    monkeypatch.setattr(ch, "is_section_categorical", counted)
+    refuted, checked, _ = two_color_refutation(ch)
+    assert refuted and len(checked) == 12
+    assert asked == held and len(held) == 24
+    assert [m for _, masks in checked for m in masks] == held
 
 
 @pytest.mark.parametrize("n, value", [(2, 3), (3, 2)])

@@ -73,7 +73,7 @@ def test_khalimsky_circle_structure():
     assert X.n == 6
     # even ids are minimal, odd maximal, each odd above its two neighbours
     assert X.minimal_elements() == sum(1 << i for i in range(0, 6, 2))
-    assert X.down[K.b(0)] == (1 << 0) | (1 << 1) | (1 << 2)
+    assert X.down[1] == (1 << 0) | (1 << 1) | (1 << 2)  # b_0 covers a_0, a_1
     assert X.down[2] == 1 << 2  # a_1 is open
 
 
