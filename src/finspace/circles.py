@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import BaseMismatch, InvalidParameter, MismatchedSizes, NotApplicable
+from .errors import BaseMismatch, InvalidParameter, MismatchedSizes
 from .space import FiniteSpace, parse_ints
 
 
@@ -92,8 +92,6 @@ def _steps(f: CircleMap, k: int, l: int):
 def lift(f: CircleMap, k: int, l: int, a: int) -> tuple:
     """The unique lift with value a at k, by the step-tracking rule: its
     values at z = k..l."""
-    if f.n < 2:
-        raise NotApplicable("lift uniqueness needs n >= 2")
     size = 2 * f.n
     if a % size != f(k):
         raise BaseMismatch(f"q({a}) = {a % size} != f({k}) = {f(k)}")

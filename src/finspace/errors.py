@@ -49,8 +49,3 @@ class BudgetExceeded(FinspaceError):
 
 class BaseMismatch(FinspaceError):
     pass
-
-
-class NotApplicable(FinspaceError):
-    pass
-

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .circles import recognize_circle
-from .errors import BudgetExceeded, MismatchedSpaces, NotOpen
+from .errors import BudgetExceeded, InvalidParameter, MismatchedSpaces, NotOpen
 from .space import (
     DownSet,
     FiniteSpace,
@@ -52,6 +52,12 @@ from .space import (
 )
 
 DEFAULT_BUDGET = 10**6
+
+
+def _check_budget(budget):
+    """A budget is at least 1, as the CLI's ``--budget`` is."""
+    if budget < 1:
+        raise InvalidParameter(f"budget must be at least 1, not {budget}")
 
 
 # -- pointwise comparison of maps -------------------------------------
@@ -401,6 +407,7 @@ def _enumerate_tables(later, Y: FiniteSpace, cand, budget: _Budget):
 
 def enumerate_maps(X: FiniteSpace, Y: FiniteSpace, budget=DEFAULT_BUDGET):
     """All continuous maps X -> Y as value tables."""
+    _check_budget(budget)
     b = _Budget(budget)
     full = Y.full
     return list(_enumerate_tables(_later_comparable(X), Y, [full] * X.n, b))
@@ -423,6 +430,7 @@ def fence_bfs(f: OrderMap, g: OrderMap, budget=DEFAULT_BUDGET):
     counts the maps reached, f included, and the budget spent; an
     exhausted budget gives 'unknown'.
     """
+    _check_budget(budget)
     if f.source != g.source or f.target != g.target:
         raise MismatchedSpaces("maps must share source and target")
     X, Y = f.source, f.target
@@ -944,6 +952,7 @@ def homotopic(
     'fence-bfs' and 'exhaustive-components' work on the full domain and
     serve as brute-force references.
     """
+    _check_budget(budget)
     if f.source != g.source or f.target != g.target:
         raise MismatchedSpaces("maps must share source and target")
     if f.table == g.table:
@@ -984,6 +993,7 @@ def nullhomotopic_in(
     point?  The empty piece vacuously is.  U is collapsed inside X and the
     two maps are given as tables on X, so ``decide_on_core`` builds
     neither map, and copies U only when the verdict's fence is read."""
+    _check_budget(budget)
     if U.space != X:
         raise MismatchedSpaces("U must be a subset of X")
     if not X.is_open(U.members):

@@ -24,12 +24,14 @@ because both criteria are hereditary under passing to open subsets);
 ``cat`` and ``tc`` share it.  It prunes a block as soon as its piece is
 refuted, and decides each piece once per orbit of a group that preserves
 the verdict: Aut(S)^2 with the factor swap (order 8n^2) for cat, phi x phi
-with the swap (order 4n) for tc.  The search asks only for a piece's
-status, which for a lift-decided piece needs no subspace and no fence:
-the winding test grows along the DFS path (``TorusChecker.piece_status``),
-from the labels of the block that a new maximal joins.  The pieces of the
-cover it prints are decided again, with their certificates, whose fences
-are built only when read.
+with the swap (order 4n) for tc.  It keeps one memo, the decided status
+of each orbit, and the set of blocks left unknown, nothing per block
+visited.  The search asks only for a piece's status, which for a
+lift-decided piece needs no subspace and no fence: the winding test
+grows along the DFS path (``TorusChecker.piece_status``, which reads no
+remembered verdict), from the labels of the block that a new maximal
+joins.  The pieces of the cover it prints are decided again, with their
+certificates, whose fences are built only when read.
 
 A coloring of the n x n grid is such a partition: cell i * n + j is the
 down-set of the (i * n + j)-th maximal, (b_i, b_j).  The coloring walk
@@ -53,6 +55,7 @@ from .homotopy import (
     DEFAULT_BUDGET,
     HomotopyVerdict,
     Lift,
+    _check_budget,
     _clamps,
     collapse,
     core,
@@ -304,14 +307,11 @@ class TorusChecker:
         certificate, as (status, state): the lift grown from ``parent`` (the
         state of an open piece inside U, or None), then the stages on U's
         core if a cycle winds (d, d), d != 0.  The state is None when U is
-        refuted or a remembered verdict answers.  No status or collapse is
-        remembered here; the search keeps its own memo of statuses, which
-        ends with it.  U must be open, and is not checked: exact search
-        builds only unions of down-sets of maximals.
+        refuted.  No verdict is read or remembered here, nor any collapse:
+        the search keeps its own memo of statuses, which ends with it.  U
+        must be open, and is not checked: exact search builds only unions
+        of down-sets of maximals.
         """
-        v = self._verdicts.get((mask, mode, budget))
-        if v is not None:
-            return v.status, None
         hit, state = self.lift.grow(parent, mask, mode == "cat")
         if hit is not None:
             return "not_homotopic", None
@@ -327,6 +327,7 @@ class TorusChecker:
         key = (mask, mode, budget)
         v = self._verdicts.get(key)
         if v is None:
+            _check_budget(budget)
             if mask & ~self.P.full:
                 raise InvalidParameter("members outside the space")
             if not self.P.is_open(mask):
@@ -503,13 +504,14 @@ class _PartitionSearch:
     calls ``certify(mask)``, the full decision with its certificate, and
     only on the pieces of the cover it returns; ``_deciders`` gives both.
 
-    Piece statuses are memoized per block.  On a miss the block's least
-    image under ``group`` (permutations of the positions in ``maximals``,
-    as ``TorusChecker.symmetries`` gives them, that map certified pieces
-    to certified pieces and the others to the others) keys a second
-    memo, so each piece is decided once per orbit.  Only decided statuses
-    are shared across an orbit; an "unknown" stays with its own block.
-    The DFS order does not depend on the group.
+    One memo holds the decided statuses, keyed by a block's least image
+    under ``group`` (permutations of the positions in ``maximals``, as
+    ``TorusChecker.symmetries`` gives them, that map certified pieces to
+    certified pieces and the others to the others), or by the block
+    itself with no group, so each piece is decided once per orbit.  An
+    "unknown" is not shared across an orbit: its block joins a set of its
+    own.  So the memo grows with the orbits decided, not with the blocks
+    visited.  The DFS order does not depend on the group.
     """
 
     def __init__(self, space, status_of, certify, group=()):
@@ -528,11 +530,11 @@ class _PartitionSearch:
             for i, gi in enumerate(g):
                 self._images[i] |= 1 << (gi + 8 * self._width * j)
         self._count = len(group)
-        self._status = {}  # block -> status
-        self._orbit = {}  # least image -> decided status
+        self._orbit = {}  # least image (or block) -> decided status
+        self._unknown = set()  # blocks whose status is "unknown"
         self.nodes = 0  # DFS calls
         self.decided = 0  # pieces sent to status_of
-        self.orbit_hits = 0  # statuses read off another block of the orbit
+        self.orbit_hits = 0  # statuses read off the memo, with a group
         self.undecided = 0  # leaves of the last search with no refutation
         self._blocks = []  # the blocks on the DFS path, during a search
         self._states = []  # the state held for each of them
@@ -560,20 +562,20 @@ class _PartitionSearch:
     def status(self, block: int, parent=None):
         """The status of ``block``'s piece and the state that ``status_of``
         grew for it from ``parent``, or None when a memo answers."""
-        s = self._status.get(block)
-        if s is not None:
-            return s, None
-        state = None
-        key = self.least_image(block) if self._images else None
+        if block in self._unknown:
+            return "unknown", None
+        key = self.least_image(block) if self._images else block
         s = self._orbit.get(key)
-        if s is None:
-            s, state = self.status_of(self.piece_mask(block), parent)
-            self.decided += 1
-            if key is not None and s != "unknown":
-                self._orbit[key] = s
+        if s is not None:
+            if self._images:
+                self.orbit_hits += 1
+            return s, None
+        s, state = self.status_of(self.piece_mask(block), parent)
+        self.decided += 1
+        if s == "unknown":
+            self._unknown.add(block)
         else:
-            self.orbit_hits += 1
-        self._status[block] = s
+            self._orbit[key] = s
         return s, state
 
     def search(self, c: int):
@@ -587,11 +589,10 @@ class _PartitionSearch:
         def dfs(i):
             self.nodes += 1
             if i == m:
-                statuses = [self._status[b] for b in blocks]
-                if all(s == "homotopic" for s in statuses):
+                # a refuted block never joins the path
+                if self._unknown.isdisjoint(blocks):
                     return list(blocks)
-                if "not_homotopic" not in statuses:
-                    self.undecided += 1
+                self.undecided += 1
                 return None
             x = 1 << i
             for bi in range(len(blocks)):
@@ -689,12 +690,6 @@ def _exact_invariant(
     return InvariantResult(name, None, lower, None, False, None, notes)
 
 
-def _check_budget(budget):
-    """A budget is at least 1, as the CLI's ``--budget`` is."""
-    if budget < 1:
-        raise InvalidParameter(f"budget must be at least 1, not {budget}")
-
-
 def _check_mode(mode, witness, limit, force, budget):
     """``mode`` is "exact" or "witness"; a witness cover is given exactly in
     witness mode, ``limit`` and ``force`` tune only exact search, a limit
@@ -749,9 +744,12 @@ def cat(
     torus too, has each piece decided as ``nullhomotopic_in`` does, and
     the search uses no symmetry.  A ``witness`` is read only in witness
     mode, which needs one and takes no ``limit`` or ``force``.  A
-    ``budget`` below 1 is refused.
+    ``budget`` below 1 is refused, and so is a space with no points, whose
+    category is not defined.
     """
     _check_mode(mode, witness, limit, force, budget)
+    if not X.n:
+        raise InvalidParameter("cat needs a space with at least one point")
     status_of, certify, group = _deciders(X, _torus_of(X), "cat", budget)
     if mode == "witness":
         return _witness_invariant("cat", 0, X, certify, witness)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InvalidParameter, NotContinuous, NotOpen, NotOrderPreserving
-from .homotopy import DEFAULT_BUDGET, collapse, table_cmp
+from .homotopy import DEFAULT_BUDGET, _check_budget, collapse, table_cmp
 from .circles import recognize_circle
-from .invariants import TorusChecker, _check_budget, torus
+from .invariants import TorusChecker, torus
 from .space import (
     DownSet,
     OrderMap,
@@ -362,7 +362,11 @@ def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
 
     # (3) the final image and its closed form; the closed form places the
     # top arm at row m+3, which agrees with the construction (row 2k-3)
-    # only when m = 2k-5, so beyond that it is compared but not required
+    # only when m = 2k-5, so beyond that it is compared but not required,
+    # and the image is checked to be a loop: its core is a circle
+    clC = collapse(P, bundle.C)
+    subC, oldC = clC.space, clC.core_ids
+    recC = recognize_circle(subC)
     disp = displayed_core(k)
     same = bundle.C == disp
     if bundle.m == 2 * k - 5:
@@ -371,7 +375,7 @@ def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
         )
     else:
         checks.append(
-            ("final image is a loop", True, f"|C| = {popcount(bundle.C)}")
+            ("final image is a loop", recC is not None, f"|C| = {popcount(bundle.C)}")
         )
         if not same:
             notes.append(
@@ -385,9 +389,6 @@ def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
     # collapsed inside the product by the checker, which keeps the
     # collapse for the certification of U as a tc piece
     recU = recognize_circle(checker.collapse(bundle.U.members).space)
-    clC = collapse(P, bundle.C)
-    subC, oldC = clC.space, clC.core_ids
-    recC = recognize_circle(subC)
     if clC.removals:
         notes.append(
             f"the staged image retains {len(clC.removals)} beat points "

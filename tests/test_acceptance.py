@@ -131,7 +131,7 @@ def test_exact_search_at_half_size_four_matches_colorings():
     assert "no certified cover with 2 pieces (exhaustive)" in res.notes
     # the search's path and counters, pinned
     assert res.notes[-1] == (
-        "search: 1224 DFS nodes, 1353 pieces decided, 1069 orbit-memo hits, "
+        "search: 1224 DFS nodes, 1353 pieces decided, 1086 orbit-memo hits, "
         "0 undecided partitions"
     )
     assert cover_maximals(res.cover) == FIRST_COVER_AT_FOUR
@@ -315,7 +315,7 @@ def test_category_of_the_half_size_four_torus_is_two():
     assert res.exact and res.value == 2
     assert "no certified cover with 2 pieces (exhaustive)" in res.notes
     assert res.notes[-1] == (
-        "search: 1223 DFS nodes, 321 pieces decided, 2091 orbit-memo hits, "
+        "search: 1223 DFS nodes, 321 pieces decided, 2112 orbit-memo hits, "
         "0 undecided partitions"
     )
     assert cover_maximals(res.cover) == FIRST_COVER_AT_FOUR

@@ -206,6 +206,24 @@ def test_space_sources_exclude_each_other(capsys, tmp_path):
     assert code == 1
 
 
+def test_cat_refuses_a_space_with_no_points(capsys, tmp_path):
+    # no cover bounds the category of the empty space: exact search said
+    # "cat in [0, ?]" at a limit never given, and witness mode [0, -1]
+    X = read_space("space E 0\n")
+    assert X.n == 0
+    for call in (
+        lambda: cat(X),
+        lambda: cat(X, mode="witness", witness=Cover(X, [])),
+    ):
+        with pytest.raises(InvalidParameter, match="at least one point"):
+            call()
+    path = tmp_path / "e.space"
+    path.write_text("space E 0\n")
+    code, out, err = run(capsys, "cat", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "at least one point" in err
+
+
 def write_cover(tmp_path, res):
     path = tmp_path / "w.cover"
     path.write_text(format_cover(res.cover))

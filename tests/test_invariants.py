@@ -536,20 +536,38 @@ def test_generic_cover_certificates_are_those_of_nullhomotopic_in(budget):
 
 @pytest.mark.parametrize("budget", [0, -5])
 def test_a_budget_below_one_is_refused(budget):
-    # the library keeps the CLI's --budget rule: a budget of 1 is the least
+    # the library keeps the CLI's --budget rule at every entry that takes a
+    # budget: a budget of 1 is the least, and none of them returns
+    # "unknown", raises BudgetExceeded or decides instead
     S = khalimsky_circle(3)
     X = s13_x_s12()
+    f = OrderMap(S.space, S.space, tuple(range(S.space.n)))
+    g = OrderMap(S.space, S.space, (0,) * S.space.n)
+    ch = TorusChecker(khalimsky_circle(2))
+    piece = ch.P.down[next(bits(ch.P.maximal_elements()))]
     calls = [
         lambda: cat(X, budget=budget),
         lambda: cat(X, mode="witness", witness=Cover(X, [DownSet(X, X.full)]), budget=budget),
         lambda: tc(S, budget=budget),
         lambda: tc_via_colorings(khalimsky_circle(4), budget),
         lambda: witness_module.verify_bundle(5, budget),
+        lambda: homotopic(f, g, budget=budget),
+        lambda: homotopic(f, f, budget=budget),
+        lambda: homotopic(f, g, "fence-bfs", budget),
+        lambda: homotopic(f, g, "exhaustive-components", budget),
+        lambda: homotopy_module.fence_bfs(f, g, budget),
+        lambda: homotopy_module.hom_components(S.space, S.space, budget),
+        lambda: homotopy_module.enumerate_maps(S.space, S.space, budget),
+        lambda: nullhomotopic_in(DownSet(X, X.full), X, budget),
+        lambda: ch.is_section_categorical(piece, budget),
+        lambda: ch.is_categorical(piece, budget),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter, match="budget must be at least 1"):
             call()
+    assert ch._verdicts == {}
     assert cat(S.space, budget=1).value == 1
+    assert ch.is_categorical(piece, 1).status == "homotopic"
 
 
 @st.composite
@@ -662,6 +680,15 @@ def test_orbit_memo_matches_unreduced_search(mode, n):
         ch.P, status_of, decide, ch.symmetries(mode)
     )
     plain = invariants_module._PartitionSearch(ch.P, status_of, decide)
+    answered = []
+    status = reduced.status
+
+    def watched(block, parent=None):
+        got = status(block, parent)
+        answered.append((block, got[0]))
+        return got
+
+    reduced.status = watched
     for c in range(1, 5):
         got, want = reduced.cover(c), plain.cover(c)
         assert (got is None) == (want is None)
@@ -671,9 +698,11 @@ def test_orbit_memo_matches_unreduced_search(mode, n):
     # the same DFS, with fewer pieces decided
     assert reduced.nodes == plain.nodes
     assert reduced.decided < plain.decided
-    # every status read off an orbit is the piece's own
-    for block, status in reduced._status.items():
-        assert decide(reduced.piece_mask(block)).status == status
+    # every status the search was given, memo hits included, is the
+    # piece's own
+    assert reduced.orbit_hits > 0
+    for block, s in set(answered):
+        assert decide(reduced.piece_mask(block)).status == s
 
 
 def test_orbit_memo_shares_only_decided_statuses():
@@ -693,6 +722,28 @@ def test_orbit_memo_shares_only_decided_statuses():
     assert search.status(1 << 0)[0] == "unknown"  # its own block keeps it
     assert search.status(1 << 2)[0] == "homotopic"
     assert len(asked) == 2 and search.orbit_hits == 1
+
+
+@pytest.mark.parametrize("torus_path", [True, False])
+def test_search_memory_grows_with_the_pieces_it_decides(torus_path):
+    # the search keeps one memo of decided statuses and the set of blocks
+    # left unknown, nothing per block visited: no dict or set on it holds
+    # more entries than the pieces it decided, on the cat(S1_4^2) torus
+    # search (1223 DFS nodes, 321 pieces decided) and on a generic one
+    X = torus(khalimsky_circle(4)).P if torus_path else s13_x_s12()
+    checker = invariants_module._torus_of(X)
+    assert (checker is not None) == torus_path
+    status_of, certify, group = invariants_module._deciders(
+        X, checker, "cat", DEFAULT_BUDGET
+    )
+    search = invariants_module._PartitionSearch(X, status_of, certify, group())
+    c = 1
+    while search.cover(c) is None:
+        c += 1
+    if torus_path:
+        assert (search.nodes, search.decided) == (1223, 321)
+    stores = [v for v in vars(search).values() if isinstance(v, (dict, set))]
+    assert stores and all(len(v) <= search.decided for v in stores)
 
 
 @pytest.mark.parametrize("n,mode", [(3, "cat"), (4, "sc"), (9, "sc")])
@@ -715,12 +766,12 @@ def test_search_counts_note():
         "no certified cover with 1 pieces (exhaustive)",
         "no certified cover with 2 pieces (exhaustive)",
         "certified 3-piece cover found",
-        "search: 44 DFS nodes, 12 pieces decided, 55 orbit-memo hits, "
+        "search: 44 DFS nodes, 12 pieces decided, 71 orbit-memo hits, "
         "0 undecided partitions",
     ]
     res = tc(khalimsky_circle(3))
     assert res.notes[-1] == (
-        "search: 41 DFS nodes, 31 pieces decided, 36 orbit-memo hits, "
+        "search: 41 DFS nodes, 31 pieces decided, 49 orbit-memo hits, "
         "0 undecided partitions"
     )
 
@@ -1112,7 +1163,7 @@ def test_remembered_verdicts_are_those_of_a_fresh_checker(drawn):
         assert verdict_fields(v) == verdict_fields(fresh)
 
 
-def test_piece_status_reads_the_memo_and_never_writes_it():
+def test_piece_status_never_writes_the_memo():
     ch = TorusChecker(khalimsky_circle(4))
     mask = 0
     for x, y in ((1, 1), (1, 3), (3, 3), (3, 5), (5, 5), (5, 7), (7, 7), (7, 1)):
@@ -1263,9 +1314,8 @@ def test_search_holds_grown_states_only_on_its_path():
     assert search.cover(2) is None
     assert search.cover(3) is not None
     assert search._blocks == [] and search._states == []
-    assert set(search._status.values()) | set(search._orbit.values()) <= {
-        "homotopic", "not_homotopic"
-    }
+    assert set(search._orbit.values()) <= {"homotopic", "not_homotopic"}
+    assert not search._unknown
     assert any(grown) and not all(grown)
 
 

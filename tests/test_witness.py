@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import finspace.invariants as invariants_module
@@ -6,7 +8,7 @@ import finspace.witness as witness_module
 from finspace.errors import InvalidParameter, NotContinuous
 from finspace.homotopy import DEFAULT_BUDGET
 from finspace.invariants import Cover, TorusChecker, tc, torus
-from finspace.space import FiniteSpace, khalimsky_circle, popcount
+from finspace.space import FiniteSpace, bits, khalimsky_circle, popcount
 from finspace.witness import (
     build_chain,
     build_U,
@@ -146,6 +148,26 @@ def test_verify_bundle_reports_a_discontinuous_stage(monkeypatch):
     name, ok, detail = rep.checks[0]
     assert name == "stages continuous" and not ok
     assert "g1" in detail and "((3, 5), (3, 7))" in detail
+
+
+def test_verify_bundle_fails_a_final_image_that_is_not_a_loop(monkeypatch):
+    # past k = 6 the image is not compared with the closed form, so the
+    # loop row is the check on it: its core must be a circle
+    real = witness_module.build_chain
+
+    def contractible(k):
+        bundle = replace(real(k))
+        P = bundle.checker.P
+        bundle.C = P.down[next(bits(P.maximal_elements()))]
+        return bundle
+
+    monkeypatch.setattr(witness_module, "build_chain", contractible)
+    rep = verify_bundle(7)
+    assert not rep.passed
+    assert ("final image is a loop", False, "|C| = 9") in rep.checks
+    assert "  [FAIL] final image is a loop: |C| = 9" in rep.render().splitlines()
+    monkeypatch.setattr(witness_module, "build_chain", real)
+    assert ("final image is a loop", True, "|C| = 22") in verify_bundle(7).checks
 
 
 def test_one_subspace_per_stage_family(monkeypatch):
