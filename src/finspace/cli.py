@@ -155,11 +155,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("homotopic", help="decide homotopy of two circle maps")
     p.add_argument("f", help="circlemap line or file")
     p.add_argument("g", help="circlemap line or file")
-    p.add_argument(
-        "--strategy",
-        choices=["auto", "fence-bfs", "exhaustive-components"],
-        default="auto",
-    )
     _common(p, budget=True)
 
     p = sub.add_parser("degree", help="winding degree of a circle map")
@@ -273,7 +268,7 @@ def _cmd_core(args):
 
 def _cmd_homotopic(args):
     _, _, fo, go = _order_maps(args)
-    verdict = homotopic(fo, go, args.strategy, _budget_of(args))
+    verdict = homotopic(fo, go, budget=_budget_of(args))
     payload = {
         "command": "homotopic",
         "status": verdict.status,

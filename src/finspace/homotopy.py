@@ -29,9 +29,8 @@ winding-free lift, ``rooted`` at the least point of each component, is
 clamped to a fence with ``_clamps`` and ``through_constants``, and a
 reason that states the fence's length reads it off the lift's range (and
 names the cores when the fence is lifted through a collapse).  Only the
-rigidity verdict (equal nonzero degree on a circle core) and the
-'exhaustive-components' strategy carry no fence, so ``replay()`` is
-False on their verdicts.
+rigidity verdict (equal nonzero degree on a circle core) and the empty
+piece carry no fence, so ``replay()`` is False on their verdicts.
 """
 
 from __future__ import annotations
@@ -103,13 +102,13 @@ class HomotopyVerdict:
       with no winding, and fence BFS: a fence on the domain, from f to g;
     - circle classification by rigidity (equal nonzero degree): none
       (``fence == []``), with the domain core's point ids in the domain
-      in ``core_old_ids``;
-    - 'exhaustive-components': none, so ``replay()`` is False on it.
+      in ``core_old_ids``, so ``replay()`` is False on it.
 
     Outside ``homotopic``, a piece of S x S with no winding carries a lift
     fence on the piece: a categorical one from the inclusion to a
     constant, a section-categorical one from pi1|U to pi2|U.  An empty
-    piece carries none.
+    piece carries none.  These two are the only homotopic verdicts with
+    no fence.
 
     A verdict given a ``proof`` (a function returning the fence and its
     space) holds no fence until ``fence`` or ``fence_space`` is first
@@ -939,7 +938,7 @@ def homotopic(
 ) -> HomotopyVerdict:
     """Decide whether f ~ g.
 
-    'auto' first runs the component stage on the tables, before X is
+    This first runs the component stage on the tables, before X is
     collapsed: a point sent into two components of Y refutes f ~ g.  It
     then decides between the cores, in stages: equal tables; maps that
     agree on core(X); a point core (constants joined by an order path in
@@ -948,42 +947,22 @@ def homotopic(
     the lifts, ``_circle_stage``); else fence BFS from r_Y o f|core(X) to
     r_Y o g|core(X) in the maps core(X) -> core(Y).  Each stage but
     rigidity proves f ~ g by a fence on X from f to g, lifted back through
-    both collapses when the verdict's fence is first read.
-    'fence-bfs' and 'exhaustive-components' work on the full domain and
-    serve as brute-force references.
+    both collapses when the verdict's fence is first read.  ``strategy``
+    accepts only 'auto', the name of this one procedure; ``fence_bfs`` and
+    ``hom_components`` on the full domain are its brute-force references.
     """
     _check_budget(budget)
+    if strategy != "auto":
+        raise ValueError(f"unknown strategy {strategy!r}")
     if f.source != g.source or f.target != g.target:
         raise MismatchedSpaces("maps must share source and target")
     if f.table == g.table:
         return HomotopyVerdict(
             "homotopic", [f.table], f.source, f.target, reason="maps equal"
         )
-    if strategy == "auto":
-        X, Y = f.source, f.target
-        v = _component_stage(X.full, f.table, g.table, Y)
-        return v or decide_on_core(core(X), f.table, g.table, Y, budget)
-    if strategy == "fence-bfs":
-        return fence_bfs(f, g, budget)
-    if strategy == "exhaustive-components":
-        try:
-            comps = hom_components(f.source, f.target, budget)
-        except BudgetExceeded:
-            return HomotopyVerdict(
-                "unknown", reason="enumeration budget exhausted"
-            )
-        for comp in comps:
-            if f.table in comp:
-                if g.table in comp:
-                    return HomotopyVerdict(
-                        "homotopic", [], f.source, f.target,
-                        reason="same component of the full hom-set",
-                    )
-                return HomotopyVerdict(
-                    "not_homotopic", reason="different hom-set components"
-                )
-        raise AssertionError("f not found among enumerated maps")
-    raise ValueError(f"unknown strategy {strategy!r}")
+    X, Y = f.source, f.target
+    v = _component_stage(X.full, f.table, g.table, Y)
+    return v or decide_on_core(core(X), f.table, g.table, Y, budget)
 
 
 def nullhomotopic_in(

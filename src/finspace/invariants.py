@@ -312,6 +312,7 @@ class TorusChecker:
         must be open, and is not checked: exact search builds only unions
         of down-sets of maximals.
         """
+        _check_budget(budget)
         hit, state = self.lift.grow(parent, mask, mode == "cat")
         if hit is not None:
             return "not_homotopic", None
@@ -973,8 +974,10 @@ def two_color_refutation(checker: TorusChecker, budget: int = DEFAULT_BUDGET):
     Non-simple colorings die by the line lemma; the simple 2-colorings,
     one per partition of the cells and with no grid symmetry factored out,
     are walked one at a time and checked piece by piece, each piece the
-    point mask of a class that the walk holds.  The checker remembers its
-    verdicts, so a piece shared between colorings is decided once.  The
+    point mask of a class that the walk holds.  A coloring's classes are
+    decided in order up to the first refuted one, which names the
+    coloring's note; the class past it is never decided.  No piece is
+    shared between colorings: a class's mask fixes its 2-partition.  The
     walk stops at the first coloring that is not refuted, since one is
     enough to leave the claim unproven, and the colorings past it are
     never built.  Returns (refuted, the colorings checked, each with the
@@ -986,9 +989,12 @@ def two_color_refutation(checker: TorusChecker, budget: int = DEFAULT_BUDGET):
     for idx, (col, masks) in enumerate(_simple_colorings(checker, 2, with_masks=True)):
         checked.append((col, masks))
         # a simple 2-coloring has two classes: one alone would hold every line
-        verdicts = [checker.is_section_categorical(m, budget) for m in masks]
-        bad = [v for v in verdicts if v.status == "not_homotopic"]
-        if not bad:
+        verdicts = []
+        for m in masks:
+            verdicts.append(checker.is_section_categorical(m, budget))
+            if verdicts[-1].status == "not_homotopic":
+                break
+        if verdicts[-1].status != "not_homotopic":
             notes.append(
                 f"coloring {idx}: not refuted "
                 f"({'; '.join(v.status for v in verdicts)})"
@@ -997,7 +1003,7 @@ def two_color_refutation(checker: TorusChecker, budget: int = DEFAULT_BUDGET):
                 1, f"{len(checked)} simple 2-colorings checked, the last not refuted"
             )
             return False, checked, notes
-        notes.append(f"coloring {idx}: fails ({bad[0].reason})")
+        notes.append(f"coloring {idx}: fails ({verdicts[-1].reason})")
     notes.insert(1, f"{len(checked)} simple 2-colorings")
     return True, checked, notes
 

@@ -12,8 +12,14 @@ from math import factorial
 
 from finspace.circles import CircleMap
 from finspace.complexes import SimplicialComplex
-from finspace.errors import FinspaceError
-from finspace.homotopy import HomotopyVerdict, _beat_status, homotopic
+from finspace.errors import BudgetExceeded, FinspaceError
+from finspace.homotopy import (
+    DEFAULT_BUDGET,
+    HomotopyVerdict,
+    _beat_status,
+    hom_components,
+    homotopic,
+)
 from finspace.invariants import Coloring, Cover
 from finspace.space import DownSet, FiniteSpace, OrderMap, build_space, popcount
 
@@ -442,6 +448,18 @@ def eager_core(X: FiniteSpace):
             if was is None and status[y] is not None:
                 heappush(heap, y)
     return removals, mask
+
+
+def hom_component_status(f: OrderMap, g: OrderMap, budget: int = DEFAULT_BUDGET) -> str:
+    """'homotopic' if f and g lie in one component of the full hom-set
+    (``hom_components``), else 'not_homotopic'; 'unknown' if enumerating
+    the maps runs past ``budget``."""
+    try:
+        comps = hom_components(f.source, f.target, budget)
+    except BudgetExceeded:
+        return "unknown"
+    same = any(f.table in c and g.table in c for c in comps)
+    return "homotopic" if same else "not_homotopic"
 
 
 def nullhomotopic_by_copy(U: DownSet, X: FiniteSpace, budget: int) -> HomotopyVerdict:

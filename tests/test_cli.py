@@ -189,6 +189,9 @@ def test_verify_witness_json(capsys):
          "--budget", "5"],
         ["colorings", "--n", "3", "--colors", "2", "--budget", "5"],
         ["export-complex", "--cycle", "4", "--budget", "5"],
+        # homotopic is one procedure: it has no --strategy at all
+        ["homotopic", "circlemap 2 2 0 1 2 3", "circlemap 2 2 0 1 2 3",
+         "--strategy", "auto"],
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):

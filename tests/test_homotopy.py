@@ -45,6 +45,7 @@ from reference import (
     comparability_components,
     component_labels,
     eager_core,
+    hom_component_status,
     minimal_iso_check,
     nullhomotopic_by_copy,
 )
@@ -149,9 +150,19 @@ def test_identity_not_nullhomotopic_on_circle():
     X = khalimsky_circle(3).space
     f = identity_map(X)
     g = constant_map(X, X, 0)
-    for strategy in ("auto", "exhaustive-components"):
-        v = homotopic(f, g, strategy)
-        assert v.status == "not_homotopic"
+    assert hom_component_status(f, g) == "not_homotopic"
+    assert homotopic(f, g).status == "not_homotopic"
+    assert fence_bfs(f, g).status == "not_homotopic"
+
+
+@pytest.mark.parametrize("strategy", ["fence-bfs", "exhaustive-components", "bogus"])
+def test_homotopic_refuses_any_strategy_but_auto(strategy):
+    # homotopic is one procedure: a strategy other than 'auto' is refused
+    # at entry, before the maps are compared
+    X = khalimsky_circle(2).space
+    f = identity_map(X)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        homotopic(f, f, strategy)
 
 
 def test_homotopic_strategies_agree_small():
@@ -163,9 +174,8 @@ def test_homotopic_strategies_agree_small():
         tf, tg = rng.choice(tables), rng.choice(tables)
         f, g = OrderMap(X, X, list(tf)), OrderMap(X, X, list(tg))
         expected = any(tf in c and tg in c for c in comps)
-        for strategy in ("fence-bfs", "auto", "exhaustive-components"):
-            v = homotopic(f, g, strategy)
-            assert v.is_homotopic == expected, (tf, tg, strategy)
+        for v in (homotopic(f, g), fence_bfs(f, g)):
+            assert v.is_homotopic == expected, (tf, tg, v.reason)
 
 
 def test_hom_components_s12_self():
@@ -180,7 +190,7 @@ def test_fence_replay_validates_each_step():
     X = khalimsky_circle(2).space
     f = constant_map(X, X, 0)
     g = constant_map(X, X, 1)
-    v = homotopic(f, g, "fence-bfs")
+    v = fence_bfs(f, g)
     assert v.is_homotopic
     assert v.replay(f, g)
     assert not v.replay(g, f)  # the fence runs from f to g
@@ -942,7 +952,7 @@ def test_fence_bfs_on_a_long_chain(chain_1200):
     # the constant at the open point: the BFS descends all 1200 points
     X = chain_1200
     f, g = constant_map(X, SIERPINSKI, 1), constant_map(X, SIERPINSKI, 0)
-    v = homotopic(f, g, "fence-bfs")
+    v = fence_bfs(f, g)
     assert v.is_homotopic and v.replay(f, g)
     assert v.fence == [f.table, g.table]
 

@@ -60,6 +60,7 @@ from reference import (
     first_appearance,
     grid_masks,
     grid_symmetries,
+    hom_component_status,
     is_simple,
     listed_coloring_classes,
     winding_status,
@@ -380,8 +381,9 @@ def test_two_color_refutation_checks_each_partition_once():
 
 
 def test_two_color_refutation_decides_each_piece_once(monkeypatch):
-    # decisions are counted where the checker's memo misses: each piece of
-    # the 12 colorings is certified once and remembered once
+    # decisions are counted where the checker's memo misses: each coloring's
+    # classes are certified in order up to its first refuted one, each
+    # piece once, and remembered once
     ch = TorusChecker(khalimsky_circle(4))
     asked = []
     certify = ch._certify
@@ -392,23 +394,19 @@ def test_two_color_refutation_decides_each_piece_once(monkeypatch):
 
     monkeypatch.setattr(ch, "_certify", counted)
     refuted, checked, notes = two_color_refutation(ch)
-    colorings = [col for col, _ in checked]
-    pieces = [
-        p.members for col in colorings for p in cover_from_coloring(ch, col).pieces
-    ]
-    assert len(pieces) == 24 and len(asked) == 24
-    assert sorted(asked) == sorted(set(pieces))
-    assert ch._verdicts.keys() == {(m, "sc", DEFAULT_BUDGET) for m in pieces}
+    assert refuted and len(checked) == 12 and len(notes) == 2 + len(checked)
+    pieces = {
+        p.members for col, _ in checked for p in cover_from_coloring(ch, col).pieces
+    }
+    assert len(pieces) == 24 and set(asked) <= pieces
+    assert len(asked) == len(set(asked)) == 14
+    assert ch._verdicts.keys() == {(m, "sc", DEFAULT_BUDGET) for m in asked}
     # the notes are those of deciding every piece of every coloring afresh
     fresh = TorusChecker(ch.circle)
-    for idx, col in enumerate(colorings):
-        verdicts = [
-            fresh.is_section_categorical(p.members)
-            for p in cover_from_coloring(ch, col).pieces
-        ]
+    for idx, (_, masks) in enumerate(checked):
+        verdicts = [fresh.is_section_categorical(m) for m in masks]
         bad = [v for v in verdicts if v.status == "not_homotopic"]
         assert notes[2 + idx] == f"coloring {idx}: fails ({bad[0].reason})"
-    assert refuted and len(notes) == 2 + len(colorings)
 
 
 def test_tc_via_colorings_uses_no_symmetry_reduction(monkeypatch):
@@ -553,14 +551,14 @@ def test_a_budget_below_one_is_refused(budget):
         lambda: witness_module.verify_bundle(5, budget),
         lambda: homotopic(f, g, budget=budget),
         lambda: homotopic(f, f, budget=budget),
-        lambda: homotopic(f, g, "fence-bfs", budget),
-        lambda: homotopic(f, g, "exhaustive-components", budget),
         lambda: homotopy_module.fence_bfs(f, g, budget),
         lambda: homotopy_module.hom_components(S.space, S.space, budget),
         lambda: homotopy_module.enumerate_maps(S.space, S.space, budget),
         lambda: nullhomotopic_in(DownSet(X, X.full), X, budget),
         lambda: ch.is_section_categorical(piece, budget),
         lambda: ch.is_categorical(piece, budget),
+        lambda: ch.piece_status(piece, "sc", budget),
+        lambda: ch.piece_status(piece, "cat", budget),
     ]
     for call in calls:
         with pytest.raises(InvalidParameter, match="budget must be at least 1"):
@@ -948,8 +946,7 @@ def test_lift_stage_agrees_with_homotopic(drawn):
     f1, f2 = projections_on(ch, mask)
     assert v.status == homotopic(f1, f2, "auto").status
     if f1.source.n <= 14:
-        brute = homotopic(f1, f2, "exhaustive-components", 20000)
-        assert brute.status in (v.status, "unknown")
+        assert hom_component_status(f1, f2, 20000) in (v.status, "unknown")
     by_lift = v.reason.startswith("projections lift to the digital line")
     assert by_lift == (ch.winding_obstruction(mask, "cat") is None)
     if by_lift:
@@ -1431,8 +1428,16 @@ def test_coloring_refutation_decides_the_masks_of_its_walk(monkeypatch):
     monkeypatch.setattr(ch, "is_section_categorical", counted)
     refuted, checked, _ = two_color_refutation(ch)
     assert refuted and len(checked) == 12
-    assert asked == held and len(held) == 24
-    assert [m for _, masks in checked for m in masks] == held
+    assert [m for _, masks in checked for m in masks] == held and len(held) == 24
+    # each coloring's masks up to and including its first refuted one
+    fresh = TorusChecker(ch.circle)
+    walked = []
+    for _, masks in checked:
+        for m in masks:
+            walked.append(m)
+            if fresh.is_section_categorical(m).status == "not_homotopic":
+                break
+    assert asked == walked and len(asked) == 14
 
 
 @pytest.mark.parametrize("n, value", [(2, 3), (3, 2)])
