@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .errors import FinspaceError, InvalidParameter, MismatchedSpaces
@@ -137,7 +138,11 @@ def _common(p, budget=False):
         p.add_argument("--budget", type=int, default=None, help="search budget")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: parsing,
+    also an invalid command line, leaves it as it was, so ``main`` reads
+    each command line with the same one."""
     top = _Parser(prog="finspace", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -1,11 +1,13 @@
 """The explicit two-piece tc witness for digital circles of size k >= 5.
 
 The open set U and its staged deformation retraction down to a circle C
-are materialized literally, stage by stage, and every claimed property is
+are built literally, stage by stage, and every claimed property is
 rechecked mechanically: continuity, fence-comparability of consecutive
 stages, the image chain, the recognized core, and the projection degrees.
-The complementary piece V goes through the generic certification
-pipeline.
+A stage is kept as the points of the product that it moves, each with its
+image, and is checked on the product itself: no stage copies its family
+into a subspace.  The complementary piece V goes through the generic
+certification pipeline.
 
 Coordinates follow the residue convention 1..2k, odd residues minimal;
 residue r corresponds to point id r-1 on the circle.
@@ -15,25 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
-from .errors import InvalidParameter, NotContinuous, NotOpen, NotOrderPreserving
+from .errors import InvalidParameter, NotContinuous, NotOpen
 from .homotopy import DEFAULT_BUDGET, _check_budget, collapse, table_cmp
 from .circles import recognize_circle
 from .invariants import TorusChecker, torus
-from .space import (
-    DownSet,
-    OrderMap,
-    bits,
-    khalimsky_circle,
-    popcount,
-)
+from .space import DownSet, FiniteSpace, bits, khalimsky_circle, popcount
 
 
 @dataclass
 class Stage:
     name: str
-    map: OrderMap  # an endomap of its family's subspace of the product
-    old_ids: list  # subspace point -> product point
+    family: _Family  # one object for all stages of a family
+    moved: dict  # product point -> its image, for each point the stage moves
 
 
 @dataclass
@@ -67,7 +64,8 @@ class _Coords:
         return (r - 1) % self.size + 1
 
     def pid(self, x: int, y: int) -> int:
-        return (self.norm(x) - 1) * self.size + (self.norm(y) - 1)
+        """The product id of the reduced residue pair (x, y)."""
+        return (x - 1) * self.size + y - 1
 
     def res(self, p: int):
         x, y = divmod(p, self.size)
@@ -148,43 +146,77 @@ def build_V(k: int) -> DownSet:
     return _witness(k)[3]
 
 
-def _family(P, domain_mask, co):
-    """The subspace that every stage of one family lives on, its point ids
-    in P, and the subspace id of each point's residue pair."""
-    sub, old_ids = P.subspace(domain_mask)
-    return sub, old_ids, {co.res(p): i for i, p in enumerate(old_ids)}
+class _Family(NamedTuple):
+    """The points ``mask`` of P that every stage of one family acts on:
+    ``inside[p]`` is 1 when point p is one of them."""
+
+    P: FiniteSpace
+    co: _Coords
+    mask: int
+    inside: bytearray
+
+
+def _family(P, mask, co) -> _Family:
+    inside = bytearray(P.n)
+    for p in bits(mask):
+        inside[p] = 1
+    return _Family(P, co, mask, inside)
 
 
 def _stage(name, family, moves) -> Stage:
-    """The endomap of the family's subspace that sends each residue pair of
-    ``moves`` lying in the family to its image and fixes every other point.
-    A move whose source is off the family is not made; one whose image is
-    off it raises NotContinuous."""
-    sub, old_ids, index = family
-    get = index.get
-    table = list(range(sub.n))
+    """The map of the family that sends each residue pair of ``moves``
+    lying in the family to its image and fixes every other point.  A move
+    whose source is off the family is not made; one whose image is off it
+    raises NotContinuous, as does a comparable pair x <= x2 of the family
+    that the map sends to f(x) !<= f(x2), named (x, x2, f(x), f(x2)) in
+    residue pairs.  Only a pair that touches a moved point can break."""
+    P, co, _, inside = family
+    size = co.size
+    moved = {}
+    # ``co.pid``, inline: the moves are built on reduced residues
     for src, dst in moves.items():
-        i = get(src)
-        if i is not None:
-            j = get(dst)
-            if j is None:
+        p = (src[0] - 1) * size + src[1] - 1
+        if inside[p]:
+            q = (dst[0] - 1) * size + dst[1] - 1
+            if not inside[q]:
                 raise NotContinuous(name, (src, dst))
-            table[i] = j
-    try:
-        return Stage(name, OrderMap(sub, sub, table), old_ids)
-    except NotOrderPreserving as e:
-        raise NotContinuous(name, e.witness) from e
+            if q != p:
+                moved[p] = q
+    f = list(range(P.n))
+    for p, fp in moved.items():
+        f[p] = fp
+
+    def broken(x, x2):
+        return NotContinuous(name, tuple(co.res(v) for v in (x, x2, f[x], f[x2])))
+
+    up_ids, down_ids = P.up_ids, P.down_ids
+    for p, fp in moved.items():
+        ufp = up_ids[fp]
+        for q in up_ids[p]:
+            if inside[q] and f[q] not in ufp:
+                raise broken(p, q)
+        dfp = down_ids[fp]
+        for q in down_ids[p]:
+            if inside[q] and f[q] not in dfp:
+                raise broken(q, p)
+    return Stage(name, family, moved)
 
 
 def _image_mask(stage: Stage) -> int:
-    out = 0
-    for v in stage.map.table:
-        out |= 1 << stage.old_ids[v]
-    return out
+    """The family's points that the stage fixes, and its moved points' images."""
+    src = img = 0
+    for p, q in stage.moved.items():
+        src |= 1 << p
+        img |= 1 << q
+    return stage.family.mask & ~src | img
 
 
 def build_chain(k: int) -> WitnessBundle:
-    """All retraction stages, with images computed rather than assumed."""
+    """All retraction stages, with images computed rather than assumed.
+
+    Each stage is checked continuous on the product as it is built (see
+    ``_stage``) and keeps only the product points it moves; a stage that
+    is not continuous raises NotContinuous."""
     checker, (co, m, A0, A1, A2, A3, A4), U, V = _witness(k)
     P = checker.P
     notes = []
@@ -311,7 +343,11 @@ class WitnessReport:
 
 
 def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
-    """Recheck every claim in the staged retraction and certify V too."""
+    """Recheck every claim in the staged retraction and certify V too.
+
+    A stage is the identity off the points it moves, so stages are
+    compared, and their images checked fixed, over their moved points
+    alone."""
     _check_budget(budget)
     # (1) every stage is validated as a continuous map while it is built;
     # a stage that is not continuous fails the report with its witness
@@ -330,18 +366,19 @@ def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
 
     # (2) consecutive stages within each family are fence-comparable
     bad = []
-    groups = {}  # by the family subspace, the one object its stages share
+    groups = {}  # by family, the one object its stages share
     for st in bundle.stages:
-        groups.setdefault(id(st.map.source), []).append(st)
+        groups.setdefault(id(st.family), []).append(st)
     for sts in groups.values():
-        space = sts[0].map.source
-        ident = list(range(space.n))
-        first = sts[0]
-        if table_cmp(space, ident, first.map.table) is None:
-            bad.append(f"identity vs {first.name}")
-        for a, b in zip(sts, sts[1:]):
-            if table_cmp(space, a.map.table, b.map.table) is None:
-                bad.append(f"{a.name} vs {b.name}")
+        prev, before = "identity", {}
+        for st in sts:
+            now = st.moved
+            keys = before.keys() | now.keys()
+            if table_cmp(
+                P, [before.get(p, p) for p in keys], [now.get(p, p) for p in keys]
+            ) is None:
+                bad.append(f"{prev} vs {st.name}")
+            prev, before = st.name, now
     checks.append(
         (
             "consecutive stages comparable",
@@ -350,12 +387,11 @@ def verify_bundle(k: int, budget: int = DEFAULT_BUDGET) -> WitnessReport:
         )
     )
 
-    # retractions fix their images pointwise
-    fixbad = []
-    for st in bundle.stages:
-        img = {st.map.table[i] for i in range(st.map.source.n)}
-        if any(st.map.table[i] != i for i in img):
-            fixbad.append(st.name)
+    # retractions fix their images pointwise: no image is a moved point
+    fixbad = [
+        st.name for st in bundle.stages
+        if not st.moved.keys().isdisjoint(st.moved.values())
+    ]
     checks.append(
         ("images fixed pointwise", not fixbad, ", ".join(fixbad) or "all stages")
     )

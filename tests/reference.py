@@ -21,7 +21,14 @@ from finspace.homotopy import (
     homotopic,
 )
 from finspace.invariants import Coloring, Cover
-from finspace.space import DownSet, FiniteSpace, OrderMap, build_space, popcount
+from finspace.space import (
+    DownSet,
+    FiniteSpace,
+    OrderMap,
+    build_space,
+    check_continuous,
+    popcount,
+)
 
 
 class NotMinimal(FinspaceError):
@@ -662,3 +669,19 @@ def witness_stage_rules(k: int):
 
     rules.append(("h1", h1_rule))
     return rules
+
+
+def stage_on_family_subspace(P: FiniteSpace, k: int, mask: int, moves):
+    """A witness stage as an endomap of its family copied into a subspace of
+    P = S1_k x S1_k: ``check_continuous`` of the table that sends each
+    residue pair of ``moves`` lying in ``mask`` to its image, which must
+    lie in ``mask`` too, and fixes every other point.  Returns its
+    (map, witness) pair, the witness in subspace ids."""
+    sub, old_ids = P.subspace(mask)
+    index = {divmod(p, 2 * k): i for i, p in enumerate(old_ids)}
+    table = list(range(sub.n))
+    for (x, y), (u, v) in moves.items():
+        i = index.get((x - 1, y - 1))
+        if i is not None:
+            table[i] = index[(u - 1, v - 1)]
+    return check_continuous(sub, sub, table)

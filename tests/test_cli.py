@@ -106,11 +106,9 @@ def test_degree_and_classify(capsys):
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_classify_prints_the_degree_rule_on_every_pair(capsys, monkeypatch, m, n):
+def test_classify_prints_the_degree_rule_on_every_pair(capsys, m, n):
     # classify decides through homotopic; its line is the one the degree
     # rule (classify_homotopic) gives, on every pair of continuous maps
-    parser = cli_module.build_parser()
-    monkeypatch.setattr(cli_module, "build_parser", lambda: parser)
     X, Y = khalimsky_circle(m).space, khalimsky_circle(n).space
     rec_x, rec_y = recognize_circle(X), recognize_circle(Y)
     maps = [
@@ -432,6 +430,19 @@ def run_process(*argv):
         [sys.executable, "-m", "finspace.cli", *argv],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
+    # main reads every command line with one parser, built once per
+    # process; one that it refuses mid-parse changes nothing for the next
+    parser = cli_module.build_parser()
+    argvs = (["reproduce", "--format", "xml"], ["reproduce"])
+    fresh = [run_process(*argv) for argv in argvs]
+    assert [run(capsys, *argv) for argv in argvs] == [
+        (p.returncode, p.stdout, p.stderr) for p in fresh
+    ]
+    assert fresh[0].returncode == 1 and fresh[1].returncode == 0
+    assert cli_module.build_parser() is parser
 
 
 @pytest.mark.parametrize(

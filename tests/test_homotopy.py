@@ -771,7 +771,7 @@ def test_core_recomputes_beat_status_only_near_removals(monkeypatch):
     # a worklist bound, not a clock: n initial statuses plus one per point
     # comparable to each removed point
     b = build_chain(12)
-    X = b.stages[0].map.source  # the subspace U
+    X, _ = b.checker.P.subspace(b.U.members)  # the subspace U
     calls = []
 
     def counted(X, mask, live, x):

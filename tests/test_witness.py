@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finspace.invariants as invariants_module
 import finspace.space as space_module
@@ -16,7 +17,7 @@ from finspace.witness import (
     displayed_core,
     verify_bundle,
 )
-from reference import witness_stage_rules
+from reference import stage_on_family_subspace, witness_stage_rules
 
 
 def test_build_U_rejects_small_k():
@@ -96,8 +97,7 @@ def test_witness_query_decides_V_once(monkeypatch):
 
 def test_chain_first_stage_is_identity():
     b = build_chain(5)
-    first = b.stages[0]
-    assert list(first.map.table) == list(range(first.map.source.n))
+    assert b.stages[0].name == "f0" and b.stages[0].moved == {}
 
 
 def test_chain_images_nest():
@@ -135,19 +135,23 @@ def test_render_mentions_all_checks():
 
 
 def test_verify_bundle_reports_a_discontinuous_stage(monkeypatch):
+    # f2 of k = 8 made to send (1, 1), below (1, 2), which it fixes, to
+    # (9, 9): the failing pair is named by residue pairs, the two points
+    # and then their images
     real = witness_module._stage
 
     def broken(name, family, moves):
-        if name == "g1":
-            raise NotContinuous(name, ((3, 5), (3, 7)))
-        return real(name, family, moves)
+        return real(name, family, {**moves, (1, 1): (9, 9)} if name == "f2" else moves)
 
     monkeypatch.setattr(witness_module, "_stage", broken)
-    rep = verify_bundle(5)
-    assert not rep.passed
-    name, ok, detail = rep.checks[0]
-    assert name == "stages continuous" and not ok
-    assert "g1" in detail and "((3, 5), (3, 7))" in detail
+    rep = verify_bundle(8)
+    assert not rep.passed and rep.n_C is None
+    assert rep.checks == [
+        ("stages continuous", False, "stage f2 fails at ((1, 1), (1, 2), (9, 9), (1, 2))")
+    ]
+    P, co = torus(khalimsky_circle(8)).P, witness_module._Coords(8)
+    x, x2, fx, fx2 = (co.pid(*r) for r in ((1, 1), (1, 2), (9, 9), (1, 2)))
+    assert P.leq(x, x2) and not P.leq(fx, fx2)
 
 
 def test_verify_bundle_fails_a_final_image_that_is_not_a_loop(monkeypatch):
@@ -170,11 +174,11 @@ def test_verify_bundle_fails_a_final_image_that_is_not_a_loop(monkeypatch):
     assert ("final image is a loop", True, "|C| = 22") in verify_bundle(7).checks
 
 
-def test_one_subspace_per_stage_family(monkeypatch):
-    # a call-count bound, not a clock: the 16 stages of k = 8 share four
-    # subspaces (U, C1, C2, C3); verify_bundle adds C and one core for
+def test_stages_build_no_subspace_of_the_product(monkeypatch):
+    # a call-count bound, not a clock: the 16 stages of k = 8 are checked
+    # on the product itself; verify_bundle adds one core for C and one for
     # each piece it collapses, U and V, which are collapsed inside the
-    # product: neither is copied whole beyond the family of the f-stages
+    # product: neither is copied whole
     torus.cache_clear()
     real = FiniteSpace.subspace
     on_product = []
@@ -187,16 +191,16 @@ def test_one_subspace_per_stage_family(monkeypatch):
     monkeypatch.setattr(FiniteSpace, "subspace", counted)
     b = build_chain(8)
     assert len(b.stages) == 16
-    assert len(on_product) <= 4
-    on_product.clear()
+    assert on_product == []
     assert verify_bundle(8).passed
-    assert len(on_product) <= 4 + 1 + 2
-    assert on_product.count(b.U.members) == 1 and b.V.members not in on_product
+    assert len(on_product) <= 3
+    assert b.U.members not in on_product and b.V.members not in on_product
 
 
 def test_residues_are_computed_once_per_family_point(monkeypatch):
-    # a call-count bound: the residue pair of a point is computed when its
-    # family is built, not again for each stage on it
+    # a call-count bound: the stages read residue pairs off their moves,
+    # so no residue pair is computed for a family point, let alone once
+    # per stage on it
     real_res, real_family = witness_module._Coords.res, witness_module._family
     res_calls, family_sizes = [], []
 
@@ -213,7 +217,7 @@ def test_residues_are_computed_once_per_family_point(monkeypatch):
     b = build_chain(8)
     assert len(b.stages) == 16 and len(family_sizes) == 4
     # inferred_A5 reads the residues of the few points of C1 off the blocks
-    assert len(res_calls) <= sum(family_sizes) + len(b.inferred_A5)
+    assert len(res_calls) <= len(b.inferred_A5)
 
 
 def _lowest(mask):
@@ -221,15 +225,20 @@ def _lowest(mask):
 
 
 def test_stage_tables_match_the_residue_rules():
+    # on its family a stage is the rule: it moves the points the rule
+    # moves, to the rule's images, and fixes every other one
     for k in range(5, 13):
         b = build_chain(k)
         co = witness_module._Coords(k)
         rules = witness_stage_rules(k)
         assert [st.name for st in b.stages] == [name for name, _ in rules]
+        families = {"f": b.U.members, "g": b.C1, "h0": b.C2, "h1": b.C3}
         for st, (name, rule) in zip(b.stages, rules):
-            index = {co.res(p): i for i, p in enumerate(st.old_ids)}
-            want = tuple(index[rule(*co.res(p))] for p in st.old_ids)
-            assert st.map.table == want, (k, name)
+            mask = st.family.mask
+            assert mask == (families.get(name) or families[name[0]]), (k, name)
+            images = {p: co.pid(*rule(*co.res(p))) for p in bits(mask)}
+            want = {p: q for p, q in images.items() if q != p}
+            assert st.moved == want, (k, name)
 
 
 def test_moves_are_built_reduced(monkeypatch):
@@ -273,7 +282,7 @@ def test_a_move_that_leaves_its_family_names_the_stage_and_point(monkeypatch):
 def test_a_move_from_off_the_family_is_not_made(monkeypatch):
     k = 8
     b = build_chain(k)
-    want = [st.map.table for st in b.stages]
+    want = [st.moved for st in b.stages]
     co = witness_module._Coords(k)
     # a point of U off C1 sent onto C1: the g stages live on C1 alone
     off = co.res(_lowest(b.U.members & ~b.C1))
@@ -284,4 +293,41 @@ def test_a_move_from_off_the_family_is_not_made(monkeypatch):
         return real(name, family, {**moves, off: dst} if name[0] == "g" else moves)
 
     monkeypatch.setattr(witness_module, "_stage", patched)
-    assert [st.map.table for st in build_chain(k).stages] == want
+    assert [st.moved for st in build_chain(k).stages] == want
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_a_stage_is_refused_exactly_when_its_family_subspace_map_is(data):
+    # a real stage's moves, changed a few times to send a family point to a
+    # random family point or to a neighbour of its image; the stage checked
+    # on the product against the same map on its family's subspace
+    k = data.draw(st.integers(5, 10), label="k")
+    b = build_chain(k)
+    P, co = b.checker.P, witness_module._Coords(k)
+    i = data.draw(st.integers(0, len(b.stages) - 1), label="stage")
+    stage, (name, rule) = b.stages[i], witness_stage_rules(k)[i]
+    mask = stage.family.mask
+    points = list(bits(mask))
+    moves = {co.res(p): rule(*co.res(p)) for p in points}
+    for _ in range(data.draw(st.integers(1, 3), label="changes")):
+        src = data.draw(st.sampled_from(points), label="src")
+        image = co.pid(*moves[co.res(src)])
+        near = [q for q in P.up_ids[image] + P.down_ids[image] if (mask >> q) & 1]
+        dst = data.draw(st.sampled_from(points) | st.sampled_from(near), label="dst")
+        moves[co.res(src)] = co.res(dst)
+    _, want = stage_on_family_subspace(P, k, mask, moves)
+    try:
+        got = witness_module._stage(name, stage.family, moves)
+    except NotContinuous as e:
+        assert want is not None, (k, name)
+        # the named pair is one of the family that the moves break
+        x, x2, fx, fx2 = (co.pid(*r) for r in e.witness)
+        assert all((mask >> p) & 1 for p in (x, x2))
+        assert [co.pid(*moves.get(co.res(p), co.res(p))) for p in (x, x2)] == [fx, fx2]
+        assert P.leq(x, x2) and not P.leq(fx, fx2)
+    else:
+        assert want is None, (k, name)
+        fixed = {p for p in points if moves[co.res(p)] == co.res(p)}
+        assert got.moved.keys() == set(points) - fixed
+        assert all(co.res(q) == moves[co.res(p)] for p, q in got.moved.items())
