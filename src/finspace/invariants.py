@@ -22,21 +22,19 @@ Exact search runs over partitions of the maximal elements (principal
 covers suffice, and any certified cover shrinks to a certified partition
 because both criteria are hereditary under passing to open subsets);
 ``cat`` and ``tc`` share it.  It prunes a block as soon as its piece is
-refuted, and decides each piece once per orbit of a group that preserves
-the verdict: Aut(S)^2 with the factor swap (order 8n^2) for cat, phi x phi
-with the swap (order 4n) for tc.  It keeps one memo, the decided status
-of each orbit, and the set of blocks left unknown, nothing per block
-visited.  The search asks only for a piece's status, which for a
-lift-decided piece needs no subspace and no fence: the winding test
-grows along the DFS path (``TorusChecker.piece_status``, which reads no
-remembered verdict), from the labels of the block that a new maximal
-joins.  The pieces of the cover it prints are decided again, with their
-certificates, whose fences are built only when read.
+refuted.  It keeps no symmetry group and no memo of its own: a piece met
+again is asked again, and on a torus that costs one step of the winding
+test, which grows along the DFS path (``TorusChecker.piece_status``,
+which reads no remembered verdict) from the labels of the block that a
+new maximal joins, with no subspace and no fence.  On any other space a
+piece costs a collapse, so ``_deciders`` keeps one memo of statuses per
+search there.  The pieces of the cover it prints are decided again,
+with their certificates, whose fences are built only when read.
 
 A coloring of the n x n grid is such a partition: cell i * n + j is the
 down-set of the (i * n + j)-th maximal, (b_i, b_j).  The coloring walk
 meets each partition once, with its colors numbered in order of first
-appearance, and reads the search's group (``TorusChecker.symmetries``,
+appearance, and reads the grid's symmetries (``TorusChecker.symmetries``,
 tuples over those positions) for its orbit leaders.  It stays a walk of
 its own: it cuts a class that holds a full line and decides no piece.
 """
@@ -48,7 +46,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import isqrt
-from sys import byteorder
 
 from .errors import InvalidParameter, MismatchedSpaces, NotOpen
 from .homotopy import (
@@ -165,22 +162,16 @@ class TorusChecker:
         hit, state = Lift(sub, t1, t2, self.num).grow(None, sub.full)
         return degrees(hit or state[4], rec, self.size)
 
-    def symmetries(self, mode: str):
-        """The group that preserves ``mode`` verdicts, as permutations of
-        the positions of the maximal elements of S x S in id order (tuples
-        sending position i to position g[i]), without repeats.  Position
-        i * n + j is the maximal (b_i, b_j): cell (i, j) of the grid.
+    def symmetries(self):
+        """Aut(S)^2 with the factor swap, as permutations of the positions
+        of the maximal elements of S x S in id order (tuples sending
+        position i to position g[i]), without repeats.  Position i * n + j
+        is the maximal (b_i, b_j): cell (i, j) of the grid.
 
         The circle automorphisms are the rotations p -> p + r and the
-        reflections p -> r - p for even r, 2n in all.  Mode 'cat' gets
-        Aut(S)^2 with the factor swap, of order 8n^2: a homeomorphism of
-        S x S maps categorical pieces to categorical pieces.  Mode 'sc'
-        gets only phi x phi with the swap, of order 4n: pi_i o (phi x phi)
-        = phi o pi_i, and the swap exchanges pi1 and pi2.  phi x psi with
-        phi != psi is excluded there, since it turns pi1 ~ pi2 into
-        phi o pi1 ~ psi o pi2, and a rotation of S is not homotopic to the
-        identity.  (At n = 2 the automorphisms act on the two maximals of
-        S as 2 permutations, so the groups have orders 8 and 4.)
+        reflections p -> r - p for even r, 2n in all, so the group has
+        order 8n^2.  (At n = 2 they act on the two maximals of S as 2
+        permutations, so it has order 8.)
         """
         size = self.size
         circle = []
@@ -194,17 +185,14 @@ class TorusChecker:
                 for q in range(size)
             ):
                 raise AssertionError("not a circle automorphism")
-        if mode == "cat":
-            pairs = [(s, t) for s in circle for t in circle]
-        else:
-            pairs = [(s, s) for s in circle]
         maxs = list(bits(self.P.maximal_elements()))
         pos = {m: i for i, m in enumerate(maxs)}
         coords = [self.coords(m) for m in maxs]
         group = {}
-        for s, t in pairs:
-            group[tuple(pos[self.pair(s[x], t[y])] for x, y in coords)] = None
-            group[tuple(pos[self.pair(t[y], s[x])] for x, y in coords)] = None
+        for s in circle:
+            for t in circle:
+                group[tuple(pos[self.pair(s[x], t[y])] for x, y in coords)] = None
+                group[tuple(pos[self.pair(t[y], s[x])] for x, y in coords)] = None
         return list(group)
 
     def winding_obstruction(self, mask: int, mode: str):
@@ -307,9 +295,8 @@ class TorusChecker:
         certificate, as (status, state): the lift grown from ``parent`` (the
         state of an open piece inside U, or None), then the stages on U's
         core if a cycle winds (d, d), d != 0.  The state is None when U is
-        refuted.  No verdict is read or remembered here, nor any collapse:
-        the search keeps its own memo of statuses, which ends with it.  U
-        must be open, and is not checked: exact search builds only unions
+        refuted.  No verdict is read or remembered here, nor any collapse.
+        U must be open, and is not checked: exact search builds only unions
         of down-sets of maximals.
         """
         _check_budget(budget)
@@ -431,30 +418,34 @@ def _torus_of(X: FiniteSpace) -> TorusChecker | None:
 
 
 def _deciders(X: FiniteSpace, checker: TorusChecker | None, mode: str, budget: int):
-    """How a search decides the pieces of X, as (status_of, certify,
-    group): ``status_of(mask, parent)`` the status alone, as (status,
-    state), ``certify(mask)`` the verdict with its certificate, and
-    ``group()`` the symmetries that exact search may use, built only when
-    it asks (witness mode does not).
+    """How a search decides the pieces of X, as (status_of, certify):
+    ``status_of(mask, parent)`` the status alone, as (status, state), and
+    ``certify(mask)`` the verdict with its certificate.
 
     With a ``checker`` (X is its S x S) pieces go through its
     ``is_categorical`` (mode 'cat') or ``is_section_categorical`` (mode
-    'sc'), statuses through ``piece_status``, grown from ``parent``, and
-    the group is ``checker.symmetries(mode)``.  Without one, a piece (a
-    search piece or a ``DownSet``, open) is decided as by ``nullhomotopic_in``
-    against X's core, collapsed once, with no state and no symmetry.
+    'sc'), and statuses through ``piece_status``, grown from ``parent``.
+    Without one, a piece (a search piece or a ``DownSet``, open) is
+    decided as by ``nullhomotopic_in`` against X's core, collapsed once,
+    with no state.  Each piece costs a collapse there, so ``status_of``
+    remembers the status of every piece it was asked for, "unknown" too,
+    since its budget never changes.
     """
     if checker is None:
         clX, ident = core(X), range(X.n)
+        statuses = {}  # mask -> status
 
         def certify(mask):
             base = (mask & -mask).bit_length() - 1  # -1 on the empty piece, never read
             return decide_on_core(collapse(X, mask), ident, [base] * X.n, X, budget, clX)
 
         def status_of(mask, parent):
-            return certify(mask).status, None
+            s = statuses.get(mask)
+            if s is None:
+                s = statuses[mask] = certify(mask).status
+            return s, None
 
-        return status_of, certify, lambda: ()
+        return status_of, certify
 
     decide = checker.is_categorical if mode == "cat" else checker.is_section_categorical
 
@@ -464,7 +455,7 @@ def _deciders(X: FiniteSpace, checker: TorusChecker | None, mode: str, budget: i
     def status_of(mask, parent):
         return checker.piece_status(mask, mode, budget, parent)
 
-    return status_of, certify, lambda: checker.symmetries(mode)
+    return status_of, certify
 
 
 # -- exact search over principal partitions ---------------------------
@@ -496,49 +487,31 @@ class _PartitionSearch:
     The DFS decides each block's piece by ``status_of(mask, parent)``, a
     status alone: "homotopic", "not_homotopic" or "unknown", with a state
     that the block's children grow from, or None.  ``parent`` is the state
-    held for the block that the new maximal joins (None for a new block),
-    which is that of the block's piece or of a piece inside it.  A state
-    is held only for each block on the DFS path and is dropped on
-    backtrack.  A block is pruned as soon as its piece is "not_homotopic"
-    (sound by heredity: open subsets of certified pieces stay certified).
-    Blocks are bitmasks over positions in ``maximals``.  Only ``cover``
-    calls ``certify(mask)``, the full decision with its certificate, and
-    only on the pieces of the cover it returns; ``_deciders`` gives both.
+    held for the block that the new maximal joins (None for a new block).
+    A block is pruned as soon as its piece is "not_homotopic" (sound by
+    heredity: open subsets of certified pieces stay certified).  Blocks
+    are bitmasks over positions in ``maximals``.  Only ``cover`` calls
+    ``certify(mask)``, the full decision with its certificate, and only
+    on the pieces of the cover it returns; ``_deciders`` gives both.
 
-    One memo holds the decided statuses, keyed by a block's least image
-    under ``group`` (permutations of the positions in ``maximals``, as
-    ``TorusChecker.symmetries`` gives them, that map certified pieces to
-    certified pieces and the others to the others), or by the block
-    itself with no group, so each piece is decided once per orbit.  An
-    "unknown" is not shared across an orbit: its block joins a set of its
-    own.  So the memo grows with the orbits decided, not with the blocks
-    visited.  The DFS order does not depend on the group.
+    The search keeps no memo and no symmetry group: a block met again, on
+    another branch or at the next c, is asked again.  It holds only the
+    blocks on the DFS path, each with its state and whether its status
+    was "unknown", and drops them on backtrack.
     """
 
-    def __init__(self, space, status_of, certify, group=()):
+    def __init__(self, space, status_of, certify):
         self.space = space
         self.maximals = list(bits(space.maximal_elements()))
         self.status_of = status_of
         self.certify = certify
         self._down = [space.down[x] for x in self.maximals]
-        # bit-sliced images: slot j of _images[i] holds the image of bit i
-        # under the j-th group element, so OR-ing the _images of a block's
-        # bits gives all its images at once
-        m = len(self.maximals)
-        self._width = 8 if m <= 64 else (m + 7) // 8  # bytes per slot
-        self._images = [0] * m if group else []
-        for j, g in enumerate(group):
-            for i, gi in enumerate(g):
-                self._images[i] |= 1 << (gi + 8 * self._width * j)
-        self._count = len(group)
-        self._orbit = {}  # least image (or block) -> decided status
-        self._unknown = set()  # blocks whose status is "unknown"
         self.nodes = 0  # DFS calls
-        self.decided = 0  # pieces sent to status_of
-        self.orbit_hits = 0  # statuses read off the memo, with a group
+        self.asked = 0  # pieces sent to status_of
         self.undecided = 0  # leaves of the last search with no refutation
         self._blocks = []  # the blocks on the DFS path, during a search
         self._states = []  # the state held for each of them
+        self._is_unknown = []  # whether each of them is "unknown"
 
     def piece_mask(self, block: int) -> int:
         m = 0
@@ -546,38 +519,11 @@ class _PartitionSearch:
             m |= self._down[i]
         return m
 
-    def least_image(self, block: int) -> int:
-        """The least bitmask in the orbit of ``block``."""
-        images = 0
-        for i in bits(block):
-            images |= self._images[i]
-        w = self._width
-        raw = images.to_bytes(w * self._count, byteorder)
-        if w == 8:
-            return min(memoryview(raw).cast("Q"))
-        return min(
-            int.from_bytes(raw[k : k + w], byteorder)
-            for k in range(0, len(raw), w)
-        )
-
     def status(self, block: int, parent=None):
         """The status of ``block``'s piece and the state that ``status_of``
-        grew for it from ``parent``, or None when a memo answers."""
-        if block in self._unknown:
-            return "unknown", None
-        key = self.least_image(block) if self._images else block
-        s = self._orbit.get(key)
-        if s is not None:
-            if self._images:
-                self.orbit_hits += 1
-            return s, None
-        s, state = self.status_of(self.piece_mask(block), parent)
-        self.decided += 1
-        if s == "unknown":
-            self._unknown.add(block)
-        else:
-            self._orbit[key] = s
-        return s, state
+        grew for it from ``parent``."""
+        self.asked += 1
+        return self.status_of(self.piece_mask(block), parent)
 
     def search(self, c: int):
         """First partition (as blocks) with every piece certified, else
@@ -586,42 +532,44 @@ class _PartitionSearch:
         status = self.status
         blocks = self._blocks = []
         states = self._states = []
+        unknown = self._is_unknown = []
 
         def dfs(i):
             self.nodes += 1
             if i == m:
                 # a refuted block never joins the path
-                if self._unknown.isdisjoint(blocks):
+                if not any(unknown):
                     return list(blocks)
                 self.undecided += 1
                 return None
             x = 1 << i
             for bi in range(len(blocks)):
-                old, held = blocks[bi], states[bi]
+                old, held, was = blocks[bi], states[bi], unknown[bi]
                 s, state = status(old | x, held)
                 if s == "not_homotopic":
                     continue
-                # a memo gives no state: the children grow from ``held``
-                blocks[bi], states[bi] = old | x, state or held
+                blocks[bi], states[bi], unknown[bi] = old | x, state, s == "unknown"
                 got = dfs(i + 1)
                 if got is not None:
                     return got
-                blocks[bi], states[bi] = old, held
+                blocks[bi], states[bi], unknown[bi] = old, held, was
             if len(blocks) < c:
                 s, state = status(x)
                 if s != "not_homotopic":
                     blocks.append(x)
                     states.append(state)
+                    unknown.append(s == "unknown")
                     got = dfs(i + 1)
                     if got is not None:
                         return got
                     blocks.pop()
                     states.pop()
+                    unknown.pop()
             return None
 
         self.undecided = 0
         got = dfs(0)
-        self._blocks, self._states = [], []
+        self._blocks, self._states, self._is_unknown = [], [], []
         return got
 
     def cover(self, c: int):
@@ -646,14 +594,13 @@ class _PartitionSearch:
 
     def counts(self) -> str:
         return (
-            f"search: {self.nodes} DFS nodes, {self.decided} pieces decided, "
-            f"{self.orbit_hits} orbit-memo hits, "
+            f"search: {self.nodes} DFS nodes, {self.asked} pieces asked, "
             f"{self.undecided} undecided partitions"
         )
 
 
 def _exact_invariant(
-    name, space, status_of, certify, limit, force, start=1, notes=(), group=()
+    name, space, status_of, certify, limit, force, start=1, notes=()
 ):
     """Least c - 1 over certified c-piece covers, trying c = start, start+1...
 
@@ -663,7 +610,7 @@ def _exact_invariant(
     or one not run past ``MAX_EXACT_MAXIMALS`` without ``force``, returns
     bounds: lower is the largest refuted piece count, at least start - 1.
     """
-    searcher = _PartitionSearch(space, status_of, certify, group)
+    searcher = _PartitionSearch(space, status_of, certify)
     nmax = len(searcher.maximals)
     notes = list(notes)
     lower = start - 1
@@ -739,22 +686,20 @@ def cat(
     ``torus(khalimsky_circle(n)).P``, as a square saved and read back also
     has), a piece is categorical exactly when it has no cycle of nonzero
     winding, and its certificate is the lift fence from the inclusion to
-    a constant.  The exact search then decides one piece per orbit of
-    Aut(S)^2 with the factor swap (order 8n^2), since a homeomorphism maps
-    categorical pieces to categorical pieces.  Any other X, a relabelled
-    torus too, has each piece decided as ``nullhomotopic_in`` does, and
-    the search uses no symmetry.  A ``witness`` is read only in witness
-    mode, which needs one and takes no ``limit`` or ``force``.  A
-    ``budget`` below 1 is refused, and so is a space with no points, whose
-    category is not defined.
+    a constant; exact search grows the lift of each piece from that of
+    the block it extends.  Any other X, a relabelled torus too, has each
+    piece decided as ``nullhomotopic_in`` does, once per search.  A
+    ``witness`` is read only in witness mode, which needs one and takes no
+    ``limit`` or ``force``.  A ``budget`` below 1 is refused, and so is a
+    space with no points, whose category is not defined.
     """
     _check_mode(mode, witness, limit, force, budget)
     if not X.n:
         raise InvalidParameter("cat needs a space with at least one point")
-    status_of, certify, group = _deciders(X, _torus_of(X), "cat", budget)
+    status_of, certify = _deciders(X, _torus_of(X), "cat", budget)
     if mode == "witness":
         return _witness_invariant("cat", 0, X, certify, witness)
-    return _exact_invariant("cat", X, status_of, certify, limit, force, group=group())
+    return _exact_invariant("cat", X, status_of, certify, limit, force)
 
 
 def tc(
@@ -771,22 +716,19 @@ def tc(
     S x S comes from ``torus(circle)``, the one shared with ``build_U``,
     ``build_V`` and ``verify_bundle`` on the same circle (one torus is
     kept).  The realization bound tc >= 1 (the topological circle) seeds
-    the search, so piece counts start at 2.  The search decides one piece
-    per orbit of phi x phi (phi in Aut(S)) with the factor swap, order 4n,
-    which preserves pi1|U ~ pi2|U.  phi x psi with phi != psi does not: a
-    rotation of S is not homotopic to the identity.  A ``witness`` is read
-    only in witness mode, which needs one and takes no ``limit`` or
-    ``force``.  A ``budget`` below 1 is refused.
+    the search, so piece counts start at 2.  The search asks each piece
+    it meets for its status, grown from the block it extends.  A
+    ``witness`` is read only in witness mode, which needs one and takes no
+    ``limit`` or ``force``.  A ``budget`` below 1 is refused.
     """
     _check_mode(mode, witness, limit, force, budget)
     checker = torus(circle)
-    status_of, certify, group = _deciders(checker.P, checker, "sc", budget)
+    status_of, certify = _deciders(checker.P, checker, "sc", budget)
     if mode == "witness":
         return _witness_invariant("tc", 1, checker.P, certify, witness)
     return _exact_invariant(
         "tc", checker.P, status_of, certify, limit, force,
         start=2, notes=["lower bound 1 from the topological circle"],
-        group=group(),
     )
 
 
@@ -831,9 +773,9 @@ def line_masks(checker: TorusChecker):
 
 def cell_symmetries(checker: TorusChecker):
     """The automorphisms of the product poset as permutations of the grid
-    cells, sorted: ``checker.symmetries('cat')``, whose positions are the
+    cells, sorted: ``checker.symmetries()``, whose positions are the
     cells (position i * n + j is the maximal (b_i, b_j))."""
-    return sorted(checker.symmetries("cat"))
+    return sorted(checker.symmetries())
 
 
 def _simple_colorings(checker: TorusChecker, colors: int, with_masks: bool = False):
@@ -1031,9 +973,8 @@ def tc_via_colorings(
         notes.append("a simple 2-coloring was not refuted")
         return InvariantResult("tc", None, 1, None, False, None, notes)
     notes.append("no certified cover with 2 pieces (colorings + line lemma)")
-    status_of, certify, group = _deciders(checker.P, checker, "sc", budget)
+    status_of, certify = _deciders(checker.P, checker, "sc", budget)
     # no maximals gate: the colorings, the costly part, are already paid for
     return _exact_invariant(
-        "tc", checker.P, status_of, certify, None, True,
-        start=3, notes=notes, group=group(),
+        "tc", checker.P, status_of, certify, None, True, start=3, notes=notes
     )

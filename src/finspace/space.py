@@ -9,6 +9,7 @@ reduces to bit arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     CycleDetected,
@@ -300,7 +301,10 @@ class KhalimskyCircle:
     space: FiniteSpace
 
 
+@lru_cache(maxsize=64)
 def khalimsky_circle(n: int) -> KhalimskyCircle:
+    """S1_n, built once per n and shared, since a circle is immutable; the
+    last 64 sizes asked for are kept."""
     if n < 2:
         raise InvalidParameter(f"Khalimsky circle needs n >= 2, got {n}")
     size = 2 * n
@@ -365,31 +369,12 @@ def product(X: FiniteSpace, Y: FiniteSpace) -> FiniteSpace:
 # -- continuous maps ---------------------------------------------------
 
 
-def _moved_pairs_hold(X: FiniteSpace, table) -> bool:
-    """Whether the endomap ``table`` of X preserves every comparable pair
-    that touches a point it moves; a pair of fixed points holds as is."""
-    down = X.down
-    for x, fx in enumerate(table):
-        if fx == x:
-            continue
-        for x2 in X.up_ids[x]:
-            if not (down[table[x2]] >> fx) & 1:
-                return False
-        dfx = down[fx]
-        for x2 in X.down_ids[x]:
-            if not (dfx >> table[x2]) & 1:
-                return False
-    return True
-
-
 class OrderMap:
     """A continuous (= order-preserving) map between finite spaces.
 
     Every pair x <= x2 of the source is checked, in the order of x and
     then of ``source.up_ids[x]``, and the first one that fails raises
-    NotOrderPreserving.  An endomap (``source is target``) checks only
-    the pairs that touch a moved point, and scans in order only when one
-    of them fails, so it names the same first pair."""
+    NotOrderPreserving."""
 
     __slots__ = ("source", "target", "table")
 
@@ -400,13 +385,12 @@ class OrderMap:
         for v in table:
             if not (0 <= v < target.n):
                 raise InvalidParameter(f"value {v} outside the target")
-        if source is not target or not _moved_pairs_hold(source, table):
-            tdown = target.down
-            for x, ids in enumerate(source.up_ids):
-                fx = table[x]
-                for x2 in ids:
-                    if not (tdown[table[x2]] >> fx) & 1:
-                        raise NotOrderPreserving(x, x2, fx, table[x2])
+        tdown = target.down
+        for x, ids in enumerate(source.up_ids):
+            fx = table[x]
+            for x2 in ids:
+                if not (tdown[table[x2]] >> fx) & 1:
+                    raise NotOrderPreserving(x, x2, fx, table[x2])
         self.source = source
         self.target = target
         self.table = table

@@ -131,8 +131,7 @@ def test_exact_search_at_half_size_four_matches_colorings():
     assert "no certified cover with 2 pieces (exhaustive)" in res.notes
     # the search's path and counters, pinned
     assert res.notes[-1] == (
-        "search: 1224 DFS nodes, 1353 pieces decided, 1086 orbit-memo hits, "
-        "0 undecided partitions"
+        "search: 1224 DFS nodes, 2439 pieces asked, 0 undecided partitions"
     )
     assert cover_maximals(res.cover) == FIRST_COVER_AT_FOUR
     assert tc_via_colorings(K).value == res.value
@@ -146,8 +145,7 @@ def test_exact_search_at_half_size_five_finds_two_piece_cover():
     assert len(res.cover.pieces) == 2
     assert all(v.is_homotopic for v in res.cover.certificates)
     assert res.notes[-1] == (
-        "search: 737 DFS nodes, 1430 pieces decided, 28 orbit-memo hits, "
-        "0 undecided partitions"
+        "search: 737 DFS nodes, 1458 pieces asked, 0 undecided partitions"
     )
     assert cover_maximals(res.cover) == [
         [11, 13, 15, 17, 31, 33, 35, 37, 55, 71, 75, 77, 79, 91],
@@ -164,8 +162,7 @@ def test_forced_exact_search_at_half_size_six():
     assert res.exact and res.value == 1
     assert all(v.is_homotopic for v in res.cover.certificates)
     assert res.notes[-1] == (
-        "search: 3261 DFS nodes, 6472 pieces decided, 25 orbit-memo hits, "
-        "0 undecided partitions"
+        "search: 3261 DFS nodes, 6497 pieces asked, 0 undecided partitions"
     )
     clk.check()
 
@@ -315,8 +312,7 @@ def test_category_of_the_half_size_four_torus_is_two():
     assert res.exact and res.value == 2
     assert "no certified cover with 2 pieces (exhaustive)" in res.notes
     assert res.notes[-1] == (
-        "search: 1223 DFS nodes, 321 pieces decided, 2112 orbit-memo hits, "
-        "0 undecided partitions"
+        "search: 1223 DFS nodes, 2433 pieces asked, 0 undecided partitions"
     )
     assert cover_maximals(res.cover) == FIRST_COVER_AT_FOUR
     assert len(res.cover.pieces) == 3

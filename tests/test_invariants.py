@@ -1,7 +1,9 @@
 import random
 import re
 import weakref
+from collections import Counter
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -63,6 +65,7 @@ from reference import (
     hom_component_status,
     is_simple,
     listed_coloring_classes,
+    nullhomotopic_by_copy,
     winding_status,
 )
 from test_circles import relabelled
@@ -207,11 +210,24 @@ def compose(g, h):
     return tuple(g[i] for i in h)
 
 
+def symmetry_group(ch, mode):
+    """The cells' symmetries that preserve ``mode`` statuses: for 'cat'
+    all of ``ch.symmetries()``, since a homeomorphism of S x S maps
+    categorical pieces to categorical pieces; for 'sc' its stabilizer of
+    the diagonal cells, phi x phi with the swap, since pi_i o (phi x phi)
+    = phi o pi_i and the swap exchanges pi1 and pi2."""
+    group = ch.symmetries()
+    if mode == "cat":
+        return group
+    diag = {i * ch.n + i for i in range(ch.n)}
+    return [g for g in group if {g[x] for x in diag} == diag]
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("mode", ["cat", "sc"])
 def test_symmetries_are_a_group_of_position_tuples(n, mode):
     ch = TorusChecker(khalimsky_circle(n))
-    group = ch.symmetries(mode)
+    group = symmetry_group(ch, mode)
     m = n * n
     # at n = 2 a circle automorphism acts on the two maximals of S as one
     # of 2 permutations, not 2n = 4
@@ -481,9 +497,10 @@ def s13_x_s12():
 
 
 def test_generic_cat_collapses_the_space_once_per_search(monkeypatch):
-    # exact cat(S1_3 x S1_2) decides 26 pieces and certifies the 4 of its
-    # cover, each on its own collapse inside X, all against one core of X:
-    # 31 collapses, where collapsing X again per piece made 60
+    # exact cat(S1_3 x S1_2) asks 54 times for 26 distinct pieces, decides
+    # each once and certifies the 4 of its cover, each on its own collapse
+    # inside X, all against one core of X: 31 collapses, where collapsing
+    # X again per piece made 60
     runs = []
     real = homotopy_module.collapse
 
@@ -496,7 +513,7 @@ def test_generic_cat_collapses_the_space_once_per_search(monkeypatch):
     X = s13_x_s12()
     res = cat(X)
     assert res.exact and res.value == 3
-    assert res.notes[-1].startswith("search: 25 DFS nodes, 26 pieces decided")
+    assert res.notes[-1].startswith("search: 25 DFS nodes, 54 pieces asked")
     assert len(runs) == 31 and runs.count(X.full) == 1
     twice = {m for m in runs if runs.count(m) == 2}
     assert twice == {p.members for p in res.cover.pieces}
@@ -598,7 +615,7 @@ def test_witness_cover_of_another_space_is_rejected():
         cat(K3.space, mode="witness", witness=cov)
 
 
-# -- symmetry groups of the exact search -------------------------------
+# -- symmetries of the grid ---------------------------------------------
 
 
 def blocks_of_maximals(P, most=None):
@@ -632,7 +649,7 @@ def diagonal_orbit(ch):
     """The orbit of the diagonal cells under the cat group: the smallest
     blocks of S1_4^2 on which the two groups differ."""
     diag = [i * ch.n + i for i in range(ch.n)]
-    return {frozenset(g[x] for x in diag) for g in ch.symmetries("cat")}
+    return {frozenset(g[x] for x in diag) for g in ch.symmetries()}
 
 
 def group_test_blocks(ch):
@@ -647,7 +664,7 @@ def group_test_blocks(ch):
 @pytest.mark.parametrize("mode", ["cat", "sc"])
 def test_symmetry_groups_preserve_piece_statuses(n, mode):
     ch = TorusChecker(khalimsky_circle(n))
-    group = ch.symmetries(mode)
+    group = symmetry_group(ch, mode)
     assert len(group) == (8 * n * n if mode == "cat" else 4 * n)
     decide = ch.is_categorical if mode == "cat" else ch.is_section_categorical
     statuses = block_statuses(ch.P, group_test_blocks(ch), decide)
@@ -661,116 +678,144 @@ def test_full_group_does_not_preserve_tc_statuses():
     ch = TorusChecker(khalimsky_circle(4))
     blocks = group_test_blocks(ch)
     statuses = block_statuses(ch.P, blocks, ch.is_section_categorical)
-    assert orbit_mismatches(statuses, ch.symmetries("cat"))
+    assert orbit_mismatches(statuses, ch.symmetries())
 
 
-@pytest.mark.parametrize(
-    "mode,n", [("sc", 2), ("sc", 3), ("sc", 4), ("cat", 2), ("cat", 3), ("cat", 4)]
-)
-def test_orbit_memo_matches_unreduced_search(mode, n):
-    ch = TorusChecker(khalimsky_circle(n))
-    decide = ch.is_section_categorical if mode == "sc" else ch.is_categorical
+# -- the exact search ---------------------------------------------------
 
-    def status_of(mask, parent):
-        return ch.piece_status(mask, mode, parent=parent)
 
-    reduced = invariants_module._PartitionSearch(
-        ch.P, status_of, decide, ch.symmetries(mode)
-    )
-    plain = invariants_module._PartitionSearch(ch.P, status_of, decide)
-    answered = []
-    status = reduced.status
+def first_cover(search, start=1):
+    """The least c from ``start`` on and the blocks of the first certified
+    c-block partition that ``search`` finds."""
+    c = start
+    while (got := search.search(c)) is None:
+        c += 1
+    return c, got
 
-    def watched(block, parent=None):
-        got = status(block, parent)
-        answered.append((block, got[0]))
+
+def watched_status(status_of, asked):
+    """``status_of``, with every mask asked and its status kept in ``asked``."""
+
+    def watched(mask, parent):
+        got = status_of(mask, parent)
+        asked.append((mask, got[0]))
         return got
 
-    reduced.status = watched
-    for c in range(1, 5):
-        got, want = reduced.cover(c), plain.cover(c)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert format_cover(got) == format_cover(want)
-            break
-    # the same DFS, with fewer pieces decided
-    assert reduced.nodes == plain.nodes
-    assert reduced.decided < plain.decided
-    # every status the search was given, memo hits included, is the
-    # piece's own
-    assert reduced.orbit_hits > 0
-    for block, s in set(answered):
-        assert decide(reduced.piece_mask(block)).status == s
+    return watched
 
 
-def test_orbit_memo_shares_only_decided_statuses():
-    ch = TorusChecker(khalimsky_circle(3))
+# (mode, n) -> (value, DFS nodes, pieces asked, cover blocks) of the search
+# from one block on
+TORUS_SEARCHES = {
+    ("cat", 2): (3, 14, 26, [1, 2, 4, 8]),
+    ("cat", 3): (2, 44, 83, [27, 324, 160]),
+    ("cat", 4): (2, 1223, 2433, [1911, 10376, 53248]),
+    ("sc", 2): (3, 14, 26, [1, 2, 4, 8]),
+    ("sc", 3): (2, 44, 83, [27, 324, 160]),
+    ("sc", 4): (2, 1228, 2443, [1911, 10376, 53248]),
+}
+
+
+@pytest.mark.parametrize("mode,n", list(TORUS_SEARCHES))
+def test_memo_free_torus_search_matches_fresh_decisions(mode, n):
+    # the search walks the pinned DFS to the pinned cover, and every status
+    # it was given, repeats included, is the one a fresh checker certifies
+    ch, fresh = TorusChecker(khalimsky_circle(n)), TorusChecker(khalimsky_circle(n))
+    status_of, certify = invariants_module._deciders(ch.P, ch, mode, DEFAULT_BUDGET)
     asked = []
-
-    def status_of(mask, parent):
-        asked.append(mask)
-        return "unknown" if len(asked) == 1 else "homotopic", None
-
     search = invariants_module._PartitionSearch(
-        ch.P, status_of, None, ch.symmetries("cat")
+        ch.P, watched_status(status_of, asked), certify
     )
-    # single maximals form one orbit: cells are moved around transitively
-    assert search.status(1 << 0)[0] == "unknown"
-    assert search.status(1 << 1)[0] == "homotopic"  # the unknown was not shared
-    assert search.status(1 << 0)[0] == "unknown"  # its own block keeps it
-    assert search.status(1 << 2)[0] == "homotopic"
-    assert len(asked) == 2 and search.orbit_hits == 1
+    c, blocks = first_cover(search)
+    assert (c - 1, search.nodes, search.asked, blocks) == TORUS_SEARCHES[mode, n]
+    assert len(asked) == search.asked
+    decide = fresh.is_categorical if mode == "cat" else fresh.is_section_categorical
+    for mask, status in set(asked):
+        assert decide(mask).status == status
+
+
+@settings(max_examples=100)
+@given(small_posets(), st.sampled_from([20, DEFAULT_BUDGET]))
+def test_generic_search_collapses_each_piece_once(X, budget):
+    # the generic decider's memo changes neither the value, nor the cover,
+    # nor what the search asks: a search on the reference's statuses,
+    # decided afresh on every ask, walks the same DFS; and each distinct
+    # piece is collapsed once, then again only to certify the cover
+    want = cat_by_partitions(X, budget)
+    assume(want is not None)
+    asked, collapsed = [], []
+    real = invariants_module.collapse
+
+    def counted(Y, mask):
+        collapsed.append(mask)
+        return real(Y, mask)
+
+    with mock.patch.object(invariants_module, "collapse", counted):
+        status_of, certify = invariants_module._deciders(X, None, "cat", budget)
+        search = invariants_module._PartitionSearch(
+            X, watched_status(status_of, asked), certify
+        )
+        c = 1
+        while (cover := search.cover(c)) is None:
+            c += 1
+    assert c - 1 == want
+    pieces = [p.members for p in cover.pieces]
+    assert Counter(collapsed) == Counter({m for m, _ in asked}) + Counter(pieces)
+    for mask, status in set(asked):
+        assert nullhomotopic_by_copy(DownSet(X, mask), X, budget).status == status
+
+    def reference_status(mask, parent):
+        return nullhomotopic_by_copy(DownSet(X, mask), X, budget).status, None
+
+    plain = invariants_module._PartitionSearch(X, reference_status, None)
+    c_plain, blocks = first_cover(plain)
+    assert c_plain == c
+    assert [plain.piece_mask(b) for b in blocks] == pieces
+    assert (plain.nodes, plain.asked) == (search.nodes, search.asked)
 
 
 @pytest.mark.parametrize("torus_path", [True, False])
 def test_search_memory_grows_with_the_pieces_it_decides(torus_path):
-    # the search keeps one memo of decided statuses and the set of blocks
-    # left unknown, nothing per block visited: no dict or set on it holds
-    # more entries than the pieces it decided, on the cat(S1_4^2) torus
-    # search (1223 DFS nodes, 321 pieces decided) and on a generic one
+    # the search keeps no dict or set and, past a search, no block: on the
+    # cat(S1_4^2) torus search (1223 DFS nodes, 2433 pieces asked) nothing
+    # is remembered, and on a generic one the decider's memo holds one
+    # status per distinct piece asked
     X = torus(khalimsky_circle(4)).P if torus_path else s13_x_s12()
     checker = invariants_module._torus_of(X)
     assert (checker is not None) == torus_path
-    status_of, certify, group = invariants_module._deciders(
-        X, checker, "cat", DEFAULT_BUDGET
+    status_of, certify = invariants_module._deciders(X, checker, "cat", DEFAULT_BUDGET)
+    asked = []
+    search = invariants_module._PartitionSearch(
+        X, watched_status(status_of, asked), certify
     )
-    search = invariants_module._PartitionSearch(X, status_of, certify, group())
-    c = 1
-    while search.cover(c) is None:
-        c += 1
+    c, _ = first_cover(search)
     if torus_path:
-        assert (search.nodes, search.decided) == (1223, 321)
-    stores = [v for v in vars(search).values() if isinstance(v, (dict, set))]
-    assert stores and all(len(v) <= search.decided for v in stores)
-
-
-@pytest.mark.parametrize("n,mode", [(3, "cat"), (4, "sc"), (9, "sc")])
-def test_least_image_matches_loop_reference(n, mode):
-    # n = 9 has 81 maximals, past the 64-bit slots
-    ch = TorusChecker(khalimsky_circle(n))
-    group = ch.symmetries(mode)
-    search = invariants_module._PartitionSearch(ch.P, None, None, group)
-    rng = random.Random(n)
-    for _ in range(100):
-        block = rng.getrandbits(len(search.maximals)) or 1
-        images = [sum(1 << g[i] for i in bits(block)) for g in group]
-        assert search.least_image(block) == min(images)
+        assert (search.nodes, search.asked) == (1223, 2433)
+    assert not [v for v in vars(search).values() if isinstance(v, (dict, set))]
+    assert search._blocks == search._states == search._is_unknown == []
+    memos = [
+        cell.cell_contents for cell in status_of.__closure__ or ()
+        if isinstance(cell.cell_contents, dict)
+    ]
+    if torus_path:
+        assert memos == []
+    else:
+        (memo,) = memos
+        assert memo.keys() == {m for m, _ in asked} and len(memo) < search.asked
 
 
 def test_search_counts_note():
-    # the orbit-memo hits pin the group each invariant searches with
+    # every piece asked is counted, repeats included
     res = cat(TorusChecker(khalimsky_circle(3)).P)
     assert res.notes == [
         "no certified cover with 1 pieces (exhaustive)",
         "no certified cover with 2 pieces (exhaustive)",
         "certified 3-piece cover found",
-        "search: 44 DFS nodes, 12 pieces decided, 71 orbit-memo hits, "
-        "0 undecided partitions",
+        "search: 44 DFS nodes, 83 pieces asked, 0 undecided partitions",
     ]
     res = tc(khalimsky_circle(3))
     assert res.notes[-1] == (
-        "search: 41 DFS nodes, 31 pieces decided, 49 orbit-memo hits, "
-        "0 undecided partitions"
+        "search: 41 DFS nodes, 80 pieces asked, 0 undecided partitions"
     )
 
 
@@ -1294,8 +1339,7 @@ def test_search_holds_grown_states_only_on_its_path():
     # alone, a parent is one of them, and it labels the block's piece or a
     # piece inside it; after the search none is held
     ch = TorusChecker(khalimsky_circle(4))
-    deciders = invariants_module._deciders(ch.P, ch, "sc", DEFAULT_BUDGET)
-    status_of, certify, group = deciders
+    status_of, certify = invariants_module._deciders(ch.P, ch, "sc", DEFAULT_BUDGET)
     grown = []
 
     def watched(mask, parent):
@@ -1307,12 +1351,10 @@ def test_search_holds_grown_states_only_on_its_path():
         grown.append(parent is not None)
         return status_of(mask, parent)
 
-    search = invariants_module._PartitionSearch(ch.P, watched, certify, group())
+    search = invariants_module._PartitionSearch(ch.P, watched, certify)
     assert search.cover(2) is None
     assert search.cover(3) is not None
-    assert search._blocks == [] and search._states == []
-    assert set(search._orbit.values()) <= {"homotopic", "not_homotopic"}
-    assert not search._unknown
+    assert search._blocks == search._states == search._is_unknown == []
     assert any(grown) and not all(grown)
 
 
@@ -1443,30 +1485,32 @@ def test_coloring_refutation_decides_the_masks_of_its_walk(monkeypatch):
 @pytest.mark.parametrize("n, value", [(2, 3), (3, 2)])
 def test_cat_of_a_relabelled_torus_agrees_with_the_torus_path(n, value):
     # a torus with its points permuted is not recognised, so its pieces go
-    # through nullhomotopic_in with no symmetry: a reference for the
-    # value the torus path finds
+    # through nullhomotopic_in: a reference for the value the torus path
+    # finds, whose certificates are lifts
     P = torus(khalimsky_circle(n)).P
     perm = list(range(P.n))
     random.Random(n).shuffle(perm)
     X = relabelled(P, perm)
-    res = cat(X)
-    assert res.exact and res.value == value
-    assert " 0 orbit-memo hits" in res.notes[-1]
-    fast = cat(P)
-    assert fast.value == value and " 0 orbit-memo hits" not in fast.notes[-1]
+    assert invariants_module._torus_of(X) is None
+    assert invariants_module._torus_of(P) is torus(khalimsky_circle(n))
+    res, fast = cat(X), cat(P)
+    assert res.exact and res.value == fast.value == value
+    lifted = "projections lift to the digital line; fence of "
+    assert not any(v.reason.startswith(lifted) for v in res.cover.certificates)
+    assert all(v.reason.startswith(lifted) for v in fast.cover.certificates)
 
 
 def test_cat_recognises_a_torus_read_back_from_its_file():
     P = torus(khalimsky_circle(3)).P
     X = read_space(write_space(P, "T"))
     assert X is not P
+    assert invariants_module._torus_of(X) is torus(khalimsky_circle(3))
     res, fast = cat(X), cat(P)
     assert res.value == fast.value == 2
     assert res.notes == fast.notes
-    assert " 0 orbit-memo hits" not in res.notes[-1]  # the torus group ran
-    assert [v.reason for v in res.cover.certificates] == [
-        v.reason for v in fast.cover.certificates
-    ]
+    reasons = [v.reason for v in res.cover.certificates]
+    assert reasons == [v.reason for v in fast.cover.certificates]
+    assert all(r.startswith("projections lift to the digital line; ") for r in reasons)
 
 
 # -- bounds ------------------------------------------------------------
